@@ -21,9 +21,9 @@ from .integrability import (IntegrabilityReport, ProbeReport,
                             symmetric_residual, symplectic_residual)
 from .locus import (CoverReport, DimensionEstimate, LocusOptions, LocusSample,
                     PhiSystem, all_charts, box_counting_dimension, build_phi,
-                    chart_memberships, default_scales, halton_sequence,
-                    rank_with_tolerance, sample_locus, solve_from_seed,
-                    verify_cover)
+                    certify, chart_memberships, default_scales,
+                    halton_sequence, rank_with_tolerance, sample_locus,
+                    solve_from_seed, verify_cover)
 from .scenarios import (Scenario, builtin_demos, load_scenario,
                         scenario_from_dict, scenario_to_dict)
 
@@ -37,9 +37,9 @@ __all__ = [
     "OddDimension", "ParseError", "PhiSystem", "ProbeReport", "ScalarField",
     "Scenario", "ScenarioError", "TooFewPoints", "VectorField", "all_charts",
     "antisymmetric_part", "box_counting_dimension", "build_phi",
-    "builtin_demos", "chart_memberships", "companion_map", "default_scales",
-    "differentiate", "equivalence_probe", "evaluate", "gamma",
-    "gamma_obstruction", "gamma_power", "gradient_like_field",
+    "builtin_demos", "certify", "chart_memberships", "companion_map",
+    "default_scales", "differentiate", "equivalence_probe", "evaluate",
+    "gamma", "gamma_obstruction", "gamma_power", "gradient_like_field",
     "halton_sequence", "hamiltonian_field", "left_gradient", "left_residual",
     "load_scenario", "make_form", "matrix_apply", "minkowski",
     "parse_expression", "pfaffian", "point_report", "pseudo_euclidean",

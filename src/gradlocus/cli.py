@@ -13,14 +13,15 @@ a fixed seed the CSV output is byte-stable and the JSON output is
 byte-stable apart from its ``generated_at`` timestamp.  Floats are
 serialized with their shortest round-trip decimal representation.
 ``locus`` exits 0 exactly when no certified sample lacks a chart and
-the number of distinct charts stays within the binomial bound.  The
-environment variable ``GRADLOCUS_THREADS`` caps parallel seed solving.
+the number of distinct charts stays within the binomial bound.
+``--points`` must be at least 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -34,8 +35,8 @@ from .geometry import FormKind, companion_map
 from .integrability import (equivalence_probe, gamma_obstruction,
                             obstruction_matrix, residual)
 from .locus import (DIMENSION_CAVEAT, all_charts, box_counting_dimension,
-                    build_phi, chart_memberships, default_scales,
-                    halton_sequence, sample_locus, verify_cover)
+                    build_phi, certify, default_scales, halton_sequence,
+                    sample_locus, verify_cover)
 from .scenarios import (Scenario, builtin_demos, load_scenario,
                         scenario_to_dict)
 
@@ -74,14 +75,10 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     rng_seed = scenario.rng_seed if args.seed is None else args.seed
     opts = opts.with_overrides(rng_seed=rng_seed)
     n_seeds = scenario.n_seeds
-    if getattr(args, "points", None) and args.command in ("locus", "demo"):
+    if args.points is not None and args.command in ("locus", "demo"):
         n_seeds = args.points
-    return Scenario(
-        name=scenario.name, form=scenario.form,
-        structure_spec=scenario.structure_spec, f=scenario.f, F=scenario.F,
-        side=scenario.side, box=scenario.box, n_seeds=n_seeds,
-        rng_seed=rng_seed, options=opts,
-    )
+    return dataclasses.replace(scenario, n_seeds=n_seeds, rng_seed=rng_seed,
+                               options=opts)
 
 
 # ---------------------------------------------------------------------------
@@ -289,47 +286,22 @@ def cmd_charts(csv_path: Path, scenario: Scenario, out_dir: Path | None) -> int:
             f"{scenario.dim}")
     pair = companion_map(scenario.form)
     phi = build_phi(pair, scenario.f, scenario.F, scenario.side)
-    charts = all_charts(phi.m)
-    chart_pos = {c: i for i, c in enumerate(charts)}
-    opts = scenario.options
-
-    out_rows = []
-    recomputed = 0
-    for row in rows:
-        x = np.array([float(row[i]) for i in coord_cols])
-        phi_norm = float(np.linalg.norm(phi.phi(x)))
-        value, scale = gamma_obstruction(pair, scenario.F, x, scenario.side)
-        mask = 0
-        members: frozenset = frozenset()
-        if phi_norm <= opts.tol_residual:
-            members = chart_memberships(phi, x, tol_rank=opts.tol_rank,
-                                        tol_residual=opts.tol_residual)
-            for c in members:
-                mask |= 1 << chart_pos[c]
-            recomputed += 1
-        certified = (phi_norm <= opts.tol_residual
-                     and abs(value) > opts.tol_gamma * scale and bool(members))
-        out_rows.append([_fmt_float(v) for v in x]
-                        + [_fmt_float(phi_norm), _fmt_float(value),
-                           _fmt_float(scale), str(mask),
-                           "1" if certified else "0"])
+    X = np.array([[float(row[i]) for i in coord_cols] for row in rows])
+    samples = certify(phi, X.reshape(len(rows), scenario.dim),
+                      scenario.options)
 
     target_dir = out_dir if out_dir else csv_path.parent
     target_dir.mkdir(parents=True, exist_ok=True)
     target = target_dir / (csv_path.stem + "_charts.csv")
-    with open(target, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"x{i + 1}" for i in range(scenario.dim)]
-                        + ["phi_norm", "gamma_value", "gamma_scale",
-                           "chart_mask", "certified"])
-        writer.writerows(out_rows)
+    _write_points_csv(target, scenario.dim, phi.m, samples)
     _write_json({
         "csv": str(csv_path),
         "output": str(target),
-        "rows": len(out_rows),
-        "recomputed_memberships": recomputed,
+        "rows": len(samples),
+        "recomputed_memberships": sum(
+            s.phi_norm <= scenario.options.tol_residual for s in samples),
         "chart_bound": math.comb(scenario.dim, scenario.dim // 2),
-        "tolerances": _tolerance_block(opts),
+        "tolerances": _tolerance_block(scenario.options),
         "generated_at": _timestamp(),
     }, None)
     return EXIT_OK
@@ -381,9 +353,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "points", None) is not None and args.points < 1:
+            raise GradlocusError(f"points: must be >= 1, got {args.points}")
         if args.command == "check":
             scenario = _apply_overrides(load_scenario(args.scenario), args)
-            n_points = args.points if args.points else 200
+            n_points = args.points if args.points is not None else 200
             return cmd_check(scenario, n_points, args.out)
         if args.command == "locus":
             scenario = _apply_overrides(load_scenario(args.scenario), args)

@@ -49,60 +49,57 @@ def _fro(mats):
     return np.sqrt(np.sum(mats * mats, axis=(1, 2)))
 
 
+def _defect(N):
+    """N - N^T for each matrix of a (B, n, n) stack."""
+    return N - np.swapaxes(N, 1, 2)
+
+
+def _side_product(pair: GeometricPair, F: VectorField, x, side: str):
+    """(N, single): N = C DF(x) for the side's exact inverse C, after
+    checking that the form has the kind the side's condition needs."""
+    C = obstruction_matrix(pair, side)
+    if side == "symmetric" and pair.form.kind is not FormKind.SYMMETRIC:
+        raise ValueError("symmetric residual requires a symmetric form")
+    if side == "symplectic" and (pair.form.kind is not FormKind.SKEW_SYMMETRIC
+                                 or pair.dim % 2):
+        raise NotSymplectic(
+            "symplectic residual requires a skew form of even dimension")
+    DF, single = _jacobians(pair, F, x)
+    return C @ DF, single
+
+
+def residual(pair: GeometricPair, F: VectorField, x, side: str):
+    """||N - N^T||_F with N = C DF(x), the side's integrability defect.
+
+    Every condition is this norm: C = Q^T for left and C = Q for right,
+    symmetric (symmetric forms only) and symplectic (skew forms of even
+    dimension only, where it equals ||(DF)^T B^{-1} + B^{-1} DF||_F).
+    """
+    N, single = _side_product(pair, F, x, side)
+    out = _fro(_defect(N))
+    return float(out[0]) if single else out
+
+
 def left_residual(pair: GeometricPair, F: VectorField, x):
     """|| (DF)^T B^{-1} - (Bstar)^{-1} DF ||_F, i.e. the antisymmetric
     defect of Q^T DF."""
-    DF, single = _jacobians(pair, F, x)
-    Q = pair.form.Q
-    defect = np.swapaxes(DF, 1, 2) @ Q - Q.T @ DF
-    out = _fro(defect)
-    return float(out[0]) if single else out
+    return residual(pair, F, x, "left")
 
 
 def right_residual(pair: GeometricPair, F: VectorField, x):
     """|| (DF)^T (Bstar)^{-1} - B^{-1} DF ||_F, i.e. the antisymmetric
     defect of Q DF."""
-    DF, single = _jacobians(pair, F, x)
-    Q = pair.form.Q
-    defect = np.swapaxes(DF, 1, 2) @ Q.T - Q @ DF
-    out = _fro(defect)
-    return float(out[0]) if single else out
+    return residual(pair, F, x, "right")
 
 
 def symmetric_residual(pair: GeometricPair, F: VectorField, x):
     """Gradient condition for symmetric structures."""
-    if pair.form.kind is not FormKind.SYMMETRIC:
-        raise ValueError("symmetric residual requires a symmetric form")
-    DF, single = _jacobians(pair, F, x)
-    Q = pair.form.Q
-    defect = np.swapaxes(DF, 1, 2) @ Q - Q @ DF
-    out = _fro(defect)
-    return float(out[0]) if single else out
+    return residual(pair, F, x, "symmetric")
 
 
 def symplectic_residual(pair: GeometricPair, F: VectorField, x):
     """Hamiltonian condition (DF)^T B^{-1} + B^{-1} DF = 0."""
-    if pair.form.kind is not FormKind.SKEW_SYMMETRIC or pair.dim % 2:
-        raise NotSymplectic(
-            "symplectic residual requires a skew form of even dimension")
-    DF, single = _jacobians(pair, F, x)
-    Q = pair.form.Q
-    defect = np.swapaxes(DF, 1, 2) @ Q + Q @ DF
-    out = _fro(defect)
-    return float(out[0]) if single else out
-
-
-def residual(pair: GeometricPair, F: VectorField, x, side: str):
-    """Dispatch one of the four conditions by name."""
-    if side == "left":
-        return left_residual(pair, F, x)
-    if side == "right":
-        return right_residual(pair, F, x)
-    if side == "symmetric":
-        return symmetric_residual(pair, F, x)
-    if side == "symplectic":
-        return symplectic_residual(pair, F, x)
-    raise ValueError(f"side must be one of {SIDES}, got {side!r}")
+    return residual(pair, F, x, "symplectic")
 
 
 def obstruction_matrix(pair: GeometricPair, side: str) -> np.ndarray:
@@ -158,10 +155,10 @@ def point_report(pair: GeometricPair, F: VectorField, x, side: str = "left",
                  tol: float = TOL_GAMMA) -> IntegrabilityReport:
     """Evaluate one condition and the obstruction at a single point."""
     x = np.asarray(x, dtype=float)
-    res = float(residual(pair, F, x, side))
+    N, _ = _side_product(pair, F, x, side)
+    res = float(_fro(_defect(N))[0])
     value, scale = gamma_obstruction(pair, F, x, side)
-    C = obstruction_matrix(pair, side)
-    n_scale = 1.0 + float(np.linalg.norm(C @ F.jacobian(x)))
+    n_scale = 1.0 + float(_fro(N)[0])
     res_rel = res / n_scale
     gamma_rel = abs(value) / scale
     return IntegrabilityReport(
@@ -204,9 +201,8 @@ def equivalence_probe(pair: GeometricPair, F: VectorField, sample_points,
     gray = 0
     checks = 0
     for side in ("left", "right"):
-        C = obstruction_matrix(pair, side)
-        N = C @ DF
-        D = N - np.swapaxes(N, 1, 2)
+        N = obstruction_matrix(pair, side) @ DF
+        D = _defect(N)
         res = _fro(D)
         coeff = np.abs(D).max(axis=(1, 2))
         scale = 1.0 + _fro(N)

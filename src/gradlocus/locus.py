@@ -15,8 +15,6 @@ report downstream carries that caveat.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import combinations
 
@@ -27,8 +25,6 @@ from .errors import (DimensionMismatch, Diverged, DomainError, GradlocusError,
 from .fields import ScalarField, VectorField
 from .geometry import GeometricPair
 from .integrability import gamma_obstruction, obstruction_matrix
-
-THREADS_ENV = "GRADLOCUS_THREADS"
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -45,7 +41,6 @@ class LocusOptions:
     tol_rank: float = 1e-6
     dedup_factor: float = 1e-3
     rng_seed: int = 0
-    threads: int | None = None
 
     def with_overrides(self, **kw) -> "LocusOptions":
         kw = {k: v for k, v in kw.items() if v is not None}
@@ -249,16 +244,34 @@ def chart_memberships(phi: PhiSystem, x, tol_rank: float = 1e-6,
     return frozenset(members)
 
 
-def _resolve_threads(opts: LocusOptions) -> int:
-    if opts.threads is not None:
-        return max(1, opts.threads)
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+def certify(phi: PhiSystem, X,
+            opts: LocusOptions = LocusOptions()) -> list[LocusSample]:
+    """Certification data for each row of X, in order.
+
+    A row is certified when it lies on the locus (||Phi|| <=
+    tol_residual), is obstructed (|Gamma| > tol_gamma * scale) and lies
+    on at least one chart.  Charts are computed only for rows on the
+    locus; rows off it get none and are never certified.
+    """
+    X = np.asarray(X, dtype=float)
+    phi_norms = np.linalg.norm(phi.phi(X), axis=1)
+    values, scales = gamma_obstruction(phi.pair, phi.F, X, phi.side)
+    samples = []
+    for x, phi_norm, value, scale in zip(X, phi_norms, values, scales):
+        on_locus = phi_norm <= opts.tol_residual
+        charts = (chart_memberships(phi, x, tol_rank=opts.tol_rank,
+                                    tol_residual=opts.tol_residual)
+                  if on_locus else frozenset())
+        samples.append(LocusSample(
+            x=tuple(float(v) for v in x),
+            phi_norm=float(phi_norm),
+            gamma_value=float(value),
+            gamma_scale=float(scale),
+            charts=charts,
+            certified=bool(on_locus and abs(value) > opts.tol_gamma * scale
+                           and charts),
+        ))
+    return samples
 
 
 def sample_locus(phi: PhiSystem, box, n_seeds: int,
@@ -267,10 +280,10 @@ def sample_locus(phi: PhiSystem, box, n_seeds: int,
 
     Seeds follow the Halton sequence rotated by an rng_seed-derived
     shift; converged points outside the box are dropped, the rest are
-    sorted lexicographically and thinned to a minimum separation of
-    dedup_factor times the box diameter, so the output is a
-    deterministic function of (phi, box, n_seeds, opts).  An empty
-    result is valid.
+    sorted lexicographically, thinned to a minimum separation of
+    dedup_factor times the box diameter and certified, so the output
+    is a deterministic function of (phi, box, n_seeds, opts).  An
+    empty result is valid.
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
@@ -280,21 +293,14 @@ def sample_locus(phi: PhiSystem, box, n_seeds: int,
     seeds = halton_sequence(n_seeds, phi.dim, shift)
     seeds = b[:, 0] + seeds * (b[:, 1] - b[:, 0])
 
-    def attempt(seed):
+    converged = []
+    for seed in seeds:
         try:
-            return solve_from_seed(phi, seed, opts)
+            x = solve_from_seed(phi, seed, opts)
         except (Diverged, DomainError):
-            return None
-
-    threads = _resolve_threads(opts)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(attempt, seeds))
-    else:
-        results = [attempt(s) for s in seeds]
-
-    converged = [x for x in results if x is not None
-                 and np.all(x >= b[:, 0]) and np.all(x <= b[:, 1])]
+            continue
+        if np.all(x >= b[:, 0]) and np.all(x <= b[:, 1]):
+            converged.append(x)
     if not converged:
         return []
     pts = np.array(converged)
@@ -309,25 +315,7 @@ def sample_locus(phi: PhiSystem, box, n_seeds: int,
         if k == 0 or np.min(np.sum((buf[:k] - p) ** 2, axis=1)) >= radius_sq:
             buf[k] = p
             k += 1
-    kept = buf[:k]
-
-    samples = []
-    for p in kept:
-        phi_norm = float(np.linalg.norm(phi.phi(p)))
-        value, scale = gamma_obstruction(phi.pair, phi.F, p, phi.side)
-        obstructed = abs(value) > opts.tol_gamma * scale
-        charts = chart_memberships(phi, p, tol_rank=opts.tol_rank,
-                                   tol_residual=opts.tol_residual)
-        samples.append(LocusSample(
-            x=tuple(float(v) for v in p),
-            phi_norm=phi_norm,
-            gamma_value=value,
-            gamma_scale=scale,
-            charts=charts,
-            certified=(phi_norm <= opts.tol_residual and obstructed
-                       and bool(charts)),
-        ))
-    return samples
+    return certify(phi, buf[:k], opts)
 
 
 @dataclass(frozen=True)

@@ -79,6 +79,14 @@ def dict_top_power(M, m: int) -> float:
     return power.get(tuple(range(1, 2 * m + 1)), 0.0)
 
 
+def antisymmetric_defect_norm(Q, DF, side) -> np.ndarray:
+    """||N - N^T||_F at each point, N = C DF with C = Q^T on the left
+    side and C = Q on every other side, one matrix at a time."""
+    Q = np.asarray(Q, dtype=float)
+    C = Q.T if side == "left" else Q
+    return np.array([np.linalg.norm(C @ J - (C @ J).T, "fro") for J in DF])
+
+
 # ---------------------------------------------------------------------------
 # Derivative oracles
 

@@ -10,8 +10,8 @@ from gradlocus import (NotSymplectic, ScalarField, VectorField, companion_map,
 from gradlocus.geometry import FormKind
 from gradlocus.integrability import residual
 
-from oracles import (GENERAL_Q, builtin_structures, random_points,
-                     random_polynomial)
+from oracles import (GENERAL_Q, antisymmetric_defect_norm,
+                     builtin_structures, random_points, random_polynomial)
 
 ROTATION = VectorField.parse(["-x2", "x1"], 2)
 
@@ -56,6 +56,25 @@ class TestResiduals:
             sym = symmetric_residual(pair, F, X)
             assert np.abs(left - right).max() <= 1e-12 * (1 + left.max()), name
             assert np.abs(left - sym).max() <= 1e-12 * (1 + left.max()), name
+
+    def test_named_residuals_match_defect_oracle(self):
+        rng = np.random.default_rng(44)
+        for name, form in builtin_structures():
+            pair = companion_map(form)
+            F = VectorField(form.dim, tuple(
+                random_polynomial(rng, form.dim, degree=3, terms=4)
+                for _ in range(form.dim)))
+            X = random_points(rng, 40, form.dim)
+            named = {"left": left_residual, "right": right_residual}
+            if form.kind is FormKind.SYMMETRIC:
+                named["symmetric"] = symmetric_residual
+            if form.kind is FormKind.SKEW_SYMMETRIC:
+                named["symplectic"] = symplectic_residual
+            DF = F.jacobian(X)
+            for side, fn in named.items():
+                np.testing.assert_allclose(
+                    fn(pair, F, X), antisymmetric_defect_norm(form.Q, DF, side),
+                    rtol=1e-12, atol=1e-12, err_msg=f"{name} {side}")
 
     def test_skew_left_equals_right_of_negated(self):
         rng = np.random.default_rng(43)

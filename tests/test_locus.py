@@ -4,9 +4,9 @@ import pytest
 from gradlocus import (DimensionMismatch, Diverged, GradlocusError,
                        OddDimension, ScalarField, TooFewPoints,
                        VectorField, all_charts, box_counting_dimension,
-                       builtin_demos, build_phi, chart_memberships,
-                       companion_map, default_scales, halton_sequence,
-                       pseudo_euclidean, rank_with_tolerance,
+                       builtin_demos, build_phi, certify,
+                       chart_memberships, companion_map, default_scales,
+                       halton_sequence, pseudo_euclidean, rank_with_tolerance,
                        sample_locus, solve_from_seed, standard_euclidean,
                        standard_symplectic, verify_cover)
 from gradlocus.exterior import antisymmetric_part
@@ -196,19 +196,26 @@ class TestSampleLocus:
         b = sample_locus(phi, s.box_array(), 60, other)
         assert a != b
 
-    def test_threads_do_not_change_output(self):
-        s, phi = demo_phi("circle-m1")
-        seq = sample_locus(phi, s.box_array(), 80, s.options)
-        par = sample_locus(phi, s.box_array(), 80,
-                           s.options.with_overrides(threads=4))
-        assert seq == par
 
-    def test_threads_env_var(self, monkeypatch):
-        monkeypatch.setenv("GRADLOCUS_THREADS", "2")
+class TestCertify:
+    def test_rows_do_not_depend_on_batching(self):
+        s, phi = demo_phi("plane-m2")
+        samples = sample_locus(phi, s.box_array(), 120, s.options)
+        X = np.array([m.x for m in samples])
+        perm = np.random.default_rng(5).permutation(len(X))
+        permuted = certify(phi, X[perm], s.options)
+        assert [permuted[i] for i in np.argsort(perm)] == samples
+        half = len(X) // 2
+        assert (certify(phi, X[:half], s.options)
+                + certify(phi, X[half:], s.options)) == samples
+
+    def test_off_locus_row_gets_no_charts(self):
         s, phi = demo_phi("circle-m1")
-        seq = sample_locus(phi, s.box_array(), 40, s.options)
-        assert seq == sample_locus(phi, s.box_array(), 40,
-                                   s.options.with_overrides(threads=1))
+        on, off = certify(phi, np.array([[0.0, 1.0], [1.5, 1.5]]),
+                          s.options)
+        assert on.certified and on.charts == {(1,)}
+        assert off.phi_norm > s.options.tol_residual
+        assert off.charts == frozenset() and not off.certified
 
 
 class TestChartMemberships:

@@ -211,6 +211,17 @@ class TestCli:
         recomputed = (tmp_path / "re/points_charts.csv").read_bytes()
         assert original == recomputed
 
+    @pytest.mark.parametrize("verb", ["check", "locus"])
+    @pytest.mark.parametrize("points", ["-5", "0"])
+    def test_points_below_one_rejected(self, tmp_path, capsys, verb, points):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(circle_dict(n_seeds=30)))
+        assert main([verb, "--scenario", str(scenario), "--out",
+                     str(tmp_path / "out"), "--points", points]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gradlocus: error: points:")
+        assert err.count("\n") == 1
+
     def test_missing_scenario_file(self, capsys):
         assert main(["check", "--scenario", "/nonexistent.json"]) == 2
         assert capsys.readouterr().err.startswith("gradlocus: error:")
