@@ -96,60 +96,135 @@ def build_phi(pair: GeometricPair, f: ScalarField, F: VectorField,
                      C=obstruction_matrix(pair, side))
 
 
+OUTCOMES = ("converged", "domain", "non-finite step", "damping exhausted",
+            "iteration cap")
+_ACTIVE, _CONVERGED, _DOMAIN, _NONFINITE, _EXHAUSTED, _CAP = -1, 0, 1, 2, 3, 4
+
+
+def _by_row(fn, X, shape):
+    """fn(X) on the batch X.  When the batch raises DomainError, each row
+    is evaluated alone; rows that still raise come back as NaN and are
+    listed in the returned {row: error} map."""
+    try:
+        return fn(X), {}
+    except DomainError:
+        pass
+    out = np.full((len(X),) + shape, np.nan)
+    failed = {}
+    for i in range(len(X)):
+        try:
+            out[i] = fn(X[i:i + 1])[0]
+        except DomainError as exc:
+            failed[i] = exc
+    return out, failed
+
+
+def _solve_rows(A, b):
+    """Stacked solve of A x = b; a singular stack falls back to per-row
+    solves.  Returns the solutions and the mask of rows solved."""
+    try:
+        return (np.linalg.solve(A, b[..., None])[..., 0],
+                np.ones(len(A), dtype=bool))
+    except np.linalg.LinAlgError:
+        pass
+    out = np.zeros_like(b)
+    solved = np.ones(len(A), dtype=bool)
+    for i in range(len(A)):
+        try:
+            out[i] = np.linalg.solve(A[i], b[i])
+        except np.linalg.LinAlgError:
+            solved[i] = False
+    return out, solved
+
+
 def solve_from_seed(phi: PhiSystem, x0, opts: LocusOptions = LocusOptions()):
     """Damped least-squares (Levenberg-Marquardt) iteration on
-    0.5 ||Phi||^2 from the given seed.
+    0.5 ||Phi||^2 from each seed, all seeds in lockstep.
 
-    Returns the converged point (||Phi|| <= tol_residual).  A
-    rank-deficient DPhi at the solution is the expected situation (the
-    zero set is m-dimensional) and is no obstacle to the damped steps.
-    Raises Diverged on the iteration cap, a non-finite step, or
-    unbounded damping growth.
+    Every row keeps its own damping and iteration count: a step is taken
+    when the new ||Phi|| is finite and smaller (damping / 3, floored at
+    1e-14), otherwise the damping grows tenfold.  A row stops when
+    ||Phi|| <= tol_residual, at the iteration cap, when the damping
+    exceeds 1e12, on a non-finite step, or when Phi or DPhi is undefined
+    at its current point.  A rank-deficient DPhi at the solution is the
+    expected situation (the zero set is m-dimensional) and is no
+    obstacle to the damped steps.  A row's result does not depend on the
+    other rows of the batch.
+
+    x0 of shape (B, n) returns the final points and the per-row outcome,
+    one of OUTCOMES.  A single seed of shape (n,) returns the converged
+    point, raises DomainError where Phi or DPhi is undefined, and raises
+    Diverged otherwise.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    if x.shape != (phi.dim,):
-        raise DimensionMismatch(f"seed must have shape ({phi.dim},)")
+    x = np.array(x0, dtype=float)
+    single = x.ndim == 1
+    if single:
+        x = x[None, :]
+    n = phi.dim
+    if x.ndim != 2 or x.shape[1] != n:
+        raise DimensionMismatch(f"seed must have shape ({n},) or (B, {n})")
     if not np.all(np.isfinite(x)):
         raise ValueError("seed has non-finite entries")
-    lam = opts.damping
-    eye = np.eye(phi.dim)
-    r = phi.phi(x)
-    rnorm = float(np.linalg.norm(r))
-    for _ in range(opts.max_iters):
-        if rnorm <= opts.tol_residual:
-            return x
-        J = phi.dphi(x)
-        JtJ = J.T @ J
-        g = J.T @ r
-        accepted = False
-        while lam <= 1e12:
-            try:
-                step = np.linalg.solve(JtJ + lam * eye, -g)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            if not np.all(np.isfinite(step)):
-                raise Diverged("non-finite step", last_point=x,
-                               last_residual=rnorm)
-            try:
-                r_new = phi.phi(x + step)
-                rn_new = float(np.linalg.norm(r_new))
-            except DomainError:
-                rn_new = np.inf
-            if np.isfinite(rn_new) and rn_new < rnorm:
-                x = x + step
-                r, rnorm = r_new, rn_new
-                lam = max(lam / 3.0, 1e-14)
-                accepted = True
-                break
-            lam *= 10.0
-        if not accepted:
-            raise Diverged("damping exhausted without residual decrease",
-                           last_point=x, last_residual=rnorm)
-    if rnorm <= opts.tol_residual:
-        return x
-    raise Diverged(f"no convergence in {opts.max_iters} iterations",
-                   last_point=x, last_residual=rnorm)
+    B = len(x)
+    status = np.full(B, _ACTIVE)
+    lam = np.full(B, float(opts.damping))
+    iters = np.zeros(B, dtype=int)
+    relinearise = np.ones(B, dtype=bool)
+    JtJ = np.empty((B, n, n))
+    g = np.empty((B, n))
+    r, errors = _by_row(phi.phi, x, (n,))
+    status[list(errors)] = _DOMAIN
+    rnorm = np.linalg.norm(r, axis=1)
+    eye = np.eye(n)
+    while True:
+        fresh = (status == _ACTIVE) & relinearise
+        status[fresh & (rnorm <= opts.tol_residual)] = _CONVERGED
+        status[fresh & (rnorm > opts.tol_residual)
+               & (iters >= opts.max_iters)] = _CAP
+        idx = np.flatnonzero(fresh & (status == _ACTIVE))
+        if idx.size:
+            J, failed = _by_row(phi.dphi, x[idx], (n, n))
+            errors.update((idx[i], exc) for i, exc in failed.items())
+            status[list(errors)] = _DOMAIN
+            Jt = J.transpose(0, 2, 1)
+            JtJ[idx] = Jt @ J
+            g[idx] = (Jt @ r[idx, :, None])[..., 0]
+            relinearise[idx] = False
+
+        status[(status == _ACTIVE) & (lam > 1e12)] = _EXHAUSTED
+        idx = np.flatnonzero(status == _ACTIVE)
+        if not idx.size:
+            break
+        step, solved = _solve_rows(JtJ[idx] + lam[idx, None, None] * eye,
+                                   -g[idx])
+        lam[idx[~solved]] *= 10.0
+        finite = np.all(np.isfinite(step), axis=1)
+        status[idx[solved & ~finite]] = _NONFINITE
+        keep = solved & finite
+        idx, trial = idx[keep], x[idx[keep]] + step[keep]
+        # a trial point where Phi is undefined comes back NaN: a rejected
+        # step, not a retired row
+        r_new, _ = _by_row(phi.phi, trial, (n,))
+        rn_new = np.linalg.norm(r_new, axis=1)
+        accept = np.isfinite(rn_new) & (rn_new < rnorm[idx])
+        up = idx[accept]
+        x[up], r[up], rnorm[up] = trial[accept], r_new[accept], rn_new[accept]
+        lam[up] = np.maximum(lam[up] / 3.0, 1e-14)
+        iters[up] += 1
+        relinearise[up] = True
+        lam[idx[~accept]] *= 10.0
+
+    if not single:
+        return x, np.array(OUTCOMES)[status]
+    code = status[0]
+    if code == _CONVERGED:
+        return x[0]
+    if code == _DOMAIN:
+        raise errors[0]
+    reason = {_NONFINITE: "non-finite step",
+              _EXHAUSTED: "damping exhausted without residual decrease",
+              _CAP: f"no convergence in {opts.max_iters} iterations"}[code]
+    raise Diverged(reason, last_point=x[0], last_residual=float(rnorm[0]))
 
 
 def halton_sequence(count: int, dim: int, shift=None) -> np.ndarray:
@@ -293,17 +368,11 @@ def sample_locus(phi: PhiSystem, box, n_seeds: int,
     seeds = halton_sequence(n_seeds, phi.dim, shift)
     seeds = b[:, 0] + seeds * (b[:, 1] - b[:, 0])
 
-    converged = []
-    for seed in seeds:
-        try:
-            x = solve_from_seed(phi, seed, opts)
-        except (Diverged, DomainError):
-            continue
-        if np.all(x >= b[:, 0]) and np.all(x <= b[:, 1]):
-            converged.append(x)
-    if not converged:
+    pts, outcome = solve_from_seed(phi, seeds, opts)
+    pts = pts[(outcome == "converged") & np.all(pts >= b[:, 0], axis=1)
+              & np.all(pts <= b[:, 1], axis=1)]
+    if not len(pts):
         return []
-    pts = np.array(converged)
     order = np.lexsort(tuple(pts[:, d] for d in range(pts.shape[1] - 1, -1, -1)))
     pts = pts[order]
 
@@ -420,7 +489,7 @@ def box_counting_dimension(points, scales=None) -> DimensionEstimate:
     counts = []
     for eps in scales:
         cells = np.floor((pts - lo) / eps).astype(np.int64)
-        counts.append(len(set(map(tuple, cells))))
+        counts.append(np.unique(cells, axis=0).shape[0])
     counts_arr = np.array(counts)
 
     cap = max(8, pts.shape[0] // 3)

@@ -10,6 +10,7 @@ differences.
 import numpy as np
 
 from gradlocus import dsl
+from gradlocus.errors import DimensionMismatch, Diverged, DomainError
 from gradlocus.geometry import (make_form, minkowski, pseudo_euclidean,
                                 standard_euclidean, standard_symplectic)
 
@@ -85,6 +86,81 @@ def antisymmetric_defect_norm(Q, DF, side) -> np.ndarray:
     Q = np.asarray(Q, dtype=float)
     C = Q.T if side == "left" else Q
     return np.array([np.linalg.norm(C @ J - (C @ J).T, "fro") for J in DF])
+
+
+# ---------------------------------------------------------------------------
+# Solver oracle
+
+
+def scalar_lm(phi, x0, opts):
+    """Levenberg-Marquardt from one seed, one point at a time: the
+    per-seed loop the lockstep batch solver must reproduce.  Returns the
+    converged point; raises Diverged or DomainError like a single-seed
+    ``solve_from_seed``."""
+    x = np.asarray(x0, dtype=float).copy()
+    if x.shape != (phi.dim,):
+        raise DimensionMismatch(f"seed must have shape ({phi.dim},)")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("seed has non-finite entries")
+    lam = opts.damping
+    eye = np.eye(phi.dim)
+    r = phi.phi(x)
+    rnorm = float(np.linalg.norm(r))
+    for _ in range(opts.max_iters):
+        if rnorm <= opts.tol_residual:
+            return x
+        J = phi.dphi(x)
+        JtJ = J.T @ J
+        g = J.T @ r
+        accepted = False
+        while lam <= 1e12:
+            try:
+                step = np.linalg.solve(JtJ + lam * eye, -g)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            if not np.all(np.isfinite(step)):
+                raise Diverged("non-finite step", last_point=x,
+                               last_residual=rnorm)
+            try:
+                r_new = phi.phi(x + step)
+                rn_new = float(np.linalg.norm(r_new))
+            except DomainError:
+                rn_new = np.inf
+            if np.isfinite(rn_new) and rn_new < rnorm:
+                x = x + step
+                r, rnorm = r_new, rn_new
+                lam = max(lam / 3.0, 1e-14)
+                accepted = True
+                break
+            lam *= 10.0
+        if not accepted:
+            raise Diverged("damping exhausted without residual decrease",
+                           last_point=x, last_residual=rnorm)
+    if rnorm <= opts.tol_residual:
+        return x
+    raise Diverged(f"no convergence in {opts.max_iters} iterations",
+                   last_point=x, last_residual=rnorm)
+
+
+def scalar_lm_rows(phi, X, opts):
+    """``scalar_lm`` over the rows of X, reported like a batched
+    ``solve_from_seed``: the final points and one outcome per row.  A
+    row that hit a DomainError keeps its seed."""
+    reasons = {"non-finite step": "non-finite step",
+               "damping exhausted without residual decrease":
+               "damping exhausted"}
+    pts, outcome = np.array(X, dtype=float), []
+    for i, x0 in enumerate(X):
+        try:
+            pts[i] = scalar_lm(phi, x0, opts)
+            outcome.append("converged")
+        except DomainError:
+            outcome.append("domain")
+        except Diverged as err:
+            pts[i] = err.last_point
+            outcome.append(reasons.get(str(err), "iteration cap"))
+    return pts, np.array(outcome)
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,55 @@
 import numpy as np
 import pytest
 
-from gradlocus import (DimensionMismatch, Diverged, GradlocusError,
-                       OddDimension, ScalarField, TooFewPoints,
+from gradlocus import (DimensionMismatch, Diverged, DomainError,
+                       GradlocusError, LocusOptions, OddDimension,
+                       PhiSystem, ScalarField, TooFewPoints,
                        VectorField, all_charts, box_counting_dimension,
                        builtin_demos, build_phi, certify,
                        chart_memberships, companion_map, default_scales,
                        halton_sequence, pseudo_euclidean, rank_with_tolerance,
                        sample_locus, solve_from_seed, standard_euclidean,
                        standard_symplectic, verify_cover)
+from gradlocus import locus
 from gradlocus.exterior import antisymmetric_part
 
-from oracles import random_points
+from oracles import random_points, scalar_lm_rows
 
 
 def demo_phi(name):
     s = builtin_demos()[name]
     pair = companion_map(s.form)
     return s, build_phi(pair, s.f, s.F, s.side)
+
+
+def demo_seeds(s):
+    """The Halton seeds sample_locus draws for a demo at its defaults."""
+    b = s.box_array()
+    shift = np.random.default_rng(s.options.rng_seed).random(s.dim)
+    return b[:, 0] + halton_sequence(s.n_seeds, s.dim, shift) * (b[:, 1]
+                                                                 - b[:, 0])
+
+
+def euclidean_phi(f, F):
+    pair = companion_map(standard_euclidean(len(F)))
+    return build_phi(pair, ScalarField.parse(f, len(F)),
+                     VectorField.parse(F, len(F)), "left")
+
+
+# Phi = (x1 - log(x1) - x2, x2 - x1 x2) is undefined for x1 <= 0, so on
+# [-2, 2]^2 about half of the seeds fail with a DomainError.
+MIXED_DOMAIN = ("(x1^2+x2^2)/2", ["log(x1) + x2", "x1*x2"])
+
+
+class PoisonedDphi(PhiSystem):
+    """DPhi raises DomainError for any batch holding the row POISON."""
+
+    POISON = np.array([1.5, 0.1])
+
+    def dphi(self, x):
+        if np.any(np.all(np.atleast_2d(x) == self.POISON, axis=1)):
+            raise DomainError("poisoned row")
+        return super().dphi(x)
 
 
 class TestBuildPhi:
@@ -137,6 +169,68 @@ class TestSolveFromSeed:
         with pytest.raises(ValueError):
             solve_from_seed(phi, np.array([np.nan, 0.0]))
 
+    def test_batch_matches_scalar_oracle(self):
+        for name in ("circle-m1", "plane-m2", "minkowski-grad"):
+            s, phi = demo_phi(name)
+            seeds = demo_seeds(s)
+            pts, outcome = solve_from_seed(phi, seeds, s.options)
+            want, want_outcome = scalar_lm_rows(phi, seeds, s.options)
+            assert np.array_equal(outcome == "converged",
+                                  want_outcome == "converged"), name
+            assert np.abs(pts - want).max() <= 1e-8, name
+
+    def test_rows_do_not_depend_on_batching(self):
+        for name in ("circle-m1", "plane-m2"):
+            s, phi = demo_phi(name)
+            seeds = demo_seeds(s)
+            pts, outcome = solve_from_seed(phi, seeds, s.options)
+            for i in range(len(seeds)):
+                alone, alone_outcome = solve_from_seed(phi, seeds[i:i + 1],
+                                                       s.options)
+                assert np.array_equal(alone[0], pts[i]), (name, i)
+                assert alone_outcome[0] == outcome[i], (name, i)
+
+    def test_single_seed_is_a_batch_of_one(self):
+        _, phi = demo_phi("circle-m1")
+        seed = np.array([1.5, 0.1])
+        pts, outcome = solve_from_seed(phi, seed[None, :])
+        assert outcome.tolist() == ["converged"]
+        assert np.array_equal(solve_from_seed(phi, seed), pts[0])
+
+    def test_dphi_domain_error_retires_only_its_row(self):
+        s, phi = demo_phi("circle-m1")
+        poisoned = PoisonedDphi(phi.pair, phi.f, phi.F, phi.side, phi.C)
+        seeds = np.array([[0.4, -1.3], PoisonedDphi.POISON, [-0.7, 1.8]])
+        pts, outcome = solve_from_seed(poisoned, seeds, s.options)
+        assert outcome.tolist() == ["converged", "domain", "converged"]
+        healthy, _ = solve_from_seed(phi, seeds[[0, 2]], s.options)
+        assert np.array_equal(pts[[0, 2]], healthy)
+        with pytest.raises(DomainError, match="poisoned row"):
+            solve_from_seed(poisoned, PoisonedDphi.POISON, s.options)
+
+    def test_singular_normal_equations_fall_back_per_row(self, monkeypatch):
+        # DPhi = [[1e8 + 3 x1^2, 1e8], [0, 0]]: near the origin
+        # J^T J + lam I rounds to an exactly singular matrix, so the
+        # stacked solve raises and the damping of those rows grows
+        phi = euclidean_phi("0", ["-100000000*(x1+x2) - x1^3", "0"])
+        seeds = np.array([[0.3, 0.2], [1.0, -0.5], [-1.2, 0.7]])
+        failures = []
+        solve = np.linalg.solve
+
+        def spy(A, b):
+            try:
+                return solve(A, b)
+            except np.linalg.LinAlgError:
+                failures.append(np.shape(A))
+                raise
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        opts = LocusOptions()
+        pts, outcome = solve_from_seed(phi, seeds, opts)
+        assert (3, 2, 2) in failures
+        want, want_outcome = scalar_lm_rows(phi, seeds, opts)
+        assert np.array_equal(outcome, want_outcome)
+        assert np.abs(pts - want).max() <= 1e-8
+
 
 class TestSampleLocus:
     def test_circle_demo_population(self):
@@ -188,6 +282,14 @@ class TestSampleLocus:
         a = sample_locus(phi, s.box_array(), 120, s.options)
         b = sample_locus(phi, s.box_array(), 120, s.options)
         assert a == b
+
+    def test_domain_errors_stay_in_their_rows(self, monkeypatch):
+        phi = euclidean_phi(*MIXED_DOMAIN)
+        box = [[-2.0, 2.0], [-2.0, 2.0]]
+        got = sample_locus(phi, box, 100)
+        assert len(got) == 1
+        monkeypatch.setattr(locus, "solve_from_seed", scalar_lm_rows)
+        assert got == sample_locus(phi, box, 100)
 
     def test_seed_changes_output(self):
         s, phi = demo_phi("circle-m1")
@@ -299,6 +401,14 @@ class TestBoxCounting:
         est = box_counting_dimension(pts, scales=default_scales(1.0))
         assert est.estimate == pytest.approx(0.0)
         assert all(c == 1 for c in est.counts)
+
+    def test_counts_match_set_count(self):
+        pts = np.random.default_rng(59).uniform(-1, 1, size=(1000, 3))
+        est = box_counting_dimension(pts)
+        lo = pts.min(axis=0)
+        want = [len(set(map(tuple, np.floor((pts - lo) / eps).astype(int))))
+                for eps in est.scales]
+        assert list(est.counts) == want
 
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
