@@ -102,11 +102,14 @@ def cmd_check(scenario: Scenario, n_points: int, out_dir: Path | None) -> int:
     tol = scenario.options.tol_gamma
     conditions = {}
     matched_rel_max = None
-    for side in sides:
+    # one Jacobian for the per-side scales 1 + ||C DF||_F, freed before
+    # the residuals evaluate their own, so the peak memory does not grow
+    DF = scenario.F.jacobian(pts)
+    scales = [1.0 + np.sqrt(np.sum((obstruction_matrix(pair, side) @ DF) ** 2,
+                                   axis=(1, 2))) for side in sides]
+    del DF
+    for side, scale in zip(sides, scales):
         res = np.atleast_1d(residual(pair, scenario.F, pts, side))
-        C = obstruction_matrix(pair, side)
-        scale = 1.0 + np.sqrt(np.sum((C @ scenario.F.jacobian(pts)) ** 2,
-                                     axis=(1, 2)))
         rel = res / scale
         conditions[side] = {
             "max": float(res.max()),

@@ -6,10 +6,16 @@ module hosts the operator that maps a square matrix M to the 2-vector
 with coefficient (M_pq - M_qp) on e_p ^ e_q, its m-th wedge power on
 R^{2m}, and a Pfaffian that serves as an independent cross-check of
 the top-power coefficient.
+
+Everything works on batches: a coefficient is an array over the batch,
+so one wedge power of a (B, n, n) stack costs a few numpy calls per key
+pair instead of B Python-level wedges.  A single matrix is the same
+code on a batch of shape ().
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,18 +59,44 @@ def _indices_to_mask(indices) -> int:
     return mask
 
 
+def _peak(S) -> np.ndarray:
+    """Max |coefficient| of each row; S stacks one coefficient array per
+    key along axis 0."""
+    return np.max(np.abs(S), axis=0, initial=0.0)
+
+
+def _pruned(dim: int, grade: int, keys, S, shape) -> "MultiVector":
+    """Multivector with coefficient S[i] on keys[i], pruned row by row.
+
+    In each row a coefficient at or below PRUNE_REL * that row's
+    max|coeff| (floor PRUNE_FLOOR) becomes 0; a key is dropped only when
+    it is 0 in every row.
+    """
+    cutoff = np.maximum(PRUNE_REL * _peak(S), PRUNE_FLOOR)
+    keep = np.abs(S) > cutoff
+    S = np.where(keep, S, 0.0)
+    alive = np.any(keep, axis=tuple(range(1, keep.ndim)))
+    coeffs = {k: S[i] for i, k in enumerate(keys) if alive[i]}
+    return MultiVector(dim, grade, coeffs, shape)
+
+
 @dataclass(frozen=True)
 class MultiVector:
-    """Element of Lambda^grade R^dim with sparse bitmask-keyed coefficients.
+    """Element of Lambda^grade R^dim, or a batch of them, with sparse
+    bitmask-keyed coefficients.
 
-    Keys have population count ``grade`` and fit in ``dim`` bits.  The
-    zero element may carry a nominal grade above ``dim`` (the result of
+    Every coefficient is an array of the batch ``shape``: () for a single
+    multivector, whose coefficients are then numpy floats, and (B,) for
+    a batch of B (inferred from the coefficients when not given).  Keys
+    have population count ``grade`` and fit in ``dim`` bits.  The zero
+    element may carry a nominal grade above ``dim`` (the result of
     wedging past the top grade); it necessarily has no coefficients.
     """
 
     dim: int
     grade: int
-    coeffs: dict[int, float] = field(default_factory=dict)
+    coeffs: dict[int, np.ndarray] = field(default_factory=dict)
+    shape: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -78,10 +110,20 @@ class MultiVector:
                 raise ValueError(f"key {key:b} does not fit in {self.dim} bits")
             if _popcount(key) != self.grade:
                 raise ValueError(f"key {key:b} has wrong grade")
+        values = {k: np.asarray(v, dtype=float) for k, v in self.coeffs.items()}
+        if self.shape is not None:
+            shape = tuple(self.shape)
+        else:
+            shape = next(iter(values.values())).shape if values else ()
+        if any(v.shape != shape for v in values.values()):
+            raise DimensionMismatch(
+                f"coefficient shapes differ from the batch shape {shape}")
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "coeffs", {k: v[()] for k, v in values.items()})
 
     @classmethod
-    def zero(cls, dim: int, grade: int) -> "MultiVector":
-        return cls(dim=dim, grade=grade, coeffs={})
+    def zero(cls, dim: int, grade: int, shape=()) -> "MultiVector":
+        return cls(dim=dim, grade=grade, coeffs={}, shape=shape)
 
     @classmethod
     def basis_vector(cls, dim: int, i: int) -> "MultiVector":
@@ -92,51 +134,68 @@ class MultiVector:
 
     @classmethod
     def from_vector(cls, v) -> "MultiVector":
-        """Dense coordinate vector -> grade-1 multivector."""
+        """Dense coordinate vector (or a (..., n) stack) -> grade-1
+        multivector; axes that are 0 in every row are left out."""
         v = np.asarray(v, dtype=float)
-        coeffs = {1 << i: float(c) for i, c in enumerate(v) if c != 0.0}
-        return cls(dim=len(v), grade=1, coeffs=coeffs)
+        n = v.shape[-1]
+        coeffs = {1 << i: v[..., i] for i in range(n) if np.any(v[..., i])}
+        return cls(dim=n, grade=1, coeffs=coeffs, shape=v.shape[:-1])
 
-    def coefficient(self, indices) -> float:
+    def coefficient(self, indices):
         """Coefficient of e_{i1} ^ ... ^ e_{ik} for ascending 1-based indices."""
         indices = tuple(indices)
         if any(not 1 <= i <= self.dim for i in indices):
             raise DimensionMismatch(f"indices {indices} outside 1..{self.dim}")
         if list(indices) != sorted(set(indices)) or len(indices) != self.grade:
             raise ValueError(f"expected {self.grade} strictly increasing indices")
-        return self.coeffs.get(_indices_to_mask(indices), 0.0)
+        return self.coeffs.get(_indices_to_mask(indices),
+                               np.zeros(self.shape)[()])
 
     def terms(self):
         """Sorted (indices, coefficient) pairs."""
         return [(_mask_to_indices(k), v) for k, v in sorted(self.coeffs.items())]
 
-    def max_abs(self) -> float:
-        return max((abs(v) for v in self.coeffs.values()), default=0.0)
+    def __eq__(self, other):
+        if not isinstance(other, MultiVector):
+            return NotImplemented
+        return ((self.dim, self.grade, self.shape, self.coeffs.keys())
+                == (other.dim, other.grade, other.shape, other.coeffs.keys())
+                and all(np.array_equal(v, other.coeffs[k])
+                        for k, v in self.coeffs.items()))
 
-    def is_zero(self, tol: float = 0.0) -> bool:
+    def _rows(self):
+        """Sorted keys and their coefficients stacked along axis 0."""
+        keys = sorted(self.coeffs)
+        S = np.array([self.coeffs[k] for k in keys], dtype=float)
+        return keys, S.reshape((len(keys),) + self.shape)
+
+    def max_abs(self):
+        return _peak(self._rows()[1])
+
+    def is_zero(self, tol: float = 0.0):
         return self.max_abs() <= tol
 
     def prune(self) -> "MultiVector":
-        """Drop coefficients below PRUNE_REL * max|coeff| (floor PRUNE_FLOOR)."""
-        cutoff = max(PRUNE_REL * self.max_abs(), PRUNE_FLOOR)
-        kept = {k: v for k, v in self.coeffs.items() if abs(v) > cutoff}
-        return MultiVector(self.dim, self.grade, kept)
+        """Drop coefficients below PRUNE_REL * max|coeff| (floor
+        PRUNE_FLOOR), row by row."""
+        return _pruned(self.dim, self.grade, *self._rows(), self.shape)
 
     def __add__(self, other: "MultiVector") -> "MultiVector":
-        if self.dim != other.dim:
-            raise DimensionMismatch("dimension mismatch in addition")
+        if self.dim != other.dim or self.shape != other.shape:
+            raise DimensionMismatch(
+                "dimension or batch shape mismatch in addition")
         if self.grade != other.grade:
             raise ValueError("grade mismatch in addition")
         coeffs = dict(self.coeffs)
         for k, v in other.coeffs.items():
             coeffs[k] = coeffs.get(k, 0.0) + v
-        return MultiVector(self.dim, self.grade, coeffs).prune()
+        return MultiVector(self.dim, self.grade, coeffs, self.shape).prune()
 
     def __rmul__(self, scalar: float) -> "MultiVector":
         s = float(scalar)
-        return MultiVector(
-            self.dim, self.grade, {k: s * v for k, v in self.coeffs.items()}
-        ).prune()
+        return MultiVector(self.dim, self.grade,
+                           {k: s * v for k, v in self.coeffs.items()},
+                           self.shape).prune()
 
     def __mul__(self, scalar: float) -> "MultiVector":
         return self.__rmul__(scalar)
@@ -148,45 +207,80 @@ class MultiVector:
         return wedge(self, other)
 
 
+@functools.lru_cache(maxsize=64)
+def _schedule(keys_a: tuple[int, ...], keys_b: tuple[int, ...]):
+    """(keys, terms) of a wedge: one term (i, j, slot, sign) per pair of
+    disjoint keys (e_i ^ e_i = 0), in the sorted order of the pairs, with
+    keys[slot] = keys_a[i] | keys_b[j]."""
+    slot: dict[int, int] = {}
+    terms = []
+    for i, ka in enumerate(keys_a):
+        for j, kb in enumerate(keys_b):
+            if not ka & kb:
+                k = slot.setdefault(ka | kb, len(slot))
+                terms.append((i, j, k, float(_merge_sign(ka, kb))))
+    return tuple(slot), tuple(terms)
+
+
 def wedge(a: MultiVector, b: MultiVector) -> MultiVector:
-    """Exterior product; bilinear, associative, sign by merge parity."""
+    """Exterior product; bilinear, associative, sign by merge parity.
+
+    Batches of equal shape are wedged row by row.  Every result
+    coefficient sums its terms in the sorted order of the key pairs, so
+    a row's arithmetic does not depend on the other rows of its batch.
+    """
     if a.dim != b.dim:
         raise DimensionMismatch(
             f"wedge of multivectors with dims {a.dim} and {b.dim}"
         )
+    if a.shape != b.shape:
+        raise DimensionMismatch(
+            f"wedge of batches with shapes {a.shape} and {b.shape}")
     grade = a.grade + b.grade
     if grade > a.dim:
-        return MultiVector.zero(a.dim, grade)
-    coeffs: dict[int, float] = {}
-    for ka, va in a.coeffs.items():
-        for kb, vb in b.coeffs.items():
-            if ka & kb:
-                continue  # repeated axis: e_i ^ e_i = 0
-            key = ka | kb
-            coeffs[key] = coeffs.get(key, 0.0) + _merge_sign(ka, kb) * va * vb
-    return MultiVector(a.dim, grade, coeffs).prune()
+        return MultiVector.zero(a.dim, grade, a.shape)
+    keys_a, A = a._rows()
+    keys_b, B = b._rows()
+    keys, terms = _schedule(tuple(keys_a), tuple(keys_b))
+    S = np.zeros((len(keys),) + a.shape)
+    for i, j, k, sign in terms:
+        S[k] += sign * A[i] * B[j]
+    return _pruned(a.dim, grade, keys, S, a.shape)
+
+
+def _square_stack(M) -> np.ndarray:
+    """M as a float (n, n) matrix or (B, n, n) stack."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2]:
+        raise DimensionMismatch(f"M must be square, got {M.shape}")
+    return M
+
+
+@functools.lru_cache(maxsize=None)
+def _upper_pairs(n: int):
+    """Row and column indices of the entries above the diagonal, in
+    row-major order, and the key e_p ^ e_q of each."""
+    p, q = np.triu_indices(n, 1)
+    p.flags.writeable = q.flags.writeable = False
+    keys = tuple((1 << i) | (1 << j) for i, j in zip(p.tolist(), q.tolist()))
+    return p, q, keys
 
 
 def gamma(M, basis=None) -> MultiVector:
     """2-vector sum of (M u_i) ^ u_i over an orthonormal basis.
 
-    With the canonical basis the coefficient on e_p ^ e_q (p < q) is
-    M_pq - M_qp, so the result vanishes exactly on symmetric M.  A
-    supplied basis must be orthonormal (columns); the result does not
-    depend on the choice, which tests exercise statistically.
+    M is one (n, n) matrix or a (B, n, n) stack, which gives a batch of
+    B 2-vectors.  With the canonical basis the coefficient on e_p ^ e_q
+    (p < q) is M_pq - M_qp, so the result vanishes exactly on symmetric
+    M.  A supplied basis must be orthonormal (columns); the result does
+    not depend on the choice, which tests exercise statistically.
     """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionMismatch(f"M must be square, got {M.shape}")
-    n = M.shape[0]
+    M = _square_stack(M)
+    n = M.shape[-1]
     if basis is None:
-        coeffs = {}
-        for p in range(n):
-            for q in range(p + 1, n):
-                c = M[p, q] - M[q, p]
-                if c != 0.0:
-                    coeffs[(1 << p) | (1 << q)] = float(c)
-        return MultiVector(n, 2, coeffs).prune()
+        p, q, keys = _upper_pairs(n)
+        return _pruned(n, 2, keys, (M[..., p, q] - M[..., q, p]).T,
+                       M.shape[:-2])
 
     U = np.asarray(basis, dtype=float)
     if U.shape != (n, n):
@@ -196,25 +290,27 @@ def gamma(M, basis=None) -> MultiVector:
         raise ValueError(
             f"supplied basis is not orthonormal (Gram deviation {gram_dev:.3e})"
         )
-    total = MultiVector.zero(n, 2)
+    total = MultiVector.zero(n, 2, M.shape[:-2])
     for i in range(n):
-        u = U[:, i]
-        total = total + wedge(MultiVector.from_vector(M @ u),
-                              MultiVector.from_vector(u))
+        Mu = M @ U[:, i]
+        total = total + wedge(MultiVector.from_vector(Mu),
+                              MultiVector.from_vector(
+                                  np.broadcast_to(U[:, i], Mu.shape)))
     return total
 
 
-def gamma_power(M, m: int | None = None) -> float:
+def gamma_power(M, m: int | None = None):
     """Coefficient of e_1 ^ ... ^ e_{2m} in the m-th wedge power of gamma(M).
 
-    Requires n = 2m nonzero and even.  Tests validate the identity with
-    m! * Pf(M - M^T) against the independent Pfaffian below; the raw
-    value is returned, thresholding is the caller's concern.
+    M is one (n, n) matrix, which gives a float, or a (B, n, n) stack,
+    which gives a (B,) array whose rows equal the single-matrix results
+    exactly.  Requires n = 2m nonzero and even.  Tests validate the
+    identity with m! * Pf(M - M^T) against the independent Pfaffian
+    below; the raw value is returned, thresholding is the caller's
+    concern.
     """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionMismatch(f"M must be square, got {M.shape}")
-    n = M.shape[0]
+    M = _square_stack(M)
+    n = M.shape[-1]
     if n == 0:
         raise DimensionMismatch("n = 0 is not allowed")
     if n % 2:
@@ -227,7 +323,8 @@ def gamma_power(M, m: int | None = None) -> float:
     power = g
     for _ in range(m - 1):
         power = wedge(power, g)
-    return power.coeffs.get((1 << n) - 1, 0.0)
+    top = power.coefficient(range(1, n + 1))
+    return float(top) if M.ndim == 2 else top
 
 
 def antisymmetric_part(M) -> np.ndarray:

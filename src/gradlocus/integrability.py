@@ -124,7 +124,7 @@ def gamma_obstruction(pair: GeometricPair, F: VectorField, x,
     DF, single = _jacobians(pair, F, x)
     M = C @ DF
     norms = _fro(M)
-    values = np.array([gamma_power(M[i], m) for i in range(M.shape[0])])
+    values = gamma_power(M, m)
     scales = math.factorial(m) * norms ** m + GAMMA_FLOOR
     if single:
         return float(values[0]), float(scales[0])
@@ -197,32 +197,24 @@ def equivalence_probe(pair: GeometricPair, F: VectorField, sample_points,
     if X.ndim == 1:
         X = X[None, :]
     DF = F.jacobian(X)
+    lo, hi = tol / GRAY_FACTOR, tol * GRAY_FACTOR
     violations = []
     gray = 0
-    checks = 0
     for side in ("left", "right"):
         N = obstruction_matrix(pair, side) @ DF
         D = _defect(N)
-        res = _fro(D)
-        coeff = np.abs(D).max(axis=(1, 2))
         scale = 1.0 + _fro(N)
-        res_rel = res / scale
-        coeff_rel = coeff / scale
-        for i in range(X.shape[0]):
-            checks += 1
-            in_gray = (
-                tol / GRAY_FACTOR <= res_rel[i] <= tol * GRAY_FACTOR
-                or tol / GRAY_FACTOR <= coeff_rel[i] <= tol * GRAY_FACTOR
-            )
-            if in_gray:
-                gray += 1
-                continue
-            if (res_rel[i] <= tol) != (coeff_rel[i] <= tol):
-                violations.append((i, side, float(res_rel[i]),
-                                   float(coeff_rel[i])))
+        res_rel = _fro(D) / scale
+        coeff_rel = np.abs(D).max(axis=(1, 2)) / scale
+        in_gray = (((lo <= res_rel) & (res_rel <= hi))
+                   | ((lo <= coeff_rel) & (coeff_rel <= hi)))
+        bad = ~in_gray & ((res_rel <= tol) != (coeff_rel <= tol))
+        gray += int(np.count_nonzero(in_gray))
+        violations += [(int(i), side, float(res_rel[i]), float(coeff_rel[i]))
+                       for i in np.flatnonzero(bad)]
     return ProbeReport(
         points=X.shape[0],
-        checks=checks,
+        checks=2 * X.shape[0],
         violations=len(violations),
         gray_excluded=gray,
         tol=tol,

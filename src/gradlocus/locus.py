@@ -489,7 +489,11 @@ def box_counting_dimension(points, scales=None) -> DimensionEstimate:
     counts = []
     for eps in scales:
         cells = np.floor((pts - lo) / eps).astype(np.int64)
-        counts.append(np.unique(cells, axis=0).shape[0])
+        # distinct rows by a lexsort and a row-difference mask;
+        # np.unique(axis=0) would import numpy.ma (~0.9 MB of peak RSS)
+        cells = cells[np.lexsort(cells.T)]
+        counts.append(1 + int(np.count_nonzero(
+            np.any(cells[1:] != cells[:-1], axis=1))))
     counts_arr = np.array(counts)
 
     cap = max(8, pts.shape[0] // 3)

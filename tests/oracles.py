@@ -13,6 +13,8 @@ from gradlocus import dsl
 from gradlocus.errors import DimensionMismatch, Diverged, DomainError
 from gradlocus.geometry import (make_form, minkowski, pseudo_euclidean,
                                 standard_euclidean, standard_symplectic)
+from gradlocus.integrability import (GRAY_FACTOR, ProbeReport,
+                                     obstruction_matrix)
 
 GENERAL_Q = np.array([[1.0, 1.0], [0.0, 1.0]])
 
@@ -86,6 +88,38 @@ def antisymmetric_defect_norm(Q, DF, side) -> np.ndarray:
     Q = np.asarray(Q, dtype=float)
     C = Q.T if side == "left" else Q
     return np.array([np.linalg.norm(C @ J - (C @ J).T, "fro") for J in DF])
+
+
+def probe_loop(pair, F, X, tol):
+    """The residual/obstruction equivalence probe one (point, side)
+    check at a time: the loop the masked ``equivalence_probe`` must
+    reproduce, report and violation order included."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    DF = F.jacobian(X)
+    violations, gray, checks = [], 0, 0
+    for side in ("left", "right"):
+        N = obstruction_matrix(pair, side) @ DF
+        D = N - np.swapaxes(N, 1, 2)
+        res = np.sqrt(np.sum(D * D, axis=(1, 2)))
+        coeff = np.abs(D).max(axis=(1, 2))
+        scale = 1.0 + np.sqrt(np.sum(N * N, axis=(1, 2)))
+        res_rel = res / scale
+        coeff_rel = coeff / scale
+        for i in range(X.shape[0]):
+            checks += 1
+            in_gray = (
+                tol / GRAY_FACTOR <= res_rel[i] <= tol * GRAY_FACTOR
+                or tol / GRAY_FACTOR <= coeff_rel[i] <= tol * GRAY_FACTOR
+            )
+            if in_gray:
+                gray += 1
+                continue
+            if (res_rel[i] <= tol) != (coeff_rel[i] <= tol):
+                violations.append((i, side, float(res_rel[i]),
+                                   float(coeff_rel[i])))
+    return ProbeReport(points=X.shape[0], checks=checks,
+                       violations=len(violations), gray_excluded=gray,
+                       tol=tol, violation_details=tuple(violations))
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,136 @@ class TestGammaPower:
                     assert gamma(M).max_abs() > 1e-8 * np.linalg.norm(M)
 
 
+def _stacks(rng, n, rows=5):
+    """Named (rows, n, n) stacks: dense, dense with rows of very
+    different scales, block-diagonal, symmetric, and one mixing zero
+    rows with nonzero rows."""
+    dense = rng.standard_normal((rows, n, n)) * rng.uniform(0.1, 3.0,
+                                                            (rows, 1, 1))
+    block = np.zeros((rows, n, n))
+    for p in range(0, n, 2):
+        block[:, p:p + 2, p:p + 2] = rng.standard_normal((rows, 2, 2))
+    sym = rng.standard_normal((rows, n, n))
+    mixed = dense.copy()
+    mixed[::2] = 0.0
+    mixed[1] = sym[1] + sym[1].T
+    scaled = dense * 10.0 ** rng.integers(-30, 30, (rows, 1, 1))
+    return {"dense": dense, "scaled": scaled, "block": block,
+            "symmetric": sym + np.swapaxes(sym, 1, 2), "mixed": mixed}
+
+
+class TestBatchedGammaPower:
+    def test_rows_equal_single_matrix(self):
+        rng = np.random.default_rng(18)
+        for n in range(2, 11, 2):
+            for name, stack in _stacks(rng, n).items():
+                got = gamma_power(stack)
+                want = np.array([gamma_power(M) for M in stack])
+                assert got.shape == (stack.shape[0],)
+                assert np.array_equal(got, want), (n, name)
+                if name == "symmetric":
+                    assert np.array_equal(got, np.zeros(stack.shape[0]))
+
+    def test_rows_do_not_depend_on_batch_order(self):
+        rng = np.random.default_rng(19)
+        stack = np.concatenate(list(_stacks(rng, 6).values()))
+        perm = rng.permutation(stack.shape[0])
+        assert np.array_equal(gamma_power(stack[perm]), gamma_power(stack)[perm])
+
+    def test_agrees_with_dict_wedge_and_pfaffian(self):
+        rng = np.random.default_rng(20)
+        for n in range(2, 11, 2):
+            m = n // 2
+            for name, stack in _stacks(rng, n, rows=3).items():
+                got = gamma_power(stack)
+                for M, value in zip(stack, got):
+                    floor = 1e-12 * math.factorial(m) * np.linalg.norm(M) ** m
+                    for want in (dict_top_power(M, m),
+                                 math.factorial(m) * pfaffian(antisymmetric_part(M))):
+                        assert abs(value - want) <= 1e-12 * abs(want) + floor, \
+                            (n, name)
+
+    def test_block_diagonal_keeps_sparsity(self):
+        rng = np.random.default_rng(21)
+        stack = _stacks(rng, 8)["block"]
+        g = gamma(stack)
+        assert sorted(g.coeffs) == [0b11, 0b1100, 0b110000, 0b11000000]
+        assert len(wedge(g, g).coeffs) == 6
+
+    def test_empty_stack(self):
+        assert gamma_power(np.zeros((0, 4, 4))).shape == (0,)
+
+    def test_single_matrix_contract(self):
+        M = np.array([[0.0, -1.0], [1.0, 0.0]])
+        assert type(gamma_power(M)) is float
+        assert type(gamma_power(np.zeros((4, 4)))) is float
+        for bad, err in ((np.zeros((3, 3)), OddDimension),
+                         (np.zeros((2, 3, 3)), OddDimension),
+                         (np.zeros((0, 0)), DimensionMismatch),
+                         (np.zeros((2, 3)), DimensionMismatch),
+                         (np.zeros(4), DimensionMismatch),
+                         (np.zeros((1, 1, 4, 4)), DimensionMismatch)):
+            with pytest.raises(err):
+                gamma_power(bad)
+        with pytest.raises(DimensionMismatch):
+            gamma_power(np.zeros((4, 4)), m=1)
+        with pytest.raises(DimensionMismatch):
+            gamma_power(np.zeros((3, 4, 4)), m=1)
+
+
+class TestBatchedWedge:
+    def test_matches_row_by_row(self):
+        rng = np.random.default_rng(22)
+        for _ in range(100):
+            n = int(rng.integers(2, 7))
+            rows = int(rng.integers(1, 6))
+            a = _random_batch(rng, n, int(rng.integers(1, 3)), rows)
+            b = _random_batch(rng, n, int(rng.integers(1, 3)), rows)
+            got = wedge(a, b)
+            assert got.shape == (rows,)
+            for i in range(rows):
+                want = wedge(_row(a, i), _row(b, i))
+                assert set(want.coeffs) <= set(got.coeffs)
+                for k, v in got.coeffs.items():
+                    assert v[i] == want.coeffs.get(k, 0.0)
+
+    def test_prune_is_per_row(self):
+        # row 0 has cutoff 1e-14, row 1 has cutoff 1e-30
+        mv = MultiVector(3, 1, {0b001: [1.0, 1e-29], 0b010: [1e-20, 1e-16],
+                                0b100: [1e-20, 1e-40]})
+        pruned = mv.prune()
+        assert sorted(pruned.coeffs) == [0b001, 0b010]
+        assert np.array_equal(pruned.coeffs[0b001], [1.0, 1e-29])
+        assert np.array_equal(pruned.coeffs[0b010], [0.0, 1e-16])
+        assert np.array_equal(mv.max_abs(), [1.0, 1e-16])
+
+    def test_batch_shape_checks(self):
+        a = MultiVector(2, 1, {0b01: [1.0, 2.0]})
+        assert a.shape == (2,)
+        assert a == MultiVector(2, 1, {0b01: np.array([1.0, 2.0])})
+        assert a != MultiVector(2, 1, {0b01: [1.0, 3.0]})
+        assert e(2, 1) == MultiVector.basis_vector(2, 1) != e(2, 2)
+        assert MultiVector.zero(2, 1, (3,)).max_abs().shape == (3,)
+        with pytest.raises(DimensionMismatch):
+            wedge(a, MultiVector.basis_vector(2, 2))
+        with pytest.raises(DimensionMismatch):
+            MultiVector(2, 1, {0b01: [1.0, 2.0], 0b10: 1.0})
+
+
+def _random_batch(rng, n, grade, rows):
+    """A (rows,) batch with three random keys, each zero in some rows."""
+    coeffs = {}
+    for _ in range(3):
+        idx = rng.choice(n, size=grade, replace=False)
+        v = rng.uniform(-2, 2, rows) * (rng.random(rows) < 0.7)
+        coeffs[sum(1 << int(i) for i in idx)] = v
+    return MultiVector(n, grade, coeffs)
+
+
+def _row(mv, i):
+    return MultiVector(mv.dim, mv.grade, {k: v[i] for k, v in mv.coeffs.items()})
+
+
 class TestPfaffian:
     def test_two_by_two(self):
         assert pfaffian([[0.0, 2.5], [-2.5, 0.0]]) == 2.5

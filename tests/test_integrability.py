@@ -11,7 +11,8 @@ from gradlocus.geometry import FormKind
 from gradlocus.integrability import residual
 
 from oracles import (GENERAL_Q, antisymmetric_defect_norm,
-                     builtin_structures, random_points, random_polynomial)
+                     builtin_structures, probe_loop, random_points,
+                     random_polynomial)
 
 ROTATION = VectorField.parse(["-x2", "x1"], 2)
 
@@ -157,8 +158,8 @@ class TestGammaObstruction:
         values, scales = gamma_obstruction(pair, F, X, "left")
         for i in range(12):
             v, s = gamma_obstruction(pair, F, X[i], "left")
-            assert values[i] == pytest.approx(v)
-            assert scales[i] == pytest.approx(s)
+            assert values[i] == v
+            assert scales[i] == s
 
 
 class TestPointReport:
@@ -225,3 +226,41 @@ class TestEquivalenceProbe:
         probe = equivalence_probe(pair, F,
                                   random_points(np.random.default_rng(50), 200, 2))
         assert probe.violations == 0
+
+    def test_masks_match_loop_oracle(self):
+        # N = I + c A with A the all-ones antisymmetric sign pattern:
+        # max|N - N^T| = 2c and ||N - N^T||_F = 2c sqrt(n(n - 1)), so at
+        # n = 120 a coefficient just under tol / 10 puts the residual
+        # above 10 tol, which is a violation outside the gray zone.
+        n, tol = 120, 1e-8
+        A = np.triu(np.ones((n, n)), 1)
+        A = A - A.T
+        rel = np.array([0.0, tol / 11, 1.0, tol, tol / 11, 0.3 * tol,
+                        tol / 11.5, 5.0 * tol])
+        c = rel * (1.0 + np.sqrt(n)) / 2.0
+        DF = np.eye(n) + c[:, None, None] * A
+
+        class Fixed:
+            def jacobian(self, X):
+                return DF
+
+        pair = companion_map(standard_euclidean(n))
+        X = np.zeros((len(rel), n))
+        probe = equivalence_probe(pair, Fixed(), X, tol=tol)
+        assert probe == probe_loop(pair, Fixed(), X, tol)
+        assert probe.violations == 6 and probe.gray_excluded == 6
+        assert [d[:2] for d in probe.violation_details] == [
+            (1, "left"), (4, "left"), (6, "left"),
+            (1, "right"), (4, "right"), (6, "right")]
+
+    def test_masks_match_loop_oracle_on_fields(self):
+        rng = np.random.default_rng(51)
+        for name, form in builtin_structures():
+            pair = companion_map(form)
+            F = VectorField(form.dim, tuple(
+                random_polynomial(rng, form.dim, degree=3, terms=4)
+                for _ in range(form.dim)))
+            X = random_points(rng, 60, form.dim)
+            for tol in (1e-8, 1e-1, 10.0):
+                assert equivalence_probe(pair, F, X, tol=tol) == \
+                    probe_loop(pair, F, X, tol), (name, tol)
