@@ -14,7 +14,8 @@ byte-stable apart from its ``generated_at`` timestamp.  Floats are
 serialized with their shortest round-trip decimal representation.
 ``locus`` exits 0 exactly when no certified sample lacks a chart and
 the number of distinct charts stays within the binomial bound.
-``--points`` must be at least 1.
+``check`` leaves out the points where the field's Jacobian is undefined
+and counts them in ``domain_excluded``.  ``--points`` must be at least 1.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ from .errors import GradlocusError, TooFewPoints
 from .geometry import FormKind, companion_map
 from .integrability import (equivalence_probe, gamma_obstruction,
                             obstruction_matrix, residual)
-from .locus import (DIMENSION_CAVEAT, all_charts, box_counting_dimension,
-                    build_phi, certify, default_scales, halton_sequence,
-                    sample_locus, verify_cover)
+from .locus import (DIMENSION_CAVEAT, _by_row, all_charts,
+                    box_counting_dimension, build_phi, certify, default_scales,
+                    halton_sequence, sample_locus, verify_cover)
 from .scenarios import (Scenario, builtin_demos, load_scenario,
                         scenario_to_dict)
 
@@ -103,8 +104,17 @@ def cmd_check(scenario: Scenario, n_points: int, out_dir: Path | None) -> int:
     conditions = {}
     matched_rel_max = None
     # one Jacobian for the per-side scales 1 + ||C DF||_F, freed before
-    # the residuals evaluate their own, so the peak memory does not grow
-    DF = scenario.F.jacobian(pts)
+    # the residuals evaluate their own, so the peak memory does not grow;
+    # points where it is undefined are left out of the report
+    DF, excluded = _by_row(scenario.F.jacobian, pts, (scenario.dim,) * 2)
+    if excluded:
+        if len(excluded) == n_points:
+            raise GradlocusError(
+                f"check: all {n_points} points are outside the domain of "
+                f"the field ({excluded[0]})")
+        keep = np.ones(n_points, dtype=bool)
+        keep[list(excluded)] = False
+        pts, DF = pts[keep], DF[keep]
     scales = [1.0 + np.sqrt(np.sum((obstruction_matrix(pair, side) @ DF) ** 2,
                                    axis=(1, 2))) for side in sides]
     del DF
@@ -143,6 +153,7 @@ def cmd_check(scenario: Scenario, n_points: int, out_dir: Path | None) -> int:
         "dim": scenario.dim,
         "side": scenario.side,
         "n_points": n_points,
+        "domain_excluded": len(excluded),
         "rng_seed": scenario.rng_seed,
         "conditions": conditions,
         "obstruction": {

@@ -12,9 +12,10 @@ Grammar (standard precedence, highest first: ``^``, unary ``-``,
 
 Unary minus is parsed as ``'-' factor`` so that the exponent binds
 tighter (``-x1^2`` means ``-(x1^2)``).  Derivatives are propagated
-through the tree with truncated Taylor values (first order for
-gradients and Jacobians, second order for Hessians), so they are exact
-up to rounding, and evaluation is vectorized over batches of points.
+through the tree in forward mode with one jet type, a truncated Taylor
+value of order 1 (gradients and Jacobians) or 2 (Hessians), so they are
+exact up to rounding; evaluation is vectorized over batches of points,
+and a single point is a batch of one.
 """
 
 from __future__ import annotations
@@ -326,170 +327,116 @@ def _outer(g1, g2):
     return g1[:, :, None] * g2[:, None, :]
 
 
-class Jet1:
-    """Value and gradient, shapes (B,) and (B, n)."""
+class Jet:
+    """Truncated Taylor value over a batch: value (B,), gradient (B, n)
+    and, for a second-order jet, Hessian (B, n, n); ``hess`` is None for
+    a first-order jet.
 
-    __slots__ = ("val", "grad")
-
-    def __init__(self, val, grad):
-        self.val = val
-        self.grad = grad
-
-    def __add__(self, o):
-        if isinstance(o, Jet1):
-            return Jet1(self.val + o.val, self.grad + o.grad)
-        return Jet1(self.val + o, self.grad)
-
-    __radd__ = __add__
-
-    def __sub__(self, o):
-        if isinstance(o, Jet1):
-            return Jet1(self.val - o.val, self.grad - o.grad)
-        return Jet1(self.val - o, self.grad)
-
-    def __rsub__(self, o):
-        return Jet1(o - self.val, -self.grad)
-
-    def __mul__(self, o):
-        if isinstance(o, Jet1):
-            return Jet1(self.val * o.val,
-                        self.val[:, None] * o.grad + o.val[:, None] * self.grad)
-        return Jet1(self.val * o, self.grad * o)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, o):
-        if isinstance(o, Jet1):
-            v = self.val / o.val
-            return Jet1(v, (self.grad - v[:, None] * o.grad) / o.val[:, None])
-        return Jet1(self.val / o, self.grad / o)
-
-    def __rtruediv__(self, o):
-        v = o / self.val
-        return Jet1(v, -(v / self.val)[:, None] * self.grad)
-
-    def __neg__(self):
-        return Jet1(-self.val, -self.grad)
-
-    def __pow__(self, k: int):
-        if k == 0:
-            return Jet1(np.ones_like(self.val), np.zeros_like(self.grad))
-        if k == 1:
-            return self
-        return Jet1(self.val ** k,
-                    (k * self.val ** (k - 1))[:, None] * self.grad)
-
-    def sin(self):
-        return Jet1(np.sin(self.val), np.cos(self.val)[:, None] * self.grad)
-
-    def cos(self):
-        return Jet1(np.cos(self.val), -np.sin(self.val)[:, None] * self.grad)
-
-    def exp(self):
-        e = np.exp(self.val)
-        return Jet1(e, e[:, None] * self.grad)
-
-    def log(self):
-        return Jet1(np.log(self.val), self.grad / self.val[:, None])
-
-
-class Jet2:
-    """Value, gradient and Hessian, shapes (B,), (B, n), (B, n, n).
-
-    All rules build the Hessian from symmetric outer-product pairs, so
-    the skew part is zero up to the exact commutativity of IEEE
-    addition and multiplication.
+    Each rule computes the gradient the same way at both orders and the
+    Hessian term only when there is one.  The Hessian is built from
+    symmetric outer-product pairs, so its skew part is zero up to the
+    exact commutativity of IEEE addition and multiplication.
     """
 
     __slots__ = ("val", "grad", "hess")
 
-    def __init__(self, val, grad, hess):
+    def __init__(self, val, grad, hess=None):
         self.val = val
         self.grad = grad
         self.hess = hess
 
     def __add__(self, o):
-        if isinstance(o, Jet2):
-            return Jet2(self.val + o.val, self.grad + o.grad, self.hess + o.hess)
-        return Jet2(self.val + o, self.grad, self.hess)
+        if isinstance(o, Jet):
+            return Jet(self.val + o.val, self.grad + o.grad,
+                       None if self.hess is None else self.hess + o.hess)
+        return Jet(self.val + o, self.grad, self.hess)
 
     __radd__ = __add__
 
     def __sub__(self, o):
-        if isinstance(o, Jet2):
-            return Jet2(self.val - o.val, self.grad - o.grad, self.hess - o.hess)
-        return Jet2(self.val - o, self.grad, self.hess)
+        if isinstance(o, Jet):
+            return Jet(self.val - o.val, self.grad - o.grad,
+                       None if self.hess is None else self.hess - o.hess)
+        return Jet(self.val - o, self.grad, self.hess)
 
     def __rsub__(self, o):
-        return Jet2(o - self.val, -self.grad, -self.hess)
+        return -self + o  # o - a == (-a) + o exactly in IEEE arithmetic
+
+    def __neg__(self):
+        return Jet(-self.val, -self.grad,
+                   None if self.hess is None else -self.hess)
 
     def __mul__(self, o):
-        if isinstance(o, Jet2):
-            v1, v2 = self.val, o.val
-            return Jet2(
-                v1 * v2,
-                v1[:, None] * o.grad + v2[:, None] * self.grad,
-                v1[:, None, None] * o.hess + v2[:, None, None] * self.hess
-                + _outer(self.grad, o.grad) + _outer(o.grad, self.grad),
-            )
-        return Jet2(self.val * o, self.grad * o, self.hess * o)
+        if not isinstance(o, Jet):
+            return Jet(self.val * o, self.grad * o,
+                       None if self.hess is None else self.hess * o)
+        v1, v2 = self.val, o.val
+        grad = v1[:, None] * o.grad + v2[:, None] * self.grad
+        if self.hess is None:
+            return Jet(v1 * v2, grad)
+        return Jet(v1 * v2, grad,
+                   v1[:, None, None] * o.hess + v2[:, None, None] * self.hess
+                   + _outer(self.grad, o.grad) + _outer(o.grad, self.grad))
 
     __rmul__ = __mul__
 
     def __truediv__(self, o):
-        if isinstance(o, Jet2):
-            w = o.val
-            v = self.val / w
-            g = (self.grad - v[:, None] * o.grad) / w[:, None]
-            h = (self.hess - v[:, None, None] * o.hess
-                 - _outer(g, o.grad) - _outer(o.grad, g)) / w[:, None, None]
-            return Jet2(v, g, h)
-        return Jet2(self.val / o, self.grad / o, self.hess / o)
+        if not isinstance(o, Jet):
+            return Jet(self.val / o, self.grad / o,
+                       None if self.hess is None else self.hess / o)
+        w = o.val
+        v = self.val / w
+        g = (self.grad - v[:, None] * o.grad) / w[:, None]
+        if self.hess is None:
+            return Jet(v, g)
+        return Jet(v, g, (self.hess - v[:, None, None] * o.hess
+                          - _outer(g, o.grad) - _outer(o.grad, g))
+                   / w[:, None, None])
 
     def __rtruediv__(self, o):
         w = self.val
         v = o / w
         g = -(v / w)[:, None] * self.grad
-        h = (-_outer(g, self.grad) - _outer(self.grad, g)
-             - v[:, None, None] * self.hess) / w[:, None, None]
-        return Jet2(v, g, h)
-
-    def __neg__(self):
-        return Jet2(-self.val, -self.grad, -self.hess)
+        if self.hess is None:
+            return Jet(v, g)
+        return Jet(v, g, (-_outer(g, self.grad) - _outer(self.grad, g)
+                          - v[:, None, None] * self.hess) / w[:, None, None])
 
     def __pow__(self, k: int):
         if k == 0:
-            return Jet2(np.ones_like(self.val), np.zeros_like(self.grad),
-                        np.zeros_like(self.hess))
+            return Jet(np.ones_like(self.val), np.zeros_like(self.grad),
+                       None if self.hess is None else np.zeros_like(self.hess))
         if k == 1:
             return self
-        d1 = k * self.val ** (k - 1)
-        d2 = k * (k - 1) * self.val ** (k - 2)
-        return self._chain(self.val ** k, d1, d2)
+        return self._chain(self.val ** k, k * self.val ** (k - 1),
+                           lambda: k * (k - 1) * self.val ** (k - 2))
 
-    def _chain(self, v, d1, d2):
-        return Jet2(
-            v,
-            d1[:, None] * self.grad,
-            d1[:, None, None] * self.hess
-            + d2[:, None, None] * _outer(self.grad, self.grad),
-        )
+    def _chain(self, v, d1, d2, grad=None):
+        """g(self) for a scalar function g with value v and g' = d1;
+        d2() gives g'' and is called only for a second-order jet."""
+        if grad is None:
+            grad = d1[:, None] * self.grad
+        if self.hess is None:
+            return Jet(v, grad)
+        return Jet(v, grad, d1[:, None, None] * self.hess
+                   + d2()[:, None, None] * _outer(self.grad, self.grad))
 
     def sin(self):
         s, c = np.sin(self.val), np.cos(self.val)
-        return self._chain(s, c, -s)
+        return self._chain(s, c, lambda: -s)
 
     def cos(self):
         s, c = np.sin(self.val), np.cos(self.val)
-        return self._chain(c, -s, -c)
+        return self._chain(c, -s, lambda: -c)
 
     def exp(self):
         e = np.exp(self.val)
-        return self._chain(e, e, e)
+        return self._chain(e, e, lambda: e)
 
     def log(self):
         inv = 1.0 / self.val
-        return self._chain(np.log(self.val), inv, -inv * inv)
+        return self._chain(np.log(self.val), inv, lambda: -inv * inv,
+                           grad=self.grad / self.val[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +444,7 @@ class Jet2:
 
 
 def _raw(v):
-    return v.val if isinstance(v, (Jet1, Jet2)) else v
+    return v.val if isinstance(v, Jet) else v
 
 
 def _eval(expr, seeds):
@@ -532,7 +479,7 @@ def _eval(expr, seeds):
         arg = _eval(expr.arg, seeds)
         if expr.func == "log" and np.any(np.asarray(_raw(arg)) <= 0.0):
             raise DomainError("log of non-positive value", str(expr))
-        if isinstance(arg, (Jet1, Jet2)):
+        if isinstance(arg, Jet):
             return getattr(arg, expr.func)()
         return getattr(np, expr.func)(arg)
     raise TypeError(f"unknown node {expr!r}")  # pragma: no cover
@@ -563,41 +510,42 @@ def evaluate(expr: Expr, x):
     return float(out[0]) if single else np.array(out)
 
 
-def gradient(expr: Expr, x):
-    """Exact gradient at x: (n,) -> (n,) or (B, n) -> (B, n)."""
-    X, single = _as_batch(x)
+def _derivative(expr: Expr, X, order: int):
+    """Top derivative of expr on the (B, n) batch X from jets of the
+    given order: gradients (B, n) for order 1, Hessians (B, n, n) for
+    order 2, as a new array; raises DomainError unless it and the value
+    are finite."""
     B, n = X.shape
     seeds = []
     for i in range(n):
         g = np.zeros((B, n))
         g[:, i] = 1.0
-        seeds.append(Jet1(X[:, i], g))
+        seeds.append(Jet(X[:, i], g,
+                         np.zeros((B, n, n)) if order == 2 else None))
     with np.errstate(all="ignore"):
         out = _eval(expr, seeds)
-    if not isinstance(out, Jet1):  # constant expression
-        out = Jet1(np.broadcast_to(np.asarray(out, float), (B,)),
-                   np.zeros((B, n)))
-    grad = np.broadcast_to(out.grad, (B, n))
-    _check_finite(expr, _raw(out), grad)
-    return np.array(grad[0]) if single else np.array(grad)
+    if isinstance(out, Jet):
+        val, top = out.val, out.grad if order == 1 else out.hess
+    else:  # constant expression
+        val, top = np.asarray(out, float), np.zeros((B,) + (n,) * order)
+    # copied while the seeds are alive: freeing them first lets the heap
+    # shrink, and the next call then faults its pages in again
+    top = np.array(top)
+    _check_finite(expr, val, top)
+    return top
+
+
+def gradient(expr: Expr, x):
+    """Exact gradient at x: (n,) -> (n,) or (B, n) -> (B, n)."""
+    X, single = _as_batch(x)
+    grad = _derivative(expr, X, 1)
+    return grad[0] if single else grad
 
 
 def hessian(expr: Expr, x):
     """Exact symmetric Hessian at x: (n,) -> (n, n) or (B, n) -> (B, n, n)."""
     X, single = _as_batch(x)
-    B, n = X.shape
-    seeds = []
-    for i in range(n):
-        g = np.zeros((B, n))
-        g[:, i] = 1.0
-        seeds.append(Jet2(X[:, i], g, np.zeros((B, n, n))))
-    with np.errstate(all="ignore"):
-        out = _eval(expr, seeds)
-    if not isinstance(out, Jet2):
-        out = Jet2(np.broadcast_to(np.asarray(out, float), (B,)),
-                   np.zeros((B, n)), np.zeros((B, n, n)))
-    hess = np.array(np.broadcast_to(out.hess, (B, n, n)))
-    _check_finite(expr, _raw(out), hess)
+    hess = _derivative(expr, X, 2)
     skew = float(np.abs(hess - hess.transpose(0, 2, 1)).max())
     if skew > 0.0:
         logger.debug("symmetrizing Hessian of %s: skew part %.3e", expr, skew)

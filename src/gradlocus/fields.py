@@ -35,26 +35,19 @@ class ScalarField:
         return cls(dim=dim, expr=dsl.parse_expression(text, dim))
 
     def value(self, x):
-        return dsl.evaluate(self.expr, self._check(x))
+        return dsl.evaluate(self.expr, _check_point(x, self.dim))
 
     def gradient(self, x):
-        return dsl.gradient(self.expr, self._check(x))
+        return dsl.gradient(self.expr, _check_point(x, self.dim))
 
     def hessian(self, x):
-        return dsl.hessian(self.expr, self._check(x))
+        return dsl.hessian(self.expr, _check_point(x, self.dim))
 
     def gradient_field(self) -> "VectorField":
         """Symbolic gradient as a vector field."""
         comps = tuple(dsl.differentiate(self.expr, i + 1)
                       for i in range(self.dim))
         return VectorField(dim=self.dim, components=comps)
-
-    def _check(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.dim:
-            raise DimensionMismatch(
-                f"point has dimension {x.shape[-1]}, field has {self.dim}")
-        return x
 
 
 @dataclass(frozen=True)
@@ -80,29 +73,23 @@ class VectorField:
 
     def value(self, x):
         """(n,) -> (n,) or (B, n) -> (B, n)."""
-        x = self._check(x)
-        single = x.ndim == 1
-        X = x[None, :] if single else x
-        cols = [np.broadcast_to(np.asarray(dsl.evaluate(c, X), float), (X.shape[0],))
-                for c in self.components]
-        out = np.stack(cols, axis=1)
-        return out[0] if single else out
+        x = _check_point(x, self.dim)
+        return np.stack([dsl.evaluate(c, x) for c in self.components], axis=-1)
 
     def jacobian(self, x):
         """DF with DF[i, j] = dF_i/dx_j; batched to (B, n, n)."""
-        x = self._check(x)
-        single = x.ndim == 1
-        X = x[None, :] if single else x
-        rows = [dsl.gradient(c, X) for c in self.components]
-        out = np.stack(rows, axis=1)
-        return out[0] if single else out
+        x = _check_point(x, self.dim)
+        return np.stack([dsl.gradient(c, x) for c in self.components],
+                        axis=-2)
 
-    def _check(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.dim:
-            raise DimensionMismatch(
-                f"point has dimension {x.shape[-1]}, field has {self.dim}")
-        return x
+
+def _check_point(x, dim: int):
+    """x as a float array of points (n,) or (B, n) with n == dim."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1] != dim:
+        raise DimensionMismatch(
+            f"point has dimension {x.shape[-1]}, field has {dim}")
+    return x
 
 
 def matrix_apply(M, F: VectorField) -> VectorField:

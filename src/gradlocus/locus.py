@@ -66,18 +66,12 @@ class PhiSystem:
         return self.pair.dim // 2
 
     def phi(self, x):
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        X = x[None, :] if single else x
-        out = self.f.gradient(X) - self.F.value(X) @ self.C.T
-        return out[0] if single else out
+        """(n,) -> (n,) or (B, n) -> (B, n)."""
+        return self.f.gradient(x) - self.F.value(x) @ self.C.T
 
     def dphi(self, x):
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        X = x[None, :] if single else x
-        out = self.f.hessian(X) - self.C @ self.F.jacobian(X)
-        return out[0] if single else out
+        """(n,) -> (n, n) or (B, n) -> (B, n, n)."""
+        return self.f.hessian(x) - self.C @ self.F.jacobian(x)
 
 
 def build_phi(pair: GeometricPair, f: ScalarField, F: VectorField,

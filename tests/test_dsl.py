@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from gradlocus import DomainError, ParseError, differentiate, parse_expression
-from gradlocus.dsl import (Add, Call, Const, Div, Jet2, Mul, Neg, Pow, Sub,
+from gradlocus.dsl import (Add, Call, Const, Div, Jet, Mul, Neg, Pow, Sub,
                            Var, _eval, evaluate, gradient, hessian,
                            linear_combination, max_var_index)
+from gradlocus.fields import ScalarField, VectorField
+from gradlocus.geometry import companion_map, standard_symplectic
+from gradlocus.locus import build_phi
 
 from oracles import central_gradient, random_points, random_smooth
 
@@ -187,7 +190,8 @@ class TestDerivatives:
             checked += 1
 
     def test_raw_hessian_is_exactly_symmetric(self):
-        # white box: the Jet2 rules only combine symmetric outer pairs
+        # white box: the second-order Jet rules only combine symmetric
+        # outer pairs
         rng = np.random.default_rng(25)
         for _ in range(50):
             e = random_smooth(rng, 3, depth=3)
@@ -196,25 +200,40 @@ class TestDerivatives:
             for i in range(3):
                 g = np.zeros((5, 3))
                 g[:, i] = 1.0
-                seeds.append(Jet2(X[:, i], g, np.zeros((5, 3, 3))))
+                seeds.append(Jet(X[:, i], g, np.zeros((5, 3, 3))))
             try:
                 with np.errstate(all="ignore"):
                     out = _eval(e, seeds)
             except DomainError:
                 continue
-            if isinstance(out, Jet2):
+            if isinstance(out, Jet):
                 skew = np.abs(out.hess - out.hess.transpose(0, 2, 1)).max()
                 assert skew <= 1e-12 * (1.0 + np.abs(out.hess).max())
 
     def test_batched_derivatives_match_single(self):
+        # a point alone gives exactly its row of the batch, through the
+        # DSL, the fields and the Phi system, with and without log
         rng = np.random.default_rng(26)
-        e = parse_expression("sin(x1 * x2) + x1^3 / (1.0 + x2^2)", 2)
+        texts = ["sin(x1 * x2) + x1^3 / (1.0 + x2^2)",
+                 "log(x1^2 + 1) * cos(x2) - 2 / (3 + x1 * x2)"]
         X = random_points(rng, 8, 2)
-        G = gradient(e, X)
-        H = hessian(e, X)
+        for text in texts:
+            e = parse_expression(text, 2)
+            V, G, H = evaluate(e, X), gradient(e, X), hessian(e, X)
+            for i in range(8):
+                assert evaluate(e, X[i]) == V[i]
+                assert np.array_equal(gradient(e, X[i]), G[i])
+                assert np.array_equal(hessian(e, X[i]), H[i])
+        F = VectorField.parse(texts, 2)
+        phi = build_phi(companion_map(standard_symplectic(1)),
+                        ScalarField.parse(texts[1], 2), F, "left")
+        batched = [F.value(X), F.jacobian(X), phi.phi(X), phi.dphi(X)]
         for i in range(8):
-            assert np.allclose(G[i], gradient(e, X[i]))
-            assert np.allclose(H[i], hessian(e, X[i]))
+            single = [F.value(X[i]), F.jacobian(X[i]), phi.phi(X[i]),
+                      phi.dphi(X[i])]
+            for one, many in zip(single, batched, strict=True):
+                assert one.shape == many[i].shape
+                assert np.array_equal(one, many[i])
 
 
 class TestSymbolic:

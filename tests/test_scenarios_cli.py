@@ -5,6 +5,7 @@ import pytest
 
 from gradlocus import ScenarioError, builtin_demos, scenario_from_dict
 from gradlocus.cli import main
+from gradlocus.locus import halton_sequence
 from gradlocus.scenarios import (scenario_to_dict, structure_from_dict)
 
 
@@ -12,6 +13,12 @@ def circle_dict(**overrides):
     base = scenario_to_dict(builtin_demos()["circle-m1"])
     base.update(overrides)
     return base
+
+
+def mixed_domain_dict(**overrides):
+    """F = (log(x1) + x2, x1 x2) is undefined wherever x1 <= 0."""
+    return circle_dict(name="mixed-domain", f="(x1^2+x2^2)/2",
+                       F=["log(x1) + x2", "x1*x2"], **overrides)
 
 
 class TestStructureSpec:
@@ -141,6 +148,32 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"] == "non-integrable obstruction present"
         assert report["obstruction"]["decisive_nonzero_points"] > 0
+
+    def test_check_excludes_points_outside_domain(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        spec = mixed_domain_dict()
+        scenario.write_text(json.dumps(spec))
+        code = main(["check", "--scenario", str(scenario), "--points", "50"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        shift = np.random.default_rng(spec["rng_seed"]).random(2)
+        x1 = -2.0 + 4.0 * halton_sequence(50, 2, shift)[:, 0]
+        excluded = int(np.sum(x1 <= 0.0))
+        assert 0 < excluded < 50
+        assert report["n_points"] == 50
+        assert report["domain_excluded"] == excluded
+        assert report["equivalence_probe"]["points"] == 50 - excluded
+
+    def test_check_all_points_excluded(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(
+            mixed_domain_dict(box=[[-2.0, -1.0], [-2.0, 2.0]])))
+        code = main(["check", "--scenario", str(scenario), "--points", "20"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("gradlocus: error: check: all 20 ")
+        assert captured.err.count("\n") == 1
 
     def test_locus_determinism(self, tmp_path):
         scenario = tmp_path / "scenario.json"
