@@ -22,8 +22,8 @@ from .integrability import (IntegrabilityReport, ProbeReport,
 from .locus import (CoverReport, DimensionEstimate, LocusOptions, LocusSample,
                     PhiSystem, all_charts, box_counting_dimension, build_phi,
                     certify, chart_memberships, default_scales,
-                    halton_sequence, rank_with_tolerance, sample_locus,
-                    solve_from_seed, verify_cover)
+                    halton_sequence, sample_locus, solve_from_seed,
+                    verify_cover)
 from .scenarios import (Scenario, builtin_demos, load_scenario,
                         scenario_from_dict, scenario_to_dict)
 
@@ -43,8 +43,8 @@ __all__ = [
     "halton_sequence", "hamiltonian_field", "left_gradient", "left_residual",
     "load_scenario", "make_form", "matrix_apply", "minkowski",
     "parse_expression", "pfaffian", "point_report", "pseudo_euclidean",
-    "rank_with_tolerance", "right_gradient", "right_residual", "sample_locus",
-    "scenario_from_dict", "scenario_to_dict", "solve_from_seed",
-    "standard_euclidean", "standard_symplectic", "symmetric_residual",
-    "symplectic_residual", "verify_cover", "verify_pair", "wedge",
+    "right_gradient", "right_residual", "sample_locus", "scenario_from_dict",
+    "scenario_to_dict", "solve_from_seed", "standard_euclidean",
+    "standard_symplectic", "symmetric_residual", "symplectic_residual",
+    "verify_cover", "verify_pair", "wedge",
 ]

@@ -35,9 +35,9 @@ from .errors import GradlocusError, TooFewPoints
 from .geometry import FormKind, companion_map
 from .integrability import (equivalence_probe, gamma_obstruction,
                             obstruction_matrix, residual)
-from .locus import (DIMENSION_CAVEAT, _by_row, all_charts,
-                    box_counting_dimension, build_phi, certify, default_scales,
-                    halton_sequence, sample_locus, verify_cover)
+from .locus import (DIMENSION_CAVEAT, all_charts, box_counting_dimension,
+                    build_phi, certify, default_scales, halton_sequence,
+                    sample_locus, verify_cover)
 from .scenarios import (Scenario, builtin_demos, load_scenario,
                         scenario_to_dict)
 
@@ -59,6 +59,7 @@ def _write_json(payload: dict, path: Path | None):
     if path is None:
         sys.stdout.write(text)
     else:
+        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8")
 
 
@@ -105,16 +106,15 @@ def cmd_check(scenario: Scenario, n_points: int, out_dir: Path | None) -> int:
     matched_rel_max = None
     # one Jacobian for the per-side scales 1 + ||C DF||_F, freed before
     # the residuals evaluate their own, so the peak memory does not grow;
-    # points where it is undefined are left out of the report
-    DF, excluded = _by_row(scenario.F.jacobian, pts, (scenario.dim,) * 2)
+    # points where it is undefined (its NaN rows) are left out of the report
+    DF = scenario.F.jacobian(pts)
+    defined = np.all(np.isfinite(DF), axis=(1, 2))
+    excluded = n_points - int(np.count_nonzero(defined))
     if excluded:
-        if len(excluded) == n_points:
-            raise GradlocusError(
-                f"check: all {n_points} points are outside the domain of "
-                f"the field ({excluded[0]})")
-        keep = np.ones(n_points, dtype=bool)
-        keep[list(excluded)] = False
-        pts, DF = pts[keep], DF[keep]
+        if excluded == n_points:
+            raise GradlocusError(f"check: all {n_points} points are "
+                                 "outside the domain of the field")
+        pts, DF = pts[defined], DF[defined]
     scales = [1.0 + np.sqrt(np.sum((obstruction_matrix(pair, side) @ DF) ** 2,
                                    axis=(1, 2))) for side in sides]
     del DF
@@ -153,7 +153,7 @@ def cmd_check(scenario: Scenario, n_points: int, out_dir: Path | None) -> int:
         "dim": scenario.dim,
         "side": scenario.side,
         "n_points": n_points,
-        "domain_excluded": len(excluded),
+        "domain_excluded": excluded,
         "rng_seed": scenario.rng_seed,
         "conditions": conditions,
         "obstruction": {

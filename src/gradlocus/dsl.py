@@ -15,7 +15,10 @@ tighter (``-x1^2`` means ``-(x1^2)``).  Derivatives are propagated
 through the tree in forward mode with one jet type, a truncated Taylor
 value of order 1 (gradients and Jacobians) or 2 (Hessians), so they are
 exact up to rounding; evaluation is vectorized over batches of points,
-and a single point is a batch of one.
+and a single point is a batch of one.  A point is outside the domain
+where a denominator or a base with a negative exponent is zero, a log
+argument is not positive, or the result is not finite: its row of a
+batch comes back all NaN, and a single point raises DomainError.
 """
 
 from __future__ import annotations
@@ -443,42 +446,65 @@ class Jet:
 # Evaluation
 
 
+def _flag(undefined, reason: str, node, flags: list):
+    """Records (rows, reason, node) where the mask ``undefined`` holds."""
+    if np.any(undefined):
+        flags.append((undefined, reason, node))
+
+
+def _settle(expr, flags: list, single: bool, out, *checked):
+    """Flags the rows where out or a checked array is not finite; raises
+    DomainError for a single point, or fills the flagged rows with NaN."""
+    for a in (out,) + checked:
+        finite = np.isfinite(a)
+        if not finite.all():
+            _flag(~finite.all(axis=tuple(range(1, a.ndim))),
+                  "evaluation produced a non-finite value", expr, flags)
+    if flags and single:
+        raise DomainError(flags[0][1], str(flags[0][2]))
+    for undefined, _, _ in flags:
+        out[undefined] = np.nan
+
+
 def _raw(v):
     return v.val if isinstance(v, Jet) else v
 
 
-def _eval(expr, seeds):
+def _eval(expr, seeds, flags: list):
+    """Value of the tree on the seeds; the rows in flags are meaningless."""
     t = type(expr)
-    if t is Const:
-        return expr.value
+    if t is Const:  # a numpy scalar divides by 0 without a Python error
+        return np.float64(expr.value)
     if t is Var:
         if expr.index > len(seeds):
             raise DimensionMismatch(
                 f"variable x{expr.index} exceeds dimension {len(seeds)}")
         return seeds[expr.index - 1]
     if t is Add:
-        return _eval(expr.lhs, seeds) + _eval(expr.rhs, seeds)
+        return _eval(expr.lhs, seeds, flags) + _eval(expr.rhs, seeds, flags)
     if t is Sub:
-        return _eval(expr.lhs, seeds) - _eval(expr.rhs, seeds)
+        return _eval(expr.lhs, seeds, flags) - _eval(expr.rhs, seeds, flags)
     if t is Mul:
-        return _eval(expr.lhs, seeds) * _eval(expr.rhs, seeds)
+        return _eval(expr.lhs, seeds, flags) * _eval(expr.rhs, seeds, flags)
     if t is Neg:
-        return -_eval(expr.arg, seeds)
+        return -_eval(expr.arg, seeds, flags)
+    # the explicit checks catch undefined points whose value is finite,
+    # such as exp(-1/x1^2) or (1/x1)^0 at x1 = 0
     if t is Div:
-        num = _eval(expr.lhs, seeds)
-        den = _eval(expr.rhs, seeds)
-        if np.any(np.asarray(_raw(den)) == 0.0):
-            raise DomainError("division by zero", str(expr))
+        num = _eval(expr.lhs, seeds, flags)
+        den = _eval(expr.rhs, seeds, flags)
+        _flag(_raw(den) == 0.0, "division by zero", expr, flags)
         return num / den
     if t is Pow:
-        base = _eval(expr.base, seeds)
-        if expr.exponent < 0 and np.any(np.asarray(_raw(base)) == 0.0):
-            raise DomainError("zero base with negative exponent", str(expr))
+        base = _eval(expr.base, seeds, flags)
+        if expr.exponent < 0:
+            _flag(_raw(base) == 0.0, "zero base with negative exponent",
+                  expr, flags)
         return base ** expr.exponent
     if t is Call:
-        arg = _eval(expr.arg, seeds)
-        if expr.func == "log" and np.any(np.asarray(_raw(arg)) <= 0.0):
-            raise DomainError("log of non-positive value", str(expr))
+        arg = _eval(expr.arg, seeds, flags)
+        if expr.func == "log":
+            _flag(_raw(arg) <= 0.0, "log of non-positive value", expr, flags)
         if isinstance(arg, Jet):
             return getattr(arg, expr.func)()
         return getattr(np, expr.func)(arg)
@@ -494,27 +520,23 @@ def _as_batch(x):
     raise DimensionMismatch(f"expected a point or batch of points, got {x.shape}")
 
 
-def _check_finite(expr, *arrays):
-    for a in arrays:
-        if not np.all(np.isfinite(a)):
-            raise DomainError("evaluation produced a non-finite value", str(expr))
-
-
 def evaluate(expr: Expr, x):
-    """Value of the expression at x, shape (n,) -> float or (B, n) -> (B,)."""
+    """Value of the expression at x, shape (n,) -> float or (B, n) -> (B,),
+    NaN outside the domain (a single point there raises DomainError)."""
     X, single = _as_batch(x)
+    flags = []
     with np.errstate(all="ignore"):
-        out = _eval(expr, [X[:, i] for i in range(X.shape[1])])
-    out = np.broadcast_to(np.asarray(out, dtype=float), (X.shape[0],))
-    _check_finite(expr, out)
-    return float(out[0]) if single else np.array(out)
+        out = _eval(expr, [X[:, i] for i in range(X.shape[1])], flags)
+    out = np.array(np.broadcast_to(np.asarray(out, dtype=float), (len(X),)))
+    _settle(expr, flags, single, out)
+    return float(out[0]) if single else out
 
 
-def _derivative(expr: Expr, X, order: int):
+def _derivative(expr: Expr, X, order: int, single: bool):
     """Top derivative of expr on the (B, n) batch X from jets of the
     given order: gradients (B, n) for order 1, Hessians (B, n, n) for
-    order 2, as a new array; raises DomainError unless it and the value
-    are finite."""
+    order 2, as a new array that is NaN in the rows outside the domain
+    (the value or the derivative not finite included)."""
     B, n = X.shape
     seeds = []
     for i in range(n):
@@ -522,8 +544,9 @@ def _derivative(expr: Expr, X, order: int):
         g[:, i] = 1.0
         seeds.append(Jet(X[:, i], g,
                          np.zeros((B, n, n)) if order == 2 else None))
+    flags = []
     with np.errstate(all="ignore"):
-        out = _eval(expr, seeds)
+        out = _eval(expr, seeds, flags)
     if isinstance(out, Jet):
         val, top = out.val, out.grad if order == 1 else out.hess
     else:  # constant expression
@@ -531,21 +554,23 @@ def _derivative(expr: Expr, X, order: int):
     # copied while the seeds are alive: freeing them first lets the heap
     # shrink, and the next call then faults its pages in again
     top = np.array(top)
-    _check_finite(expr, val, top)
+    _settle(expr, flags, single, top, val)
     return top
 
 
 def gradient(expr: Expr, x):
-    """Exact gradient at x: (n,) -> (n,) or (B, n) -> (B, n)."""
+    """Exact gradient at x: (n,) -> (n,) or (B, n) -> (B, n), NaN
+    outside the domain (a single point there raises DomainError)."""
     X, single = _as_batch(x)
-    grad = _derivative(expr, X, 1)
+    grad = _derivative(expr, X, 1, single)
     return grad[0] if single else grad
 
 
 def hessian(expr: Expr, x):
-    """Exact symmetric Hessian at x: (n,) -> (n, n) or (B, n) -> (B, n, n)."""
+    """Exact symmetric Hessian at x: (n,) -> (n, n) or (B, n) -> (B, n, n),
+    NaN outside the domain (a single point there raises DomainError)."""
     X, single = _as_batch(x)
-    hess = _derivative(expr, X, 2)
+    hess = _derivative(expr, X, 2, single)
     skew = float(np.abs(hess - hess.transpose(0, 2, 1)).max())
     if skew > 0.0:
         logger.debug("symmetrizing Hessian of %s: skew part %.3e", expr, skew)

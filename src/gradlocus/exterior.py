@@ -70,10 +70,10 @@ def _pruned(dim: int, grade: int, keys, S, shape) -> "MultiVector":
 
     In each row a coefficient at or below PRUNE_REL * that row's
     max|coeff| (floor PRUNE_FLOOR) becomes 0; a key is dropped only when
-    it is 0 in every row.
+    it is 0 in every row.  NaN is kept: an undefined row is not 0.
     """
     cutoff = np.maximum(PRUNE_REL * _peak(S), PRUNE_FLOOR)
-    keep = np.abs(S) > cutoff
+    keep = ~(np.abs(S) <= cutoff)
     S = np.where(keep, S, 0.0)
     alive = np.any(keep, axis=tuple(range(1, keep.ndim)))
     coeffs = {k: S[i] for i, k in enumerate(keys) if alive[i]}
@@ -304,10 +304,10 @@ def gamma_power(M, m: int | None = None):
 
     M is one (n, n) matrix, which gives a float, or a (B, n, n) stack,
     which gives a (B,) array whose rows equal the single-matrix results
-    exactly.  Requires n = 2m nonzero and even.  Tests validate the
-    identity with m! * Pf(M - M^T) against the independent Pfaffian
-    below; the raw value is returned, thresholding is the caller's
-    concern.
+    exactly.  A matrix with a non-finite entry gives NaN.  Requires
+    n = 2m nonzero and even.  Tests validate the identity with
+    m! * Pf(M - M^T) against the independent Pfaffian below; the raw
+    value is returned, thresholding is the caller's concern.
     """
     M = _square_stack(M)
     n = M.shape[-1]
@@ -319,6 +319,9 @@ def gamma_power(M, m: int | None = None):
         m = n // 2
     elif 2 * m != n:
         raise DimensionMismatch(f"m = {m} inconsistent with n = {n}")
+    if not np.all(np.isfinite(M)):  # NaN rows, so no inf meets a 0 below
+        M = np.where(np.all(np.isfinite(M), axis=(-2, -1))[..., None, None],
+                     M, np.nan)
     g = gamma(M)
     power = g
     for _ in range(m - 1):

@@ -39,10 +39,9 @@ def _jacobians(pair: GeometricPair, F: VectorField, x):
     if F.dim != pair.dim:
         raise DimensionMismatch(
             f"field dimension {F.dim} != structure dimension {pair.dim}")
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    DF = F.jacobian(x if not single else x[None, :])
-    return DF, single
+    DF = F.jacobian(x)  # lifted after evaluating, so a single point can raise
+    single = np.ndim(x) == 1
+    return (DF[None] if single else DF), single
 
 
 def _fro(mats):
@@ -194,9 +193,9 @@ def equivalence_probe(pair: GeometricPair, F: VectorField, sample_points,
     measure are excluded from the violation count and reported.
     """
     X = np.asarray(sample_points, dtype=float)
-    if X.ndim == 1:
-        X = X[None, :]
     DF = F.jacobian(X)
+    if X.ndim == 1:
+        X, DF = X[None, :], DF[None]
     lo, hi = tol / GRAY_FACTOR, tol * GRAY_FACTOR
     violations = []
     gray = 0

@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import (DimensionMismatch, Diverged, DomainError, GradlocusError,
+from .errors import (DimensionMismatch, Diverged, GradlocusError,
                      OddDimension, TooFewPoints)
 from .fields import ScalarField, VectorField
 from .geometry import GeometricPair
@@ -95,24 +95,6 @@ OUTCOMES = ("converged", "domain", "non-finite step", "damping exhausted",
 _ACTIVE, _CONVERGED, _DOMAIN, _NONFINITE, _EXHAUSTED, _CAP = -1, 0, 1, 2, 3, 4
 
 
-def _by_row(fn, X, shape):
-    """fn(X) on the batch X.  When the batch raises DomainError, each row
-    is evaluated alone; rows that still raise come back as NaN and are
-    listed in the returned {row: error} map."""
-    try:
-        return fn(X), {}
-    except DomainError:
-        pass
-    out = np.full((len(X),) + shape, np.nan)
-    failed = {}
-    for i in range(len(X)):
-        try:
-            out[i] = fn(X[i:i + 1])[0]
-        except DomainError as exc:
-            failed[i] = exc
-    return out, failed
-
-
 def _solve_rows(A, b):
     """Stacked solve of A x = b; a singular stack falls back to per-row
     solves.  Returns the solutions and the mask of rows solved."""
@@ -140,10 +122,10 @@ def solve_from_seed(phi: PhiSystem, x0, opts: LocusOptions = LocusOptions()):
     1e-14), otherwise the damping grows tenfold.  A row stops when
     ||Phi|| <= tol_residual, at the iteration cap, when the damping
     exceeds 1e12, on a non-finite step, or when Phi or DPhi is undefined
-    at its current point.  A rank-deficient DPhi at the solution is the
-    expected situation (the zero set is m-dimensional) and is no
-    obstacle to the damped steps.  A row's result does not depend on the
-    other rows of the batch.
+    at its current point (a non-finite row; a step to such a point is
+    rejected).  A rank-deficient DPhi at the solution is the expected
+    situation (the zero set is m-dimensional) and is no obstacle to the
+    damped steps.  A row's result does not depend on the other rows.
 
     x0 of shape (B, n) returns the final points and the per-row outcome,
     one of OUTCOMES.  A single seed of shape (n,) returns the converged
@@ -166,8 +148,8 @@ def solve_from_seed(phi: PhiSystem, x0, opts: LocusOptions = LocusOptions()):
     relinearise = np.ones(B, dtype=bool)
     JtJ = np.empty((B, n, n))
     g = np.empty((B, n))
-    r, errors = _by_row(phi.phi, x, (n,))
-    status[list(errors)] = _DOMAIN
+    r = phi.phi(x)
+    status[~np.all(np.isfinite(r), axis=1)] = _DOMAIN
     rnorm = np.linalg.norm(r, axis=1)
     eye = np.eye(n)
     while True:
@@ -177,9 +159,8 @@ def solve_from_seed(phi: PhiSystem, x0, opts: LocusOptions = LocusOptions()):
                & (iters >= opts.max_iters)] = _CAP
         idx = np.flatnonzero(fresh & (status == _ACTIVE))
         if idx.size:
-            J, failed = _by_row(phi.dphi, x[idx], (n, n))
-            errors.update((idx[i], exc) for i, exc in failed.items())
-            status[list(errors)] = _DOMAIN
+            J = phi.dphi(x[idx])
+            status[idx[~np.all(np.isfinite(J), axis=(1, 2))]] = _DOMAIN
             Jt = J.transpose(0, 2, 1)
             JtJ[idx] = Jt @ J
             g[idx] = (Jt @ r[idx, :, None])[..., 0]
@@ -196,9 +177,7 @@ def solve_from_seed(phi: PhiSystem, x0, opts: LocusOptions = LocusOptions()):
         status[idx[solved & ~finite]] = _NONFINITE
         keep = solved & finite
         idx, trial = idx[keep], x[idx[keep]] + step[keep]
-        # a trial point where Phi is undefined comes back NaN: a rejected
-        # step, not a retired row
-        r_new, _ = _by_row(phi.phi, trial, (n,))
+        r_new = phi.phi(trial)
         rn_new = np.linalg.norm(r_new, axis=1)
         accept = np.isfinite(rn_new) & (rn_new < rnorm[idx])
         up = idx[accept]
@@ -213,9 +192,11 @@ def solve_from_seed(phi: PhiSystem, x0, opts: LocusOptions = LocusOptions()):
     code = status[0]
     if code == _CONVERGED:
         return x[0]
-    if code == _DOMAIN:
-        raise errors[0]
-    reason = {_NONFINITE: "non-finite step",
+    if code == _DOMAIN:  # raises the DomainError of the failing point
+        phi.phi(x[0])
+        phi.dphi(x[0])
+    reason = {_DOMAIN: "Phi or DPhi is not finite",
+              _NONFINITE: "non-finite step",
               _EXHAUSTED: "damping exhausted without residual decrease",
               _CAP: f"no convergence in {opts.max_iters} iterations"}[code]
     raise Diverged(reason, last_point=x[0], last_residual=float(rnorm[0]))
@@ -271,15 +252,6 @@ class LocusSample:
 def all_charts(m: int) -> list[tuple[int, ...]]:
     """Lexicographic enumeration of the binom(2m, m) index tuples."""
     return list(combinations(range(1, 2 * m + 1), m))
-
-
-def rank_with_tolerance(mat, tol: float) -> int:
-    """Number of singular values above tol * sigma_max (0 for the zero
-    matrix)."""
-    sv = np.linalg.svd(np.asarray(mat, dtype=float), compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > tol * sv[0]))
 
 
 def chart_memberships(phi: PhiSystem, x, tol_rank: float = 1e-6,

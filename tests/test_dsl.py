@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -201,39 +203,57 @@ class TestDerivatives:
                 g = np.zeros((5, 3))
                 g[:, i] = 1.0
                 seeds.append(Jet(X[:, i], g, np.zeros((5, 3, 3))))
-            try:
-                with np.errstate(all="ignore"):
-                    out = _eval(e, seeds)
-            except DomainError:
-                continue
+            flags = []
+            with np.errstate(all="ignore"):
+                out = _eval(e, seeds, flags)
             if isinstance(out, Jet):
-                skew = np.abs(out.hess - out.hess.transpose(0, 2, 1)).max()
-                assert skew <= 1e-12 * (1.0 + np.abs(out.hess).max())
+                defined = np.ones(5, dtype=bool)
+                for undefined, _, _ in flags:
+                    defined &= ~undefined
+                H = out.hess[defined]
+                skew = np.abs(H - H.transpose(0, 2, 1)).max(initial=0.0)
+                assert skew <= 1e-12 * (1.0 + np.abs(H).max(initial=0.0))
 
     def test_batched_derivatives_match_single(self):
         # a point alone gives exactly its row of the batch, through the
-        # DSL, the fields and the Phi system, with and without log
+        # DSL, the fields and the Phi system; a point outside the domain
+        # is an all-NaN row of the batch and raises DomainError alone
         rng = np.random.default_rng(26)
-        texts = ["sin(x1 * x2) + x1^3 / (1.0 + x2^2)",
-                 "log(x1^2 + 1) * cos(x2) - 2 / (3 + x1 * x2)"]
-        X = random_points(rng, 8, 2)
-        for text in texts:
+        X = random_points(rng, 10, 2)
+        X[:5, 0] = [0.0, -1.3, 7.5, 0.8, 0.0]
+        x1 = X[:, 0]
+        everywhere = np.ones(len(X), dtype=bool)
+        cases = [  # (expression, rows inside its domain, reason outside)
+            ("sin(x1 * x2) + x1^3 / (1.0 + x2^2)", everywhere, None),
+            ("log(x1^2 + 1) * cos(x2) - 2 / (3 + x1 * x2)", everywhere, None),
+            ("1/x1", x1 != 0, "division by zero in '1.0 / x1'"),
+            ("log(x1)", x1 > 0, "log of non-positive value in 'log(x1)'"),
+            ("x1^-1", x1 != 0, "zero base with negative exponent in 'x1^-1'"),
+            ("exp(-1/x1^2)", x1 != 0, "division by zero in '-1.0 / x1^2'"),
+            ("(1/x1)^0", x1 != 0, "division by zero in '1.0 / x1'"),
+            ("exp(exp(x1))", x1 < 6, "non-finite value in 'exp(exp(x1))'"),
+        ]
+        for text, defined, reason in cases:
+            assert 0 < defined.sum()
             e = parse_expression(text, 2)
-            V, G, H = evaluate(e, X), gradient(e, X), hessian(e, X)
-            for i in range(8):
-                assert evaluate(e, X[i]) == V[i]
-                assert np.array_equal(gradient(e, X[i]), G[i])
-                assert np.array_equal(hessian(e, X[i]), H[i])
-        F = VectorField.parse(texts, 2)
-        phi = build_phi(companion_map(standard_symplectic(1)),
-                        ScalarField.parse(texts[1], 2), F, "left")
-        batched = [F.value(X), F.jacobian(X), phi.phi(X), phi.dphi(X)]
-        for i in range(8):
-            single = [F.value(X[i]), F.jacobian(X[i]), phi.phi(X[i]),
-                      phi.dphi(X[i])]
-            for one, many in zip(single, batched, strict=True):
-                assert one.shape == many[i].shape
-                assert np.array_equal(one, many[i])
+            F = VectorField.parse([text, f"x2 * ({text})"], 2)
+            phi = build_phi(companion_map(standard_symplectic(1)),
+                            ScalarField.parse(text, 2), F, "left")
+            calls = [lambda x: evaluate(e, x), lambda x: gradient(e, x),
+                     lambda x: hessian(e, x), F.value, F.jacobian, phi.phi,
+                     phi.dphi]
+            batched = [call(X) for call in calls]
+            for i in range(len(X)):
+                for call, many in zip(calls, batched, strict=True):
+                    if defined[i]:
+                        one = call(X[i])
+                        assert np.shape(one) == many[i].shape
+                        assert np.array_equal(one, many[i]), (text, i)
+                    else:
+                        assert np.all(np.isnan(many[i])), (text, i)
+                        with pytest.raises(DomainError,
+                                           match=re.escape(reason)):
+                            call(X[i])
 
 
 class TestSymbolic:

@@ -288,6 +288,24 @@ class TestBatchedGammaPower:
     def test_empty_stack(self):
         assert gamma_power(np.zeros((0, 4, 4))).shape == (0,)
 
+    def test_non_finite_matrix_gives_nan(self):
+        # pruning must not turn NaN or inf into 0, which reads as integrable
+        rng = np.random.default_rng(22)
+        for n in (2, 4, 6):
+            stack = _stacks(rng, n)["dense"]
+            assert np.isnan(gamma_power(np.full((n, n), np.nan)))
+            for bad in (np.nan, np.inf, -np.inf):
+                M = np.zeros((n, n))
+                M[0, n - 1] = bad
+                assert np.isnan(gamma_power(M)), (n, bad)
+                mixed = stack.copy()
+                mixed[2, 0, n - 1] = bad
+                got = gamma_power(mixed)
+                assert np.isnan(got[2]), (n, bad)
+                rest = [0, 1, 3, 4]
+                assert np.array_equal(got[rest], [gamma_power(M)
+                                                  for M in stack[rest]])
+
     def test_single_matrix_contract(self):
         M = np.array([[0.0, -1.0], [1.0, 0.0]])
         assert type(gamma_power(M)) is float

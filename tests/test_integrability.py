@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from gradlocus import (NotSymplectic, ScalarField, VectorField, companion_map,
-                       equivalence_probe, gamma_obstruction,
-                       gradient_like_field, left_residual, make_form,
-                       matrix_apply, point_report, right_residual,
+from gradlocus import (DomainError, NotSymplectic, ScalarField,
+                       VectorField, companion_map, equivalence_probe,
+                       gamma_obstruction, gradient_like_field, left_residual,
+                       make_form, matrix_apply, point_report, right_residual,
                        standard_euclidean, standard_symplectic,
                        symmetric_residual, symplectic_residual)
 from gradlocus.geometry import FormKind
@@ -152,14 +152,27 @@ class TestGammaObstruction:
             assert value == pytest.approx(-2.0)
 
     def test_batched_matches_single(self):
+        # a point where DF is undefined (log at x1 <= 0) is a NaN row of
+        # the batch and raises DomainError alone
         pair = companion_map(standard_euclidean(2))
-        F = VectorField.parse(["x1^2 - x2", "x1 * x2"], 2)
         X = random_points(np.random.default_rng(46), 12, 2)
-        values, scales = gamma_obstruction(pair, F, X, "left")
-        for i in range(12):
-            v, s = gamma_obstruction(pair, F, X[i], "left")
-            assert values[i] == v
-            assert scales[i] == s
+        for texts, defined in ((["x1^2 - x2", "x1 * x2"], np.ones(12, bool)),
+                               (["log(x1) + x2", "x1 * x2"], X[:, 0] > 0)):
+            F = VectorField.parse(texts, 2)
+            values, scales = gamma_obstruction(pair, F, X, "left")
+            res = residual(pair, F, X, "left")
+            for i in range(12):
+                if defined[i]:
+                    v, s = gamma_obstruction(pair, F, X[i], "left")
+                    assert values[i] == v
+                    assert scales[i] == s
+                    assert res[i] == residual(pair, F, X[i], "left")
+                    continue
+                assert np.isnan([values[i], scales[i], res[i]]).all()
+                for call in (gamma_obstruction, left_residual, point_report,
+                             equivalence_probe):
+                    with pytest.raises(DomainError):
+                        call(pair, F, X[i])
 
 
 class TestPointReport:

@@ -175,6 +175,30 @@ class TestCli:
         assert captured.err.startswith("gradlocus: error: check: all 20 ")
         assert captured.err.count("\n") == 1
 
+    def test_charts_keeps_rows_outside_domain(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(mixed_domain_dict()))
+        points = tmp_path / "points.csv"
+        points.write_text("x1,x2\n-1.0,0.5\n1.0,1.0\n")
+        assert main(["charts", str(points), "--scenario", str(scenario),
+                     "--out", str(tmp_path / "re")]) == 0
+        rows = (tmp_path / "re/points_charts.csv").read_text().splitlines()
+        assert rows[1].split(",")[2:] == ["nan", "nan", "nan", "0", "0"]
+        assert np.all(np.isfinite(np.array(rows[2].split(",")[:5], float)))
+
+    def test_check_creates_out_dir(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(circle_dict()))
+        assert main(["check", "--scenario", str(scenario), "--points", "20",
+                     "--out", str(tmp_path / "new/dir")]) == 0
+        assert read_json(tmp_path / "new/dir/check.json")["n_points"] == 20
+
+    def test_dimension_creates_out_dir(self, tmp_path, capsys):
+        main(["demo", "circle-m1", "--out", str(tmp_path / "d")])
+        assert main(["dimension", str(tmp_path / "d/points.csv"),
+                     "--out", str(tmp_path / "new/dir")]) == 0
+        assert read_json(tmp_path / "new/dir/dimension.json")["points"] > 0
+
     def test_locus_determinism(self, tmp_path):
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps(circle_dict(n_seeds=200)))
