@@ -70,10 +70,10 @@ def _pruned(dim: int, grade: int, keys, S, shape) -> "MultiVector":
 
     In each row a coefficient at or below PRUNE_REL * that row's
     max|coeff| (floor PRUNE_FLOOR) becomes 0; a key is dropped only when
-    it is 0 in every row.  NaN is kept: an undefined row is not 0.
+    it is 0 in every row.  NaN and inf are never pruned: neither is 0.
     """
     cutoff = np.maximum(PRUNE_REL * _peak(S), PRUNE_FLOOR)
-    keep = ~(np.abs(S) <= cutoff)
+    keep = ~(np.isfinite(S) & (np.abs(S) <= cutoff))
     S = np.where(keep, S, 0.0)
     alive = np.any(keep, axis=tuple(range(1, keep.ndim)))
     coeffs = {k: S[i] for i, k in enumerate(keys) if alive[i]}

@@ -7,7 +7,8 @@ performed here.  A field is an exact left gradient on a contractible
 domain iff Q^T DF(x) is symmetric everywhere; the module measures the
 Frobenius norm of the antisymmetric defect, and the top wedge power of
 the antisymmetry operator applied to the same matrix as the
-non-integrability obstruction.
+non-integrability obstruction.  Both depend on DF(x) alone, so the
+batch functions take Jacobians and never evaluate a field.
 
 "Nonzero" is decided with the scale-aware threshold
 |value| > tol * (m! ||C DF||_F^m + floor); points within a factor 10
@@ -35,13 +36,13 @@ GRAY_FACTOR = 10.0
 SIDES = ("left", "right", "symmetric", "symplectic")
 
 
-def _jacobians(pair: GeometricPair, F: VectorField, x):
-    if F.dim != pair.dim:
-        raise DimensionMismatch(
-            f"field dimension {F.dim} != structure dimension {pair.dim}")
-    DF = F.jacobian(x)  # lifted after evaluating, so a single point can raise
-    single = np.ndim(x) == 1
-    return (DF[None] if single else DF), single
+def _stack(pair: GeometricPair, DF):
+    """(DF as a (B, n, n) stack, whether it was one (n, n) matrix)."""
+    DF = np.asarray(DF, dtype=float)
+    if DF.ndim not in (2, 3) or DF.shape[-2:] != (pair.dim, pair.dim):
+        raise DimensionMismatch(f"Jacobians of shape {DF.shape} for a "
+                                f"structure of dimension {pair.dim}")
+    return (DF[None], True) if DF.ndim == 2 else (DF, False)
 
 
 def _fro(mats):
@@ -53,9 +54,14 @@ def _defect(N):
     return N - np.swapaxes(N, 1, 2)
 
 
-def _side_product(pair: GeometricPair, F: VectorField, x, side: str):
-    """(N, single): N = C DF(x) for the side's exact inverse C, after
-    checking that the form has the kind the side's condition needs."""
+def residual(pair: GeometricPair, DF, side: str):
+    """||N - N^T||_F with N = C DF, the side's integrability defect, for
+    one Jacobian DF (n, n) -> float or a stack (B, n, n) -> (B,).
+
+    Every condition is this norm: C = Q^T for left and C = Q for right,
+    symmetric (symmetric forms only) and symplectic (skew forms of even
+    dimension only, where it equals ||(DF)^T B^{-1} + B^{-1} DF||_F).
+    """
     C = obstruction_matrix(pair, side)
     if side == "symmetric" and pair.form.kind is not FormKind.SYMMETRIC:
         raise ValueError("symmetric residual requires a symmetric form")
@@ -63,42 +69,31 @@ def _side_product(pair: GeometricPair, F: VectorField, x, side: str):
                                  or pair.dim % 2):
         raise NotSymplectic(
             "symplectic residual requires a skew form of even dimension")
-    DF, single = _jacobians(pair, F, x)
-    return C @ DF, single
-
-
-def residual(pair: GeometricPair, F: VectorField, x, side: str):
-    """||N - N^T||_F with N = C DF(x), the side's integrability defect.
-
-    Every condition is this norm: C = Q^T for left and C = Q for right,
-    symmetric (symmetric forms only) and symplectic (skew forms of even
-    dimension only, where it equals ||(DF)^T B^{-1} + B^{-1} DF||_F).
-    """
-    N, single = _side_product(pair, F, x, side)
-    out = _fro(_defect(N))
+    DF, single = _stack(pair, DF)
+    out = _fro(_defect(C @ DF))
     return float(out[0]) if single else out
 
 
 def left_residual(pair: GeometricPair, F: VectorField, x):
     """|| (DF)^T B^{-1} - (Bstar)^{-1} DF ||_F, i.e. the antisymmetric
     defect of Q^T DF."""
-    return residual(pair, F, x, "left")
+    return residual(pair, F.jacobian(x), "left")
 
 
 def right_residual(pair: GeometricPair, F: VectorField, x):
     """|| (DF)^T (Bstar)^{-1} - B^{-1} DF ||_F, i.e. the antisymmetric
     defect of Q DF."""
-    return residual(pair, F, x, "right")
+    return residual(pair, F.jacobian(x), "right")
 
 
 def symmetric_residual(pair: GeometricPair, F: VectorField, x):
     """Gradient condition for symmetric structures."""
-    return residual(pair, F, x, "symmetric")
+    return residual(pair, F.jacobian(x), "symmetric")
 
 
 def symplectic_residual(pair: GeometricPair, F: VectorField, x):
     """Hamiltonian condition (DF)^T B^{-1} + B^{-1} DF = 0."""
-    return residual(pair, F, x, "symplectic")
+    return residual(pair, F.jacobian(x), "symplectic")
 
 
 def obstruction_matrix(pair: GeometricPair, side: str) -> np.ndarray:
@@ -111,17 +106,16 @@ def obstruction_matrix(pair: GeometricPair, side: str) -> np.ndarray:
     raise ValueError(f"side must be one of {SIDES}, got {side!r}")
 
 
-def gamma_obstruction(pair: GeometricPair, F: VectorField, x,
-                      side: str = "left"):
-    """(value, scale): top wedge-power coefficient of C DF(x) and its
-    degree-m normalizer m! ||C DF||_F^m + floor."""
+def gamma_obstruction(pair: GeometricPair, DF, side: str = "left"):
+    """(value, scale): top wedge-power coefficient of C DF and its
+    degree-m normalizer m! ||C DF||_F^m + floor, as floats for one
+    Jacobian (n, n) and as (B,) arrays for a stack (B, n, n)."""
     n = pair.dim
     if n % 2:
         raise OddDimension(f"obstruction needs even dimension, got {n}")
     m = n // 2
-    C = obstruction_matrix(pair, side)
-    DF, single = _jacobians(pair, F, x)
-    M = C @ DF
+    DF, single = _stack(pair, DF)
+    M = obstruction_matrix(pair, side) @ DF
     norms = _fro(M)
     values = gamma_power(M, m)
     scales = math.factorial(m) * norms ** m + GAMMA_FLOOR
@@ -153,12 +147,11 @@ class IntegrabilityReport:
 def point_report(pair: GeometricPair, F: VectorField, x, side: str = "left",
                  tol: float = TOL_GAMMA) -> IntegrabilityReport:
     """Evaluate one condition and the obstruction at a single point."""
-    x = np.asarray(x, dtype=float)
-    N, _ = _side_product(pair, F, x, side)
-    res = float(_fro(_defect(N))[0])
-    value, scale = gamma_obstruction(pair, F, x, side)
-    n_scale = 1.0 + float(_fro(N)[0])
-    res_rel = res / n_scale
+    DF = F.jacobian(x)
+    res = residual(pair, DF, side)
+    value, scale = gamma_obstruction(pair, DF, side)
+    res_rel = res / (1.0 + float(_fro(obstruction_matrix(pair, side)
+                                      @ DF[None])[0]))
     gamma_rel = abs(value) / scale
     return IntegrabilityReport(
         point=tuple(float(v) for v in x),
@@ -184,18 +177,16 @@ class ProbeReport:
     violation_details: tuple[tuple[int, str, float, float], ...] = ()
 
 
-def equivalence_probe(pair: GeometricPair, F: VectorField, sample_points,
+def equivalence_probe(pair: GeometricPair, DF,
                       tol: float = TOL_GAMMA) -> ProbeReport:
     """Check (residual ~ 0) <=> (all antisymmetry coefficients ~ 0) at
-    each point, for both the left and right conditions.
+    each point, for both the left and right conditions, from the
+    Jacobians DF (n, n) or (B, n, n) at the points.
 
     Points within a factor GRAY_FACTOR of the threshold on either
     measure are excluded from the violation count and reported.
     """
-    X = np.asarray(sample_points, dtype=float)
-    DF = F.jacobian(X)
-    if X.ndim == 1:
-        X, DF = X[None, :], DF[None]
+    DF, _ = _stack(pair, DF)
     lo, hi = tol / GRAY_FACTOR, tol * GRAY_FACTOR
     violations = []
     gray = 0
@@ -212,8 +203,8 @@ def equivalence_probe(pair: GeometricPair, F: VectorField, sample_points,
         violations += [(int(i), side, float(res_rel[i]), float(coeff_rel[i]))
                        for i in np.flatnonzero(bad)]
     return ProbeReport(
-        points=X.shape[0],
-        checks=2 * X.shape[0],
+        points=len(DF),
+        checks=2 * len(DF),
         violations=len(violations),
         gray_excluded=gray,
         tol=tol,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, compress
 
 import numpy as np
 
@@ -27,6 +27,8 @@ from .geometry import GeometricPair
 from .integrability import gamma_obstruction, obstruction_matrix
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# byte budget of one chunk of chart submatrices (0.5 MB a point at m = 6)
+_CHART_STACK_BYTES = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -254,35 +256,41 @@ def all_charts(m: int) -> list[tuple[int, ...]]:
     return list(combinations(range(1, 2 * m + 1), m))
 
 
-def chart_memberships(phi: PhiSystem, x, tol_rank: float = 1e-6,
-                      tol_residual: float = 1e-10) -> frozenset:
-    """Charts containing a locus point: index tuples alpha whose rows
-    of DPhi(x) form a matrix of numerical rank m.
+def chart_memberships(phi: PhiSystem, X, tol_rank: float = 1e-6,
+                      tol_residual: float = 1e-10):
+    """Charts containing locus points: index tuples alpha whose rows of
+    DPhi(x) form a matrix of numerical rank m.  An (n,) point gives one
+    frozenset, a (B, n) stack a list of B of them.
 
     A submatrix whose largest singular value is negligible against the
     full Jacobian (below 1e-12 of its spectral norm) is treated as
     zero, with the full Jacobian's scale as rank reference; otherwise
-    the submatrix's own scale is used.
+    the submatrix's own scale is used.  A point where DPhi is undefined
+    lies on no chart.  All binom(2m, m) submatrices of all points go
+    through one stacked SVD, in chunks of at most _CHART_STACK_BYTES.
     """
-    x = np.asarray(x, dtype=float)
-    res = float(np.linalg.norm(phi.phi(x)))
-    if res > tol_residual:
-        raise GradlocusError(
-            f"chart membership requested off the locus: ||Phi|| = {res:.3e}")
-    J = phi.dphi(x)
-    global_s1 = float(np.linalg.norm(J, 2))
+    X = np.asarray(X, dtype=float)
+    res = np.linalg.norm(np.atleast_2d(phi.phi(X)), axis=1)
+    if not np.all(res <= tol_residual):
+        raise GradlocusError("chart membership requested off the locus: "
+                             f"||Phi|| = {np.max(res):.3e}")
+    single = X.ndim == 1
+    X = np.atleast_2d(X)
     m = phi.m
+    charts = all_charts(m)
+    rows = np.array(charts) - 1
+    step = max(1, _CHART_STACK_BYTES // (len(charts) * m * 2 * m * 8))
     members = []
-    for alpha in all_charts(m):
-        sub = J[[a - 1 for a in alpha], :]
-        sv = np.linalg.svd(sub, compute_uv=False)
-        s1 = float(sv[0])
-        ref = s1 if s1 > 1e-12 * global_s1 else global_s1
-        if ref == 0.0:
-            continue
-        if int(np.sum(sv > tol_rank * ref)) == m:
-            members.append(alpha)
-    return frozenset(members)
+    for lo in range(0, len(X), step):
+        J = phi.dphi(X[lo:lo + step])
+        J[~np.all(np.isfinite(J), axis=(1, 2))] = 0.0  # undefined: no chart
+        global_s1 = np.linalg.norm(J, 2, axis=(1, 2))[:, None]
+        sv = np.linalg.svd(J[:, rows, :], compute_uv=False)
+        ref = np.where(sv[..., 0] > 1e-12 * global_s1, sv[..., 0], global_s1)
+        rank_m = np.sum(sv > tol_rank * ref[..., None], axis=-1) == m
+        members += [frozenset(compress(charts, row))
+                    for row in rank_m.tolist()]
+    return members[0] if single else members
 
 
 def certify(phi: PhiSystem, X,
@@ -291,28 +299,22 @@ def certify(phi: PhiSystem, X,
 
     A row is certified when it lies on the locus (||Phi|| <=
     tol_residual), is obstructed (|Gamma| > tol_gamma * scale) and lies
-    on at least one chart.  Charts are computed only for rows on the
-    locus; rows off it get none and are never certified.
+    on at least one chart.  Charts are computed, in one batch, only for
+    rows on the locus; rows off it get none and are never certified.
     """
     X = np.asarray(X, dtype=float)
     phi_norms = np.linalg.norm(phi.phi(X), axis=1)
-    values, scales = gamma_obstruction(phi.pair, phi.F, X, phi.side)
-    samples = []
-    for x, phi_norm, value, scale in zip(X, phi_norms, values, scales):
-        on_locus = phi_norm <= opts.tol_residual
-        charts = (chart_memberships(phi, x, tol_rank=opts.tol_rank,
-                                    tol_residual=opts.tol_residual)
-                  if on_locus else frozenset())
-        samples.append(LocusSample(
-            x=tuple(float(v) for v in x),
-            phi_norm=float(phi_norm),
-            gamma_value=float(value),
-            gamma_scale=float(scale),
-            charts=charts,
-            certified=bool(on_locus and abs(value) > opts.tol_gamma * scale
-                           and charts),
-        ))
-    return samples
+    values, scales = gamma_obstruction(phi.pair, phi.F.jacobian(X), phi.side)
+    on_locus = phi_norms <= opts.tol_residual
+    charts = np.full(len(X), frozenset(), dtype=object)
+    charts[on_locus] = chart_memberships(phi, X[on_locus], opts.tol_rank,
+                                         opts.tol_residual)
+    obstructed = on_locus & (np.abs(values) > opts.tol_gamma * scales)
+    return [LocusSample(x=tuple(x), phi_norm=r, gamma_value=v, gamma_scale=s,
+                        charts=c, certified=ok and bool(c))
+            for x, r, v, s, c, ok in zip(
+                X.tolist(), phi_norms.tolist(), values.tolist(),
+                scales.tolist(), charts, obstructed.tolist())]
 
 
 def sample_locus(phi: PhiSystem, box, n_seeds: int,

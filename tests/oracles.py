@@ -15,6 +15,7 @@ from gradlocus.geometry import (make_form, minkowski, pseudo_euclidean,
                                 standard_euclidean, standard_symplectic)
 from gradlocus.integrability import (GRAY_FACTOR, ProbeReport,
                                      obstruction_matrix)
+from gradlocus.locus import all_charts
 
 GENERAL_Q = np.array([[1.0, 1.0], [0.0, 1.0]])
 
@@ -90,12 +91,11 @@ def antisymmetric_defect_norm(Q, DF, side) -> np.ndarray:
     return np.array([np.linalg.norm(C @ J - (C @ J).T, "fro") for J in DF])
 
 
-def probe_loop(pair, F, X, tol):
+def probe_loop(pair, DF, tol):
     """The residual/obstruction equivalence probe one (point, side)
-    check at a time: the loop the masked ``equivalence_probe`` must
-    reproduce, report and violation order included."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    DF = F.jacobian(X)
+    check at a time, on a (B, n, n) Jacobian stack: the loop the masked
+    ``equivalence_probe`` must reproduce, report and violation order
+    included."""
     violations, gray, checks = [], 0, 0
     for side in ("left", "right"):
         N = obstruction_matrix(pair, side) @ DF
@@ -105,7 +105,7 @@ def probe_loop(pair, F, X, tol):
         scale = 1.0 + np.sqrt(np.sum(N * N, axis=(1, 2)))
         res_rel = res / scale
         coeff_rel = coeff / scale
-        for i in range(X.shape[0]):
+        for i in range(len(DF)):
             checks += 1
             in_gray = (
                 tol / GRAY_FACTOR <= res_rel[i] <= tol * GRAY_FACTOR
@@ -117,7 +117,7 @@ def probe_loop(pair, F, X, tol):
             if (res_rel[i] <= tol) != (coeff_rel[i] <= tol):
                 violations.append((i, side, float(res_rel[i]),
                                    float(coeff_rel[i])))
-    return ProbeReport(points=X.shape[0], checks=checks,
+    return ProbeReport(points=len(DF), checks=checks,
                        violations=len(violations), gray_excluded=gray,
                        tol=tol, violation_details=tuple(violations))
 
@@ -195,6 +195,33 @@ def scalar_lm_rows(phi, X, opts):
             pts[i] = err.last_point
             outcome.append(reasons.get(str(err), "iteration cap"))
     return pts, np.array(outcome)
+
+
+# ---------------------------------------------------------------------------
+# Chart oracle
+
+
+def chart_loop(phi, X, opts):
+    """Chart sets of the rows of X the way ``certify`` reports them, one
+    point and one m x 2m submatrix SVD at a time: the loop the stacked
+    ``chart_memberships`` must reproduce.  Rows off the locus get none."""
+    out = []
+    for x in np.asarray(X, dtype=float):
+        members = []
+        if np.linalg.norm(phi.phi(x)) <= opts.tol_residual:
+            J = phi.dphi(x)
+            global_s1 = float(np.linalg.norm(J, 2))
+            for alpha in all_charts(phi.m):
+                sub = J[[a - 1 for a in alpha], :]
+                sv = np.linalg.svd(sub, compute_uv=False)
+                s1 = float(sv[0])
+                ref = s1 if s1 > 1e-12 * global_s1 else global_s1
+                if ref == 0.0:
+                    continue
+                if int(np.sum(sv > opts.tol_rank * ref)) == phi.m:
+                    members.append(alpha)
+        out.append(frozenset(members))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -140,17 +140,19 @@ def test_criterion_04_poincare_soundness_and_perturbation():
             X = random_points(rng, 200, n)
             for side in ("left", "right"):
                 F = gradient_like_field(pair, f, side)
-                DF_scale = 1.0 + np.abs(F.jacobian(X)).max()
-                res = np.atleast_1d(residual(pair, F, X, side))
+                DF = F.jacobian(X)
+                DF_scale = 1.0 + np.abs(DF).max()
+                res = np.atleast_1d(residual(pair, DF, side))
                 assert res.max() <= 1e-8 * DF_scale, (name, side)
                 if form.kind is FormKind.SYMMETRIC:
-                    extra = residual(pair, F, X, "symmetric")
+                    extra = residual(pair, DF, "symmetric")
                     assert np.max(extra) <= 1e-8 * DF_scale, name
                 if form.kind is FormKind.SKEW_SYMMETRIC and side == "left":
-                    extra = residual(pair, F, X, "symplectic")
+                    extra = residual(pair, DF, "symplectic")
                     assert np.max(extra) <= 1e-8 * DF_scale, name
                 perturbed = add_fields(F, _perturbation(pair, side))
-                res_p = np.atleast_1d(residual(pair, perturbed, X, side))
+                res_p = np.atleast_1d(
+                    residual(pair, perturbed.jacobian(X), side))
                 assert np.mean(res_p > 1e-2) >= 0.95, (name, side)
     _report(4, "exact gradient-like fields pass all matched conditions at "
                "1e-8; first-order perturbations break them at >= 95% of "
@@ -173,7 +175,8 @@ def test_criterion_05_equivalence_probe():
             F = VectorField(n, tuple(
                 random_polynomial(rng, n, degree=3, terms=4)
                 for _ in range(n)))
-        probe = equivalence_probe(pair, F, random_points(rng, 100, n))
+        probe = equivalence_probe(pair,
+                                  F.jacobian(random_points(rng, 100, n)))
         assert probe.violations == 0, (combo, name)
         total_checks += probe.checks
         total_gray += probe.gray_excluded

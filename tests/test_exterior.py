@@ -161,6 +161,24 @@ class TestGamma:
                 dev = abs(as_dict(base).get(k, 0.0) - as_dict(other).get(k, 0.0))
                 assert dev <= 1e-9 * scale
 
+    def test_infinite_entry_is_not_pruned(self):
+        # an infinite coefficient pruned to 0 would read as symmetric
+        for bad in (np.inf, -np.inf):
+            assert as_dict(gamma(np.array([[0.0, bad], [0.0, 0.0]]))) == \
+                {(1, 2): bad}
+
+    def test_infinite_row_keeps_finite_rows_exact(self):
+        rng = np.random.default_rng(11)
+        stack = rng.standard_normal((5, 4, 4))
+        stack[2, 0, 3] = np.inf
+        g = gamma(stack)
+        assert g.coeffs[0b1001][2] == np.inf
+        for i in (0, 1, 3, 4):
+            row = {k: v[i] for k, v in g.coeffs.items() if v[i] != 0.0}
+            alone = gamma(stack[i]).coeffs
+            assert row.keys() == alone.keys()
+            assert all(row[k].tobytes() == alone[k].tobytes() for k in row)
+
     def test_non_orthonormal_basis_rejected(self):
         M = np.eye(2)
         with pytest.raises(ValueError):

@@ -115,7 +115,7 @@ class TestResiduals:
     def test_side_dispatch_and_guards(self):
         pair = companion_map(standard_euclidean(2))
         x = np.array([1.0, 1.0])
-        assert residual(pair, ROTATION, x, "left") == \
+        assert residual(pair, ROTATION.jacobian(x), "left") == \
             left_residual(pair, ROTATION, x)
         with pytest.raises(NotSymplectic):
             symplectic_residual(pair, ROTATION, x)
@@ -123,7 +123,7 @@ class TestResiduals:
             symmetric_residual(companion_map(standard_symplectic(1)),
                                ROTATION, x)
         with pytest.raises(ValueError):
-            residual(pair, ROTATION, x, "sideways")
+            residual(pair, ROTATION.jacobian(x), "sideways")
 
 
 class TestGammaObstruction:
@@ -133,12 +133,13 @@ class TestGammaObstruction:
         f = ScalarField(2, random_polynomial(rng, 2))
         F = gradient_like_field(pair, f, "left")
         for x in random_points(rng, 20, 2):
-            value, scale = gamma_obstruction(pair, F, x, "left")
+            value, scale = gamma_obstruction(pair, F.jacobian(x), "left")
             assert abs(value) <= 1e-10 * scale
 
     def test_rotation_value(self):
         pair = companion_map(standard_euclidean(2))
-        value, scale = gamma_obstruction(pair, ROTATION, [5.0, -1.0], "left")
+        value, scale = gamma_obstruction(
+            pair, ROTATION.jacobian([5.0, -1.0]), "left")
         assert value == pytest.approx(-2.0)
         assert scale == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
@@ -148,7 +149,7 @@ class TestGammaObstruction:
         pair = companion_map(s.form)
         rng = np.random.default_rng(45)
         for x in random_points(rng, 10, 4):
-            value, _ = gamma_obstruction(pair, s.F, x, "left")
+            value, _ = gamma_obstruction(pair, s.F.jacobian(x), "left")
             assert value == pytest.approx(-2.0)
 
     def test_batched_matches_single(self):
@@ -159,18 +160,19 @@ class TestGammaObstruction:
         for texts, defined in ((["x1^2 - x2", "x1 * x2"], np.ones(12, bool)),
                                (["log(x1) + x2", "x1 * x2"], X[:, 0] > 0)):
             F = VectorField.parse(texts, 2)
-            values, scales = gamma_obstruction(pair, F, X, "left")
-            res = residual(pair, F, X, "left")
+            values, scales = gamma_obstruction(pair, F.jacobian(X), "left")
+            res = residual(pair, F.jacobian(X), "left")
             for i in range(12):
                 if defined[i]:
-                    v, s = gamma_obstruction(pair, F, X[i], "left")
+                    v, s = gamma_obstruction(pair, F.jacobian(X[i]), "left")
                     assert values[i] == v
                     assert scales[i] == s
-                    assert res[i] == residual(pair, F, X[i], "left")
+                    assert res[i] == residual(pair, F.jacobian(X[i]), "left")
                     continue
                 assert np.isnan([values[i], scales[i], res[i]]).all()
-                for call in (gamma_obstruction, left_residual, point_report,
-                             equivalence_probe):
+                with pytest.raises(DomainError):
+                    F.jacobian(X[i])
+                for call in (left_residual, point_report):
                     with pytest.raises(DomainError):
                         call(pair, F, X[i])
 
@@ -220,13 +222,14 @@ class TestEquivalenceProbe:
             pair = companion_map(form)
             f = ScalarField(form.dim, random_polynomial(rng, form.dim))
             F = gradient_like_field(pair, f, "left")
-            probe = equivalence_probe(pair, F, random_points(rng, 50, form.dim))
+            probe = equivalence_probe(
+                pair, F.jacobian(random_points(rng, 50, form.dim)))
             assert probe.violations == 0, name
 
     def test_rotation_probe_clean(self):
         pair = companion_map(standard_euclidean(2))
-        probe = equivalence_probe(pair, ROTATION,
-                                  random_points(np.random.default_rng(49), 100, 2))
+        probe = equivalence_probe(pair, ROTATION.jacobian(
+            random_points(np.random.default_rng(49), 100, 2)))
         assert probe.violations == 0
         assert probe.gray_excluded == 0
 
@@ -236,8 +239,8 @@ class TestEquivalenceProbe:
         F = VectorField.parse(
             ["2 * x1 + (x1^2 + x2^2 - 1) * x2",
              "-(x1^2 + x2^2 - 1) * x1"], 2)
-        probe = equivalence_probe(pair, F,
-                                  random_points(np.random.default_rng(50), 200, 2))
+        probe = equivalence_probe(pair, F.jacobian(
+            random_points(np.random.default_rng(50), 200, 2)))
         assert probe.violations == 0
 
     def test_masks_match_loop_oracle(self):
@@ -252,15 +255,9 @@ class TestEquivalenceProbe:
                         tol / 11.5, 5.0 * tol])
         c = rel * (1.0 + np.sqrt(n)) / 2.0
         DF = np.eye(n) + c[:, None, None] * A
-
-        class Fixed:
-            def jacobian(self, X):
-                return DF
-
         pair = companion_map(standard_euclidean(n))
-        X = np.zeros((len(rel), n))
-        probe = equivalence_probe(pair, Fixed(), X, tol=tol)
-        assert probe == probe_loop(pair, Fixed(), X, tol)
+        probe = equivalence_probe(pair, DF, tol=tol)
+        assert probe == probe_loop(pair, DF, tol)
         assert probe.violations == 6 and probe.gray_excluded == 6
         assert [d[:2] for d in probe.violation_details] == [
             (1, "left"), (4, "left"), (6, "left"),
@@ -273,7 +270,7 @@ class TestEquivalenceProbe:
             F = VectorField(form.dim, tuple(
                 random_polynomial(rng, form.dim, degree=3, terms=4)
                 for _ in range(form.dim)))
-            X = random_points(rng, 60, form.dim)
+            DF = F.jacobian(random_points(rng, 60, form.dim))
             for tol in (1e-8, 1e-1, 10.0):
-                assert equivalence_probe(pair, F, X, tol=tol) == \
-                    probe_loop(pair, F, X, tol), (name, tol)
+                assert equivalence_probe(pair, DF, tol=tol) == \
+                    probe_loop(pair, DF, tol), (name, tol)

@@ -13,7 +13,7 @@ from gradlocus import (DimensionMismatch, Diverged, DomainError,
 from gradlocus import locus
 from gradlocus.exterior import antisymmetric_part
 
-from oracles import random_points, scalar_lm_rows
+from oracles import chart_loop, random_points, scalar_lm_rows
 
 
 def demo_phi(name):
@@ -323,6 +323,88 @@ class TestCertify:
         assert on.certified and on.charts == {(1,)}
         assert off.phi_norm > s.options.tol_residual
         assert off.charts == frozenset() and not off.certified
+
+
+def torus_phi(m):
+    """torus-m{m}: m copies of the circle-m1 demo on R^{2m}.  Its locus
+    puts each block (x_{2i-1}, x_{2i}) on its unit circle or at 0."""
+    F = []
+    for i in range(1, m + 1):
+        a, b = f"x{2 * i - 1}", f"x{2 * i}"
+        F += [f"{a} + ({a}^2 + {b}^2 - 1) * {b}",
+              f"{b} - ({a}^2 + {b}^2 - 1) * {a}"]
+    f = " + ".join(f"x{k}^2" for k in range(1, 2 * m + 1))
+    return euclidean_phi(f"({f}) / 2", F)
+
+
+def torus_points(rng, m, count):
+    """Locus points of torus-m{m}: each block at a random angle on its
+    unit circle, or at the origin with probability 1/5."""
+    theta = rng.uniform(0.0, 2.0 * np.pi, (count, m))
+    X = np.empty((count, 2 * m))
+    X[:, 0::2], X[:, 1::2] = np.cos(theta), np.sin(theta)
+    X[np.repeat(rng.random((count, m)) < 0.2, 2, axis=1)] = 0.0
+    return X
+
+
+class TestChartsAgainstOracle:
+    """The stacked chart test equals the per-point loop ``chart_loop``."""
+
+    def check(self, phi, X, opts=LocusOptions()):
+        got = [s.charts for s in certify(phi, X, opts)]
+        assert got == chart_loop(phi, X, opts)
+        return got
+
+    def test_demos(self):
+        for name in ("circle-m1", "plane-m2", "minkowski-grad"):
+            s, phi = demo_phi(name)
+            samples = sample_locus(phi, s.box_array(), 200, s.options)
+            assert samples, name
+            X = np.array([m.x for m in samples])
+            assert self.check(phi, X, s.options) == [m.charts for m in samples]
+
+    def test_torus(self):
+        rng = np.random.default_rng(61)
+        for m in (2, 3, 4):
+            phi = torus_phi(m)
+            charts = self.check(phi, torus_points(rng, m, 60))
+            assert all(charts) and len(set(charts)) > 1, m
+
+    def test_rank_gray_rows(self):
+        # a unit-circle coordinate t scales one row of DPhi by t, so the
+        # rank decision at tol_rank = 1e-6 is close for t in [1e-9, 1e-3];
+        # below 1e-12 of the full Jacobian a sub-block takes its scale
+        t = np.geomspace(1e-15, 1e-3, 61)
+        b = np.sqrt(1.0 - t * t)
+        blocks = np.concatenate([np.stack(v, axis=1) for v in (
+            (t, b), (b, t), (-t, b), (b, -t))])
+        for m in (1, 2):
+            charts = self.check(torus_phi(m), np.tile(blocks, m))
+            assert len(set(charts)) > 1, m
+        other = torus_points(np.random.default_rng(62), 1, len(blocks))
+        self.check(torus_phi(2), np.hstack([blocks, other]))
+
+    def test_stack_longer_than_one_chunk(self):
+        m = 6
+        per_chunk = locus._CHART_STACK_BYTES // (
+            len(all_charts(m)) * m * 2 * m * 8)
+        X = torus_points(np.random.default_rng(63), m, per_chunk + 3)
+        self.check(torus_phi(m), X)
+
+    def test_zero_rows(self):
+        s, phi = demo_phi("plane-m2")
+        assert certify(phi, np.empty((0, 4)), s.options) == []
+        assert chart_memberships(phi, np.empty((0, 4))) == []
+
+    def test_undefined_dphi_lies_on_no_chart(self):
+        class PoisonedOnLocus(PoisonedDphi):
+            POISON = np.array([0.0, 1.0])
+
+        _, phi = demo_phi("circle-m1")
+        poisoned = PoisonedOnLocus(phi.pair, phi.f, phi.F, phi.side, phi.C)
+        X = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+        assert chart_memberships(poisoned, X) == [
+            {(2,)}, frozenset(), {(1,), (2,)}]
 
 
 class TestChartMemberships:

@@ -268,6 +268,28 @@ class TestCli:
         recomputed = (tmp_path / "re/points_charts.csv").read_bytes()
         assert original == recomputed
 
+    @pytest.mark.parametrize("verb", ["dimension", "charts"])
+    @pytest.mark.parametrize("row, reason", [
+        ("0.5,abc", "could not convert string to float: 'abc'"),
+        ("0.5", "1 fields, header has 2"),
+        ("nan,0.5", "non-finite coordinate")],
+        ids=["non-numeric", "short-row", "nan"])
+    def test_bad_csv_row_exits_two(self, tmp_path, capsys, verb, row, reason):
+        points = tmp_path / "points.csv"
+        points.write_text(f"x1,x2\n0.0,1.0\n{row}\n1.0,0.0\n")
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(circle_dict()))
+        argv = [verb, str(points)]
+        if verb == "charts":
+            argv += ["--scenario", str(scenario)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"gradlocus: error: csv: row 2: {reason}\n"
+
+    def test_missing_csv_file(self, capsys):
+        assert main(["dimension", "/nonexistent.csv"]) == 2
+        assert capsys.readouterr().err.startswith("gradlocus: error: csv:")
+
     @pytest.mark.parametrize("verb", ["check", "locus"])
     @pytest.mark.parametrize("points", ["-5", "0"])
     def test_points_below_one_rejected(self, tmp_path, capsys, verb, points):
