@@ -8,14 +8,17 @@ Verbs::
     gradlocus dimension CSV [--out DIR]
     gradlocus charts    CSV --scenario s.json [--out DIR]
 
-All randomness flows from the scenario's (or --seed's) rng_seed; with
-a fixed seed the CSV output is byte-stable and the JSON output is
+All randomness flows from ``scenario.options.rng_seed`` (set by
+--seed), through ``box_halton`` for both check points and locus seeds;
+with a fixed seed the CSV output is byte-stable and the JSON output is
 byte-stable apart from its ``generated_at`` timestamp.  Floats are
 serialized with their shortest round-trip decimal representation.
 ``locus`` exits 0 exactly when no certified sample lacks a chart and
 the number of distinct charts stays within the binomial bound.
 ``check`` leaves out the points where the field's Jacobian is undefined
-and counts them in ``domain_excluded``.  ``--points`` must be at least 1.
+and counts them in ``domain_excluded``; its decisive points pass the
+Gamma rule of certification, ``integrability.decisive``.  ``--points``
+must be at least 1.
 """
 
 from __future__ import annotations
@@ -33,10 +36,10 @@ import numpy as np
 
 from .errors import GradlocusError
 from .geometry import FormKind, companion_map
-from .integrability import (equivalence_probe, gamma_obstruction,
+from .integrability import (decisive, equivalence_probe, gamma_obstruction,
                             obstruction_matrix, residual)
 from .locus import (DIMENSION_CAVEAT, all_charts, box_counting_dimension,
-                    build_phi, certify, default_scales, halton_sequence,
+                    box_halton, build_phi, certify, default_scales,
                     sample_locus, verify_cover)
 from .scenarios import (Scenario, builtin_demos, load_scenario,
                         scenario_to_dict)
@@ -73,14 +76,12 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
         tol_residual=args.tol_residual,
         tol_gamma=args.tol_gamma,
         tol_rank=getattr(args, "tol_rank", None),
+        rng_seed=args.seed,
     )
-    rng_seed = scenario.rng_seed if args.seed is None else args.seed
-    opts = opts.with_overrides(rng_seed=rng_seed)
     n_seeds = scenario.n_seeds
     if args.points is not None and args.command in ("locus", "demo"):
         n_seeds = args.points
-    return dataclasses.replace(scenario, n_seeds=n_seeds, rng_seed=rng_seed,
-                               options=opts)
+    return dataclasses.replace(scenario, n_seeds=n_seeds, options=opts)
 
 
 # ---------------------------------------------------------------------------
@@ -89,11 +90,8 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
 
 def cmd_check(scenario: Scenario, n_points: int, out_dir: Path | None) -> int:
     pair = companion_map(scenario.form)
-    box = scenario.box_array()
-    rng = np.random.default_rng(scenario.rng_seed)
-    shift = rng.random(scenario.dim)
-    pts = halton_sequence(n_points, scenario.dim, shift)
-    pts = box[:, 0] + pts * (box[:, 1] - box[:, 0])
+    pts = box_halton(scenario.box_array(), n_points,
+                     scenario.options.rng_seed)
 
     sides = ["left", "right"]
     if scenario.form.kind is FormKind.SYMMETRIC:
@@ -126,19 +124,18 @@ def cmd_check(scenario: Scenario, n_points: int, out_dir: Path | None) -> int:
             matched_rel_max = float(rel.max())
 
     gamma_rel_max = 0.0
-    decisive = 0
+    n_decisive = 0
     if scenario.dim % 2 == 0:
         values, scales = gamma_obstruction(pair, DF, scenario.side)
-        rel = np.abs(values) / scales
-        gamma_rel_max = float(rel.max())
-        decisive = int(np.sum(rel > 10.0 * tol))
+        gamma_rel_max = float((np.abs(values) / scales).max())
+        n_decisive = int(np.count_nonzero(decisive(values, scales, tol)))
 
     probe = equivalence_probe(pair, DF, tol=tol)
 
     if matched_rel_max is not None and matched_rel_max <= tol \
             and gamma_rel_max <= tol:
         verdict = "integrable everywhere sampled"
-    elif decisive > 0:
+    elif n_decisive > 0:
         verdict = "non-integrable obstruction present"
     else:
         verdict = "indeterminate"
@@ -149,11 +146,11 @@ def cmd_check(scenario: Scenario, n_points: int, out_dir: Path | None) -> int:
         "side": scenario.side,
         "n_points": n_points,
         "domain_excluded": excluded,
-        "rng_seed": scenario.rng_seed,
+        "rng_seed": scenario.options.rng_seed,
         "conditions": conditions,
         "obstruction": {
             "max_relative": gamma_rel_max,
-            "decisive_nonzero_points": decisive,
+            "decisive_nonzero_points": n_decisive,
         },
         "equivalence_probe": {
             "points": probe.points,
@@ -228,7 +225,7 @@ def cmd_locus(scenario: Scenario, out_dir: Path) -> int:
         "dim": scenario.dim,
         "side": scenario.side,
         "n_seeds": scenario.n_seeds,
-        "rng_seed": scenario.rng_seed,
+        "rng_seed": scenario.options.rng_seed,
         "sample_count": cover.total_samples,
         "certified_count": cover.certified_count,
         "uncovered_count": cover.uncovered_count,

@@ -23,15 +23,12 @@ batch comes back all NaN, and a single point raises DomainError.
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, ParseError
-
-logger = logging.getLogger(__name__)
 
 FUNCTIONS = ("sin", "cos", "exp", "log")
 
@@ -571,9 +568,6 @@ def hessian(expr: Expr, x):
     NaN outside the domain (a single point there raises DomainError)."""
     X, single = _as_batch(x)
     hess = _derivative(expr, X, 2, single)
-    skew = float(np.abs(hess - hess.transpose(0, 2, 1)).max())
-    if skew > 0.0:
-        logger.debug("symmetrizing Hessian of %s: skew part %.3e", expr, skew)
     hess = 0.5 * (hess + hess.transpose(0, 2, 1))
     return hess[0] if single else hess
 

@@ -10,9 +10,10 @@ the antisymmetry operator applied to the same matrix as the
 non-integrability obstruction.  Both depend on DF(x) alone, so the
 batch functions take Jacobians and never evaluate a field.
 
-"Nonzero" is decided with the scale-aware threshold
-|value| > tol * (m! ||C DF||_F^m + floor); points within a factor 10
-of the threshold fall in a gray zone where no verdict is issued.
+"Is Gamma nonzero?" has one rule, ``decisive``, shared by ``check``,
+``point_report`` and certification: with scale = m! ||C DF||_F^m +
+floor, |value| / scale <= tol is zero, above GRAY_FACTOR * tol is
+decisively nonzero, and in between is a gray zone with no verdict.
 Verdicts are pointwise only: no attempt is made to verify that the
 sampled domain is contractible.
 """
@@ -124,6 +125,12 @@ def gamma_obstruction(pair: GeometricPair, DF, side: str = "left"):
     return values, scales
 
 
+def decisive(value, scale, tol: float):
+    """Whether an obstruction is decisively nonzero: |value| / scale >
+    GRAY_FACTOR * tol, elementwise on arrays."""
+    return np.abs(value) / scale > GRAY_FACTOR * tol
+
+
 @dataclass(frozen=True)
 class IntegrabilityReport:
     """Pointwise verdict; both flags stay False in the gray zone.
@@ -160,7 +167,7 @@ def point_report(pair: GeometricPair, F: VectorField, x, side: str = "left",
         gamma_value=value,
         gamma_scale=scale,
         verdict_integrable=(res_rel <= tol and gamma_rel <= tol),
-        verdict_nonintegrable=(gamma_rel > GRAY_FACTOR * tol),
+        verdict_nonintegrable=bool(decisive(value, scale, tol)),
         tol=tol,
     )
 

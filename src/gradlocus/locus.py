@@ -2,11 +2,12 @@
 
 The locus of interest is the set of points where grad f(x) = C F(x)
 (C the exact inverse attached to the chosen side) while the top wedge
-power of C DF(x) stays away from zero.  Writing Phi = grad f - C F,
-the certified claims are: every such point lies on at least one chart
-(a choice of m components of Phi whose m x 2m Jacobian block has
-numerical rank m), at most binom(2m, m) distinct charts occur, and the
-point cloud's box-counting dimension does not exceed m.
+power of C DF(x) is decisively nonzero (``integrability.decisive``).
+Writing Phi = grad f - C F, the certified claims are: every such point
+lies on at least one chart (a choice of m components of Phi whose
+m x 2m Jacobian block has numerical rank m), at most binom(2m, m)
+distinct charts occur, and the point cloud's box-counting dimension
+does not exceed m.
 
 Box counting is a computable surrogate for the Hausdorff bound; every
 report downstream carries that caveat.
@@ -24,7 +25,7 @@ from .errors import (DimensionMismatch, Diverged, GradlocusError,
                      OddDimension, TooFewPoints)
 from .fields import ScalarField, VectorField
 from .geometry import GeometricPair
-from .integrability import gamma_obstruction, obstruction_matrix
+from .integrability import decisive, gamma_obstruction, obstruction_matrix
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # byte budget of one chunk of chart submatrices (0.5 MB a point at m = 6)
@@ -226,6 +227,14 @@ def halton_sequence(count: int, dim: int, shift=None) -> np.ndarray:
     return out
 
 
+def box_halton(box, count: int, rng_seed: int) -> np.ndarray:
+    """The first ``count`` Halton points, rotated by a shift drawn from
+    ``rng_seed``, mapped into a (dim, 2) box."""
+    b = np.asarray(box, dtype=float)
+    shift = np.random.default_rng(rng_seed).random(len(b))
+    return b[:, 0] + halton_sequence(count, len(b), shift) * (b[:, 1] - b[:, 0])
+
+
 def _box_array(box, dim: int) -> np.ndarray:
     b = np.asarray(box, dtype=float)
     if b.shape != (dim, 2):
@@ -298,9 +307,9 @@ def certify(phi: PhiSystem, X,
     """Certification data for each row of X, in order.
 
     A row is certified when it lies on the locus (||Phi|| <=
-    tol_residual), is obstructed (|Gamma| > tol_gamma * scale) and lies
-    on at least one chart.  Charts are computed, in one batch, only for
-    rows on the locus; rows off it get none and are never certified.
+    tol_residual), passes ``decisive`` with tol_gamma and lies on at
+    least one chart.  Charts are computed, in one batch, only for rows
+    on the locus; rows off it get none and are never certified.
     """
     X = np.asarray(X, dtype=float)
     phi_norms = np.linalg.norm(phi.phi(X), axis=1)
@@ -309,7 +318,7 @@ def certify(phi: PhiSystem, X,
     charts = np.full(len(X), frozenset(), dtype=object)
     charts[on_locus] = chart_memberships(phi, X[on_locus], opts.tol_rank,
                                          opts.tol_residual)
-    obstructed = on_locus & (np.abs(values) > opts.tol_gamma * scales)
+    obstructed = on_locus & decisive(values, scales, opts.tol_gamma)
     return [LocusSample(x=tuple(x), phi_norm=r, gamma_value=v, gamma_scale=s,
                         charts=c, certified=ok and bool(c))
             for x, r, v, s, c, ok in zip(
@@ -321,22 +330,18 @@ def sample_locus(phi: PhiSystem, box, n_seeds: int,
                  opts: LocusOptions = LocusOptions()) -> list[LocusSample]:
     """Extract locus samples from low-discrepancy seeds in the box.
 
-    Seeds follow the Halton sequence rotated by an rng_seed-derived
-    shift; converged points outside the box are dropped, the rest are
-    sorted lexicographically, thinned to a minimum separation of
-    dedup_factor times the box diameter and certified, so the output
-    is a deterministic function of (phi, box, n_seeds, opts).  An
-    empty result is valid.
+    Seeds are ``box_halton(box, n_seeds, opts.rng_seed)``; converged
+    points outside the box are dropped, the rest are sorted
+    lexicographically, thinned to a minimum separation of dedup_factor
+    times the box diameter and certified, so the output is a
+    deterministic function of (phi, box, n_seeds, opts).  An empty
+    result is valid.
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
     b = _box_array(box, phi.dim)
-    rng = np.random.default_rng(opts.rng_seed)
-    shift = rng.random(phi.dim)
-    seeds = halton_sequence(n_seeds, phi.dim, shift)
-    seeds = b[:, 0] + seeds * (b[:, 1] - b[:, 0])
-
-    pts, outcome = solve_from_seed(phi, seeds, opts)
+    pts, outcome = solve_from_seed(phi, box_halton(b, n_seeds, opts.rng_seed),
+                                   opts)
     pts = pts[(outcome == "converged") & np.all(pts >= b[:, 0], axis=1)
               & np.all(pts <= b[:, 1], axis=1)]
     if not len(pts):
@@ -384,7 +389,7 @@ def verify_cover(samples, m: int, tol_residual: float = 1e-10,
     uncovered = [
         s for s in samples
         if s.phi_norm <= tol_residual
-        and abs(s.gamma_value) > tol_gamma * s.gamma_scale
+        and decisive(s.gamma_value, s.gamma_scale, tol_gamma)
         and not s.charts
     ]
     per_chart: dict[tuple[int, ...], int] = {}

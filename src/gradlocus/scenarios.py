@@ -19,7 +19,9 @@ Schema::
                      "max_iters": ..., "damping": ..., "dedup_factor": ...}
     }
 
-All fields after "F" are optional.  Three demos ship built in:
+All fields after "F" are optional; rng_seed and the tolerances are
+kept in ``Scenario.options`` and written back in full.  Three demos
+ship built in:
 ``circle-m1`` (Euclidean plane, locus = unit circle plus the origin),
 ``plane-m2`` (symplectic R^4, locus = the x3 = x4 = 0 plane) and
 ``minkowski-grad`` (an exact pseudo-Euclidean gradient, whose certified
@@ -41,6 +43,10 @@ from .locus import LocusOptions
 
 DEFAULT_N_SEEDS = 500
 DEFAULT_RNG_SEED = 0
+# scenario "tolerances" key -> the LocusOptions field it sets
+TOLERANCE_KEYS = {"residual": "tol_residual", "gamma": "tol_gamma",
+                  "rank": "tol_rank", "max_iters": "max_iters",
+                  "damping": "damping", "dedup_factor": "dedup_factor"}
 
 
 @dataclass(frozen=True)
@@ -53,7 +59,6 @@ class Scenario:
     side: str
     box: tuple[tuple[float, float], ...]
     n_seeds: int
-    rng_seed: int
     options: LocusOptions
 
     @property
@@ -164,24 +169,18 @@ def scenario_from_dict(d) -> Scenario:
     if not isinstance(rng_seed, int) or isinstance(rng_seed, bool):
         raise ScenarioError(f"rng_seed: expected an integer, got {rng_seed!r}")
 
-    options = LocusOptions(rng_seed=rng_seed)
-    tol = d.get("tolerances", {})
-    if tol:
-        if not isinstance(tol, dict):
-            raise ScenarioError("tolerances: expected an object")
-        mapping = {"residual": "tol_residual", "gamma": "tol_gamma",
-                   "rank": "tol_rank", "max_iters": "max_iters",
-                   "damping": "damping", "dedup_factor": "dedup_factor"}
-        overrides = {}
-        for key, value in tol.items():
-            if key not in mapping:
-                raise ScenarioError(f"tolerances.{key}: unknown key")
-            overrides[mapping[key]] = value
-        options = options.with_overrides(**overrides)
+    tol = d.get("tolerances") or {}
+    if not isinstance(tol, dict):
+        raise ScenarioError("tolerances: expected an object")
+    for key in tol:
+        if key not in TOLERANCE_KEYS:
+            raise ScenarioError(f"tolerances.{key}: unknown key")
+    options = LocusOptions(rng_seed=rng_seed).with_overrides(
+        **{TOLERANCE_KEYS[key]: value for key, value in tol.items()})
 
     return Scenario(name=name, form=form, structure_spec=spec, f=f, F=F,
                     side=side, box=tuple(box), n_seeds=n_seeds,
-                    rng_seed=rng_seed, options=options)
+                    options=options)
 
 
 def scenario_to_dict(s: Scenario) -> dict:
@@ -195,12 +194,9 @@ def scenario_to_dict(s: Scenario) -> dict:
         "side": s.side,
         "box": [list(pair) for pair in s.box],
         "n_seeds": s.n_seeds,
-        "rng_seed": s.rng_seed,
-        "tolerances": {
-            "residual": s.options.tol_residual,
-            "gamma": s.options.tol_gamma,
-            "rank": s.options.tol_rank,
-        },
+        "rng_seed": s.options.rng_seed,
+        "tolerances": {key: getattr(s.options, field)
+                       for key, field in TOLERANCE_KEYS.items()},
     }
 
 

@@ -191,6 +191,11 @@ class TestDerivatives:
             assert np.abs(H - 0.5 * (fd + fd.T)).max() <= 1e-5 * scale
             checked += 1
 
+    def test_empty_batch(self):
+        e = parse_expression("sin(x1) * x2^2", 2)
+        assert gradient(e, np.empty((0, 2))).shape == (0, 2)
+        assert hessian(e, np.empty((0, 2))).shape == (0, 2, 2)
+
     def test_raw_hessian_is_exactly_symmetric(self):
         # white box: the second-order Jet rules only combine symmetric
         # outer pairs

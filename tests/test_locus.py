@@ -24,10 +24,7 @@ def demo_phi(name):
 
 def demo_seeds(s):
     """The Halton seeds sample_locus draws for a demo at its defaults."""
-    b = s.box_array()
-    shift = np.random.default_rng(s.options.rng_seed).random(s.dim)
-    return b[:, 0] + halton_sequence(s.n_seeds, s.dim, shift) * (b[:, 1]
-                                                                 - b[:, 0])
+    return locus.box_halton(s.box_array(), s.n_seeds, s.options.rng_seed)
 
 
 def euclidean_phi(f, F):
@@ -103,6 +100,11 @@ class TestBuildPhi:
             (X[:, 0] ** 2 + X[:, 1] ** 2 - 1) * X[:, 0],
         ], axis=1)
         assert np.abs(phi.phi(X) - want).max() <= 1e-12
+
+    def test_empty_batch(self):
+        _, phi = demo_phi("plane-m2")
+        assert phi.phi(np.empty((0, 4))).shape == (0, 4)
+        assert phi.dphi(np.empty((0, 4))).shape == (0, 4, 4)
 
     def test_plane_phi_matches_closed_form(self):
         _, phi = demo_phi("plane-m2")
@@ -522,3 +524,10 @@ class TestHalton:
         plain = halton_sequence(10, 2)
         shifted = halton_sequence(10, 2, shift=[0.5, 0.5])
         assert np.allclose(shifted, (plain + 0.5) % 1.0)
+
+    def test_box_halton_is_the_seeded_sequence_in_the_box(self):
+        box = np.array([[-2.0, 2.0], [0.5, 1.0], [3.0, 7.0]])
+        shift = np.random.default_rng(13).random(3)
+        expect = box[:, 0] + halton_sequence(40, 3, shift) * (box[:, 1]
+                                                              - box[:, 0])
+        assert np.array_equal(locus.box_halton(box, 40, 13), expect)

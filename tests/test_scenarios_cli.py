@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from gradlocus import ScenarioError, builtin_demos, scenario_from_dict
+from gradlocus import (LocusOptions, ScenarioError, build_phi,
+                       builtin_demos, certify, companion_map,
+                       scenario_from_dict, verify_cover)
 from gradlocus.cli import main
+from gradlocus.integrability import point_report
 from gradlocus.locus import halton_sequence
 from gradlocus.scenarios import (scenario_to_dict, structure_from_dict)
 
@@ -86,12 +89,17 @@ class TestScenarioValidation:
             scenario_from_dict(circle_dict(tolerances={"slack": 1}))
 
     def test_tolerances_override_defaults(self):
-        s = scenario_from_dict(circle_dict(tolerances={"residual": 1e-9,
-                                                       "gamma": 1e-7,
-                                                       "rank": 1e-5}))
-        assert s.options.tol_residual == 1e-9
-        assert s.options.tol_gamma == 1e-7
-        assert s.options.tol_rank == 1e-5
+        tolerances = {"residual": 1e-9, "gamma": 1e-7, "rank": 1e-5,
+                      "max_iters": 30, "damping": 1e-2, "dedup_factor": 1e-4}
+        s = scenario_from_dict(circle_dict(tolerances=tolerances,
+                                           rng_seed=123))
+        assert s.options == LocusOptions(
+            tol_residual=1e-9, tol_gamma=1e-7, tol_rank=1e-5, max_iters=30,
+            damping=1e-2, dedup_factor=1e-4, rng_seed=123)
+        # the round trip keeps all six tolerances and the seed
+        d = scenario_to_dict(s)
+        assert d["tolerances"] == tolerances and d["rng_seed"] == 123
+        assert scenario_from_dict(d).options == s.options
 
     def test_dim_structure_mismatch(self):
         with pytest.raises(ScenarioError, match="dim"):
@@ -222,6 +230,32 @@ class TestCli:
               str(tmp_path / "b"), "--seed", "99"])
         assert (tmp_path / "a/points.csv").read_bytes() != \
             (tmp_path / "b/points.csv").read_bytes()
+        for out, seed in (("a", 7), ("b", 99)):
+            summary = json.loads((tmp_path / out / "summary.json").read_text())
+            assert summary["rng_seed"] == seed
+
+    def test_gray_gamma_is_neither_certified_nor_decisive(self, tmp_path):
+        # F rotates grad f by 3e-8, so |Gamma| / scale = 4.24e-8 at every
+        # point: above tol_gamma = 1e-8 but inside its 10x gray zone
+        spec = circle_dict(name="rotation",
+                           F=["x1 - 3e-8 * x2", "x2 + 3e-8 * x1"])
+        s = scenario_from_dict(spec)
+        phi = build_phi(companion_map(s.form), s.f, s.F, s.side)
+        origin, = certify(phi, np.zeros((1, 2)), s.options)
+        assert origin.phi_norm == 0.0 and origin.charts
+        assert abs(origin.gamma_value) / origin.gamma_scale > 1e-8
+        assert not origin.certified
+        assert verify_cover([origin], 1).uncovered_count == 0
+        report = point_report(phi.pair, s.F, [0.0, 0.0])
+        assert not report.verdict_nonintegrable
+        assert not report.verdict_integrable
+        scenario = tmp_path / "rotation.json"
+        scenario.write_text(json.dumps(spec))
+        assert main(["check", "--scenario", str(scenario),
+                     "--out", str(tmp_path)]) == 0
+        check = json.loads((tmp_path / "check.json").read_text())
+        assert check["obstruction"]["decisive_nonzero_points"] == 0
+        assert check["verdict"] == "indeterminate"
 
     def test_locus_rejects_odd_dimension(self, tmp_path, capsys):
         bad = {
