@@ -36,8 +36,8 @@ import numpy as np
 
 from .errors import GradlocusError
 from .geometry import FormKind, companion_map
-from .integrability import (decisive, equivalence_probe, gamma_obstruction,
-                            obstruction_matrix, residual)
+from .integrability import (decisive, distinct_sides, equivalence_probe,
+                            gamma_obstruction, residual)
 from .locus import (DIMENSION_CAVEAT, all_charts, box_counting_dimension,
                     box_halton, build_phi, certify, default_scales,
                     sample_locus, verify_cover)
@@ -100,8 +100,6 @@ def cmd_check(scenario: Scenario, n_points: int, out_dir: Path | None) -> int:
         sides.append("symplectic")
 
     tol = scenario.options.tol_gamma
-    conditions = {}
-    matched_rel_max = None
     # one Jacobian for every condition, without its undefined (NaN) rows;
     # always a masked copy, which frees the DSL's stack (peak RSS 3 MB lower)
     DF = scenario.F.jacobian(pts)
@@ -111,28 +109,23 @@ def cmd_check(scenario: Scenario, n_points: int, out_dir: Path | None) -> int:
         raise GradlocusError(f"check: all {n_points} points are "
                              "outside the domain of the field")
     DF = DF[defined]
-    for side in sides:
-        res = residual(pair, DF, side)
-        rel = res / (1.0 + np.sqrt(np.sum(
-            (obstruction_matrix(pair, side) @ DF) ** 2, axis=(1, 2))))
-        conditions[side] = {
-            "max": float(res.max()),
-            "mean": float(res.mean()),
-            "max_relative": float(rel.max()),
-        }
-        if side == scenario.side:
-            matched_rel_max = float(rel.max())
+    # every distinct C is first met on left or right (the other sides use
+    # right's C): one residual call per C, relative maxima from the probe
+    probe = equivalence_probe(pair, DF, tol=tol)
+    rel_max, first = dict(probe.max_relative), distinct_sides(pair, sides)
+    res = {s: residual(pair, DF, s) for s in dict.fromkeys(first.values())}
+    conditions = {side: {"max": float(res[s].max()),
+                         "mean": float(res[s].mean()),
+                         "max_relative": rel_max[s]}
+                  for side, s in first.items()}
 
-    gamma_rel_max = 0.0
-    n_decisive = 0
+    gamma_rel_max, n_decisive = 0.0, 0
     if scenario.dim % 2 == 0:
         values, scales = gamma_obstruction(pair, DF, scenario.side)
         gamma_rel_max = float((np.abs(values) / scales).max())
         n_decisive = int(np.count_nonzero(decisive(values, scales, tol)))
 
-    probe = equivalence_probe(pair, DF, tol=tol)
-
-    if matched_rel_max is not None and matched_rel_max <= tol \
+    if conditions[scenario.side]["max_relative"] <= tol \
             and gamma_rel_max <= tol:
         verdict = "integrable everywhere sampled"
     elif n_decisive > 0:
@@ -148,16 +141,10 @@ def cmd_check(scenario: Scenario, n_points: int, out_dir: Path | None) -> int:
         "domain_excluded": excluded,
         "rng_seed": scenario.options.rng_seed,
         "conditions": conditions,
-        "obstruction": {
-            "max_relative": gamma_rel_max,
-            "decisive_nonzero_points": n_decisive,
-        },
-        "equivalence_probe": {
-            "points": probe.points,
-            "checks": probe.checks,
-            "violations": probe.violations,
-            "gray_excluded": probe.gray_excluded,
-        },
+        "obstruction": {"max_relative": gamma_rel_max,
+                        "decisive_nonzero_points": n_decisive},
+        "equivalence_probe": {key: getattr(probe, key) for key in (
+            "points", "checks", "violations", "gray_excluded")},
         "verdict": verdict,
         "tolerances": _tolerance_block(scenario.options),
         "note": "nonzero decisions use |value| > tol * scale with a 10x gray zone",
@@ -373,12 +360,10 @@ def main(argv=None) -> int:
             raise GradlocusError(f"points: must be >= 1, got {args.points}")
         if args.command == "check":
             scenario = _apply_overrides(load_scenario(args.scenario), args)
-            n_points = args.points if args.points is not None else 200
-            return cmd_check(scenario, n_points, args.out)
+            return cmd_check(scenario, args.points or 200, args.out)
         if args.command == "locus":
             scenario = _apply_overrides(load_scenario(args.scenario), args)
-            out = args.out if args.out else Path(".")
-            return cmd_locus(scenario, out)
+            return cmd_locus(scenario, args.out or Path("."))
         if args.command == "dimension":
             return cmd_dimension(args.csv, args.out)
         if args.command == "charts":

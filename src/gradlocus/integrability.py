@@ -10,6 +10,10 @@ the antisymmetry operator applied to the same matrix as the
 non-integrability obstruction.  Both depend on DF(x) alone, so the
 batch functions take Jacobians and never evaluate a field.
 
+Numbers of N = C DF are computed once per distinct C, not per side:
+symmetric and symplectic equal right (C = Q), and left shares C when
+Q^T = Q (``distinct_sides``).
+
 "Is Gamma nonzero?" has one rule, ``decisive``, shared by ``check``,
 ``point_report`` and certification: with scale = m! ||C DF||_F^m +
 floor, |value| / scale <= tol is zero, above GRAY_FACTOR * tol is
@@ -107,6 +111,14 @@ def obstruction_matrix(pair: GeometricPair, side: str) -> np.ndarray:
     raise ValueError(f"side must be one of {SIDES}, got {side!r}")
 
 
+def distinct_sides(pair: GeometricPair, sides) -> dict:
+    """{side: the first of ``sides`` with the same obstruction matrix};
+    sides that share C share every number derived from C DF."""
+    first = {}
+    return {side: first.setdefault(obstruction_matrix(pair, side).tobytes(),
+                                   side) for side in sides}
+
+
 def gamma_obstruction(pair: GeometricPair, DF, side: str = "left"):
     """(value, scale): top wedge-power coefficient of C DF and its
     degree-m normalizer m! ||C DF||_F^m + floor, as floats for one
@@ -174,7 +186,8 @@ def point_report(pair: GeometricPair, F: VectorField, x, side: str = "left",
 
 @dataclass(frozen=True)
 class ProbeReport:
-    """Outcome of the residual/obstruction equivalence probe."""
+    """Outcome of the residual/obstruction equivalence probe, with the
+    largest relative residual ||N - N^T||_F / (1 + ||N||_F) per side."""
 
     points: int
     checks: int
@@ -182,6 +195,7 @@ class ProbeReport:
     gray_excluded: int
     tol: float
     violation_details: tuple[tuple[int, str, float, float], ...] = ()
+    max_relative: tuple[tuple[str, float], ...] = ()
 
 
 def equivalence_probe(pair: GeometricPair, DF,
@@ -191,29 +205,27 @@ def equivalence_probe(pair: GeometricPair, DF,
     Jacobians DF (n, n) or (B, n, n) at the points.
 
     Points within a factor GRAY_FACTOR of the threshold on either
-    measure are excluded from the violation count and reported.
+    measure are excluded from the violation count and reported.  Both
+    are counted per side, though a C shared by the sides is checked once.
     """
     DF, _ = _stack(pair, DF)
     lo, hi = tol / GRAY_FACTOR, tol * GRAY_FACTOR
-    violations = []
-    gray = 0
-    for side in ("left", "right"):
-        N = obstruction_matrix(pair, side) @ DF
-        D = _defect(N)
-        scale = 1.0 + _fro(N)
-        res_rel = _fro(D) / scale
-        coeff_rel = np.abs(D).max(axis=(1, 2)) / scale
+    violations, gray, max_relative, rel = [], 0, [], {}
+    for side, first in distinct_sides(pair, ("left", "right")).items():
+        if first == side:
+            N = obstruction_matrix(pair, side) @ DF
+            D = _defect(N)
+            scale = 1.0 + _fro(N)
+            rel[side] = _fro(D) / scale, np.abs(D).max(axis=(1, 2)) / scale
+        res_rel, coeff_rel = rel[first]
         in_gray = (((lo <= res_rel) & (res_rel <= hi))
                    | ((lo <= coeff_rel) & (coeff_rel <= hi)))
         bad = ~in_gray & ((res_rel <= tol) != (coeff_rel <= tol))
         gray += int(np.count_nonzero(in_gray))
         violations += [(int(i), side, float(res_rel[i]), float(coeff_rel[i]))
                        for i in np.flatnonzero(bad)]
-    return ProbeReport(
-        points=len(DF),
-        checks=2 * len(DF),
-        violations=len(violations),
-        gray_excluded=gray,
-        tol=tol,
-        violation_details=tuple(violations),
-    )
+        max_relative.append((side, float(res_rel.max(initial=0.0))))
+    return ProbeReport(points=len(DF), checks=2 * len(DF),
+                       violations=len(violations), gray_excluded=gray, tol=tol,
+                       violation_details=tuple(violations),
+                       max_relative=tuple(max_relative))

@@ -39,7 +39,7 @@ from .errors import GradlocusError, ScenarioError
 from .fields import ScalarField, VectorField
 from .geometry import (BilinearForm, make_form, minkowski, pseudo_euclidean,
                        standard_euclidean, standard_symplectic)
-from .locus import LocusOptions
+from .locus import _PRIMES, LocusOptions
 
 DEFAULT_N_SEEDS = 500
 DEFAULT_RNG_SEED = 0
@@ -120,6 +120,9 @@ def scenario_from_dict(d) -> Scenario:
     if not isinstance(name, str) or not name:
         raise ScenarioError("name: required non-empty string")
     dim = _positive_int(d, "dim", d.get("dim"))
+    if dim > len(_PRIMES):
+        raise ScenarioError(f"dim: at most {len(_PRIMES)}, one Halton base "
+                            f"per coordinate, got {dim}")
     form, spec = structure_from_dict(d.get("structure"))
     if form.dim != dim:
         raise ScenarioError(

@@ -11,11 +11,13 @@ import numpy as np
 
 from gradlocus import dsl
 from gradlocus.errors import DimensionMismatch, Diverged, DomainError
-from gradlocus.geometry import (make_form, minkowski, pseudo_euclidean,
+from gradlocus.geometry import (FormKind, companion_map, make_form,
+                                minkowski, pseudo_euclidean,
                                 standard_euclidean, standard_symplectic)
-from gradlocus.integrability import (GRAY_FACTOR, ProbeReport,
-                                     obstruction_matrix)
-from gradlocus.locus import all_charts
+from gradlocus.integrability import (GRAY_FACTOR, ProbeReport, decisive,
+                                     gamma_obstruction, obstruction_matrix,
+                                     residual)
+from gradlocus.locus import all_charts, box_halton
 
 GENERAL_Q = np.array([[1.0, 1.0], [0.0, 1.0]])
 
@@ -96,7 +98,7 @@ def probe_loop(pair, DF, tol):
     check at a time, on a (B, n, n) Jacobian stack: the loop the masked
     ``equivalence_probe`` must reproduce, report and violation order
     included."""
-    violations, gray, checks = [], 0, 0
+    violations, gray, checks, max_relative = [], 0, 0, []
     for side in ("left", "right"):
         N = obstruction_matrix(pair, side) @ DF
         D = N - np.swapaxes(N, 1, 2)
@@ -117,9 +119,68 @@ def probe_loop(pair, DF, tol):
             if (res_rel[i] <= tol) != (coeff_rel[i] <= tol):
                 violations.append((i, side, float(res_rel[i]),
                                    float(coeff_rel[i])))
+        max_relative.append((side, max(map(float, res_rel), default=0.0)))
     return ProbeReport(points=len(DF), checks=checks,
                        violations=len(violations), gray_excluded=gray,
-                       tol=tol, violation_details=tuple(violations))
+                       tol=tol, violation_details=tuple(violations),
+                       max_relative=tuple(max_relative))
+
+
+def check_by_side(scenario, n_points):
+    """The ``check.json`` payload without ``generated_at``, with the
+    residual, its relative norm and the probe run once per side, whether
+    or not sides share their obstruction matrix: the loop the
+    one-pass-per-matrix ``cmd_check`` must reproduce bit for bit."""
+    pair = companion_map(scenario.form)
+    opts = scenario.options
+    DF = scenario.F.jacobian(box_halton(scenario.box_array(), n_points,
+                                        opts.rng_seed))
+    DF = DF[np.all(np.isfinite(DF), axis=(1, 2))]
+    sides = ["left", "right"]
+    if scenario.form.kind is FormKind.SYMMETRIC:
+        sides.append("symmetric")
+    if scenario.form.kind is FormKind.SKEW_SYMMETRIC and scenario.dim % 2 == 0:
+        sides.append("symplectic")
+    conditions = {}
+    for side in sides:
+        res = residual(pair, DF, side)
+        rel = res / (1.0 + np.sqrt(np.sum(
+            (obstruction_matrix(pair, side) @ DF) ** 2, axis=(1, 2))))
+        conditions[side] = {"max": float(res.max()), "mean": float(res.mean()),
+                            "max_relative": float(rel.max())}
+    gamma_rel_max, n_decisive = 0.0, 0
+    if scenario.dim % 2 == 0:
+        values, scales = gamma_obstruction(pair, DF, scenario.side)
+        gamma_rel_max = float((np.abs(values) / scales).max())
+        n_decisive = int(np.count_nonzero(decisive(values, scales,
+                                                   opts.tol_gamma)))
+    probe = probe_loop(pair, DF, opts.tol_gamma)
+    if (conditions[scenario.side]["max_relative"] <= opts.tol_gamma
+            and gamma_rel_max <= opts.tol_gamma):
+        verdict = "integrable everywhere sampled"
+    elif n_decisive > 0:
+        verdict = "non-integrable obstruction present"
+    else:
+        verdict = "indeterminate"
+    return {
+        "scenario": scenario.name,
+        "dim": scenario.dim,
+        "side": scenario.side,
+        "n_points": n_points,
+        "domain_excluded": n_points - len(DF),
+        "rng_seed": opts.rng_seed,
+        "conditions": conditions,
+        "obstruction": {"max_relative": gamma_rel_max,
+                        "decisive_nonzero_points": n_decisive},
+        "equivalence_probe": {"points": probe.points, "checks": probe.checks,
+                              "violations": probe.violations,
+                              "gray_excluded": probe.gray_excluded},
+        "verdict": verdict,
+        "tolerances": {"residual": opts.tol_residual,
+                       "gamma": opts.tol_gamma, "rank": opts.tol_rank},
+        "note": "nonzero decisions use |value| > tol * scale with a 10x "
+                "gray zone",
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from gradlocus import (DomainError, NotSymplectic, ScalarField,
                        standard_euclidean, standard_symplectic,
                        symmetric_residual, symplectic_residual)
 from gradlocus.geometry import FormKind
-from gradlocus.integrability import residual
+from gradlocus.integrability import distinct_sides, residual
 
 from oracles import (GENERAL_Q, antisymmetric_defect_norm,
                      builtin_structures, probe_loop, random_points,
@@ -216,6 +216,16 @@ class TestPointReport:
 
 
 class TestEquivalenceProbe:
+    def test_distinct_sides(self):
+        sides = ("left", "right", "symmetric", "symplectic")
+        euclidean = companion_map(standard_euclidean(2))
+        assert distinct_sides(euclidean, sides[:3]) == dict.fromkeys(
+            sides[:3], "left")
+        for form in (standard_symplectic(1), make_form(GENERAL_Q)):
+            assert distinct_sides(companion_map(form), sides) == {
+                "left": "left", "right": "right", "symmetric": "right",
+                "symplectic": "right"}
+
     def test_exact_gradients_probe_clean(self):
         rng = np.random.default_rng(48)
         for name, form in builtin_structures():

@@ -1,21 +1,63 @@
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gradlocus import (LocusOptions, ScenarioError, build_phi,
-                       builtin_demos, certify, companion_map,
+                       builtin_demos, certify, companion_map, load_scenario,
                        scenario_from_dict, verify_cover)
 from gradlocus.cli import main
 from gradlocus.integrability import point_report
 from gradlocus.locus import halton_sequence
 from gradlocus.scenarios import (scenario_to_dict, structure_from_dict)
 
+from oracles import GENERAL_Q, check_by_side
+
 
 def circle_dict(**overrides):
     base = scenario_to_dict(builtin_demos()["circle-m1"])
     base.update(overrides)
     return base
+
+
+def euclidean_dict(dim):
+    """Euclidean R^dim with F = x, the identity field."""
+    return circle_dict(name=f"euclidean-{dim}", dim=dim,
+                       structure={"kind": "euclidean", "dim": dim},
+                       F=[f"x{i + 1}" for i in range(dim)],
+                       box=[[-1.0, 1.0]] * dim)
+
+
+def _torus_scenarios():
+    """torus-m2 and torus-m4, the benchmark's scenario family."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "torus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_torus", path)
+    torus = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = torus
+    spec.loader.exec_module(torus)
+    return {f"torus-m{m}": torus.scenario(m, 100, 11) for m in (2, 4)}
+
+
+# the three demos, the torus family, a general Q with Q^T != +-Q, where left
+# and right have different obstruction matrices, and a dense symmetric Q,
+# where right's numbers now come from left's C = Q^T
+CHECK_SCENARIOS = {
+    **{name: scenario_to_dict(s) for name, s in builtin_demos().items()},
+    **_torus_scenarios(),
+    "general-q": circle_dict(name="general-q", structure={
+        "kind": "general", "Q": GENERAL_Q.tolist()}),
+    "general-symmetric": {
+        "name": "general-symmetric", "dim": 4,
+        "structure": {"kind": "general", "Q": [
+            [2.0, 0.3, -0.7, 0.1], [0.3, 1.7, 0.2, 0.9],
+            [-0.7, 0.2, 3.1, 0.4], [0.1, 0.9, 0.4, 2.3]]},
+        "f": "x1 * x4 + x2^2",
+        "F": ["x1 + x2 * x3", "x2 - x1^2", "sin(x3) + x4", "x1 * x4"],
+        "box": [[-2.0, 2.0]] * 4, "rng_seed": 5},
+}
 
 
 def mixed_domain_dict(**overrides):
@@ -105,6 +147,12 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match="dim"):
             scenario_from_dict(circle_dict(dim=4))
 
+    def test_dim_beyond_halton_bases(self):
+        # one Halton base per coordinate, for check points and locus seeds
+        assert scenario_from_dict(euclidean_dict(12)).dim == 12
+        with pytest.raises(ScenarioError, match=r"^dim: at most 12, .* 14$"):
+            scenario_from_dict(euclidean_dict(14))
+
 
 def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
@@ -193,6 +241,32 @@ class TestCli:
         rows = (tmp_path / "re/points_charts.csv").read_text().splitlines()
         assert rows[1].split(",")[2:] == ["nan", "nan", "nan", "0", "0"]
         assert np.all(np.isfinite(np.array(rows[2].split(",")[:5], float)))
+
+    @pytest.mark.parametrize("verb", ["check", "locus"])
+    def test_dim_beyond_halton_bases_exits_at_load(self, tmp_path, capsys,
+                                                   verb):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(euclidean_dict(14)))
+        assert main([verb, "--scenario", str(scenario), "--points", "5",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "gradlocus: error: dim: at most 12")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", sorted(CHECK_SCENARIOS))
+    def test_check_matches_per_side_loop(self, tmp_path, name):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(CHECK_SCENARIOS[name]))
+        assert main(["check", "--scenario", str(scenario), "--points", "2000",
+                     "--out", str(tmp_path)]) == 0
+        report = read_json(tmp_path / "check.json")
+        del report["generated_at"]
+        assert report == check_by_side(load_scenario(scenario), 2000)
+        conditions = report["conditions"]
+        assert (conditions["left"] != conditions["right"]) == \
+            (name == "general-q")
+        assert ("symmetric" in conditions) == (
+            name not in ("general-q", "plane-m2"))
 
     def test_check_creates_out_dir(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"
