@@ -5,8 +5,9 @@ locus with chart-coverage certification."""
 
 from .dsl import Expr, differentiate, parse_expression
 from .errors import (DegenerateForm, DimensionMismatch, Diverged, DomainError,
-                     GradlocusError, NotAntisymmetric, NotSymplectic,
-                     OddDimension, ParseError, ScenarioError, TooFewPoints)
+                     GradlocusError, InvalidOption, NotAntisymmetric,
+                     NotSymplectic, OddDimension, ParseError, ScenarioError,
+                     TooFewPoints)
 from .exterior import (MultiVector, antisymmetric_part, gamma, gamma_power,
                        pfaffian, wedge)
 from .fields import (ScalarField, VectorField, gradient_like_field,
@@ -32,11 +33,11 @@ __version__ = "0.1.0"
 __all__ = [
     "BilinearForm", "CoverReport", "DegenerateForm", "DimensionEstimate",
     "DimensionMismatch", "Diverged", "DomainError", "Expr", "FormKind",
-    "GeometricPair", "GradlocusError", "IntegrabilityReport", "LocusOptions",
-    "LocusSample", "MultiVector", "NotAntisymmetric", "NotSymplectic",
-    "OddDimension", "ParseError", "PhiSystem", "ProbeReport", "ScalarField",
-    "Scenario", "ScenarioError", "TooFewPoints", "VectorField", "all_charts",
-    "antisymmetric_part", "box_counting_dimension", "build_phi",
+    "GeometricPair", "GradlocusError", "IntegrabilityReport", "InvalidOption",
+    "LocusOptions", "LocusSample", "MultiVector", "NotAntisymmetric",
+    "NotSymplectic", "OddDimension", "ParseError", "PhiSystem", "ProbeReport",
+    "ScalarField", "Scenario", "ScenarioError", "TooFewPoints", "VectorField",
+    "all_charts", "antisymmetric_part", "box_counting_dimension", "build_phi",
     "builtin_demos", "certify", "chart_memberships", "companion_map",
     "default_scales", "differentiate", "equivalence_probe", "evaluate",
     "gamma", "gamma_obstruction", "gamma_power", "gradient_like_field",

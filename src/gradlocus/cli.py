@@ -13,12 +13,14 @@ All randomness flows from ``scenario.options.rng_seed`` (set by
 with a fixed seed the CSV output is byte-stable and the JSON output is
 byte-stable apart from its ``generated_at`` timestamp.  Floats are
 serialized with their shortest round-trip decimal representation.
-``locus`` exits 0 exactly when no certified sample lacks a chart and
-the number of distinct charts stays within the binomial bound.
-``check`` leaves out the points where the field's Jacobian is undefined
-and counts them in ``domain_excluded``; its decisive points pass the
-Gamma rule of certification, ``integrability.decisive``.  ``--points``
-must be at least 1.
+``locus`` exits 0 exactly when no sample that ``certify`` judged
+obstructed lacks a chart and the number of distinct charts stays within
+the binomial bound.  ``check`` leaves out the points where the field's
+Jacobian is undefined and counts them in ``domain_excluded``; its
+decisive points pass the Gamma rule of certification,
+``integrability.decisive``.  ``--points`` must be at least 1; the
+``--tol-*`` values and ``--seed`` are checked by ``LocusOptions``, and a
+bad one exits 2 with one error line.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ from .integrability import (decisive, distinct_sides, equivalence_probe,
 from .locus import (DIMENSION_CAVEAT, all_charts, box_counting_dimension,
                     box_halton, build_phi, certify, default_scales,
                     sample_locus, verify_cover)
-from .scenarios import (Scenario, builtin_demos, load_scenario,
-                        scenario_to_dict)
+from .scenarios import (TOLERANCE_KEYS, Scenario, builtin_demos,
+                        load_scenario, scenario_to_dict)
 
 EXIT_OK = 0
 EXIT_CONTRACT = 1
@@ -67,8 +69,9 @@ def _write_json(payload: dict, path: Path | None):
 
 
 def _tolerance_block(opts) -> dict:
-    return {"residual": opts.tol_residual, "gamma": opts.tol_gamma,
-            "rank": opts.tol_rank}
+    """The three thresholds (the tol_* fields) under their scenario keys."""
+    return {key: getattr(opts, field) for key, field in TOLERANCE_KEYS.items()
+            if field.startswith("tol_")}
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
@@ -185,9 +188,7 @@ def cmd_locus(scenario: Scenario, out_dir: Path) -> int:
     phi = build_phi(pair, scenario.f, scenario.F, scenario.side)
     samples = sample_locus(phi, scenario.box_array(), scenario.n_seeds,
                            scenario.options)
-    cover = verify_cover(samples, phi.m,
-                         tol_residual=scenario.options.tol_residual,
-                         tol_gamma=scenario.options.tol_gamma)
+    cover = verify_cover(samples, phi.m)
 
     certified_pts = np.array([s.x for s in samples if s.certified])
     dim_est = fit_r2 = None

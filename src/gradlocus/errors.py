@@ -67,5 +67,13 @@ class TooFewPoints(GradlocusError):
     """Not enough points for a meaningful dimension estimate."""
 
 
+class InvalidOption(GradlocusError):
+    """A LocusOptions ``field`` has an invalid value; ``reason`` says why."""
+
+    def __init__(self, field, reason):
+        super().__init__(f"{field}: {reason}")
+        self.field, self.reason = field, reason
+
+
 class ScenarioError(GradlocusError):
     """A scenario file failed validation; the message names the field."""

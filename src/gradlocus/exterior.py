@@ -331,46 +331,12 @@ def gamma_power(M, m: int | None = None):
 
 
 def antisymmetric_part(M) -> np.ndarray:
-    """M - M^T (unhalved, matching the gamma coefficient convention)."""
+    """M - M^T (unhalved, matching the gamma coefficient convention) for
+    one (n, n) matrix or each matrix of an (..., n, n) stack."""
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise DimensionMismatch(f"M must be square, got {M.shape}")
-    return M - M.T
-
-
-def _pfaffian_matchings(A: np.ndarray) -> float:
-    """Signed sum over perfect matchings of {0..n-1}.
-
-    The sign of the matching (i1 j1)(i2 j2)... with i1 < i2 < ... and
-    ik < jk is the parity of the permutation (i1 j1 i2 j2 ...).
-    """
-    n = A.shape[0]
-
-    def parity(perm):
-        inv = 0
-        for i in range(len(perm)):
-            for j in range(i + 1, len(perm)):
-                if perm[i] > perm[j]:
-                    inv += 1
-        return -1 if inv & 1 else 1
-
-    def matchings(items):
-        if not items:
-            yield []
-            return
-        first, rest = items[0], items[1:]
-        for k, second in enumerate(rest):
-            for tail in matchings(rest[:k] + rest[k + 1:]):
-                yield [(first, second)] + tail
-
-    total = 0.0
-    for pairing in matchings(list(range(n))):
-        perm = [idx for pair in pairing for idx in pair]
-        prod = 1.0
-        for i, j in pairing:
-            prod *= A[i, j]
-        total += parity(perm) * prod
-    return total
+    return M - np.swapaxes(M, -1, -2)
 
 
 def _pfaffian_expand(A: np.ndarray, rows: tuple[int, ...]) -> float:
@@ -399,8 +365,7 @@ def _pfaffian_expand(A: np.ndarray, rows: tuple[int, ...]) -> float:
 def pfaffian(A) -> float:
     """Pfaffian of an antisymmetric matrix of even dimension.
 
-    Uses the explicit perfect-matchings sum for n <= 8 and the
-    recursive first-row expansion beyond that; Pf(A)^2 = det(A).
+    Computed by the memoized first-row expansion; Pf(A)^2 = det(A).
     Raises NotAntisymmetric when ||A + A^T|| exceeds 1e-10 ||A||.
     """
     A = np.asarray(A, dtype=float)
@@ -414,6 +379,4 @@ def pfaffian(A) -> float:
     scale = float(np.abs(A).max())
     if scale > 0 and float(np.abs(A + A.T).max()) > 1e-10 * scale:
         raise NotAntisymmetric("matrix is not antisymmetric within tolerance")
-    if n <= 8:
-        return _pfaffian_matchings(A)
     return _pfaffian_expand(A, tuple(range(n)))

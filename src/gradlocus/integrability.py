@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotSymplectic, OddDimension
-from .exterior import gamma_power
+from .exterior import antisymmetric_part, gamma_power
 from .fields import VectorField
 from .geometry import FormKind, GeometricPair
 
@@ -54,11 +54,6 @@ def _fro(mats):
     return np.sqrt(np.sum(mats * mats, axis=(1, 2)))
 
 
-def _defect(N):
-    """N - N^T for each matrix of a (B, n, n) stack."""
-    return N - np.swapaxes(N, 1, 2)
-
-
 def residual(pair: GeometricPair, DF, side: str):
     """||N - N^T||_F with N = C DF, the side's integrability defect, for
     one Jacobian DF (n, n) -> float or a stack (B, n, n) -> (B,).
@@ -75,7 +70,7 @@ def residual(pair: GeometricPair, DF, side: str):
         raise NotSymplectic(
             "symplectic residual requires a skew form of even dimension")
     DF, single = _stack(pair, DF)
-    out = _fro(_defect(C @ DF))
+    out = _fro(antisymmetric_part(C @ DF))
     return float(out[0]) if single else out
 
 
@@ -214,7 +209,7 @@ def equivalence_probe(pair: GeometricPair, DF,
     for side, first in distinct_sides(pair, ("left", "right")).items():
         if first == side:
             N = obstruction_matrix(pair, side) @ DF
-            D = _defect(N)
+            D = antisymmetric_part(N)
             scale = 1.0 + _fro(N)
             rel[side] = _fro(D) / scale, np.abs(D).max(axis=(1, 2)) / scale
         res_rel, coeff_rel = rel[first]

@@ -16,16 +16,19 @@ report downstream carries that caveat.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from itertools import combinations, compress
+from numbers import Integral, Real
 
 import numpy as np
 
 from .errors import (DimensionMismatch, Diverged, GradlocusError,
-                     OddDimension, TooFewPoints)
+                     InvalidOption, OddDimension, TooFewPoints)
 from .fields import ScalarField, VectorField
 from .geometry import GeometricPair
-from .integrability import decisive, gamma_obstruction, obstruction_matrix
+from .integrability import (TOL_GAMMA, decisive, gamma_obstruction,
+                            obstruction_matrix)
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # byte budget of one chunk of chart submatrices (0.5 MB a point at m = 6)
@@ -34,16 +37,38 @@ _CHART_STACK_BYTES = 1 << 23
 
 @dataclass(frozen=True)
 class LocusOptions:
-    """Tolerances and knobs for locus extraction; defaults are the
-    pinned desk-scale values."""
+    """Tolerances and knobs for locus extraction, the one owner of their
+    pinned desk-scale defaults: every locus function reads them here.
+
+    Construction raises InvalidOption unless the float fields are finite
+    real numbers (not bool) above 0 (dedup_factor: at least 0), max_iters
+    is an integer >= 1 and rng_seed an integer >= 0.
+    """
 
     max_iters: int = 50
     tol_residual: float = 1e-10
     damping: float = 1e-3
-    tol_gamma: float = 1e-8
+    tol_gamma: float = TOL_GAMMA
     tol_rank: float = 1e-6
     dedup_factor: float = 1e-3
     rng_seed: int = 0
+
+    def __post_init__(self):
+        for name, least in (("max_iters", 1), ("rng_seed", 0)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, Integral) or v < least:
+                raise InvalidOption(
+                    name, f"expected an integer >= {least}, got {v!r}")
+        for name in ("tol_residual", "damping", "tol_gamma", "tol_rank",
+                     "dedup_factor"):
+            v = getattr(self, name)
+            op = ">=" if name == "dedup_factor" else ">"
+            # abs(v) <= max is False for NaN, inf and ints beyond floats
+            if (isinstance(v, bool) or not isinstance(v, Real)
+                    or not abs(v) <= sys.float_info.max
+                    or v < 0 or (v == 0 and op == ">")):
+                raise InvalidOption(
+                    name, f"expected a finite number {op} 0, got {v!r}")
 
     def with_overrides(self, **kw) -> "LocusOptions":
         kw = {k: v for k, v in kw.items() if v is not None}
@@ -246,14 +271,20 @@ def _box_array(box, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LocusSample:
-    """A converged near-zero of Phi with its certification data."""
+    """A point with the verdicts ``certify`` gave it: ``obstructed``
+    when it lies on the locus and its Gamma-power passes ``decisive``,
+    and the charts it lies on."""
 
     x: tuple[float, ...]
     phi_norm: float
     gamma_value: float
     gamma_scale: float
     charts: frozenset[tuple[int, ...]]
-    certified: bool
+    obstructed: bool
+
+    @property
+    def certified(self) -> bool:
+        return self.obstructed and bool(self.charts)
 
     @property
     def point(self) -> np.ndarray:
@@ -265,11 +296,11 @@ def all_charts(m: int) -> list[tuple[int, ...]]:
     return list(combinations(range(1, 2 * m + 1), m))
 
 
-def chart_memberships(phi: PhiSystem, X, tol_rank: float = 1e-6,
-                      tol_residual: float = 1e-10):
+def chart_memberships(phi: PhiSystem, X, opts: LocusOptions = LocusOptions()):
     """Charts containing locus points: index tuples alpha whose rows of
-    DPhi(x) form a matrix of numerical rank m.  An (n,) point gives one
-    frozenset, a (B, n) stack a list of B of them.
+    DPhi(x) form a matrix of numerical rank m at opts.tol_rank.  An (n,)
+    point gives one frozenset, a (B, n) stack a list of B of them; every
+    point must satisfy ||Phi|| <= opts.tol_residual.
 
     A submatrix whose largest singular value is negligible against the
     full Jacobian (below 1e-12 of its spectral norm) is treated as
@@ -280,7 +311,7 @@ def chart_memberships(phi: PhiSystem, X, tol_rank: float = 1e-6,
     """
     X = np.asarray(X, dtype=float)
     res = np.linalg.norm(np.atleast_2d(phi.phi(X)), axis=1)
-    if not np.all(res <= tol_residual):
+    if not np.all(res <= opts.tol_residual):
         raise GradlocusError("chart membership requested off the locus: "
                              f"||Phi|| = {np.max(res):.3e}")
     single = X.ndim == 1
@@ -296,7 +327,7 @@ def chart_memberships(phi: PhiSystem, X, tol_rank: float = 1e-6,
         global_s1 = np.linalg.norm(J, 2, axis=(1, 2))[:, None]
         sv = np.linalg.svd(J[:, rows, :], compute_uv=False)
         ref = np.where(sv[..., 0] > 1e-12 * global_s1, sv[..., 0], global_s1)
-        rank_m = np.sum(sv > tol_rank * ref[..., None], axis=-1) == m
+        rank_m = np.sum(sv > opts.tol_rank * ref[..., None], axis=-1) == m
         members += [frozenset(compress(charts, row))
                     for row in rank_m.tolist()]
     return members[0] if single else members
@@ -306,21 +337,21 @@ def certify(phi: PhiSystem, X,
             opts: LocusOptions = LocusOptions()) -> list[LocusSample]:
     """Certification data for each row of X, in order.
 
-    A row is certified when it lies on the locus (||Phi|| <=
-    tol_residual), passes ``decisive`` with tol_gamma and lies on at
-    least one chart.  Charts are computed, in one batch, only for rows
-    on the locus; rows off it get none and are never certified.
+    A row is obstructed when it lies on the locus (||Phi|| <=
+    tol_residual) and passes ``decisive`` with tol_gamma, and certified
+    when it is obstructed and lies on at least one chart.  Charts are
+    computed, in one batch, only for rows on the locus; rows off it get
+    none and are never certified.
     """
     X = np.asarray(X, dtype=float)
     phi_norms = np.linalg.norm(phi.phi(X), axis=1)
     values, scales = gamma_obstruction(phi.pair, phi.F.jacobian(X), phi.side)
     on_locus = phi_norms <= opts.tol_residual
     charts = np.full(len(X), frozenset(), dtype=object)
-    charts[on_locus] = chart_memberships(phi, X[on_locus], opts.tol_rank,
-                                         opts.tol_residual)
+    charts[on_locus] = chart_memberships(phi, X[on_locus], opts)
     obstructed = on_locus & decisive(values, scales, opts.tol_gamma)
     return [LocusSample(x=tuple(x), phi_norm=r, gamma_value=v, gamma_scale=s,
-                        charts=c, certified=ok and bool(c))
+                        charts=c, obstructed=ok)
             for x, r, v, s, c, ok in zip(
                 X.tolist(), phi_norms.tolist(), values.tolist(),
                 scales.tolist(), charts, obstructed.tolist())]
@@ -364,9 +395,9 @@ def sample_locus(phi: PhiSystem, box, n_seeds: int,
 class CoverReport:
     """Chart coverage accounting over one sample list.
 
-    ``uncovered_count`` counts samples that satisfy the analytic
-    membership conditions yet lie on no chart; the chart construction
-    guarantees this stays zero.  Per-chart counts are reported without
+    ``uncovered_count`` counts samples that ``certify`` judged
+    obstructed yet lie on no chart; the chart construction guarantees
+    this stays zero.  Per-chart counts are reported without
     any nonemptiness claim for individual charts.
     """
 
@@ -382,16 +413,11 @@ class CoverReport:
         return self.uncovered_count == 0 and self.charts_used <= self.chart_bound
 
 
-def verify_cover(samples, m: int, tol_residual: float = 1e-10,
-                 tol_gamma: float = 1e-8) -> CoverReport:
-    """Tally certification, uncovered points and distinct charts."""
+def verify_cover(samples, m: int) -> CoverReport:
+    """Tally certification, uncovered points and distinct charts from
+    the verdicts ``certify`` stored in the samples."""
     certified = [s for s in samples if s.certified]
-    uncovered = [
-        s for s in samples
-        if s.phi_norm <= tol_residual
-        and decisive(s.gamma_value, s.gamma_scale, tol_gamma)
-        and not s.charts
-    ]
+    uncovered = [s for s in samples if s.obstructed and not s.charts]
     per_chart: dict[tuple[int, ...], int] = {}
     for s in certified:
         for chart in sorted(s.charts):

@@ -20,7 +20,9 @@ Schema::
     }
 
 All fields after "F" are optional; rng_seed and the tolerances are
-kept in ``Scenario.options`` and written back in full.  Three demos
+kept in ``Scenario.options`` and written back in full.  Their values are
+checked by ``LocusOptions``; a bad one fails as ``tolerances.<key>``
+(or ``rng_seed``).  Three demos
 ship built in:
 ``circle-m1`` (Euclidean plane, locus = unit circle plus the origin),
 ``plane-m2`` (symplectic R^4, locus = the x3 = x4 = 0 plane) and
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GradlocusError, ScenarioError
+from .errors import GradlocusError, InvalidOption, ScenarioError
 from .fields import ScalarField, VectorField
 from .geometry import (BilinearForm, make_form, minkowski, pseudo_euclidean,
                        standard_euclidean, standard_symplectic)
@@ -168,9 +170,6 @@ def scenario_from_dict(d) -> Scenario:
 
     n_seeds = d.get("n_seeds", DEFAULT_N_SEEDS)
     n_seeds = _positive_int(d, "n_seeds", n_seeds)
-    rng_seed = d.get("rng_seed", DEFAULT_RNG_SEED)
-    if not isinstance(rng_seed, int) or isinstance(rng_seed, bool):
-        raise ScenarioError(f"rng_seed: expected an integer, got {rng_seed!r}")
 
     tol = d.get("tolerances") or {}
     if not isinstance(tol, dict):
@@ -178,8 +177,14 @@ def scenario_from_dict(d) -> Scenario:
     for key in tol:
         if key not in TOLERANCE_KEYS:
             raise ScenarioError(f"tolerances.{key}: unknown key")
-    options = LocusOptions(rng_seed=rng_seed).with_overrides(
-        **{TOLERANCE_KEYS[key]: value for key, value in tol.items()})
+    try:
+        options = LocusOptions(
+            rng_seed=d.get("rng_seed", DEFAULT_RNG_SEED),
+            **{TOLERANCE_KEYS[key]: value for key, value in tol.items()})
+    except InvalidOption as exc:
+        key = {field: f"tolerances.{key}" for key, field
+               in TOLERANCE_KEYS.items()}.get(exc.field, exc.field)
+        raise ScenarioError(f"{key}: {exc.reason}") from None
 
     return Scenario(name=name, form=form, structure_spec=spec, f=f, F=F,
                     side=side, box=tuple(box), n_seeds=n_seeds,

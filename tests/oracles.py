@@ -85,6 +85,31 @@ def dict_top_power(M, m: int) -> float:
     return power.get(tuple(range(1, 2 * m + 1)), 0.0)
 
 
+def pfaffian_matchings(A) -> float:
+    """Pfaffian by its definition: the signed sum over the perfect
+    matchings of {0..n-1}.  The sign of the matching (i1 j1)(i2 j2)...
+    with i1 < i2 < ... and ik < jk is that of the permutation
+    (i1 j1 i2 j2 ...)."""
+    A = np.asarray(A, dtype=float)
+
+    def matchings(items):
+        if not items:
+            yield []
+            return
+        first, rest = items[0], items[1:]
+        for k, second in enumerate(rest):
+            for tail in matchings(rest[:k] + rest[k + 1:]):
+                yield [(first, second)] + tail
+
+    total = 0.0
+    for pairing in matchings(list(range(A.shape[0]))):
+        prod = 1.0
+        for i, j in pairing:
+            prod *= A[i, j]
+        total += inversion_sign([k for pair in pairing for k in pair]) * prod
+    return total
+
+
 def antisymmetric_defect_norm(Q, DF, side) -> np.ndarray:
     """||N - N^T||_F at each point, N = C DF with C = Q^T on the left
     side and C = Q on every other side, one matrix at a time."""

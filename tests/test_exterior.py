@@ -6,9 +6,7 @@ import pytest
 from gradlocus import (DimensionMismatch, MultiVector, NotAntisymmetric,
                        OddDimension, antisymmetric_part, gamma, gamma_power,
                        pfaffian, wedge)
-from gradlocus.exterior import _pfaffian_expand, _pfaffian_matchings
-
-from oracles import dict_gamma, dict_top_power, dict_wedge
+from oracles import dict_gamma, dict_top_power, dict_wedge, pfaffian_matchings
 
 
 def e(dim, *indices):
@@ -432,12 +430,12 @@ class TestPfaffian:
 
     def test_matchings_and_expansion_agree(self):
         rng = np.random.default_rng(16)
-        for n in (4, 6, 8):
+        for n in (4, 6, 8, 10):
             for _ in range(25):
                 M = rng.standard_normal((n, n))
                 A = M - M.T
-                direct = _pfaffian_matchings(A)
-                expanded = _pfaffian_expand(A, tuple(range(n)))
+                direct = pfaffian_matchings(A)
+                expanded = pfaffian(A)
                 assert direct == pytest.approx(expanded, rel=1e-10, abs=1e-12)
 
     def test_large_dimension_uses_expansion(self):
@@ -456,6 +454,18 @@ class TestAntisymmetricPart:
         M = np.array([[0.0, -1.0], [1.0, 0.0]])
         assert np.array_equal(antisymmetric_part(M),
                               [[0.0, -2.0], [2.0, 0.0]])
+
+    def test_stack_matches_matrix_by_matrix(self):
+        M = np.random.default_rng(18).standard_normal((3, 4, 5, 5))
+        got = antisymmetric_part(M)
+        assert got.shape == M.shape
+        for idx in np.ndindex(M.shape[:-2]):
+            assert np.array_equal(got[idx], antisymmetric_part(M[idx]))
+
+    def test_rejects_non_square(self):
+        for shape in ((3,), (2, 3), (4, 2, 3)):
+            with pytest.raises(DimensionMismatch):
+                antisymmetric_part(np.zeros(shape))
 
     def test_unhalved_convention(self):
         M = np.array([[1.0, 2.0], [0.0, 1.0]])

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from gradlocus import (DimensionMismatch, Diverged, DomainError,
-                       GradlocusError, LocusOptions, OddDimension,
-                       PhiSystem, ScalarField, TooFewPoints,
+                       GradlocusError, InvalidOption, LocusOptions,
+                       OddDimension, PhiSystem, ScalarField, TooFewPoints,
                        VectorField, all_charts, box_counting_dimension,
                        builtin_demos, build_phi, certify,
                        chart_memberships, companion_map, default_scales,
@@ -52,6 +52,29 @@ class PoisonedDphi(PhiSystem):
             return J
         J[np.all(x == self.POISON, axis=1)] = np.nan
         return J
+
+
+class TestLocusOptions:
+    def test_accepts_boundary_and_numpy_values(self):
+        opts = LocusOptions(dedup_factor=0, max_iters=np.int64(5),
+                            tol_rank=np.float64(1e-3), damping=1, rng_seed=0)
+        assert opts.dedup_factor == 0 and opts.max_iters == 5
+
+    @pytest.mark.parametrize("field, value", [
+        ("tol_residual", 0.0), ("tol_gamma", -1e-8), ("tol_rank", np.inf),
+        ("damping", np.nan), ("dedup_factor", -1e-3), ("tol_rank", "1e-6"),
+        ("tol_gamma", None), ("damping", True), ("tol_residual", 10**400),
+        ("max_iters", 0), ("max_iters", 3.0), ("max_iters", False),
+        ("rng_seed", -1), ("rng_seed", 1.5)])
+    def test_rejects_bad_values(self, field, value):
+        with pytest.raises(InvalidOption) as info:
+            LocusOptions(**{field: value})
+        assert info.value.field == field
+        assert str(info.value).startswith(f"{field}: expected")
+
+    def test_overrides_are_validated(self):
+        with pytest.raises(InvalidOption, match="^tol_residual: "):
+            LocusOptions().with_overrides(tol_residual=-1.0)
 
 
 class TestBuildPhi:
@@ -454,6 +477,24 @@ class TestVerifyCover:
         assert 1 <= report.charts_used <= 6
         assert report.chart_bound == 6
         assert (1, 2) in report.per_chart
+
+    def test_counts_the_verdicts_of_certify(self):
+        # F rotates grad f by 7e-7, so |Gamma| / scale = 9.9e-7 at the
+        # origin: decisive at the default tol_gamma, gray at 1e-6; a rank
+        # tolerance of 10 leaves the origin on no chart
+        phi = euclidean_phi("(x1^2 + x2^2) / 2",
+                            ["x1 - 7e-7 * x2", "x2 + 7e-7 * x1"])
+        origin = np.zeros((1, 2))
+        gray, = certify(phi, origin, LocusOptions(tol_gamma=1e-6, tol_rank=10))
+        assert abs(gray.gamma_value) / gray.gamma_scale == pytest.approx(
+            9.9e-7, rel=1e-2)
+        assert not gray.obstructed and not gray.charts and not gray.certified
+        report = verify_cover([gray], 1)
+        assert report.uncovered_count == 0 and report.ok
+        bare, = certify(phi, origin, LocusOptions(tol_rank=10))
+        assert bare.obstructed and not bare.certified
+        report = verify_cover([bare], 1)
+        assert report.uncovered_count == 1 and not report.ok
 
     def test_empty_sample_list_vacuous(self):
         report = verify_cover([], 1)

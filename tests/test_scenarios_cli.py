@@ -409,6 +409,33 @@ class TestCli:
         assert err.startswith("gradlocus: error: points:")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("key, value", [
+        ("residual", "x"), ("gamma", [1]), ("damping", -1),
+        ("max_iters", 2.5), ("rank", True), ("dedup_factor", None)])
+    def test_bad_tolerance_value_rejected(self, tmp_path, capsys, key, value):
+        spec = circle_dict(n_seeds=30)
+        spec["tolerances"][key] = value
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(spec))
+        assert main(["locus", "--scenario", str(scenario), "--out",
+                     str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"gradlocus: error: tolerances.{key}: expected")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--tol-residual", "-1", "tol_residual"),
+        ("--tol-gamma", "nan", "tol_gamma"), ("--seed", "-1", "rng_seed")])
+    def test_bad_option_flag_rejected(self, tmp_path, capsys, flag, value,
+                                      field):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(circle_dict(n_seeds=30)))
+        assert main(["locus", "--scenario", str(scenario), "--out",
+                     str(tmp_path / "out"), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"gradlocus: error: {field}: expected")
+        assert err.count("\n") == 1
+
     def test_missing_scenario_file(self, capsys):
         assert main(["check", "--scenario", "/nonexistent.json"]) == 2
         assert capsys.readouterr().err.startswith("gradlocus: error:")
