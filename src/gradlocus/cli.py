@@ -13,14 +13,15 @@ All randomness flows from ``scenario.options.rng_seed`` (set by
 with a fixed seed the CSV output is byte-stable and the JSON output is
 byte-stable apart from its ``generated_at`` timestamp.  Floats are
 serialized with their shortest round-trip decimal representation.
-``locus`` exits 0 exactly when no sample that ``certify`` judged
-obstructed lacks a chart and the number of distinct charts stays within
-the binomial bound.  ``check`` leaves out the points where the field's
-Jacobian is undefined and counts them in ``domain_excluded``; its
-decisive points pass the Gamma rule of certification,
-``integrability.decisive``.  ``--points`` must be at least 1; the
-``--tol-*`` values and ``--seed`` are checked by ``LocusOptions``, and a
-bad one exits 2 with one error line.
+The verbs load a scenario, call the library and write files; every
+pointwise rule is the library's (an odd dimension fails in
+``build_phi``; too few certified samples for ``box_counting_dimension``
+skip the dimension estimate).  ``locus`` exits 0 exactly when
+``verify_cover`` reports ok.  ``check`` leaves out the points where the
+field's Jacobian is undefined and counts them in ``domain_excluded``.
+``--points`` must be at least 1; the ``--tol-*`` values and ``--seed``
+are checked by ``LocusOptions``, and a bad one exits 2 with one error
+line.
 """
 
 from __future__ import annotations
@@ -29,20 +30,20 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from .errors import GradlocusError
-from .geometry import FormKind, companion_map
-from .integrability import (decisive, distinct_sides, equivalence_probe,
-                            gamma_obstruction, residual)
-from .locus import (DIMENSION_CAVEAT, all_charts, box_counting_dimension,
-                    box_halton, build_phi, certify, default_scales,
-                    sample_locus, verify_cover)
+from .errors import GradlocusError, OddDimension, TooFewPoints
+from .geometry import companion_map
+from .integrability import (conditions, decisive, distinct_sides,
+                            equivalence_probe, gamma_obstruction, integrable,
+                            residual)
+from .locus import (DIMENSION_CAVEAT, MIN_DIMENSION_POINTS, all_charts,
+                    box_counting_dimension, box_halton, build_phi, certify,
+                    default_scales, sample_locus, verify_cover)
 from .scenarios import (TOLERANCE_KEYS, Scenario, builtin_demos,
                         load_scenario, scenario_to_dict)
 
@@ -68,19 +69,19 @@ def _write_json(payload: dict, path: Path | None):
         path.write_text(text, encoding="utf-8")
 
 
+# the three thresholds; the --tol-* flags are stored under their fields
+_THRESHOLDS = {key: field for key, field in TOLERANCE_KEYS.items()
+               if field.startswith("tol_")}
+
+
 def _tolerance_block(opts) -> dict:
-    """The three thresholds (the tol_* fields) under their scenario keys."""
-    return {key: getattr(opts, field) for key, field in TOLERANCE_KEYS.items()
-            if field.startswith("tol_")}
+    return {key: getattr(opts, field) for key, field in _THRESHOLDS.items()}
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
     opts = scenario.options.with_overrides(
-        tol_residual=args.tol_residual,
-        tol_gamma=args.tol_gamma,
-        tol_rank=getattr(args, "tol_rank", None),
         rng_seed=args.seed,
-    )
+        **{field: getattr(args, field) for field in _THRESHOLDS.values()})
     n_seeds = scenario.n_seeds
     if args.points is not None and args.command in ("locus", "demo"):
         n_seeds = args.points
@@ -96,12 +97,6 @@ def cmd_check(scenario: Scenario, n_points: int, out_dir: Path | None) -> int:
     pts = box_halton(scenario.box_array(), n_points,
                      scenario.options.rng_seed)
 
-    sides = ["left", "right"]
-    if scenario.form.kind is FormKind.SYMMETRIC:
-        sides.append("symmetric")
-    if scenario.form.kind is FormKind.SKEW_SYMMETRIC and scenario.dim % 2 == 0:
-        sides.append("symplectic")
-
     tol = scenario.options.tol_gamma
     # one Jacobian for every condition, without its undefined (NaN) rows;
     # always a masked copy, which frees the DSL's stack (peak RSS 3 MB lower)
@@ -115,21 +110,23 @@ def cmd_check(scenario: Scenario, n_points: int, out_dir: Path | None) -> int:
     # every distinct C is first met on left or right (the other sides use
     # right's C): one residual call per C, relative maxima from the probe
     probe = equivalence_probe(pair, DF, tol=tol)
-    rel_max, first = dict(probe.max_relative), distinct_sides(pair, sides)
+    rel_max = dict(probe.max_relative)
+    first = distinct_sides(pair, conditions(pair))
     res = {s: residual(pair, DF, s) for s in dict.fromkeys(first.values())}
-    conditions = {side: {"max": float(res[s].max()),
-                         "mean": float(res[s].mean()),
-                         "max_relative": rel_max[s]}
-                  for side, s in first.items()}
+    per_side = {side: {"max": float(res[s].max()),
+                       "mean": float(res[s].mean()),
+                       "max_relative": rel_max[s]}
+                for side, s in first.items()}
 
-    gamma_rel_max, n_decisive = 0.0, 0
-    if scenario.dim % 2 == 0:
+    try:
         values, scales = gamma_obstruction(pair, DF, scenario.side)
+    except OddDimension:  # odd dimension: no Gamma-power to report
+        gamma_rel_max, n_decisive = 0.0, 0
+    else:
         gamma_rel_max = float((np.abs(values) / scales).max())
         n_decisive = int(np.count_nonzero(decisive(values, scales, tol)))
 
-    if conditions[scenario.side]["max_relative"] <= tol \
-            and gamma_rel_max <= tol:
+    if integrable(per_side[scenario.side]["max_relative"], gamma_rel_max, tol):
         verdict = "integrable everywhere sampled"
     elif n_decisive > 0:
         verdict = "non-integrable obstruction present"
@@ -143,7 +140,7 @@ def cmd_check(scenario: Scenario, n_points: int, out_dir: Path | None) -> int:
         "n_points": n_points,
         "domain_excluded": excluded,
         "rng_seed": scenario.options.rng_seed,
-        "conditions": conditions,
+        "conditions": per_side,
         "obstruction": {"max_relative": gamma_rel_max,
                         "decisive_nonzero_points": n_decisive},
         "equivalence_probe": {key: getattr(probe, key) for key in (
@@ -162,17 +159,14 @@ def cmd_check(scenario: Scenario, n_points: int, out_dir: Path | None) -> int:
 
 
 def _write_points_csv(path: Path, dim: int, m: int, samples):
-    charts = all_charts(m)
-    chart_pos = {c: i for i, c in enumerate(charts)}
+    chart_pos = {c: i for i, c in enumerate(all_charts(m))}
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([f"x{i + 1}" for i in range(dim)]
                         + ["phi_norm", "gamma_value", "gamma_scale",
                            "chart_mask", "certified"])
         for s in samples:
-            mask = 0
-            for c in s.charts:
-                mask |= 1 << chart_pos[c]
+            mask = sum(1 << chart_pos[c] for c in s.charts)
             writer.writerow([_fmt_float(v) for v in s.x]
                             + [_fmt_float(s.phi_norm),
                                _fmt_float(s.gamma_value),
@@ -181,29 +175,27 @@ def _write_points_csv(path: Path, dim: int, m: int, samples):
 
 
 def cmd_locus(scenario: Scenario, out_dir: Path) -> int:
-    if scenario.dim % 2:
-        raise GradlocusError(
-            f"dim: locus extraction needs even dimension, got {scenario.dim}")
     pair = companion_map(scenario.form)
     phi = build_phi(pair, scenario.f, scenario.F, scenario.side)
     samples = sample_locus(phi, scenario.box_array(), scenario.n_seeds,
                            scenario.options)
     cover = verify_cover(samples, phi.m)
 
-    certified_pts = np.array([s.x for s in samples if s.certified])
-    dim_est = fit_r2 = None
-    dim_note = DIMENSION_CAVEAT
-    dim_detail = None
-    if certified_pts.shape[0] >= 50:
-        box = scenario.box_array()
-        scales = default_scales(float(np.linalg.norm(box[:, 1] - box[:, 0])))
+    certified_pts = np.reshape([s.x for s in samples if s.certified],
+                               (-1, scenario.dim))
+    box = scenario.box_array()
+    scales = default_scales(float(np.linalg.norm(box[:, 1] - box[:, 0])))
+    try:
         est = box_counting_dimension(certified_pts, scales)
-        dim_est, fit_r2 = est.estimate, est.fit_r2
+    except TooFewPoints:
+        dim_est = fit_r2 = dim_detail = None
+        dim_note = (f"{DIMENSION_CAVEAT} (skipped: fewer than "
+                    f"{MIN_DIMENSION_POINTS} certified samples)")
+    else:
+        dim_est, fit_r2, dim_note = est.estimate, est.fit_r2, est.note
         dim_detail = {"scales": list(est.scales),
                       "counts": list(est.counts),
                       "used": [bool(u) for u in est.used]}
-    else:
-        dim_note += " (skipped: fewer than 50 certified samples)"
 
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_points_csv(out_dir / "points.csv", scenario.dim, phi.m, samples)
@@ -282,16 +274,13 @@ def cmd_dimension(csv_path: Path, out_dir: Path | None) -> int:
 
 
 def cmd_charts(csv_path: Path, scenario: Scenario, out_dir: Path | None) -> int:
-    if scenario.dim % 2:
-        raise GradlocusError(
-            f"dim: chart membership needs even dimension, got {scenario.dim}")
+    pair = companion_map(scenario.form)
+    phi = build_phi(pair, scenario.f, scenario.F, scenario.side)
     X = _read_points_csv(csv_path)
     if X.shape[1] != scenario.dim:
         raise GradlocusError(
             f"csv: {X.shape[1]} coordinate columns, scenario dim "
             f"{scenario.dim}")
-    pair = companion_map(scenario.form)
-    phi = build_phi(pair, scenario.f, scenario.F, scenario.side)
     samples = certify(phi, X, scenario.options)
 
     target_dir = out_dir if out_dir else csv_path.parent
@@ -302,9 +291,8 @@ def cmd_charts(csv_path: Path, scenario: Scenario, out_dir: Path | None) -> int:
         "csv": str(csv_path),
         "output": str(target),
         "rows": len(samples),
-        "recomputed_memberships": sum(
-            s.phi_norm <= scenario.options.tol_residual for s in samples),
-        "chart_bound": math.comb(scenario.dim, scenario.dim // 2),
+        "recomputed_memberships": sum(s.on_locus for s in samples),
+        "chart_bound": verify_cover(samples, phi.m).chart_bound,
         "tolerances": _tolerance_block(scenario.options),
         "generated_at": _timestamp(),
     }, None)
@@ -359,17 +347,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "points", None) is not None and args.points < 1:
             raise GradlocusError(f"points: must be >= 1, got {args.points}")
-        if args.command == "check":
-            scenario = _apply_overrides(load_scenario(args.scenario), args)
-            return cmd_check(scenario, args.points or 200, args.out)
-        if args.command == "locus":
-            scenario = _apply_overrides(load_scenario(args.scenario), args)
-            return cmd_locus(scenario, args.out or Path("."))
         if args.command == "dimension":
             return cmd_dimension(args.csv, args.out)
-        if args.command == "charts":
-            scenario = _apply_overrides(load_scenario(args.scenario), args)
-            return cmd_charts(args.csv, scenario, args.out)
         if args.command == "demo":
             demos = builtin_demos()
             if args.name not in demos:
@@ -383,7 +362,12 @@ def main(argv=None) -> int:
             out.mkdir(parents=True, exist_ok=True)
             _write_json(scenario_to_dict(scenario), out / "scenario.json")
             return cmd_locus(scenario, out)
-        raise AssertionError(f"unhandled command {args.command}")
+        scenario = _apply_overrides(load_scenario(args.scenario), args)
+        if args.command == "check":
+            return cmd_check(scenario, args.points or 200, args.out)
+        if args.command == "locus":
+            return cmd_locus(scenario, args.out or Path("."))
+        return cmd_charts(args.csv, scenario, args.out)
     except GradlocusError as exc:
         sys.stderr.write(f"gradlocus: error: {exc}\n")
         return EXIT_ERROR

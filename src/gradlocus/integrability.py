@@ -10,16 +10,16 @@ the antisymmetry operator applied to the same matrix as the
 non-integrability obstruction.  Both depend on DF(x) alone, so the
 batch functions take Jacobians and never evaluate a field.
 
-Numbers of N = C DF are computed once per distinct C, not per side:
-symmetric and symplectic equal right (C = Q), and left shares C when
-Q^T = Q (``distinct_sides``).
+The sides that apply to a form are ``conditions(pair)``.  Numbers of
+N = C DF are computed once per distinct C, not per side: symmetric and
+symplectic equal right (C = Q), and left shares C when Q^T = Q.
 
-"Is Gamma nonzero?" has one rule, ``decisive``, shared by ``check``,
-``point_report`` and certification: with scale = m! ||C DF||_F^m +
-floor, |value| / scale <= tol is zero, above GRAY_FACTOR * tol is
-decisively nonzero, and in between is a gray zone with no verdict.
-Verdicts are pointwise only: no attempt is made to verify that the
-sampled domain is contractible.
+Each verdict has one rule, shared by ``check``, ``point_report`` and
+certification: with scale = m! ||C DF||_F^m + floor, ``integrable``
+needs the relative residual and |value| / scale at most tol,
+``decisive`` needs |value| / scale above GRAY_FACTOR * tol, and in
+between is a gray zone with no verdict.  Verdicts are pointwise only:
+no attempt is made to verify that the sampled domain is contractible.
 """
 
 from __future__ import annotations
@@ -54,19 +54,28 @@ def _fro(mats):
     return np.sqrt(np.sum(mats * mats, axis=(1, 2)))
 
 
+def conditions(pair: GeometricPair) -> tuple[str, ...]:
+    """The sides whose condition applies to the pair's form."""
+    kind = pair.form.kind
+    if kind is FormKind.SYMMETRIC:
+        return ("left", "right", "symmetric")
+    if kind is FormKind.SKEW_SYMMETRIC and pair.dim % 2 == 0:
+        return ("left", "right", "symplectic")
+    return ("left", "right")
+
+
 def residual(pair: GeometricPair, DF, side: str):
     """||N - N^T||_F with N = C DF, the side's integrability defect, for
     one Jacobian DF (n, n) -> float or a stack (B, n, n) -> (B,).
 
     Every condition is this norm: C = Q^T for left and C = Q for right,
-    symmetric (symmetric forms only) and symplectic (skew forms of even
-    dimension only, where it equals ||(DF)^T B^{-1} + B^{-1} DF||_F).
+    symmetric and symplectic (then ||(DF)^T B^{-1} + B^{-1} DF||_F); a
+    side outside ``conditions(pair)`` raises.
     """
     C = obstruction_matrix(pair, side)
-    if side == "symmetric" and pair.form.kind is not FormKind.SYMMETRIC:
-        raise ValueError("symmetric residual requires a symmetric form")
-    if side == "symplectic" and (pair.form.kind is not FormKind.SKEW_SYMMETRIC
-                                 or pair.dim % 2):
+    if side not in conditions(pair):
+        if side == "symmetric":
+            raise ValueError("symmetric residual requires a symmetric form")
         raise NotSymplectic(
             "symplectic residual requires a skew form of even dimension")
     DF, single = _stack(pair, DF)
@@ -138,6 +147,11 @@ def decisive(value, scale, tol: float):
     return np.abs(value) / scale > GRAY_FACTOR * tol
 
 
+def integrable(residual_rel, gamma_rel, tol: float):
+    """Relative residual and |value| / scale both <= tol, elementwise."""
+    return (residual_rel <= tol) & (gamma_rel <= tol)
+
+
 @dataclass(frozen=True)
 class IntegrabilityReport:
     """Pointwise verdict; both flags stay False in the gray zone.
@@ -166,14 +180,13 @@ def point_report(pair: GeometricPair, F: VectorField, x, side: str = "left",
     value, scale = gamma_obstruction(pair, DF, side)
     res_rel = res / (1.0 + float(_fro(obstruction_matrix(pair, side)
                                       @ DF[None])[0]))
-    gamma_rel = abs(value) / scale
     return IntegrabilityReport(
         point=tuple(float(v) for v in x),
         side=side,
         residual=res,
         gamma_value=value,
         gamma_scale=scale,
-        verdict_integrable=(res_rel <= tol and gamma_rel <= tol),
+        verdict_integrable=bool(integrable(res_rel, abs(value) / scale, tol)),
         verdict_nonintegrable=bool(decisive(value, scale, tol)),
         tol=tol,
     )

@@ -3,11 +3,12 @@
 The locus of interest is the set of points where grad f(x) = C F(x)
 (C the exact inverse attached to the chosen side) while the top wedge
 power of C DF(x) is decisively nonzero (``integrability.decisive``).
-Writing Phi = grad f - C F, the certified claims are: every such point
-lies on at least one chart (a choice of m components of Phi whose
-m x 2m Jacobian block has numerical rank m), at most binom(2m, m)
-distinct charts occur, and the point cloud's box-counting dimension
-does not exceed m.
+Writing Phi = grad f - C F, ``on_locus`` is the one test of Phi = 0
+(the solver's, the chart guard's and ``certify``'s).  The certified
+claims are: every such point lies on at least one chart (a choice of m
+components of Phi whose m x 2m Jacobian block has numerical rank m), at
+most binom(2m, m) distinct charts occur, and the point cloud's
+box-counting dimension does not exceed m.
 
 Box counting is a computable surrogate for the Hausdorff bound; every
 report downstream carries that caveat.
@@ -75,6 +76,11 @@ class LocusOptions:
         return replace(self, **kw)
 
 
+def on_locus(phi_norm, opts: LocusOptions):
+    """||Phi|| <= opts.tol_residual, elementwise: the one on-locus test."""
+    return phi_norm <= opts.tol_residual
+
+
 @dataclass(frozen=True)
 class PhiSystem:
     """Phi = grad f - C F with its Jacobian DPhi = Hess f - C DF."""
@@ -110,7 +116,7 @@ def build_phi(pair: GeometricPair, f: ScalarField, F: VectorField,
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     n = pair.dim
     if n % 2:
-        raise OddDimension(f"locus systems need even dimension, got {n}")
+        raise OddDimension(f"dim: locus systems need even dimension, got {n}")
     if f.dim != n or F.dim != n:
         raise DimensionMismatch(
             f"field dimensions ({f.dim}, {F.dim}) != structure dimension {n}")
@@ -148,7 +154,7 @@ def solve_from_seed(phi: PhiSystem, x0, opts: LocusOptions = LocusOptions()):
     Every row keeps its own damping and iteration count: a step is taken
     when the new ||Phi|| is finite and smaller (damping / 3, floored at
     1e-14), otherwise the damping grows tenfold.  A row stops when
-    ||Phi|| <= tol_residual, at the iteration cap, when the damping
+    ``on_locus`` holds, at the iteration cap, when the damping
     exceeds 1e12, on a non-finite step, or when Phi or DPhi is undefined
     at its current point (a non-finite row; a step to such a point is
     rejected).  A rank-deficient DPhi at the solution is the expected
@@ -182,9 +188,8 @@ def solve_from_seed(phi: PhiSystem, x0, opts: LocusOptions = LocusOptions()):
     eye = np.eye(n)
     while True:
         fresh = (status == _ACTIVE) & relinearise
-        status[fresh & (rnorm <= opts.tol_residual)] = _CONVERGED
-        status[fresh & (rnorm > opts.tol_residual)
-               & (iters >= opts.max_iters)] = _CAP
+        status[fresh & on_locus(rnorm, opts)] = _CONVERGED
+        status[fresh & (status == _ACTIVE) & (iters >= opts.max_iters)] = _CAP
         idx = np.flatnonzero(fresh & (status == _ACTIVE))
         if idx.size:
             J = phi.dphi(x[idx])
@@ -271,24 +276,21 @@ def _box_array(box, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LocusSample:
-    """A point with the verdicts ``certify`` gave it: ``obstructed``
-    when it lies on the locus and its Gamma-power passes ``decisive``,
-    and the charts it lies on."""
+    """A point with the verdicts ``certify`` gave it: ``on_locus``,
+    ``obstructed`` when it lies on the locus and its Gamma-power passes
+    ``decisive``, and the charts it lies on."""
 
     x: tuple[float, ...]
     phi_norm: float
     gamma_value: float
     gamma_scale: float
     charts: frozenset[tuple[int, ...]]
+    on_locus: bool
     obstructed: bool
 
     @property
     def certified(self) -> bool:
         return self.obstructed and bool(self.charts)
-
-    @property
-    def point(self) -> np.ndarray:
-        return np.array(self.x)
 
 
 def all_charts(m: int) -> list[tuple[int, ...]]:
@@ -300,7 +302,7 @@ def chart_memberships(phi: PhiSystem, X, opts: LocusOptions = LocusOptions()):
     """Charts containing locus points: index tuples alpha whose rows of
     DPhi(x) form a matrix of numerical rank m at opts.tol_rank.  An (n,)
     point gives one frozenset, a (B, n) stack a list of B of them; every
-    point must satisfy ||Phi|| <= opts.tol_residual.
+    point must pass ``on_locus``.
 
     A submatrix whose largest singular value is negligible against the
     full Jacobian (below 1e-12 of its spectral norm) is treated as
@@ -311,7 +313,7 @@ def chart_memberships(phi: PhiSystem, X, opts: LocusOptions = LocusOptions()):
     """
     X = np.asarray(X, dtype=float)
     res = np.linalg.norm(np.atleast_2d(phi.phi(X)), axis=1)
-    if not np.all(res <= opts.tol_residual):
+    if not np.all(on_locus(res, opts)):
         raise GradlocusError("chart membership requested off the locus: "
                              f"||Phi|| = {np.max(res):.3e}")
     single = X.ndim == 1
@@ -337,24 +339,24 @@ def certify(phi: PhiSystem, X,
             opts: LocusOptions = LocusOptions()) -> list[LocusSample]:
     """Certification data for each row of X, in order.
 
-    A row is obstructed when it lies on the locus (||Phi|| <=
-    tol_residual) and passes ``decisive`` with tol_gamma, and certified
-    when it is obstructed and lies on at least one chart.  Charts are
-    computed, in one batch, only for rows on the locus; rows off it get
-    none and are never certified.
+    A row is obstructed when it lies on the locus (``on_locus``) and
+    passes ``decisive`` with tol_gamma, and certified when it is
+    obstructed and lies on at least one chart.  Charts are computed, in
+    one batch, only for rows on the locus; rows off it get none and are
+    never certified.
     """
     X = np.asarray(X, dtype=float)
     phi_norms = np.linalg.norm(phi.phi(X), axis=1)
     values, scales = gamma_obstruction(phi.pair, phi.F.jacobian(X), phi.side)
-    on_locus = phi_norms <= opts.tol_residual
+    on = on_locus(phi_norms, opts)
     charts = np.full(len(X), frozenset(), dtype=object)
-    charts[on_locus] = chart_memberships(phi, X[on_locus], opts)
-    obstructed = on_locus & decisive(values, scales, opts.tol_gamma)
+    charts[on] = chart_memberships(phi, X[on], opts)
+    obstructed = on & decisive(values, scales, opts.tol_gamma)
     return [LocusSample(x=tuple(x), phi_norm=r, gamma_value=v, gamma_scale=s,
-                        charts=c, obstructed=ok)
-            for x, r, v, s, c, ok in zip(
+                        charts=c, on_locus=o, obstructed=ok)
+            for x, r, v, s, c, o, ok in zip(
                 X.tolist(), phi_norms.tolist(), values.tolist(),
-                scales.tolist(), charts, obstructed.tolist())]
+                scales.tolist(), charts, on.tolist(), obstructed.tolist())]
 
 
 def sample_locus(phi: PhiSystem, box, n_seeds: int,
@@ -397,8 +399,7 @@ class CoverReport:
 
     ``uncovered_count`` counts samples that ``certify`` judged
     obstructed yet lie on no chart; the chart construction guarantees
-    this stays zero.  Per-chart counts are reported without
-    any nonemptiness claim for individual charts.
+    this stays zero.  Per-chart counts carry no nonemptiness claim.
     """
 
     total_samples: int
@@ -414,8 +415,8 @@ class CoverReport:
 
 
 def verify_cover(samples, m: int) -> CoverReport:
-    """Tally certification, uncovered points and distinct charts from
-    the verdicts ``certify`` stored in the samples."""
+    """Tally certification, uncovered points and distinct charts (bound:
+    binom(2m, m)) from the verdicts ``certify`` stored in the samples."""
     certified = [s for s in samples if s.certified]
     uncovered = [s for s in samples if s.obstructed and not s.charts]
     per_chart: dict[tuple[int, ...], int] = {}
@@ -436,6 +437,7 @@ DIMENSION_CAVEAT = (
     "box-counting slope is a finite-sample surrogate for the Hausdorff "
     "dimension bound"
 )
+MIN_DIMENSION_POINTS = 50
 
 
 @dataclass(frozen=True)
@@ -465,14 +467,15 @@ def box_counting_dimension(points, scales=None) -> DimensionEstimate:
     counts are saturated (close to the number of points) or nearly
     degenerate (fewer than 10 boxes) carry no slope information at
     finite sample size and are excluded from the fit whenever at least
-    two informative scales remain.
+    two informative scales remain.  Fewer than MIN_DIMENSION_POINTS
+    points raise TooFewPoints.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise DimensionMismatch(f"points must be 2-d, got shape {pts.shape}")
-    if pts.shape[0] < 50:
-        raise TooFewPoints(
-            f"need at least 50 points, got {pts.shape[0]}")
+    if pts.shape[0] < MIN_DIMENSION_POINTS:
+        raise TooFewPoints(f"need at least {MIN_DIMENSION_POINTS} points, "
+                           f"got {pts.shape[0]}")
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     diam = float(np.linalg.norm(hi - lo))

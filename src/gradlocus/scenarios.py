@@ -19,11 +19,11 @@ Schema::
                      "max_iters": ..., "damping": ..., "dedup_factor": ...}
     }
 
-All fields after "F" are optional; rng_seed and the tolerances are
-kept in ``Scenario.options`` and written back in full.  Their values are
+All fields after "F" are optional, but "tolerances", when present, must
+be an object; rng_seed and the tolerances are kept in
+``Scenario.options`` and written back in full.  Their values are
 checked by ``LocusOptions``; a bad one fails as ``tolerances.<key>``
-(or ``rng_seed``).  Three demos
-ship built in:
+(or ``rng_seed``).  Three demos ship built in:
 ``circle-m1`` (Euclidean plane, locus = unit circle plus the origin),
 ``plane-m2`` (symplectic R^4, locus = the x3 = x4 = 0 plane) and
 ``minkowski-grad`` (an exact pseudo-Euclidean gradient, whose certified
@@ -76,22 +76,22 @@ def structure_from_dict(d) -> tuple[BilinearForm, tuple]:
         raise ScenarioError("structure: expected an object")
     kind = d.get("kind")
     if kind == "euclidean":
-        n = _positive_int(d, "structure.dim", d.get("dim"))
+        n = _positive_int("structure.dim", d.get("dim"))
         return standard_euclidean(n), (("kind", "euclidean"), ("dim", n))
     if kind == "symplectic":
-        n = _positive_int(d, "structure.dim", d.get("dim"))
+        n = _positive_int("structure.dim", d.get("dim"))
         if n % 2:
             raise ScenarioError(f"structure.dim: symplectic needs even dim, got {n}")
         return standard_symplectic(n // 2), (("kind", "symplectic"), ("dim", n))
     if kind == "pseudo_euclidean":
-        p = _positive_int(d, "structure.p", d.get("p"), minimum=0)
-        q = _positive_int(d, "structure.q", d.get("q"), minimum=0)
+        p = _positive_int("structure.p", d.get("p"), minimum=0)
+        q = _positive_int("structure.q", d.get("q"), minimum=0)
         if p + q < 1:
             raise ScenarioError("structure: p + q must be >= 1")
         return pseudo_euclidean(p, q), (("kind", "pseudo_euclidean"),
                                         ("p", p), ("q", q))
     if kind == "minkowski":
-        n = _positive_int(d, "structure.dim", d.get("dim"))
+        n = _positive_int("structure.dim", d.get("dim"))
         if n < 2:
             raise ScenarioError("structure.dim: minkowski needs dim >= 2")
         return minkowski(n), (("kind", "minkowski"), ("dim", n))
@@ -108,7 +108,7 @@ def structure_from_dict(d) -> tuple[BilinearForm, tuple]:
     raise ScenarioError(f"structure.kind: unknown kind {kind!r}")
 
 
-def _positive_int(d, field, value, minimum=1):
+def _positive_int(field, value, minimum=1):
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise ScenarioError(f"{field}: expected an integer >= {minimum}, "
                             f"got {value!r}")
@@ -121,7 +121,7 @@ def scenario_from_dict(d) -> Scenario:
     name = d.get("name")
     if not isinstance(name, str) or not name:
         raise ScenarioError("name: required non-empty string")
-    dim = _positive_int(d, "dim", d.get("dim"))
+    dim = _positive_int("dim", d.get("dim"))
     if dim > len(_PRIMES):
         raise ScenarioError(f"dim: at most {len(_PRIMES)}, one Halton base "
                             f"per coordinate, got {dim}")
@@ -169,9 +169,9 @@ def scenario_from_dict(d) -> Scenario:
         box.append((lo, hi))
 
     n_seeds = d.get("n_seeds", DEFAULT_N_SEEDS)
-    n_seeds = _positive_int(d, "n_seeds", n_seeds)
+    n_seeds = _positive_int("n_seeds", n_seeds)
 
-    tol = d.get("tolerances") or {}
+    tol = d.get("tolerances", {})
     if not isinstance(tol, dict):
         raise ScenarioError("tolerances: expected an object")
     for key in tol:

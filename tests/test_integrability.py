@@ -8,7 +8,7 @@ from gradlocus import (DomainError, NotSymplectic, ScalarField,
                        standard_euclidean, standard_symplectic,
                        symmetric_residual, symplectic_residual)
 from gradlocus.geometry import FormKind
-from gradlocus.integrability import distinct_sides, residual
+from gradlocus.integrability import conditions, distinct_sides, residual
 
 from oracles import (GENERAL_Q, antisymmetric_defect_norm,
                      builtin_structures, probe_loop, random_points,
@@ -124,6 +124,16 @@ class TestResiduals:
                                ROTATION, x)
         with pytest.raises(ValueError):
             residual(pair, ROTATION.jacobian(x), "sideways")
+
+    @pytest.mark.parametrize("form, extra", [
+        (standard_euclidean(3), ("symmetric",)),
+        (standard_symplectic(2), ("symplectic",)),
+        (make_form(GENERAL_Q), ())], ids=["symmetric", "skew", "general"])
+    def test_conditions_follow_the_form_kind(self, form, extra):
+        pair = companion_map(form)
+        assert conditions(pair) == ("left", "right") + extra
+        for side in conditions(pair):  # every listed side is measurable
+            assert residual(pair, np.eye(pair.dim), side) >= 0.0
 
 
 class TestGammaObstruction:

@@ -348,6 +348,13 @@ class TestCertify:
         assert on.certified and on.charts == {(1,)}
         assert off.phi_norm > s.options.tol_residual
         assert off.charts == frozenset() and not off.certified
+        assert on.on_locus and not off.on_locus
+
+    def test_on_locus_is_inclusive_and_rejects_nan(self):
+        opts = LocusOptions(tol_residual=1e-10)
+        norms = np.array([0.0, 1e-10, np.nextafter(1e-10, 1.0), np.nan])
+        assert locus.on_locus(norms, opts).tolist() == [True, True,
+                                                        False, False]
 
 
 def torus_phi(m):

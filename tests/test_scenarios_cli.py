@@ -11,7 +11,7 @@ from gradlocus import (LocusOptions, ScenarioError, build_phi,
                        scenario_from_dict, verify_cover)
 from gradlocus.cli import main
 from gradlocus.integrability import point_report
-from gradlocus.locus import halton_sequence
+from gradlocus.locus import box_halton, halton_sequence
 from gradlocus.scenarios import (scenario_to_dict, structure_from_dict)
 
 from oracles import GENERAL_Q, check_by_side
@@ -42,8 +42,9 @@ def _torus_scenarios():
 
 
 # the three demos, the torus family, a general Q with Q^T != +-Q, where left
-# and right have different obstruction matrices, and a dense symmetric Q,
-# where right's numbers now come from left's C = Q^T
+# and right have different obstruction matrices, a dense symmetric Q,
+# where right's numbers now come from left's C = Q^T, and Euclidean R^3,
+# with three conditions and no Gamma-power (odd dimension)
 CHECK_SCENARIOS = {
     **{name: scenario_to_dict(s) for name, s in builtin_demos().items()},
     **_torus_scenarios(),
@@ -57,6 +58,12 @@ CHECK_SCENARIOS = {
         "f": "x1 * x4 + x2^2",
         "F": ["x1 + x2 * x3", "x2 - x1^2", "sin(x3) + x4", "x1 * x4"],
         "box": [[-2.0, 2.0]] * 4, "rng_seed": 5},
+    "euclidean-r3": {
+        "name": "euclidean-r3", "dim": 3,
+        "structure": {"kind": "euclidean", "dim": 3},
+        "f": "(x1^2 + x2^2 + x3^2) / 2",
+        "F": ["x1 + x2 * x3", "x2 - x1 * x3", "x3"],
+        "box": [[-2.0, 2.0]] * 3},
 }
 
 
@@ -268,6 +275,23 @@ class TestCli:
         assert ("symmetric" in conditions) == (
             name not in ("general-q", "plane-m2"))
 
+    @pytest.mark.parametrize("name", sorted(
+        name for name, spec in CHECK_SCENARIOS.items() if spec["dim"] % 2 == 0))
+    def test_check_verdicts_agree_with_point_report(self, tmp_path, name):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(CHECK_SCENARIOS[name]))
+        assert main(["check", "--scenario", str(scenario), "--points", "200",
+                     "--out", str(tmp_path)]) == 0
+        report = read_json(tmp_path / "check.json")
+        s = load_scenario(scenario)
+        pair = companion_map(s.form)
+        points = [point_report(pair, s.F, x, s.side, s.options.tol_gamma)
+                  for x in box_halton(s.box_array(), 200, s.options.rng_seed)]
+        assert (report["verdict"] == "integrable everywhere sampled") == \
+            all(p.verdict_integrable for p in points)
+        assert report["obstruction"]["decisive_nonzero_points"] == \
+            sum(p.verdict_nonintegrable for p in points)
+
     def test_check_creates_out_dir(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps(circle_dict()))
@@ -343,7 +367,12 @@ class TestCli:
         assert main(["locus", "--scenario", str(scenario),
                      "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("gradlocus: error:") and err.count("\n") == 1
+        assert err.startswith("gradlocus: error: dim:") and err.count("\n") == 1
+        points = tmp_path / "odd.csv"
+        points.write_text("x1,x2,x3\n0.0,0.0,0.0\n")
+        assert main(["charts", str(points), "--scenario", str(scenario)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gradlocus: error: dim:") and err.count("\n") == 1
 
     def test_empty_locus_exits_zero(self, tmp_path):
         # a constant nonzero field has no gradient-prescribed points
@@ -375,6 +404,22 @@ class TestCli:
         original = (tmp_path / "d/points.csv").read_bytes()
         recomputed = (tmp_path / "re/points_charts.csv").read_bytes()
         assert original == recomputed
+
+    def test_charts_stdout_counts_rows_on_the_locus(self, tmp_path, capsys):
+        main(["demo", "circle-m1", "--out", str(tmp_path / "d")])
+        points = tmp_path / "d/points.csv"
+        rows = points.read_text().splitlines()
+        x1, rest = rows[1].split(",", 1)  # move one sample off the locus
+        rows[1] = f"{float(x1) + 1e-3!r},{rest}"
+        points.write_text("\n".join(rows) + "\n")
+        capsys.readouterr()
+        assert main(["charts", str(points), "--scenario",
+                     str(tmp_path / "d/scenario.json"),
+                     "--out", str(tmp_path / "re")]) == 0
+        report = json.loads(capsys.readouterr().out)
+        n = len(rows) - 1
+        assert (report["rows"], report["recomputed_memberships"],
+                report["chart_bound"]) == (n, n - 1, 2)
 
     @pytest.mark.parametrize("verb", ["dimension", "charts"])
     @pytest.mark.parametrize("row, reason", [
@@ -422,6 +467,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"gradlocus: error: tolerances.{key}: expected")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", [[], 0, "", False, None],
+                             ids=["list", "zero", "string", "false", "null"])
+    def test_falsy_tolerances_block_rejected(self, tmp_path, capsys, value):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(circle_dict(n_seeds=30,
+                                                   tolerances=value)))
+        assert main(["locus", "--scenario", str(scenario), "--out",
+                     str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == \
+            "gradlocus: error: tolerances: expected an object\n"
 
     @pytest.mark.parametrize("flag, value, field", [
         ("--tol-residual", "-1", "tol_residual"),
