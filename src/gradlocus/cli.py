@@ -21,7 +21,11 @@ skip the dimension estimate).  ``locus`` exits 0 exactly when
 field's Jacobian is undefined and counts them in ``domain_excluded``.
 ``--points`` must be at least 1; the ``--tol-*`` values and ``--seed``
 are checked by ``LocusOptions``, and a bad one exits 2 with one error
-line.
+line.  A CSV file is read inside ``errors.reading``, so one that cannot
+be read or parsed fails as ``csv: ...``.  ``main`` is the only writer
+of ``gradlocus: error:`` lines: every ``GradlocusError``, and a
+``RecursionError`` from an expression too deep to evaluate, exits 2
+with one line.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GradlocusError, OddDimension, TooFewPoints
+from .errors import GradlocusError, OddDimension, TooFewPoints, reading
 from .geometry import companion_map
 from .integrability import (conditions, decisive, distinct_sides,
                             equivalence_probe, gamma_obstruction, integrable,
@@ -230,11 +234,8 @@ def cmd_locus(scenario: Scenario, out_dir: Path) -> int:
 
 def _read_points_csv(path: Path) -> np.ndarray:
     """The coordinate columns x1, x2, ... of a CSV as a finite array."""
-    try:
-        with open(path, "r", newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise GradlocusError(f"csv: {exc}") from exc
+    with reading("csv"), open(path, "r", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
     header = rows.pop(0) if rows else []
     cols = [i for i, name in enumerate(header)
             if name.startswith("x") and name[1:].isdigit()]
@@ -291,7 +292,7 @@ def cmd_charts(csv_path: Path, scenario: Scenario, out_dir: Path | None) -> int:
         "csv": str(csv_path),
         "output": str(target),
         "rows": len(samples),
-        "recomputed_memberships": sum(s.on_locus for s in samples),
+        "recomputed_memberships": sum(bool(s.charts) for s in samples),
         "chart_bound": verify_cover(samples, phi.m).chart_bound,
         "tolerances": _tolerance_block(scenario.options),
         "generated_at": _timestamp(),
@@ -352,11 +353,8 @@ def main(argv=None) -> int:
         if args.command == "demo":
             demos = builtin_demos()
             if args.name not in demos:
-                available = ", ".join(sorted(demos))
-                sys.stderr.write(
-                    f"gradlocus: error: name: unknown demo "
-                    f"{args.name!r}; available: {available}\n")
-                return EXIT_ERROR
+                raise GradlocusError(f"name: unknown demo {args.name!r}; "
+                                     f"available: {', '.join(sorted(demos))}")
             scenario = _apply_overrides(demos[args.name], args)
             out = args.out if args.out else Path(args.name)
             out.mkdir(parents=True, exist_ok=True)
@@ -368,7 +366,9 @@ def main(argv=None) -> int:
         if args.command == "locus":
             return cmd_locus(scenario, args.out or Path("."))
         return cmd_charts(args.csv, scenario, args.out)
-    except GradlocusError as exc:
+    except (GradlocusError, RecursionError) as exc:
+        # RecursionError: a tree that loaded within a few frames of the
+        # stack limit can still overflow when it is evaluated
         sys.stderr.write(f"gradlocus: error: {exc}\n")
         return EXIT_ERROR
 

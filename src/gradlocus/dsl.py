@@ -38,48 +38,11 @@ FUNCTIONS = ("sin", "cos", "exp", "log")
 
 
 class Expr:
-    """Base expression node; operators build trees programmatically."""
-
-    def __add__(self, other):
-        return Add(self, _as_expr(other))
-
-    def __radd__(self, other):
-        return Add(_as_expr(other), self)
-
-    def __sub__(self, other):
-        return Sub(self, _as_expr(other))
-
-    def __rsub__(self, other):
-        return Sub(_as_expr(other), self)
-
-    def __mul__(self, other):
-        return Mul(self, _as_expr(other))
-
-    def __rmul__(self, other):
-        return Mul(_as_expr(other), self)
-
-    def __truediv__(self, other):
-        return Div(self, _as_expr(other))
-
-    def __rtruediv__(self, other):
-        return Div(_as_expr(other), self)
-
-    def __neg__(self):
-        return Neg(self)
-
-    def __pow__(self, k):
-        if not isinstance(k, int):
-            raise TypeError("exponents must be Python ints")
-        return Pow(self, k)
+    """Base expression node.  Trees come from ``parse_expression`` or
+    from the node constructors below, such as ``Add(Var(1), Const(2.0))``."""
 
     def __str__(self):
         return _fmt(self)[0]
-
-
-def _as_expr(v) -> Expr:
-    if isinstance(v, Expr):
-        return v
-    return Const(float(v))
 
 
 @dataclass(frozen=True)

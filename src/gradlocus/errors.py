@@ -1,4 +1,10 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and ``reading``, the
+one boundary that turns a failure while reading outside input (a
+scenario file or one of its fields, a CSV file) into an error that
+names the input."""
+
+import csv
+from contextlib import contextmanager
 
 
 class GradlocusError(Exception):
@@ -77,3 +83,23 @@ class InvalidOption(GradlocusError):
 
 class ScenarioError(GradlocusError):
     """A scenario file failed validation; the message names the field."""
+
+
+# The failures bad outside input causes, and the only list of them:
+# ValueError covers UnicodeDecodeError and json.JSONDecodeError, and
+# RecursionError is an expression nested deeper than the stack allows.
+_BAD_INPUT = (GradlocusError, ValueError, TypeError, KeyError, IndexError,
+              OSError, RecursionError, csv.Error)
+
+
+@contextmanager
+def reading(name, error=GradlocusError, reason=None):
+    """Raise ``error("<name>: <reason>")`` when the body, which reads the
+    outside input ``name``, fails as bad input does.
+
+    ``reason`` defaults to the failure's own message.
+    """
+    try:
+        yield
+    except _BAD_INPUT as exc:
+        raise error(f"{name}: {exc if reason is None else reason}") from exc

@@ -26,17 +26,13 @@ PRUNE_REL = 1e-14
 PRUNE_FLOOR = 1e-300
 
 
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
-
-
 def _merge_sign(a: int, b: int) -> int:
     # Parity of the permutation that sorts the concatenation of the two
     # ascending index lists: count pairs (i in a, j in b) with i > j.
     swaps = 0
     a >>= 1
     while a:
-        swaps += _popcount(a & b)
+        swaps += (a & b).bit_count()
         a >>= 1
     return -1 if swaps & 1 else 1
 
@@ -108,7 +104,7 @@ class MultiVector:
         for key in self.coeffs:
             if key >> self.dim:
                 raise ValueError(f"key {key:b} does not fit in {self.dim} bits")
-            if _popcount(key) != self.grade:
+            if key.bit_count() != self.grade:
                 raise ValueError(f"key {key:b} has wrong grade")
         values = {k: np.asarray(v, dtype=float) for k, v in self.coeffs.items()}
         if self.shape is not None:
@@ -190,18 +186,6 @@ class MultiVector:
         for k, v in other.coeffs.items():
             coeffs[k] = coeffs.get(k, 0.0) + v
         return MultiVector(self.dim, self.grade, coeffs, self.shape).prune()
-
-    def __rmul__(self, scalar: float) -> "MultiVector":
-        s = float(scalar)
-        return MultiVector(self.dim, self.grade,
-                           {k: s * v for k, v in self.coeffs.items()},
-                           self.shape).prune()
-
-    def __mul__(self, scalar: float) -> "MultiVector":
-        return self.__rmul__(scalar)
-
-    def __neg__(self) -> "MultiVector":
-        return self.__rmul__(-1.0)
 
     def __xor__(self, other: "MultiVector") -> "MultiVector":
         return wedge(self, other)

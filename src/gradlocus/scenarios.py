@@ -23,11 +23,15 @@ All fields after "F" are optional, but "tolerances", when present, must
 be an object; rng_seed and the tolerances are kept in
 ``Scenario.options`` and written back in full.  Their values are
 checked by ``LocusOptions``; a bad one fails as ``tolerances.<key>``
-(or ``rng_seed``).  Three demos ship built in:
-``circle-m1`` (Euclidean plane, locus = unit circle plus the origin),
-``plane-m2`` (symplectic R^4, locus = the x3 = x4 = 0 plane) and
-``minkowski-grad`` (an exact pseudo-Euclidean gradient, whose certified
-locus is empty: the obstruction vanishes identically).
+(or ``rng_seed``).  The file and the fields ``structure.Q``, ``f``,
+``F[i]`` and ``box[i]`` are read inside ``errors.reading``, so a
+failure to read any of them, an expression nested deeper than the
+stack allows included, is a ``ScenarioError`` that names it.  Three
+demos ship built in: ``circle-m1`` (Euclidean plane, locus = unit
+circle plus the origin), ``plane-m2`` (symplectic R^4, locus = the
+x3 = x4 = 0 plane) and ``minkowski-grad`` (an exact pseudo-Euclidean
+gradient, whose certified locus is empty: the obstruction vanishes
+identically).
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GradlocusError, InvalidOption, ScenarioError
+from .errors import InvalidOption, ScenarioError, reading
 from .fields import ScalarField, VectorField
 from .geometry import (BilinearForm, make_form, minkowski, pseudo_euclidean,
                        standard_euclidean, standard_symplectic)
@@ -99,10 +103,8 @@ def structure_from_dict(d) -> tuple[BilinearForm, tuple]:
         Q = d.get("Q")
         if Q is None:
             raise ScenarioError("structure.Q: required for kind 'general'")
-        try:
+        with reading("structure.Q", ScenarioError):
             form = make_form(np.asarray(Q, dtype=float))
-        except (GradlocusError, ValueError) as exc:
-            raise ScenarioError(f"structure.Q: {exc}") from exc
         return form, (("kind", "general"),
                       ("Q", tuple(tuple(row) for row in form.Q.tolist())))
     raise ScenarioError(f"structure.kind: unknown kind {kind!r}")
@@ -133,10 +135,8 @@ def scenario_from_dict(d) -> Scenario:
     f_text = d.get("f")
     if not isinstance(f_text, str):
         raise ScenarioError("f: required expression string")
-    try:
+    with reading("f", ScenarioError):
         f = ScalarField.parse(f_text, dim)
-    except GradlocusError as exc:
-        raise ScenarioError(f"f: {exc}") from exc
 
     F_texts = d.get("F")
     if not isinstance(F_texts, list) or len(F_texts) != dim:
@@ -145,10 +145,8 @@ def scenario_from_dict(d) -> Scenario:
     for i, text in enumerate(F_texts):
         if not isinstance(text, str):
             raise ScenarioError(f"F[{i}]: expected an expression string")
-        try:
+        with reading(f"F[{i}]", ScenarioError):
             comps.append(ScalarField.parse(text, dim).expr)
-        except GradlocusError as exc:
-            raise ScenarioError(f"F[{i}]: {exc}") from exc
     F = VectorField(dim=dim, components=tuple(comps))
 
     side = d.get("side", "left")
@@ -160,10 +158,8 @@ def scenario_from_dict(d) -> Scenario:
         raise ScenarioError(f"box: expected {dim} [lo, hi] pairs")
     box = []
     for i, pair in enumerate(box_raw):
-        try:
+        with reading(f"box[{i}]", ScenarioError, "expected [lo, hi]"):
             lo, hi = float(pair[0]), float(pair[1])
-        except (TypeError, ValueError, IndexError):
-            raise ScenarioError(f"box[{i}]: expected [lo, hi]") from None
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise ScenarioError(f"box[{i}]: need finite lo < hi, got {pair!r}")
         box.append((lo, hi))
@@ -209,13 +205,11 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 
 def load_scenario(path) -> Scenario:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ScenarioError(f"scenario file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"scenario file: invalid JSON: {exc}") from exc
+    with (reading("scenario file", ScenarioError),
+          open(path, "r", encoding="utf-8") as fh):
+        text = fh.read()
+    with reading("scenario file: invalid JSON", ScenarioError):
+        data = json.loads(text)
     return scenario_from_dict(data)
 
 

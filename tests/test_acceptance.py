@@ -17,7 +17,7 @@ from gradlocus import (ScalarField, VectorField, box_counting_dimension,
                        gradient_like_field, antisymmetric_part, pfaffian,
                        verify_pair)
 from gradlocus.cli import main
-from gradlocus.dsl import linear_combination, Var
+from gradlocus.dsl import Add, linear_combination, Var
 from gradlocus.geometry import FormKind
 from gradlocus.integrability import obstruction_matrix, residual
 
@@ -126,7 +126,7 @@ def _perturbation(pair, side):
 
 
 def add_fields(F, G):
-    comps = tuple(a + b for a, b in zip(F.components, G.components))
+    comps = tuple(Add(a, b) for a, b in zip(F.components, G.components))
     return VectorField(dim=F.dim, components=comps)
 
 

@@ -88,6 +88,7 @@ class TestRoundTrip:
         "x1 - (x2 - x1)",
         "x1 / (x2 / x1)",
         "(-x1)^2",
+        "-(x1 + x2)",
     ]
 
     def test_corpus(self):

@@ -36,6 +36,15 @@ class TestFieldTypes:
         assert np.allclose(F.value(X), [[2.0, 0.0], [12.0, 0.0]])
 
 
+    def test_scalar_value_and_gradient(self):
+        f = ScalarField.parse("x1^1 * x2 + x2^2", 2)
+        assert f.value([3.0, 2.0]) == 10.0
+        assert np.array_equal(f.gradient([3.0, 2.0]), [2.0, 7.0])
+        X = np.array([[3.0, 2.0], [1.0, -1.0]])
+        assert np.array_equal(f.value(X), [10.0, 0.0])
+        assert np.array_equal(f.gradient(X), [[2.0, 7.0], [-1.0, -1.0]])
+
+
 class TestGradientOperators:
     def test_euclidean_reduces_to_gradient(self):
         pair = companion_map(standard_euclidean(2))

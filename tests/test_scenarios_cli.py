@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -420,6 +422,15 @@ class TestCli:
         n = len(rows) - 1
         assert (report["rows"], report["recomputed_memberships"],
                 report["chart_bound"]) == (n, n - 1, 2)
+        # DPhi = 0 on minkowski-grad, so its rows lie on the locus but on
+        # no chart
+        main(["demo", "minkowski-grad", "--out", str(tmp_path / "m")])
+        capsys.readouterr()
+        assert main(["charts", str(tmp_path / "m/points.csv"), "--scenario",
+                     str(tmp_path / "m/scenario.json"),
+                     "--out", str(tmp_path / "mre")]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["rows"], report["recomputed_memberships"]) == (200, 0)
 
     @pytest.mark.parametrize("verb", ["dimension", "charts"])
     @pytest.mark.parametrize("row, reason", [
@@ -438,6 +449,26 @@ class TestCli:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err == f"gradlocus: error: csv: row 2: {reason}\n"
+
+    @pytest.mark.parametrize("verb, text, message", [
+        ("dimension", "y1,y2\n0.0,1.0\n",
+         "no coordinate columns found in "),
+        ("charts", "x1,x2,x3\n0.0,1.0,2.0\n",
+         "3 coordinate columns, scenario dim 2")],
+        ids=["no-x-column", "wrong-dim"])
+    def test_csv_coordinates_must_fit(self, tmp_path, capsys, verb, text,
+                                      message):
+        points = tmp_path / "points.csv"
+        points.write_text(text)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(circle_dict()))
+        argv = [verb, str(points)]
+        if verb == "charts":
+            argv += ["--scenario", str(scenario)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"gradlocus: error: csv: {message}")
+        assert err.count("\n") == 1
 
     def test_missing_csv_file(self, capsys):
         assert main(["dimension", "/nonexistent.csv"]) == 2
@@ -507,3 +538,81 @@ class TestCli:
         summary = read_json(tmp_path / "out/summary.json")
         assert summary["uncovered_count"] > 0
         assert summary["certified_count"] == 0
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+DEEP_SUM = " + ".join(["x1"] * 1000)  # max_var_index recurses once per term
+
+# one malformed piece of outside input per case, each of which ended in
+# a traceback: (scenario file, CSV file or None, the field the error names)
+MALFORMED = [
+    pytest.param(circle_dict(box=[{}, [-2, 2]]), None, "box[0]",
+                 id="box-pair-object"),
+    pytest.param(circle_dict(structure={"kind": "general", "Q": {"a": 1}}),
+                 None, "structure.Q", id="q-object"),
+    pytest.param(b"\x80\x81{}", None, "scenario file", id="scenario-not-utf8"),
+    pytest.param(circle_dict(), b"x1,x2\n\x80,1\n", "csv", id="csv-not-utf8"),
+    pytest.param(circle_dict(), b"x1,x2\n" + b"1" * 131073 + b",1\n", "csv",
+                 id="csv-cell-too-long"),
+    pytest.param(circle_dict(F=[DEEP_SUM, "x2"]), None, "F[0]", id="deep-sum"),
+    pytest.param(circle_dict(f="(" * 300 + "x1" + ")" * 300), None, "f",
+                 id="deep-parentheses"),
+    pytest.param(circle_dict(f="-" * 1500 + "x1"), None, "f", id="deep-minus"),
+]
+
+
+def run_cli(*argv):
+    """``python -m gradlocus.cli`` in a fresh interpreter: its stack
+    starts where a user's run does, unlike one inside pytest."""
+    path = os.pathsep.join(filter(None, [str(SRC),
+                                         os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "gradlocus.cli", *argv],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+def write_inputs(tmp_path, scenario, points):
+    """The scenario (a dict, as JSON, or raw bytes) and the CSV bytes."""
+    paths = tmp_path / "scenario.json", tmp_path / "points.csv"
+    paths[0].write_bytes(scenario if isinstance(scenario, bytes)
+                         else json.dumps(scenario).encode())
+    if points is not None:
+        paths[1].write_bytes(points)
+    return str(paths[0]), str(paths[1])
+
+
+@pytest.mark.parametrize("scenario, points, field", MALFORMED)
+def test_malformed_input_exits_two_with_one_line(tmp_path, scenario, points,
+                                                  field):
+    scenario_path, csv_path = write_inputs(tmp_path, scenario, points)
+    runs = ([["check", "--scenario", scenario_path],
+             ["locus", "--scenario", scenario_path]] if points is None else
+            [["dimension", csv_path],
+             ["charts", csv_path, "--scenario", scenario_path]])
+    for argv in runs:
+        done = run_cli(*argv, "--out", str(tmp_path / "out"))
+        assert done.returncode == 2, (argv, done.stderr)
+        assert "Traceback" not in done.stderr
+        assert done.stderr.count("\n") == 1
+        assert done.stderr.startswith(f"gradlocus: error: {field}: ")
+
+
+def test_deep_expression_within_the_stack_limit_runs(tmp_path):
+    scenario_path, _ = write_inputs(
+        tmp_path, circle_dict(F=[" + ".join(["x1"] * 980), "x2"],
+                              n_seeds=30), None)
+    for argv in (["check", "--points", "2000"], ["locus"]):
+        done = run_cli(*argv, "--scenario", scenario_path,
+                       "--out", str(tmp_path / argv[0]))
+        assert done.returncode == 0, (argv, done.stderr)
+
+
+def test_recursion_after_load_exits_two(monkeypatch, tmp_path, capsys):
+    def overflow(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("gradlocus.cli.cmd_check", overflow)
+    scenario_path, _ = write_inputs(tmp_path, circle_dict(), None)
+    assert main(["check", "--scenario", scenario_path]) == 2
+    assert capsys.readouterr().err == \
+        "gradlocus: error: maximum recursion depth exceeded\n"
