@@ -22,10 +22,11 @@ field's Jacobian is undefined and counts them in ``domain_excluded``.
 ``--points`` must be at least 1; the ``--tol-*`` values and ``--seed``
 are checked by ``LocusOptions``, and a bad one exits 2 with one error
 line.  A CSV file is read inside ``errors.reading``, so one that cannot
-be read or parsed fails as ``csv: ...``.  ``main`` is the only writer
-of ``gradlocus: error:`` lines: every ``GradlocusError``, and a
-``RecursionError`` from an expression too deep to evaluate, exits 2
-with one line.
+be read or parsed fails as ``csv: ...``, and an ``--out`` directory
+that cannot be made or written fails as ``out: ...``.  ``main`` is the
+only writer of ``gradlocus: error:`` lines: every ``GradlocusError``,
+and a ``RecursionError`` from an expression too deep to evaluate,
+exits 2 with one line.
 """
 
 from __future__ import annotations
@@ -64,13 +65,22 @@ def _fmt_float(v) -> str:
     return repr(float(v))
 
 
+def _out_dir(path: Path) -> Path:
+    """path, made a directory unless it is one; a path that cannot be
+    one (a file, or below a file) fails as ``out: ...``."""
+    with reading("out"):
+        path.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def _write_json(payload: dict, path: Path | None):
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        with reading("out"):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text, encoding="utf-8")
 
 
 # the three thresholds; the --tol-* flags are stored under their fields
@@ -164,7 +174,7 @@ def cmd_check(scenario: Scenario, n_points: int, out_dir: Path | None) -> int:
 
 def _write_points_csv(path: Path, dim: int, m: int, samples):
     chart_pos = {c: i for i, c in enumerate(all_charts(m))}
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with reading("out"), open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([f"x{i + 1}" for i in range(dim)]
                         + ["phi_norm", "gamma_value", "gamma_scale",
@@ -201,8 +211,8 @@ def cmd_locus(scenario: Scenario, out_dir: Path) -> int:
                       "counts": list(est.counts),
                       "used": [bool(u) for u in est.used]}
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_points_csv(out_dir / "points.csv", scenario.dim, phi.m, samples)
+    _write_points_csv(_out_dir(out_dir) / "points.csv", scenario.dim, phi.m,
+                      samples)
 
     payload = {
         "scenario": scenario.name,
@@ -284,9 +294,8 @@ def cmd_charts(csv_path: Path, scenario: Scenario, out_dir: Path | None) -> int:
             f"{scenario.dim}")
     samples = certify(phi, X, scenario.options)
 
-    target_dir = out_dir if out_dir else csv_path.parent
-    target_dir.mkdir(parents=True, exist_ok=True)
-    target = target_dir / (csv_path.stem + "_charts.csv")
+    target = (_out_dir(out_dir if out_dir else csv_path.parent)
+              / (csv_path.stem + "_charts.csv"))
     _write_points_csv(target, scenario.dim, phi.m, samples)
     _write_json({
         "csv": str(csv_path),
@@ -356,8 +365,7 @@ def main(argv=None) -> int:
                 raise GradlocusError(f"name: unknown demo {args.name!r}; "
                                      f"available: {', '.join(sorted(demos))}")
             scenario = _apply_overrides(demos[args.name], args)
-            out = args.out if args.out else Path(args.name)
-            out.mkdir(parents=True, exist_ok=True)
+            out = _out_dir(args.out if args.out else Path(args.name))
             _write_json(scenario_to_dict(scenario), out / "scenario.json")
             return cmd_locus(scenario, out)
         scenario = _apply_overrides(load_scenario(args.scenario), args)

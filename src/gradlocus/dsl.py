@@ -13,16 +13,18 @@ Grammar (standard precedence, highest first: ``^``, unary ``-``,
 Unary minus is parsed as ``'-' factor`` so that the exponent binds
 tighter (``-x1^2`` means ``-(x1^2)``).  Derivatives are propagated
 through the tree in forward mode with one jet type, a truncated Taylor
-value of order 1 (gradients and Jacobians) or 2 (Hessians), so they are
-exact up to rounding; evaluation is vectorized over batches of points,
-and a single point is a batch of one.  A point is outside the domain
-where a denominator or a base with a negative exponent is zero, a log
-argument is not positive, or the result is not finite: its row of a
-batch comes back all NaN, and a single point raises DomainError.
+value of order 1 (gradients and Jacobians) or 2 (Hessians) in the
+variables it depends on, so they are exact up to rounding; evaluation
+is vectorized over batches of points, and a single point is a batch of
+one.  A point is outside the domain where a denominator or a base with
+a negative exponent is zero, a log argument is not positive, or the
+result is not finite: its row of a batch comes back all NaN, and a
+single point raises DomainError.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -290,85 +292,132 @@ def _outer(g1, g2):
     return g1[:, :, None] * g2[:, None, :]
 
 
-class Jet:
-    """Truncated Taylor value over a batch: value (B,), gradient (B, n)
-    and, for a second-order jet, Hessian (B, n, n); ``hess`` is None for
-    a first-order jet.
+@functools.lru_cache(maxsize=1024)
+def _placement(vars, union):
+    """(rows, cols) of a block over ``vars`` in one over ``union``, as
+    slices where they are contiguous (faster to assign than arrays)."""
+    pos = [union.index(v) for v in vars]
+    if pos[-1] - pos[0] == len(pos) - 1:
+        cols = slice(pos[0], pos[-1] + 1)
+        return cols, cols
+    cols = np.array(pos)
+    return cols[:, None], cols
 
-    Each rule computes the gradient the same way at both orders and the
-    Hessian term only when there is one.  The Hessian is built from
-    symmetric outer-product pairs, so its skew part is zero up to the
-    exact commutativity of IEEE addition and multiplication.
+
+class Jet:
+    """Truncated Taylor value over a batch, sparse in the variables:
+    ``vars`` is the sorted tuple of the 0-based variables it depends on,
+    and value (B,), gradient (B, k) and, for a second-order jet, Hessian
+    (B, k, k) cover those k variables; ``hess`` is None at order 1.
+
+    A rule on two jets first widens both to the union of their ``vars``
+    with zeros, then computes as a dense jet would, so each column it
+    keeps is the dense one (Griewank & Walther, *Evaluating
+    Derivatives*, 2008, ch. 7).  The Hessian is built from symmetric
+    outer-product pairs, so its skew part is zero up to the exact
+    commutativity of IEEE addition and multiplication.
     """
 
-    __slots__ = ("val", "grad", "hess")
+    __slots__ = ("val", "grad", "hess", "vars")
 
-    def __init__(self, val, grad, hess=None):
+    def __init__(self, val, grad, hess=None, *, vars):
         self.val = val
         self.grad = grad
         self.hess = hess
+        self.vars = vars
+
+    def _like(self, val, grad, hess=None):
+        return Jet(val, grad, hess, vars=self.vars)
+
+    def _widen(self, union):
+        """This jet over the variables ``union``, a sorted superset of
+        its own, with zero derivatives in the variables it lacks."""
+        if union == self.vars:
+            return self
+        rows, cols = _placement(self.vars, union)
+        B, k = len(self.val), len(union)
+        grad = np.zeros((B, k))
+        grad[:, cols] = self.grad
+        hess = None
+        if self.hess is not None:
+            hess = np.zeros((B, k, k))
+            hess[:, rows, cols] = self.hess
+        return Jet(self.val, grad, hess, vars=union)
+
+    def _union(self, o):
+        """self and o widened to the union of their variables."""
+        if self.vars == o.vars:
+            return self, o
+        union = tuple(sorted({*self.vars, *o.vars}))
+        return self._widen(union), o._widen(union)
 
     def __add__(self, o):
         if isinstance(o, Jet):
-            return Jet(self.val + o.val, self.grad + o.grad,
-                       None if self.hess is None else self.hess + o.hess)
-        return Jet(self.val + o, self.grad, self.hess)
+            a, o = self._union(o)
+            return a._like(a.val + o.val, a.grad + o.grad,
+                           None if a.hess is None else a.hess + o.hess)
+        return self._like(self.val + o, self.grad, self.hess)
 
     __radd__ = __add__
 
     def __sub__(self, o):
         if isinstance(o, Jet):
-            return Jet(self.val - o.val, self.grad - o.grad,
-                       None if self.hess is None else self.hess - o.hess)
-        return Jet(self.val - o, self.grad, self.hess)
+            a, o = self._union(o)
+            return a._like(a.val - o.val, a.grad - o.grad,
+                           None if a.hess is None else a.hess - o.hess)
+        return self._like(self.val - o, self.grad, self.hess)
 
     def __rsub__(self, o):
         return -self + o  # o - a == (-a) + o exactly in IEEE arithmetic
 
     def __neg__(self):
-        return Jet(-self.val, -self.grad,
-                   None if self.hess is None else -self.hess)
+        return self._like(-self.val, -self.grad,
+                          None if self.hess is None else -self.hess)
 
     def __mul__(self, o):
         if not isinstance(o, Jet):
-            return Jet(self.val * o, self.grad * o,
-                       None if self.hess is None else self.hess * o)
-        v1, v2 = self.val, o.val
-        grad = v1[:, None] * o.grad + v2[:, None] * self.grad
-        if self.hess is None:
-            return Jet(v1 * v2, grad)
-        return Jet(v1 * v2, grad,
-                   v1[:, None, None] * o.hess + v2[:, None, None] * self.hess
-                   + _outer(self.grad, o.grad) + _outer(o.grad, self.grad))
+            return self._like(self.val * o, self.grad * o,
+                              None if self.hess is None else self.hess * o)
+        a, o = self._union(o)
+        v1, v2 = a.val, o.val
+        grad = v1[:, None] * o.grad + v2[:, None] * a.grad
+        if a.hess is None:
+            return a._like(v1 * v2, grad)
+        return a._like(v1 * v2, grad,
+                       v1[:, None, None] * o.hess + v2[:, None, None] * a.hess
+                       + _outer(a.grad, o.grad) + _outer(o.grad, a.grad))
 
     __rmul__ = __mul__
 
     def __truediv__(self, o):
         if not isinstance(o, Jet):
-            return Jet(self.val / o, self.grad / o,
-                       None if self.hess is None else self.hess / o)
+            return self._like(self.val / o, self.grad / o,
+                              None if self.hess is None else self.hess / o)
+        a, o = self._union(o)
         w = o.val
-        v = self.val / w
-        g = (self.grad - v[:, None] * o.grad) / w[:, None]
-        if self.hess is None:
-            return Jet(v, g)
-        return Jet(v, g, (self.hess - v[:, None, None] * o.hess
-                          - _outer(g, o.grad) - _outer(o.grad, g))
-                   / w[:, None, None])
+        v = a.val / w
+        g = (a.grad - v[:, None] * o.grad) / w[:, None]
+        if a.hess is None:
+            return a._like(v, g)
+        return a._like(v, g, (a.hess - v[:, None, None] * o.hess
+                              - _outer(g, o.grad) - _outer(o.grad, g))
+                       / w[:, None, None])
 
     def __rtruediv__(self, o):
         w = self.val
         v = o / w
         g = -(v / w)[:, None] * self.grad
         if self.hess is None:
-            return Jet(v, g)
-        return Jet(v, g, (-_outer(g, self.grad) - _outer(self.grad, g)
-                          - v[:, None, None] * self.hess) / w[:, None, None])
+            return self._like(v, g)
+        return self._like(v, g, (-_outer(g, self.grad) - _outer(self.grad, g)
+                                 - v[:, None, None] * self.hess)
+                          / w[:, None, None])
 
     def __pow__(self, k: int):
         if k == 0:
-            return Jet(np.ones_like(self.val), np.zeros_like(self.grad),
-                       None if self.hess is None else np.zeros_like(self.hess))
+            return self._like(np.ones_like(self.val), np.zeros_like(self.grad),
+                              None if self.hess is None
+                              else np.zeros_like(self.hess))
         if k == 1:
             return self
         return self._chain(self.val ** k, k * self.val ** (k - 1),
@@ -380,9 +429,9 @@ class Jet:
         if grad is None:
             grad = d1[:, None] * self.grad
         if self.hess is None:
-            return Jet(v, grad)
-        return Jet(v, grad, d1[:, None, None] * self.hess
-                   + d2()[:, None, None] * _outer(self.grad, self.grad))
+            return self._like(v, grad)
+        return self._like(v, grad, d1[:, None, None] * self.hess
+                          + d2()[:, None, None] * _outer(self.grad, self.grad))
 
     def sin(self):
         s, c = np.sin(self.val), np.cos(self.val)
@@ -427,11 +476,12 @@ def _settle(expr, flags: list, single: bool, out, *checked):
 
 
 def _raw(v):
-    return v.val if isinstance(v, Jet) else v
+    return getattr(v, "val", v)  # a jet's value; a plain value as it is
 
 
 def _eval(expr, seeds, flags: list):
-    """Value of the tree on the seeds; the rows in flags are meaningless."""
+    """Value of the tree on the seeds, plain arrays or jets (any type
+    with a ``val`` and Jet's rules); the rows in flags are meaningless."""
     t = type(expr)
     if t is Const:  # a numpy scalar divides by 0 without a Python error
         return np.float64(expr.value)
@@ -465,7 +515,7 @@ def _eval(expr, seeds, flags: list):
         arg = _eval(expr.arg, seeds, flags)
         if expr.func == "log":
             _flag(_raw(arg) <= 0.0, "log of non-positive value", expr, flags)
-        if isinstance(arg, Jet):
+        if hasattr(arg, "val"):
             return getattr(arg, expr.func)()
         return getattr(np, expr.func)(arg)
     raise TypeError(f"unknown node {expr!r}")  # pragma: no cover
@@ -498,22 +548,17 @@ def _derivative(expr: Expr, X, order: int, single: bool):
     order 2, as a new array that is NaN in the rows outside the domain
     (the value or the derivative not finite included)."""
     B, n = X.shape
-    seeds = []
-    for i in range(n):
-        g = np.zeros((B, n))
-        g[:, i] = 1.0
-        seeds.append(Jet(X[:, i], g,
-                         np.zeros((B, n, n)) if order == 2 else None))
+    ones = np.ones((B, 1))  # shared: no rule writes into a jet's arrays
+    zeros = np.zeros((B, 1, 1)) if order == 2 else None
+    seeds = [Jet(X[:, i], ones, zeros, vars=(i,)) for i in range(n)]
     flags = []
     with np.errstate(all="ignore"):
         out = _eval(expr, seeds, flags)
-    if isinstance(out, Jet):
+    if isinstance(out, Jet):  # scattered into all n variables
+        out = out._widen(tuple(range(n)))
         val, top = out.val, out.grad if order == 1 else out.hess
     else:  # constant expression
         val, top = np.asarray(out, float), np.zeros((B,) + (n,) * order)
-    # copied while the seeds are alive: freeing them first lets the heap
-    # shrink, and the next call then faults its pages in again
-    top = np.array(top)
     _settle(expr, flags, single, top, val)
     return top
 

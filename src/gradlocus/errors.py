@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package, and ``reading``, the
 one boundary that turns a failure while reading outside input (a
-scenario file or one of its fields, a CSV file) into an error that
-names the input."""
+scenario file or one of its fields, a CSV file) or while making and
+writing the output directory into an error that names it."""
 
 import csv
 from contextlib import contextmanager

@@ -222,9 +222,11 @@ def equivalence_probe(pair: GeometricPair, DF,
     for side, first in distinct_sides(pair, ("left", "right")).items():
         if first == side:
             N = obstruction_matrix(pair, side) @ DF
-            D = antisymmetric_part(N)
             scale = 1.0 + _fro(N)
-            rel[side] = _fro(D) / scale, np.abs(D).max(axis=(1, 2)) / scale
+            D = antisymmetric_part(N)
+            del N  # N, D and D * D never coexist: a third less peak memory
+            # D is antisymmetric, so its largest entry is its largest |entry|
+            rel[side] = _fro(D) / scale, D.max(axis=(1, 2)) / scale
         res_rel, coeff_rel = rel[first]
         in_gray = (((lo <= res_rel) & (res_rel <= hi))
                    | ((lo <= coeff_rel) & (coeff_rel <= hi)))

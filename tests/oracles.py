@@ -4,7 +4,8 @@ Everything here is deliberately written by a different route than the
 library code: wedge signs come from explicit inversion counting on
 index tuples, the antisymmetry 2-vector is accumulated straight from
 its defining sum, and derivatives are approximated with central
-differences.
+differences; the dense jet carries every derivative over all
+variables, where ``dsl.Jet`` carries only those a value depends on.
 """
 
 import numpy as np
@@ -154,12 +155,13 @@ def probe_loop(pair, DF, tol):
 def check_by_side(scenario, n_points):
     """The ``check.json`` payload without ``generated_at``, with the
     residual, its relative norm and the probe run once per side, whether
-    or not sides share their obstruction matrix: the loop the
-    one-pass-per-matrix ``cmd_check`` must reproduce bit for bit."""
+    or not sides share their obstruction matrix, and DF from the dense
+    jets: the loop the one-pass-per-matrix ``cmd_check`` must reproduce
+    bit for bit."""
     pair = companion_map(scenario.form)
     opts = scenario.options
-    DF = scenario.F.jacobian(box_halton(scenario.box_array(), n_points,
-                                        opts.rng_seed))
+    DF = dense_jacobian(scenario.F, box_halton(scenario.box_array(),
+                                               n_points, opts.rng_seed))
     DF = DF[np.all(np.isfinite(DF), axis=(1, 2))]
     sides = ["left", "right"]
     if scenario.form.kind is FormKind.SYMMETRIC:
@@ -312,6 +314,159 @@ def chart_loop(phi, X, opts):
 
 # ---------------------------------------------------------------------------
 # Derivative oracles
+
+
+def _outer(g1, g2):
+    return g1[:, :, None] * g2[:, None, :]
+
+
+class DenseJet:
+    """Jet dense in the variables, the oracle of the sparse ``dsl.Jet``:
+    value (B,), gradient (B, n) and, for a second-order jet, Hessian
+    (B, n, n) over every variable, whether the value depends on it or
+    not; ``hess`` is None for a first-order jet.
+
+    Each rule computes the gradient the same way at both orders and the
+    Hessian term only when there is one.  The Hessian is built from
+    symmetric outer-product pairs, so its skew part is zero up to the
+    exact commutativity of IEEE addition and multiplication.
+    """
+
+    __slots__ = ("val", "grad", "hess")
+
+    def __init__(self, val, grad, hess=None):
+        self.val = val
+        self.grad = grad
+        self.hess = hess
+
+    def __add__(self, o):
+        if isinstance(o, DenseJet):
+            return DenseJet(self.val + o.val, self.grad + o.grad,
+                            None if self.hess is None else self.hess + o.hess)
+        return DenseJet(self.val + o, self.grad, self.hess)
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        if isinstance(o, DenseJet):
+            return DenseJet(self.val - o.val, self.grad - o.grad,
+                            None if self.hess is None else self.hess - o.hess)
+        return DenseJet(self.val - o, self.grad, self.hess)
+
+    def __rsub__(self, o):
+        return -self + o  # o - a == (-a) + o exactly in IEEE arithmetic
+
+    def __neg__(self):
+        return DenseJet(-self.val, -self.grad,
+                        None if self.hess is None else -self.hess)
+
+    def __mul__(self, o):
+        if not isinstance(o, DenseJet):
+            return DenseJet(self.val * o, self.grad * o,
+                            None if self.hess is None else self.hess * o)
+        v1, v2 = self.val, o.val
+        grad = v1[:, None] * o.grad + v2[:, None] * self.grad
+        if self.hess is None:
+            return DenseJet(v1 * v2, grad)
+        return DenseJet(v1 * v2, grad,
+                        v1[:, None, None] * o.hess
+                        + v2[:, None, None] * self.hess
+                        + _outer(self.grad, o.grad)
+                        + _outer(o.grad, self.grad))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        if not isinstance(o, DenseJet):
+            return DenseJet(self.val / o, self.grad / o,
+                            None if self.hess is None else self.hess / o)
+        w = o.val
+        v = self.val / w
+        g = (self.grad - v[:, None] * o.grad) / w[:, None]
+        if self.hess is None:
+            return DenseJet(v, g)
+        return DenseJet(v, g, (self.hess - v[:, None, None] * o.hess
+                               - _outer(g, o.grad) - _outer(o.grad, g))
+                        / w[:, None, None])
+
+    def __rtruediv__(self, o):
+        w = self.val
+        v = o / w
+        g = -(v / w)[:, None] * self.grad
+        if self.hess is None:
+            return DenseJet(v, g)
+        return DenseJet(v, g, (-_outer(g, self.grad) - _outer(self.grad, g)
+                               - v[:, None, None] * self.hess)
+                        / w[:, None, None])
+
+    def __pow__(self, k: int):
+        if k == 0:
+            return DenseJet(np.ones_like(self.val), np.zeros_like(self.grad),
+                            None if self.hess is None
+                            else np.zeros_like(self.hess))
+        if k == 1:
+            return self
+        return self._chain(self.val ** k, k * self.val ** (k - 1),
+                           lambda: k * (k - 1) * self.val ** (k - 2))
+
+    def _chain(self, v, d1, d2, grad=None):
+        """g(self) for a scalar function g with value v and g' = d1;
+        d2() gives g'' and is called only for a second-order jet."""
+        if grad is None:
+            grad = d1[:, None] * self.grad
+        if self.hess is None:
+            return DenseJet(v, grad)
+        return DenseJet(v, grad, d1[:, None, None] * self.hess
+                        + d2()[:, None, None] * _outer(self.grad, self.grad))
+
+    def sin(self):
+        s, c = np.sin(self.val), np.cos(self.val)
+        return self._chain(s, c, lambda: -s)
+
+    def cos(self):
+        s, c = np.sin(self.val), np.cos(self.val)
+        return self._chain(c, -s, lambda: -c)
+
+    def exp(self):
+        e = np.exp(self.val)
+        return self._chain(e, e, lambda: e)
+
+    def log(self):
+        inv = 1.0 / self.val
+        return self._chain(np.log(self.val), inv, lambda: -inv * inv,
+                           grad=self.grad / self.val[:, None])
+
+
+def dense_derivative(expr, x, order):
+    """``dsl.gradient`` (order 1) or ``dsl.hessian`` (order 2) computed
+    with DenseJet: the same tree walk and domain rules, with every
+    derivative carried over all n variables."""
+    X, single = dsl._as_batch(x)
+    B, n = X.shape
+    seeds = []
+    for i in range(n):
+        g = np.zeros((B, n))
+        g[:, i] = 1.0
+        seeds.append(DenseJet(X[:, i], g,
+                              np.zeros((B, n, n)) if order == 2 else None))
+    flags = []
+    with np.errstate(all="ignore"):
+        out = dsl._eval(expr, seeds, flags)
+    if isinstance(out, DenseJet):
+        val, top = out.val, out.grad if order == 1 else out.hess
+    else:  # constant expression
+        val, top = np.asarray(out, float), np.zeros((B,) + (n,) * order)
+    top = np.array(top)
+    dsl._settle(expr, flags, single, top, val)
+    if order == 2:
+        top = 0.5 * (top + top.transpose(0, 2, 1))
+    return top[0] if single else top
+
+
+def dense_jacobian(F, X):
+    """``F.jacobian`` on a (B, n) batch, from ``dense_derivative``."""
+    return np.stack([dense_derivative(c, X, 1) for c in F.components],
+                    axis=-2)
 
 
 def central_gradient(fun, x, h=1e-5):

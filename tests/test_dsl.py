@@ -11,7 +11,8 @@ from gradlocus.fields import ScalarField, VectorField
 from gradlocus.geometry import companion_map, standard_symplectic
 from gradlocus.locus import build_phi
 
-from oracles import central_gradient, random_points, random_smooth
+from oracles import (central_gradient, dense_derivative, random_points,
+                     random_polynomial, random_smooth)
 
 
 class TestParser:
@@ -204,11 +205,8 @@ class TestDerivatives:
         for _ in range(50):
             e = random_smooth(rng, 3, depth=3)
             X = random_points(rng, 5, 3)
-            seeds = []
-            for i in range(3):
-                g = np.zeros((5, 3))
-                g[:, i] = 1.0
-                seeds.append(Jet(X[:, i], g, np.zeros((5, 3, 3))))
+            seeds = [Jet(X[:, i], np.ones((5, 1)), np.zeros((5, 1, 1)),
+                         vars=(i,)) for i in range(3)]
             flags = []
             with np.errstate(all="ignore"):
                 out = _eval(e, seeds, flags)
@@ -219,6 +217,40 @@ class TestDerivatives:
                 H = out.hess[defined]
                 skew = np.abs(H - H.transpose(0, 2, 1)).max(initial=0.0)
                 assert skew <= 1e-12 * (1.0 + np.abs(H).max(initial=0.0))
+
+    def test_sparse_jets_match_the_dense_oracle(self):
+        # the sparse jets widen to the union of their variables and then
+        # compute as the dense ones do, so derivatives, undefined rows and
+        # single-point errors all agree exactly; the trees are wrapped in
+        # 1/xi, log(xi), (1/xi)^0 or exp(tree^2), and the points put xi
+        # at 0 and -1 and one entry at 1e200, so rows fall outside the
+        # domain
+        rng = np.random.default_rng(28)
+        for n in range(1, 7):
+            for make in (random_smooth, random_polynomial):
+                for _ in range(8):
+                    tree = make(rng, n)
+                    xi = Var(int(rng.integers(1, n + 1)))
+                    e = [tree, Div(tree, xi), Mul(Call("log", xi), tree),
+                         Add(tree, Pow(Div(Const(1.0), xi), 0)),
+                         Call("exp", Mul(tree, tree))][rng.integers(5)]
+                    X = random_points(rng, 8, n)
+                    X[:2, xi.index - 1] = [0.0, -1.0]
+                    X[2, rng.integers(n)] = 1e200
+                    for order, sparse in ((1, gradient), (2, hessian)):
+                        dense = dense_derivative(e, X, order)
+                        assert np.array_equal(sparse(e, X), dense,
+                                              equal_nan=True), (str(e), order)
+                        for x, row in zip(X, dense, strict=True):
+                            if np.isnan(row).all():
+                                with pytest.raises(DomainError) as sparse_err:
+                                    sparse(e, x)
+                                with pytest.raises(DomainError) as dense_err:
+                                    dense_derivative(e, x, order)
+                                assert str(sparse_err.value) == \
+                                    str(dense_err.value)
+                            else:
+                                assert np.array_equal(sparse(e, x), row)
 
     def test_batched_derivatives_match_single(self):
         # a point alone gives exactly its row of the batch, through the

@@ -543,21 +543,35 @@ class TestCli:
 SRC = Path(__file__).resolve().parents[1] / "src"
 DEEP_SUM = " + ".join(["x1"] * 1000)  # max_var_index recurses once per term
 
+CIRCLE_CSV = "x1,x2\n" + "".join(f"{np.cos(t)},{np.sin(t)}\n" for t in
+                                 np.linspace(0.0, 6.0, 200))
+
 # one malformed piece of outside input per case, each of which ended in
-# a traceback: (scenario file, CSV file or None, the field the error names)
+# a traceback: (scenario file, CSV file or None, the field the error names,
+# the --out path below tmp_path, where "afile" is a file)
 MALFORMED = [
-    pytest.param(circle_dict(box=[{}, [-2, 2]]), None, "box[0]",
+    pytest.param(circle_dict(box=[{}, [-2, 2]]), None, "box[0]", "out",
                  id="box-pair-object"),
     pytest.param(circle_dict(structure={"kind": "general", "Q": {"a": 1}}),
-                 None, "structure.Q", id="q-object"),
-    pytest.param(b"\x80\x81{}", None, "scenario file", id="scenario-not-utf8"),
-    pytest.param(circle_dict(), b"x1,x2\n\x80,1\n", "csv", id="csv-not-utf8"),
+                 None, "structure.Q", "out", id="q-object"),
+    pytest.param(b"\x80\x81{}", None, "scenario file", "out",
+                 id="scenario-not-utf8"),
+    pytest.param(circle_dict(), b"x1,x2\n\x80,1\n", "csv", "out",
+                 id="csv-not-utf8"),
     pytest.param(circle_dict(), b"x1,x2\n" + b"1" * 131073 + b",1\n", "csv",
-                 id="csv-cell-too-long"),
-    pytest.param(circle_dict(F=[DEEP_SUM, "x2"]), None, "F[0]", id="deep-sum"),
+                 "out", id="csv-cell-too-long"),
+    pytest.param(circle_dict(F=[DEEP_SUM, "x2"]), None, "F[0]", "out",
+                 id="deep-sum"),
     pytest.param(circle_dict(f="(" * 300 + "x1" + ")" * 300), None, "f",
-                 id="deep-parentheses"),
-    pytest.param(circle_dict(f="-" * 1500 + "x1"), None, "f", id="deep-minus"),
+                 "out", id="deep-parentheses"),
+    pytest.param(circle_dict(f="-" * 1500 + "x1"), None, "f", "out",
+                 id="deep-minus"),
+    pytest.param(circle_dict(n_seeds=30), None, "out", "afile",
+                 id="out-is-a-file"),
+    pytest.param(circle_dict(n_seeds=30), None, "out", "afile/sub",
+                 id="out-below-a-file"),
+    pytest.param(circle_dict(), CIRCLE_CSV.encode(), "out", "afile/x",
+                 id="csv-out-below-a-file"),
 ]
 
 
@@ -581,16 +595,19 @@ def write_inputs(tmp_path, scenario, points):
     return str(paths[0]), str(paths[1])
 
 
-@pytest.mark.parametrize("scenario, points, field", MALFORMED)
+@pytest.mark.parametrize("scenario, points, field, out", MALFORMED)
 def test_malformed_input_exits_two_with_one_line(tmp_path, scenario, points,
-                                                  field):
+                                                  field, out):
     scenario_path, csv_path = write_inputs(tmp_path, scenario, points)
+    (tmp_path / "afile").write_text("")
     runs = ([["check", "--scenario", scenario_path],
              ["locus", "--scenario", scenario_path]] if points is None else
             [["dimension", csv_path],
              ["charts", csv_path, "--scenario", scenario_path]])
+    if field == "out" and points is None:
+        runs.append(["demo", "circle-m1", "--points", "30"])
     for argv in runs:
-        done = run_cli(*argv, "--out", str(tmp_path / "out"))
+        done = run_cli(*argv, "--out", str(tmp_path / out))
         assert done.returncode == 2, (argv, done.stderr)
         assert "Traceback" not in done.stderr
         assert done.stderr.count("\n") == 1
