@@ -4,7 +4,7 @@ obstruction, and numerical extraction of the prescribed-gradient
 locus with chart-coverage certification."""
 
 from .dsl import Expr, differentiate, parse_expression
-from .errors import (DegenerateForm, DimensionMismatch, Diverged, DomainError,
+from .errors import (DegenerateForm, DimensionMismatch, DomainError,
                      GradlocusError, InvalidOption, NotAntisymmetric,
                      NotSymplectic, OddDimension, ParseError, ScenarioError,
                      TooFewPoints)
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BilinearForm", "CoverReport", "DegenerateForm", "DimensionEstimate",
-    "DimensionMismatch", "Diverged", "DomainError", "Expr", "FormKind",
+    "DimensionMismatch", "DomainError", "Expr", "FormKind",
     "GeometricPair", "GradlocusError", "IntegrabilityReport", "InvalidOption",
     "LocusOptions", "LocusSample", "MultiVector", "NotAntisymmetric",
     "NotSymplectic", "OddDimension", "ParseError", "PhiSystem", "ProbeReport",

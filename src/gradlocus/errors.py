@@ -60,15 +60,6 @@ class DomainError(GradlocusError):
         self.subexpression = subexpression
 
 
-class Diverged(GradlocusError):
-    """The least-squares iteration failed to reach the residual target."""
-
-    def __init__(self, message, last_point=None, last_residual=None):
-        super().__init__(message)
-        self.last_point = last_point
-        self.last_residual = last_residual
-
-
 class TooFewPoints(GradlocusError):
     """Not enough points for a meaningful dimension estimate."""
 

@@ -24,8 +24,8 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import (DimensionMismatch, Diverged, GradlocusError,
-                     InvalidOption, OddDimension, TooFewPoints)
+from .errors import (DimensionMismatch, GradlocusError, InvalidOption,
+                     OddDimension, TooFewPoints)
 from .fields import ScalarField, VectorField
 from .geometry import GeometricPair
 from .integrability import (TOL_GAMMA, decisive, gamma_obstruction,
@@ -159,20 +159,17 @@ def solve_from_seed(phi: PhiSystem, x0, opts: LocusOptions = LocusOptions()):
     at its current point (a non-finite row; a step to such a point is
     rejected).  A rank-deficient DPhi at the solution is the expected
     situation (the zero set is m-dimensional) and is no obstacle to the
-    damped steps.  A row's result does not depend on the other rows.
+    damped steps.  A row's result does not depend on the other rows, so
+    a single seed is a batch of one.
 
     x0 of shape (B, n) returns the final points and the per-row outcome,
-    one of OUTCOMES.  A single seed of shape (n,) returns the converged
-    point, raises DomainError where Phi or DPhi is undefined, and raises
-    Diverged otherwise.
+    one of OUTCOMES; any other shape raises DimensionMismatch.
     """
     x = np.array(x0, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
     n = phi.dim
     if x.ndim != 2 or x.shape[1] != n:
-        raise DimensionMismatch(f"seed must have shape ({n},) or (B, {n})")
+        raise DimensionMismatch(
+            f"seeds must have shape (B, {n}), got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("seed has non-finite entries")
     B = len(x)
@@ -219,20 +216,7 @@ def solve_from_seed(phi: PhiSystem, x0, opts: LocusOptions = LocusOptions()):
         iters[up] += 1
         relinearise[up] = True
         lam[idx[~accept]] *= 10.0
-
-    if not single:
-        return x, np.array(OUTCOMES)[status]
-    code = status[0]
-    if code == _CONVERGED:
-        return x[0]
-    if code == _DOMAIN:  # raises the DomainError of the failing point
-        phi.phi(x[0])
-        phi.dphi(x[0])
-    reason = {_DOMAIN: "Phi or DPhi is not finite",
-              _NONFINITE: "non-finite step",
-              _EXHAUSTED: "damping exhausted without residual decrease",
-              _CAP: f"no convergence in {opts.max_iters} iterations"}[code]
-    raise Diverged(reason, last_point=x[0], last_residual=float(rnorm[0]))
+    return x, np.array(OUTCOMES)[status]
 
 
 def halton_sequence(count: int, dim: int, shift=None) -> np.ndarray:
@@ -276,16 +260,15 @@ def _box_array(box, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LocusSample:
-    """A point with the verdicts ``certify`` gave it: ``on_locus``,
-    ``obstructed`` when it lies on the locus and its Gamma-power passes
-    ``decisive``, and the charts it lies on."""
+    """A point with the verdicts ``certify`` gave it: ``obstructed`` when
+    it lies on the locus and its Gamma-power passes ``decisive``, and the
+    charts it lies on."""
 
     x: tuple[float, ...]
     phi_norm: float
     gamma_value: float
     gamma_scale: float
     charts: frozenset[tuple[int, ...]]
-    on_locus: bool
     obstructed: bool
 
     @property
@@ -300,9 +283,9 @@ def all_charts(m: int) -> list[tuple[int, ...]]:
 
 def chart_memberships(phi: PhiSystem, X, opts: LocusOptions = LocusOptions()):
     """Charts containing locus points: index tuples alpha whose rows of
-    DPhi(x) form a matrix of numerical rank m at opts.tol_rank.  An (n,)
-    point gives one frozenset, a (B, n) stack a list of B of them; every
-    point must pass ``on_locus``.
+    DPhi(x) form a matrix of numerical rank m at opts.tol_rank.  A (B, n)
+    stack gives a list of B frozensets, and any other shape raises
+    DimensionMismatch; every point must pass ``on_locus``.
 
     A submatrix whose largest singular value is negligible against the
     full Jacobian (below 1e-12 of its spectral norm) is treated as
@@ -312,12 +295,13 @@ def chart_memberships(phi: PhiSystem, X, opts: LocusOptions = LocusOptions()):
     through one stacked SVD, in chunks of at most _CHART_STACK_BYTES.
     """
     X = np.asarray(X, dtype=float)
-    res = np.linalg.norm(np.atleast_2d(phi.phi(X)), axis=1)
+    if X.ndim != 2 or X.shape[1] != phi.dim:
+        raise DimensionMismatch(
+            f"points must have shape (B, {phi.dim}), got {X.shape}")
+    res = np.linalg.norm(phi.phi(X), axis=1)
     if not np.all(on_locus(res, opts)):
         raise GradlocusError("chart membership requested off the locus: "
                              f"||Phi|| = {np.max(res):.3e}")
-    single = X.ndim == 1
-    X = np.atleast_2d(X)
     m = phi.m
     charts = all_charts(m)
     rows = np.array(charts) - 1
@@ -332,7 +316,7 @@ def chart_memberships(phi: PhiSystem, X, opts: LocusOptions = LocusOptions()):
         rank_m = np.sum(sv > opts.tol_rank * ref[..., None], axis=-1) == m
         members += [frozenset(compress(charts, row))
                     for row in rank_m.tolist()]
-    return members[0] if single else members
+    return members
 
 
 def certify(phi: PhiSystem, X,
@@ -353,10 +337,10 @@ def certify(phi: PhiSystem, X,
     charts[on] = chart_memberships(phi, X[on], opts)
     obstructed = on & decisive(values, scales, opts.tol_gamma)
     return [LocusSample(x=tuple(x), phi_norm=r, gamma_value=v, gamma_scale=s,
-                        charts=c, on_locus=o, obstructed=ok)
-            for x, r, v, s, c, o, ok in zip(
+                        charts=c, obstructed=ok)
+            for x, r, v, s, c, ok in zip(
                 X.tolist(), phi_norms.tolist(), values.tolist(),
-                scales.tolist(), charts, on.tolist(), obstructed.tolist())]
+                scales.tolist(), charts, obstructed.tolist())]
 
 
 def sample_locus(phi: PhiSystem, box, n_seeds: int,

@@ -11,7 +11,7 @@ variables, where ``dsl.Jet`` carries only those a value depends on.
 import numpy as np
 
 from gradlocus import dsl
-from gradlocus.errors import DimensionMismatch, Diverged, DomainError
+from gradlocus.errors import DimensionMismatch, DomainError
 from gradlocus.geometry import (FormKind, companion_map, make_form,
                                 minkowski, pseudo_euclidean,
                                 standard_euclidean, standard_symplectic)
@@ -217,8 +217,8 @@ def check_by_side(scenario, n_points):
 def scalar_lm(phi, x0, opts):
     """Levenberg-Marquardt from one seed, one point at a time: the
     per-seed loop the lockstep batch solver must reproduce.  Returns the
-    converged point; raises Diverged or DomainError like a single-seed
-    ``solve_from_seed``."""
+    last point and its outcome, one of ``locus.OUTCOMES``; a point where
+    Phi or DPhi raises DomainError ends the iteration with "domain"."""
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (phi.dim,):
         raise DimensionMismatch(f"seed must have shape ({phi.dim},)")
@@ -226,12 +226,18 @@ def scalar_lm(phi, x0, opts):
         raise ValueError("seed has non-finite entries")
     lam = opts.damping
     eye = np.eye(phi.dim)
-    r = phi.phi(x)
+    try:
+        r = phi.phi(x)
+    except DomainError:
+        return x, "domain"
     rnorm = float(np.linalg.norm(r))
     for _ in range(opts.max_iters):
         if rnorm <= opts.tol_residual:
-            return x
-        J = phi.dphi(x)
+            return x, "converged"
+        try:
+            J = phi.dphi(x)
+        except DomainError:
+            return x, "domain"
         JtJ = J.T @ J
         g = J.T @ r
         accepted = False
@@ -242,8 +248,7 @@ def scalar_lm(phi, x0, opts):
                 lam *= 10.0
                 continue
             if not np.all(np.isfinite(step)):
-                raise Diverged("non-finite step", last_point=x,
-                               last_residual=rnorm)
+                return x, "non-finite step"
             try:
                 r_new = phi.phi(x + step)
                 rn_new = float(np.linalg.norm(r_new))
@@ -257,31 +262,19 @@ def scalar_lm(phi, x0, opts):
                 break
             lam *= 10.0
         if not accepted:
-            raise Diverged("damping exhausted without residual decrease",
-                           last_point=x, last_residual=rnorm)
+            return x, "damping exhausted"
     if rnorm <= opts.tol_residual:
-        return x
-    raise Diverged(f"no convergence in {opts.max_iters} iterations",
-                   last_point=x, last_residual=rnorm)
+        return x, "converged"
+    return x, "iteration cap"
 
 
 def scalar_lm_rows(phi, X, opts):
-    """``scalar_lm`` over the rows of X, reported like a batched
-    ``solve_from_seed``: the final points and one outcome per row.  A
-    row that hit a DomainError keeps its seed."""
-    reasons = {"non-finite step": "non-finite step",
-               "damping exhausted without residual decrease":
-               "damping exhausted"}
+    """``scalar_lm`` over the rows of X, reported like ``solve_from_seed``:
+    the final points and one outcome per row."""
     pts, outcome = np.array(X, dtype=float), []
     for i, x0 in enumerate(X):
-        try:
-            pts[i] = scalar_lm(phi, x0, opts)
-            outcome.append("converged")
-        except DomainError:
-            outcome.append("domain")
-        except Diverged as err:
-            pts[i] = err.last_point
-            outcome.append(reasons.get(str(err), "iteration cap"))
+        pts[i], reason = scalar_lm(phi, x0, opts)
+        outcome.append(reason)
     return pts, np.array(outcome)
 
 
@@ -478,17 +471,6 @@ def central_gradient(fun, x, h=1e-5):
         xm[i] -= h
         out[i] = (fun(xp) - fun(xm)) / (2 * h)
     return out
-
-
-def central_jacobian(fun, x, h=1e-5):
-    x = np.asarray(x, dtype=float)
-    cols = []
-    for i in range(x.size):
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        cols.append((np.asarray(fun(xp)) - np.asarray(fun(xm))) / (2 * h))
-    return np.stack(cols, axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,18 @@
+import json
+
 import numpy as np
 import pytest
 
-from gradlocus import (DimensionMismatch, Diverged, DomainError,
-                       GradlocusError, InvalidOption, LocusOptions,
-                       OddDimension, PhiSystem, ScalarField, TooFewPoints,
-                       VectorField, all_charts, box_counting_dimension,
-                       builtin_demos, build_phi, certify,
-                       chart_memberships, companion_map, default_scales,
-                       halton_sequence, pseudo_euclidean, sample_locus,
-                       solve_from_seed, standard_euclidean,
+from gradlocus import (DimensionMismatch, GradlocusError, InvalidOption,
+                       LocusOptions, OddDimension, PhiSystem, ScalarField,
+                       TooFewPoints, VectorField, all_charts,
+                       box_counting_dimension, builtin_demos, build_phi,
+                       certify, chart_memberships, companion_map,
+                       default_scales, halton_sequence, pseudo_euclidean,
+                       sample_locus, solve_from_seed, standard_euclidean,
                        standard_symplectic, verify_cover)
 from gradlocus import locus
+from gradlocus.cli import main
 from gradlocus.exterior import antisymmetric_part
 
 from oracles import chart_loop, random_points, scalar_lm_rows
@@ -39,17 +41,13 @@ MIXED_DOMAIN = ("(x1^2+x2^2)/2", ["log(x1) + x2", "x1*x2"])
 
 
 class PoisonedDphi(PhiSystem):
-    """DPhi is undefined at the point POISON, by the DSL's contract: a
-    NaN row in a batch, DomainError for the single point."""
+    """DPhi is undefined at the point POISON, by the DSL's contract for a
+    batch: a NaN row."""
 
     POISON = np.array([1.5, 0.1])
 
     def dphi(self, x):
         J = super().dphi(x)
-        if np.ndim(x) == 1:
-            if np.array_equal(x, self.POISON):
-                raise DomainError("poisoned row")
-            return J
         J[np.all(x == self.POISON, axis=1)] = np.nan
         return J
 
@@ -174,7 +172,8 @@ class TestBuildPhi:
 class TestSolveFromSeed:
     def test_circle_converges_to_zero_set(self):
         _, phi = demo_phi("circle-m1")
-        x = solve_from_seed(phi, np.array([1.5, 0.1]))
+        (x,), outcome = solve_from_seed(phi, np.array([[1.5, 0.1]]))
+        assert outcome.tolist() == ["converged"]
         r = np.linalg.norm(x)
         assert abs(r - 1.0) <= 1e-8 or r <= 1e-8
 
@@ -183,21 +182,26 @@ class TestSolveFromSeed:
         f = ScalarField.parse("0", 2)
         F = VectorField.parse(["1", "0"], 2)
         phi = build_phi(pair, f, F, "left")
-        with pytest.raises(Diverged) as err:
-            solve_from_seed(phi, np.array([0.3, -0.8]))
-        assert err.value.last_residual == pytest.approx(1.0)
+        seed = np.array([[0.3, -0.8]])
+        pts, outcome = solve_from_seed(phi, seed)
+        assert outcome.tolist() == ["damping exhausted"]
+        assert np.array_equal(pts, seed)
+        assert np.linalg.norm(phi.phi(pts)) == pytest.approx(1.0)
 
     def test_plane_zeroes_trailing_coordinates(self):
         _, phi = demo_phi("plane-m2")
-        x = solve_from_seed(phi, np.array([1.2, -0.4, 1.7, -1.9]))
+        seed = np.array([[1.2, -0.4, 1.7, -1.9]])
+        (x,), outcome = solve_from_seed(phi, seed)
+        assert outcome.tolist() == ["converged"]
         assert abs(x[2]) <= 1e-8 and abs(x[3]) <= 1e-8
 
     def test_seed_validation(self):
         _, phi = demo_phi("circle-m1")
-        with pytest.raises(DimensionMismatch):
-            solve_from_seed(phi, np.zeros(3))
+        for bad in (np.zeros(3), np.zeros((4, 3)), np.zeros((1, 2, 1))):
+            with pytest.raises(DimensionMismatch):
+                solve_from_seed(phi, bad)
         with pytest.raises(ValueError):
-            solve_from_seed(phi, np.array([np.nan, 0.0]))
+            solve_from_seed(phi, np.array([[np.nan, 0.0]]))
 
     def test_batch_matches_scalar_oracle(self):
         for name in ("circle-m1", "plane-m2", "minkowski-grad"):
@@ -223,9 +227,12 @@ class TestSolveFromSeed:
     def test_single_seed_is_a_batch_of_one(self):
         _, phi = demo_phi("circle-m1")
         seed = np.array([1.5, 0.1])
-        pts, outcome = solve_from_seed(phi, seed[None, :])
+        pts, outcome = solve_from_seed(phi, seed[None])
         assert outcome.tolist() == ["converged"]
-        assert np.array_equal(solve_from_seed(phi, seed), pts[0])
+        both, _ = solve_from_seed(phi, np.array([seed, [0.3, -0.8]]))
+        assert np.array_equal(both[:1], pts)
+        with pytest.raises(DimensionMismatch, match=r"\(B, 2\)"):
+            solve_from_seed(phi, seed)
 
     def test_dphi_domain_error_retires_only_its_row(self):
         s, phi = demo_phi("circle-m1")
@@ -235,8 +242,6 @@ class TestSolveFromSeed:
         assert outcome.tolist() == ["converged", "domain", "converged"]
         healthy, _ = solve_from_seed(phi, seeds[[0, 2]], s.options)
         assert np.array_equal(pts[[0, 2]], healthy)
-        with pytest.raises(DomainError, match="poisoned row"):
-            solve_from_seed(poisoned, PoisonedDphi.POISON, s.options)
 
     def test_singular_normal_equations_fall_back_per_row(self, monkeypatch):
         # DPhi = [[1e8 + 3 x1^2, 1e8], [0, 0]]: near the origin
@@ -348,7 +353,8 @@ class TestCertify:
         assert on.certified and on.charts == {(1,)}
         assert off.phi_norm > s.options.tol_residual
         assert off.charts == frozenset() and not off.certified
-        assert on.on_locus and not off.on_locus
+        assert locus.on_locus(on.phi_norm, s.options)
+        assert not locus.on_locus(off.phi_norm, s.options)
 
     def test_on_locus_is_inclusive_and_rejects_nan(self):
         opts = LocusOptions(tol_residual=1e-10)
@@ -442,23 +448,29 @@ class TestChartsAgainstOracle:
 class TestChartMemberships:
     def test_circle_axis_points(self):
         _, phi = demo_phi("circle-m1")
-        assert chart_memberships(phi, np.array([0.0, 1.0])) == {(1,)}
-        assert chart_memberships(phi, np.array([1.0, 0.0])) == {(2,)}
+        X = np.array([[0.0, 1.0], [1.0, 0.0]])
+        assert chart_memberships(phi, X) == [{(1,)}, {(2,)}]
 
     def test_circle_generic_point_lies_in_both(self):
         _, phi = demo_phi("circle-m1")
-        x = np.array([np.sqrt(0.5), np.sqrt(0.5)])
-        assert chart_memberships(phi, x) == {(1,), (2,)}
+        X = np.array([[np.sqrt(0.5), np.sqrt(0.5)]])
+        assert chart_memberships(phi, X) == [{(1,), (2,)}]
 
     def test_plane_uses_leading_pair(self):
         _, phi = demo_phi("plane-m2")
-        got = chart_memberships(phi, np.array([0.3, -1.2, 0.0, 0.0]))
-        assert got == {(1, 2)}
+        got = chart_memberships(phi, np.array([[0.3, -1.2, 0.0, 0.0]]))
+        assert got == [{(1, 2)}]
+
+    def test_single_point_is_a_stack_of_one(self):
+        _, phi = demo_phi("circle-m1")
+        for bad in (np.array([0.0, 1.0]), np.zeros((1, 3))):
+            with pytest.raises(DimensionMismatch, match=r"\(B, 2\)"):
+                chart_memberships(phi, bad)
 
     def test_off_locus_precondition(self):
         _, phi = demo_phi("circle-m1")
         with pytest.raises(GradlocusError, match="off the locus"):
-            chart_memberships(phi, np.array([1.5, 1.5]))
+            chart_memberships(phi, np.array([[1.5, 1.5]]))
 
     def test_chart_enumeration(self):
         assert all_charts(1) == [(1,), (2,)]
@@ -508,6 +520,70 @@ class TestVerifyCover:
         assert report.certified_count == 0
         assert report.uncovered_count == 0
         assert report.ok
+
+
+def stiff_phi(K):
+    """The stiff scenario on Euclidean R^4: f = K (x1+x2+x3+x4)^2 / 8 and
+    F = (x3, x4, -x1, -x2).  Phi is linear with its one zero at the
+    origin, where |Gamma| / scale = 1 and DPhi = K u u^T - J has
+    sigma_2 = 1, so rank DPhi >= m = 2 there whatever K is."""
+    return euclidean_phi(f"{K} * (x1 + x2 + x3 + x4)^2 / 8",
+                         ["x3", "x4", "-x1", "-x2"])
+
+
+# torus-m2 at 2000 seeds: perfbench/torus.py:scenario(2, 2000, 11)
+TORUS_M2 = {
+    "name": "torus-m2", "dim": 4,
+    "structure": {"kind": "euclidean", "dim": 4},
+    "f": "(x1^2 + x2^2 + x3^2 + x4^2) / 2",
+    "F": ["x1 + (x1^2 + x2^2 - 1) * x2", "x2 - (x1^2 + x2^2 - 1) * x1",
+          "x3 + (x3^2 + x4^2 - 1) * x4", "x4 - (x3^2 + x4^2 - 1) * x3"],
+    "side": "left", "box": [[-2.0, 2.0]] * 4, "n_seeds": 2000,
+    "rng_seed": 11,
+    "tolerances": {"residual": 1e-10, "gamma": 1e-8, "rank": 1e-6},
+}
+
+
+def known_defect(reason):
+    """A defect listed in ROADMAP.md that reproduces today: the change
+    that mends it must flip the test, and only a failed assertion counts
+    as the expected failure."""
+    return pytest.mark.xfail(strict=True, raises=AssertionError,
+                             reason=reason)
+
+
+class TestKnownDefects:
+    @known_defect("the LM step squares cond DPhi ~ K^2 (ROADMAP item 2)")
+    def test_stiff_scenario_converges(self):
+        seeds = locus.box_halton([[-2.0, 2.0]] * 4, 20, 7)
+        _, outcome = solve_from_seed(stiff_phi("1e5"), seeds)
+        assert outcome.tolist() == ["converged"] * 20
+
+    @known_defect("the damping starts at an absolute 1e-3 (ROADMAP item 2)")
+    def test_rotation_scenario_converges(self):
+        phi = euclidean_phi("(x1^2 + x2^2) / 2",
+                            ["x1 - 3e-8 * x2", "x2 + 3e-8 * x1"])
+        seeds = locus.box_halton([[-2.0, 2.0]] * 2, 50, 7)
+        _, outcome = solve_from_seed(phi, seeds)
+        assert outcome.tolist() == ["converged"] * 50
+
+    @known_defect("each chart block is ranked against its own sigma_1 "
+                  "(ROADMAP item 7)")
+    def test_stiff_origin_lies_on_a_chart(self):
+        samples = certify(stiff_phi("2e6"), np.zeros((1, 4)))
+        assert samples[0].obstructed
+        assert verify_cover(samples, 2).ok
+
+    @known_defect("box counting reads about 2m on curved loci "
+                  "(ROADMAP item 1)")
+    def test_torus_dimension_estimate_reads_m(self, tmp_path):
+        scenario = tmp_path / "torus-m2.json"
+        scenario.write_text(json.dumps(TORUS_M2), encoding="utf-8")
+        assert main(["locus", "--scenario", str(scenario),
+                     "--out", str(tmp_path / "out")]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text(
+            encoding="utf-8"))
+        assert abs(summary["dimension_estimate"] - 2) <= 0.3
 
 
 class TestBoxCounting:
