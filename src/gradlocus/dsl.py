@@ -14,12 +14,11 @@ Unary minus is parsed as ``'-' factor`` so that the exponent binds
 tighter (``-x1^2`` means ``-(x1^2)``).  Derivatives are propagated
 through the tree in forward mode with one jet type, a truncated Taylor
 value of order 1 (gradients and Jacobians) or 2 (Hessians) in the
-variables it depends on, so they are exact up to rounding; evaluation
-is vectorized over batches of points, and a single point is a batch of
-one.  A point is outside the domain where a denominator or a base with
-a negative exponent is zero, a log argument is not positive, or the
-result is not finite: its row of a batch comes back all NaN, and a
-single point raises DomainError.
+variables it depends on, so they are exact up to rounding.  Evaluation
+takes a (B, n) stack of points, and a single point is a stack of one.
+A point is outside the domain where a denominator or a base with a
+negative exponent is zero, a log argument is not positive, or the
+result is not finite: its row comes back all NaN.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, ParseError
+from .errors import DimensionMismatch, ParseError
 
 FUNCTIONS = ("sin", "cos", "exp", "log")
 
@@ -455,23 +454,20 @@ class Jet:
 # Evaluation
 
 
-def _flag(undefined, reason: str, node, flags: list):
-    """Records (rows, reason, node) where the mask ``undefined`` holds."""
+def _flag(undefined, flags: list):
+    """Records the mask ``undefined`` if it holds on any row."""
     if np.any(undefined):
-        flags.append((undefined, reason, node))
+        flags.append(undefined)
 
 
-def _settle(expr, flags: list, single: bool, out, *checked):
-    """Flags the rows where out or a checked array is not finite; raises
-    DomainError for a single point, or fills the flagged rows with NaN."""
+def _settle(flags: list, out, *checked):
+    """Fills with NaN the rows of out that are flagged or where out or a
+    checked array is not finite."""
     for a in (out,) + checked:
         finite = np.isfinite(a)
         if not finite.all():
-            _flag(~finite.all(axis=tuple(range(1, a.ndim))),
-                  "evaluation produced a non-finite value", expr, flags)
-    if flags and single:
-        raise DomainError(flags[0][1], str(flags[0][2]))
-    for undefined, _, _ in flags:
+            _flag(~finite.all(axis=tuple(range(1, a.ndim))), flags)
+    for undefined in flags:
         out[undefined] = np.nan
 
 
@@ -503,18 +499,17 @@ def _eval(expr, seeds, flags: list):
     if t is Div:
         num = _eval(expr.lhs, seeds, flags)
         den = _eval(expr.rhs, seeds, flags)
-        _flag(_raw(den) == 0.0, "division by zero", expr, flags)
+        _flag(_raw(den) == 0.0, flags)
         return num / den
     if t is Pow:
         base = _eval(expr.base, seeds, flags)
         if expr.exponent < 0:
-            _flag(_raw(base) == 0.0, "zero base with negative exponent",
-                  expr, flags)
+            _flag(_raw(base) == 0.0, flags)
         return base ** expr.exponent
     if t is Call:
         arg = _eval(expr.arg, seeds, flags)
         if expr.func == "log":
-            _flag(_raw(arg) <= 0.0, "log of non-positive value", expr, flags)
+            _flag(_raw(arg) <= 0.0, flags)
         if hasattr(arg, "val"):
             return getattr(arg, expr.func)()
         return getattr(np, expr.func)(arg)
@@ -522,28 +517,29 @@ def _eval(expr, seeds, flags: list):
 
 
 def _as_batch(x):
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return x[None, :], True
-    if x.ndim == 2:
-        return x, False
-    raise DimensionMismatch(f"expected a point or batch of points, got {x.shape}")
+    """x as a float (B, n) stack of points; any other shape raises
+    DimensionMismatch."""
+    X = np.asarray(x, dtype=float)
+    if X.ndim != 2:
+        raise DimensionMismatch(
+            f"expected a (B, n) stack of points, got shape {X.shape}")
+    return X
 
 
 def evaluate(expr: Expr, x):
-    """Value of the expression at x, shape (n,) -> float or (B, n) -> (B,),
-    NaN outside the domain (a single point there raises DomainError)."""
-    X, single = _as_batch(x)
+    """Value of the expression on a (B, n) stack: (B,), NaN in the rows
+    outside the domain."""
+    X = _as_batch(x)
     flags = []
     with np.errstate(all="ignore"):
         out = _eval(expr, [X[:, i] for i in range(X.shape[1])], flags)
     out = np.array(np.broadcast_to(np.asarray(out, dtype=float), (len(X),)))
-    _settle(expr, flags, single, out)
-    return float(out[0]) if single else out
+    _settle(flags, out)
+    return out
 
 
-def _derivative(expr: Expr, X, order: int, single: bool):
-    """Top derivative of expr on the (B, n) batch X from jets of the
+def _derivative(expr: Expr, X, order: int):
+    """Top derivative of expr on the (B, n) stack X from jets of the
     given order: gradients (B, n) for order 1, Hessians (B, n, n) for
     order 2, as a new array that is NaN in the rows outside the domain
     (the value or the derivative not finite included)."""
@@ -559,25 +555,21 @@ def _derivative(expr: Expr, X, order: int, single: bool):
         val, top = out.val, out.grad if order == 1 else out.hess
     else:  # constant expression
         val, top = np.asarray(out, float), np.zeros((B,) + (n,) * order)
-    _settle(expr, flags, single, top, val)
+    _settle(flags, top, val)
     return top
 
 
 def gradient(expr: Expr, x):
-    """Exact gradient at x: (n,) -> (n,) or (B, n) -> (B, n), NaN
-    outside the domain (a single point there raises DomainError)."""
-    X, single = _as_batch(x)
-    grad = _derivative(expr, X, 1, single)
-    return grad[0] if single else grad
+    """Exact gradients on a (B, n) stack: (B, n), NaN in the rows
+    outside the domain."""
+    return _derivative(expr, _as_batch(x), 1)
 
 
 def hessian(expr: Expr, x):
-    """Exact symmetric Hessian at x: (n,) -> (n, n) or (B, n) -> (B, n, n),
-    NaN outside the domain (a single point there raises DomainError)."""
-    X, single = _as_batch(x)
-    hess = _derivative(expr, X, 2, single)
-    hess = 0.5 * (hess + hess.transpose(0, 2, 1))
-    return hess[0] if single else hess
+    """Exact symmetric Hessians on a (B, n) stack: (B, n, n), NaN in the
+    rows outside the domain."""
+    hess = _derivative(expr, _as_batch(x), 2)
+    return 0.5 * (hess + hess.transpose(0, 2, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -46,20 +46,6 @@ class ParseError(GradlocusError):
         self.position = position
 
 
-class DomainError(GradlocusError):
-    """Evaluation hit a singular point (division by zero, log of a
-    non-positive value, or an overflow to non-finite).
-
-    ``subexpression`` is the printed form of the offending node.
-    """
-
-    def __init__(self, message, subexpression=None):
-        if subexpression is not None:
-            message = f"{message} in '{subexpression}'"
-        super().__init__(message)
-        self.subexpression = subexpression
-
-
 class TooFewPoints(GradlocusError):
     """Not enough points for a meaningful dimension estimate."""
 

@@ -20,7 +20,9 @@ from .geometry import FormKind, GeometricPair
 
 @dataclass(frozen=True)
 class ScalarField:
-    """A C^2 scalar field given by an expression over x1..xdim."""
+    """A C^2 scalar field given by an expression over x1..xdim; value,
+    gradient and hessian map a (B, dim) stack to (B,), (B, dim) and
+    (B, dim, dim)."""
 
     dim: int
     expr: dsl.Expr
@@ -72,23 +74,23 @@ class VectorField:
         return cls(dim=dim, components=comps)
 
     def value(self, x):
-        """(n,) -> (n,) or (B, n) -> (B, n)."""
+        """(B, n) -> (B, n)."""
         x = _check_point(x, self.dim)
-        return np.stack([dsl.evaluate(c, x) for c in self.components], axis=-1)
+        return np.stack([dsl.evaluate(c, x) for c in self.components], axis=1)
 
     def jacobian(self, x):
-        """DF with DF[i, j] = dF_i/dx_j; batched to (B, n, n)."""
+        """DF with DF[b, i, j] = dF_i/dx_j at row b: (B, n) -> (B, n, n)."""
         x = _check_point(x, self.dim)
-        return np.stack([dsl.gradient(c, x) for c in self.components],
-                        axis=-2)
+        return np.stack([dsl.gradient(c, x) for c in self.components], axis=1)
 
 
 def _check_point(x, dim: int):
-    """x as a float array of points (n,) or (B, n) with n == dim."""
+    """x as a float (B, dim) stack of points, the one shape check of
+    every field evaluation: any other shape raises DimensionMismatch."""
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] != dim:
+    if x.ndim != 2 or x.shape[1] != dim:
         raise DimensionMismatch(
-            f"point has dimension {x.shape[-1]}, field has {dim}")
+            f"points must have shape (B, {dim}), got {x.shape}")
     return x
 
 
@@ -114,27 +116,27 @@ def gradient_like_field(pair: GeometricPair, f: ScalarField,
 
 
 def left_gradient(pair: GeometricPair, f: ScalarField, x):
-    """Bstar grad f(x)."""
+    """Bstar grad f at each row of the (B, n) stack x."""
     _check_dims(pair, f)
     return f.gradient(x) @ pair.Bstar.T
 
 
 def right_gradient(pair: GeometricPair, f: ScalarField, x):
-    """B grad f(x)."""
+    """B grad f at each row of the (B, n) stack x."""
     _check_dims(pair, f)
     return f.gradient(x) @ pair.B.T
 
 
 def hamiltonian_field(pair: GeometricPair, f: ScalarField, x):
-    """Left gradient for a symplectic structure; checked against
-    minus the right gradient."""
+    """Left gradient for a symplectic structure at each row of the
+    (B, n) stack x; checked against minus the right gradient."""
     if pair.form.kind is not FormKind.SKEW_SYMMETRIC or pair.dim % 2:
         raise NotSymplectic(
             "Hamiltonian fields require a skew-symmetric form of even dimension")
     left = left_gradient(pair, f, x)
     right = right_gradient(pair, f, x)
-    scale = 1.0 + float(np.abs(left).max())
-    dev = float(np.abs(left + right).max())
+    scale = 1.0 + float(np.abs(left).max(initial=0.0))
+    dev = float(np.abs(left + right).max(initial=0.0))
     if dev > 1e-9 * scale:  # pragma: no cover - companion maps make this exact
         raise NotSymplectic(
             f"left and minus-right gradients disagree by {dev:.3e}")

@@ -167,11 +167,6 @@ def companion_map(form: BilinearForm) -> GeometricPair:
     return GeometricPair(form=form, B=_freeze(B), Bstar=_freeze(B.T))
 
 
-def evaluate(form: BilinearForm, x, y) -> float:
-    """b(x, y) = x^T Q y."""
-    return form.value(x, y)
-
-
 @dataclass(frozen=True)
 class PairCheck:
     """Result of randomized verification of the geometric-pair identities."""

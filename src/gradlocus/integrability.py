@@ -8,17 +8,19 @@ domain iff Q^T DF(x) is symmetric everywhere; the module measures the
 Frobenius norm of the antisymmetric defect, and the top wedge power of
 the antisymmetry operator applied to the same matrix as the
 non-integrability obstruction.  Both depend on DF(x) alone, so the
-batch functions take Jacobians and never evaluate a field.
+functions take a (B, n, n) stack of Jacobians, one per point, and never
+evaluate a field; the named residuals evaluate ``F.jacobian`` on a
+(B, n) stack of points.
 
 The sides that apply to a form are ``conditions(pair)``.  Numbers of
 N = C DF are computed once per distinct C, not per side: symmetric and
 symplectic equal right (C = Q), and left shares C when Q^T = Q.
 
-Each verdict has one rule, shared by ``check``, ``point_report`` and
-certification: with scale = m! ||C DF||_F^m + floor, ``integrable``
-needs the relative residual and |value| / scale at most tol,
-``decisive`` needs |value| / scale above GRAY_FACTOR * tol, and in
-between is a gray zone with no verdict.  Verdicts are pointwise only:
+Each verdict has one rule, shared by ``check`` and certification:
+with scale = m! ||C DF||_F^m + floor, ``integrable`` needs the relative
+residual and |value| / scale at most tol, ``decisive`` needs
+|value| / scale above GRAY_FACTOR * tol, and in between is a gray zone
+with no verdict.  Verdicts are pointwise only:
 no attempt is made to verify that the sampled domain is contractible.
 """
 
@@ -42,12 +44,13 @@ SIDES = ("left", "right", "symmetric", "symplectic")
 
 
 def _stack(pair: GeometricPair, DF):
-    """(DF as a (B, n, n) stack, whether it was one (n, n) matrix)."""
+    """DF as a float (B, n, n) stack of Jacobians; any other shape
+    raises DimensionMismatch."""
     DF = np.asarray(DF, dtype=float)
-    if DF.ndim not in (2, 3) or DF.shape[-2:] != (pair.dim, pair.dim):
+    if DF.ndim != 3 or DF.shape[1:] != (pair.dim, pair.dim):
         raise DimensionMismatch(f"Jacobians of shape {DF.shape} for a "
                                 f"structure of dimension {pair.dim}")
-    return (DF[None], True) if DF.ndim == 2 else (DF, False)
+    return DF
 
 
 def _fro(mats):
@@ -65,8 +68,8 @@ def conditions(pair: GeometricPair) -> tuple[str, ...]:
 
 
 def residual(pair: GeometricPair, DF, side: str):
-    """||N - N^T||_F with N = C DF, the side's integrability defect, for
-    one Jacobian DF (n, n) -> float or a stack (B, n, n) -> (B,).
+    """||N - N^T||_F with N = C DF, the side's integrability defect, at
+    each Jacobian of the stack DF: (B, n, n) -> (B,).
 
     Every condition is this norm: C = Q^T for left and C = Q for right,
     symmetric and symplectic (then ||(DF)^T B^{-1} + B^{-1} DF||_F); a
@@ -78,9 +81,7 @@ def residual(pair: GeometricPair, DF, side: str):
             raise ValueError("symmetric residual requires a symmetric form")
         raise NotSymplectic(
             "symplectic residual requires a skew form of even dimension")
-    DF, single = _stack(pair, DF)
-    out = _fro(antisymmetric_part(C @ DF))
-    return float(out[0]) if single else out
+    return _fro(antisymmetric_part(C @ _stack(pair, DF)))
 
 
 def left_residual(pair: GeometricPair, F: VectorField, x):
@@ -124,20 +125,17 @@ def distinct_sides(pair: GeometricPair, sides) -> dict:
 
 
 def gamma_obstruction(pair: GeometricPair, DF, side: str = "left"):
-    """(value, scale): top wedge-power coefficient of C DF and its
-    degree-m normalizer m! ||C DF||_F^m + floor, as floats for one
-    Jacobian (n, n) and as (B,) arrays for a stack (B, n, n)."""
+    """(values, scales): top wedge-power coefficient of C DF and its
+    degree-m normalizer m! ||C DF||_F^m + floor, as (B,) arrays for the
+    stack DF (B, n, n)."""
     n = pair.dim
     if n % 2:
         raise OddDimension(f"obstruction needs even dimension, got {n}")
     m = n // 2
-    DF, single = _stack(pair, DF)
-    M = obstruction_matrix(pair, side) @ DF
+    M = obstruction_matrix(pair, side) @ _stack(pair, DF)
     norms = _fro(M)
     values = gamma_power(M, m)
     scales = math.factorial(m) * norms ** m + GAMMA_FLOOR
-    if single:
-        return float(values[0]), float(scales[0])
     return values, scales
 
 
@@ -150,46 +148,6 @@ def decisive(value, scale, tol: float):
 def integrable(residual_rel, gamma_rel, tol: float):
     """Relative residual and |value| / scale both <= tol, elementwise."""
     return (residual_rel <= tol) & (gamma_rel <= tol)
-
-
-@dataclass(frozen=True)
-class IntegrabilityReport:
-    """Pointwise verdict; both flags stay False in the gray zone.
-
-    ``residual`` is the Frobenius defect of the side's condition,
-    ``gamma_value``/``gamma_scale`` the obstruction and its normalizer,
-    and ``tol`` the threshold the verdicts were derived with (the
-    thresholding scheme is an artifact decision, hence recorded).
-    """
-
-    point: tuple[float, ...]
-    side: str
-    residual: float
-    gamma_value: float
-    gamma_scale: float
-    verdict_integrable: bool
-    verdict_nonintegrable: bool
-    tol: float
-
-
-def point_report(pair: GeometricPair, F: VectorField, x, side: str = "left",
-                 tol: float = TOL_GAMMA) -> IntegrabilityReport:
-    """Evaluate one condition and the obstruction at a single point."""
-    DF = F.jacobian(x)
-    res = residual(pair, DF, side)
-    value, scale = gamma_obstruction(pair, DF, side)
-    res_rel = res / (1.0 + float(_fro(obstruction_matrix(pair, side)
-                                      @ DF[None])[0]))
-    return IntegrabilityReport(
-        point=tuple(float(v) for v in x),
-        side=side,
-        residual=res,
-        gamma_value=value,
-        gamma_scale=scale,
-        verdict_integrable=bool(integrable(res_rel, abs(value) / scale, tol)),
-        verdict_nonintegrable=bool(decisive(value, scale, tol)),
-        tol=tol,
-    )
 
 
 @dataclass(frozen=True)
@@ -210,13 +168,13 @@ def equivalence_probe(pair: GeometricPair, DF,
                       tol: float = TOL_GAMMA) -> ProbeReport:
     """Check (residual ~ 0) <=> (all antisymmetry coefficients ~ 0) at
     each point, for both the left and right conditions, from the
-    Jacobians DF (n, n) or (B, n, n) at the points.
+    (B, n, n) stack DF of Jacobians at the points.
 
     Points within a factor GRAY_FACTOR of the threshold on either
     measure are excluded from the violation count and reported.  Both
     are counted per side, though a C shared by the sides is checked once.
     """
-    DF, _ = _stack(pair, DF)
+    DF = _stack(pair, DF)
     lo, hi = tol / GRAY_FACTOR, tol * GRAY_FACTOR
     violations, gray, max_relative, rel = [], 0, [], {}
     for side, first in distinct_sides(pair, ("left", "right")).items():

@@ -100,11 +100,11 @@ class PhiSystem:
         return self.pair.dim // 2
 
     def phi(self, x):
-        """(n,) -> (n,) or (B, n) -> (B, n)."""
+        """(B, n) -> (B, n), NaN in the rows outside the domain."""
         return self.f.gradient(x) - self.F.value(x) @ self.C.T
 
     def dphi(self, x):
-        """(n,) -> (n, n) or (B, n) -> (B, n, n)."""
+        """(B, n) -> (B, n, n), NaN in the rows outside the domain."""
         return self.f.hessian(x) - self.C @ self.F.jacobian(x)
 
 
@@ -285,7 +285,8 @@ def chart_memberships(phi: PhiSystem, X, opts: LocusOptions = LocusOptions()):
     """Charts containing locus points: index tuples alpha whose rows of
     DPhi(x) form a matrix of numerical rank m at opts.tol_rank.  A (B, n)
     stack gives a list of B frozensets, and any other shape raises
-    DimensionMismatch; every point must pass ``on_locus``.
+    DimensionMismatch (from the field layer, as in ``certify``); every
+    point must pass ``on_locus``.
 
     A submatrix whose largest singular value is negligible against the
     full Jacobian (below 1e-12 of its spectral norm) is treated as
@@ -295,9 +296,6 @@ def chart_memberships(phi: PhiSystem, X, opts: LocusOptions = LocusOptions()):
     through one stacked SVD, in chunks of at most _CHART_STACK_BYTES.
     """
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != phi.dim:
-        raise DimensionMismatch(
-            f"points must have shape (B, {phi.dim}), got {X.shape}")
     res = np.linalg.norm(phi.phi(X), axis=1)
     if not np.all(on_locus(res, opts)):
         raise GradlocusError("chart membership requested off the locus: "
@@ -321,7 +319,8 @@ def chart_memberships(phi: PhiSystem, X, opts: LocusOptions = LocusOptions()):
 
 def certify(phi: PhiSystem, X,
             opts: LocusOptions = LocusOptions()) -> list[LocusSample]:
-    """Certification data for each row of X, in order.
+    """Certification data for each row of the (B, n) stack X, in order;
+    any other shape raises DimensionMismatch.
 
     A row is obstructed when it lies on the locus (``on_locus``) and
     passes ``decisive`` with tol_gamma, and certified when it is

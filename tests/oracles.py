@@ -8,16 +8,18 @@ differences; the dense jet carries every derivative over all
 variables, where ``dsl.Jet`` carries only those a value depends on.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from gradlocus import dsl
-from gradlocus.errors import DimensionMismatch, DomainError
+from gradlocus.errors import DimensionMismatch
 from gradlocus.geometry import (FormKind, companion_map, make_form,
                                 minkowski, pseudo_euclidean,
                                 standard_euclidean, standard_symplectic)
-from gradlocus.integrability import (GRAY_FACTOR, ProbeReport, decisive,
-                                     gamma_obstruction, obstruction_matrix,
-                                     residual)
+from gradlocus.integrability import (GRAY_FACTOR, TOL_GAMMA, ProbeReport,
+                                     decisive, gamma_obstruction, integrable,
+                                     obstruction_matrix, residual)
 from gradlocus.locus import all_charts, box_halton
 
 GENERAL_Q = np.array([[1.0, 1.0], [0.0, 1.0]])
@@ -152,6 +154,23 @@ def probe_loop(pair, DF, tol):
                        max_relative=tuple(max_relative))
 
 
+def point_report(pair, F, x, side="left", tol=TOL_GAMMA):
+    """The integrability verdicts at the one point x, from its stack of
+    one: the per-point rules whose count and conjunction ``check``
+    reports.  Both verdicts stay False in the gray zone and where DF is
+    undefined."""
+    DF = F.jacobian(np.asarray(x, dtype=float)[None])
+    N = obstruction_matrix(pair, side) @ DF[0]
+    res = float(residual(pair, DF, side)[0])
+    values, scales = gamma_obstruction(pair, DF, side)
+    value, scale = float(values[0]), float(scales[0])
+    return SimpleNamespace(
+        residual=res, gamma_value=value, gamma_scale=scale, tol=tol,
+        verdict_integrable=bool(integrable(
+            res / (1.0 + np.sqrt(np.sum(N * N))), abs(value) / scale, tol)),
+        verdict_nonintegrable=bool(decisive(value, scale, tol)))
+
+
 def check_by_side(scenario, n_points):
     """The ``check.json`` payload without ``generated_at``, with the
     residual, its relative norm and the probe run once per side, whether
@@ -218,7 +237,8 @@ def scalar_lm(phi, x0, opts):
     """Levenberg-Marquardt from one seed, one point at a time: the
     per-seed loop the lockstep batch solver must reproduce.  Returns the
     last point and its outcome, one of ``locus.OUTCOMES``; a point where
-    Phi or DPhi raises DomainError ends the iteration with "domain"."""
+    Phi or DPhi is not finite (outside the domain, where the stack of
+    one comes back NaN) ends the iteration with "domain"."""
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (phi.dim,):
         raise DimensionMismatch(f"seed must have shape ({phi.dim},)")
@@ -226,17 +246,15 @@ def scalar_lm(phi, x0, opts):
         raise ValueError("seed has non-finite entries")
     lam = opts.damping
     eye = np.eye(phi.dim)
-    try:
-        r = phi.phi(x)
-    except DomainError:
+    r = phi.phi(x[None])[0]
+    if not np.all(np.isfinite(r)):
         return x, "domain"
     rnorm = float(np.linalg.norm(r))
     for _ in range(opts.max_iters):
         if rnorm <= opts.tol_residual:
             return x, "converged"
-        try:
-            J = phi.dphi(x)
-        except DomainError:
+        J = phi.dphi(x[None])[0]
+        if not np.all(np.isfinite(J)):
             return x, "domain"
         JtJ = J.T @ J
         g = J.T @ r
@@ -249,11 +267,8 @@ def scalar_lm(phi, x0, opts):
                 continue
             if not np.all(np.isfinite(step)):
                 return x, "non-finite step"
-            try:
-                r_new = phi.phi(x + step)
-                rn_new = float(np.linalg.norm(r_new))
-            except DomainError:
-                rn_new = np.inf
+            r_new = phi.phi((x + step)[None])[0]
+            rn_new = float(np.linalg.norm(r_new))
             if np.isfinite(rn_new) and rn_new < rnorm:
                 x = x + step
                 r, rnorm = r_new, rn_new
@@ -285,12 +300,14 @@ def scalar_lm_rows(phi, X, opts):
 def chart_loop(phi, X, opts):
     """Chart sets of the rows of X the way ``certify`` reports them, one
     point and one m x 2m submatrix SVD at a time: the loop the stacked
-    ``chart_memberships`` must reproduce.  Rows off the locus get none."""
+    ``chart_memberships`` must reproduce.  Rows off the locus, or where
+    Phi or DPhi is not finite, get none."""
     out = []
     for x in np.asarray(X, dtype=float):
         members = []
-        if np.linalg.norm(phi.phi(x)) <= opts.tol_residual:
-            J = phi.dphi(x)
+        J = phi.dphi(x[None])[0]
+        if (np.linalg.norm(phi.phi(x[None])[0]) <= opts.tol_residual
+                and np.all(np.isfinite(J))):
             global_s1 = float(np.linalg.norm(J, 2))
             for alpha in all_charts(phi.m):
                 sub = J[[a - 1 for a in alpha], :]
@@ -430,11 +447,11 @@ class DenseJet:
                            grad=self.grad / self.val[:, None])
 
 
-def dense_derivative(expr, x, order):
-    """``dsl.gradient`` (order 1) or ``dsl.hessian`` (order 2) computed
-    with DenseJet: the same tree walk and domain rules, with every
-    derivative carried over all n variables."""
-    X, single = dsl._as_batch(x)
+def dense_derivative(expr, X, order):
+    """``dsl.gradient`` (order 1) or ``dsl.hessian`` (order 2) on a
+    (B, n) stack computed with DenseJet: the same tree walk and domain
+    rules, with every derivative carried over all n variables."""
+    X = dsl._as_batch(X)
     B, n = X.shape
     seeds = []
     for i in range(n):
@@ -450,10 +467,10 @@ def dense_derivative(expr, x, order):
     else:  # constant expression
         val, top = np.asarray(out, float), np.zeros((B,) + (n,) * order)
     top = np.array(top)
-    dsl._settle(expr, flags, single, top, val)
+    dsl._settle(flags, top, val)
     if order == 2:
         top = 0.5 * (top + top.transpose(0, 2, 1))
-    return top[0] if single else top
+    return top
 
 
 def dense_jacobian(F, X):

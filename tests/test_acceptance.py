@@ -142,7 +142,7 @@ def test_criterion_04_poincare_soundness_and_perturbation():
                 F = gradient_like_field(pair, f, side)
                 DF = F.jacobian(X)
                 DF_scale = 1.0 + np.abs(DF).max()
-                res = np.atleast_1d(residual(pair, DF, side))
+                res = residual(pair, DF, side)
                 assert res.max() <= 1e-8 * DF_scale, (name, side)
                 if form.kind is FormKind.SYMMETRIC:
                     extra = residual(pair, DF, "symmetric")
@@ -151,8 +151,7 @@ def test_criterion_04_poincare_soundness_and_perturbation():
                     extra = residual(pair, DF, "symplectic")
                     assert np.max(extra) <= 1e-8 * DF_scale, name
                 perturbed = add_fields(F, _perturbation(pair, side))
-                res_p = np.atleast_1d(
-                    residual(pair, perturbed.jacobian(X), side))
+                res_p = residual(pair, perturbed.jacobian(X), side)
                 assert np.mean(res_p > 1e-2) >= 0.95, (name, side)
     _report(4, "exact gradient-like fields pass all matched conditions at "
                "1e-8; first-order perturbations break them at >= 95% of "

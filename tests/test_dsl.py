@@ -1,14 +1,16 @@
-import re
-
 import numpy as np
 import pytest
 
-from gradlocus import DomainError, ParseError, differentiate, parse_expression
+from gradlocus import ParseError, differentiate, parse_expression
 from gradlocus.dsl import (Add, Call, Const, Div, Jet, Mul, Neg, Pow, Sub,
                            Var, _eval, evaluate, gradient, hessian,
                            linear_combination, max_var_index)
 from gradlocus.fields import ScalarField, VectorField
+from gradlocus.errors import DimensionMismatch
 from gradlocus.geometry import companion_map, standard_symplectic
+from gradlocus.integrability import (ProbeReport, equivalence_probe,
+                                     gamma_obstruction, left_residual,
+                                     residual)
 from gradlocus.locus import build_phi
 
 from oracles import (central_gradient, dense_derivative, random_points,
@@ -107,7 +109,8 @@ class TestRoundTrip:
 class TestEvaluate:
     def test_basic_values(self):
         e = parse_expression("x1^2 + x2^2", 2)
-        assert evaluate(e, [1.0, 2.0]) == 5.0
+        assert np.array_equal(evaluate(e, [[1.0, 2.0], [0.0, 3.0]]),
+                              [5.0, 9.0])
 
     def test_batched_matches_pointwise(self):
         rng = np.random.default_rng(22)
@@ -116,30 +119,24 @@ class TestEvaluate:
             X = random_points(rng, 10, 2)
             batch = evaluate(e, X)
             for i in range(10):
-                assert batch[i] == pytest.approx(evaluate(e, X[i]), rel=1e-14)
+                assert batch[i] == pytest.approx(evaluate(e, X[i:i + 1])[0],
+                                                 rel=1e-14)
 
     def test_division_by_zero(self):
-        e = parse_expression("1 / x1", 1)
-        with pytest.raises(DomainError) as err:
-            evaluate(e, [0.0])
-        assert "1.0 / x1" in str(err.value)
+        out = evaluate(parse_expression("1 / x1", 1), [[0.0], [2.0]])
+        assert np.isnan(out[0]) and out[1] == 0.5
 
     def test_log_of_nonpositive(self):
-        e = parse_expression("log(x1)", 1)
-        with pytest.raises(DomainError):
-            evaluate(e, [0.0])
-        with pytest.raises(DomainError):
-            evaluate(e, [-1.0])
+        out = evaluate(parse_expression("log(x1)", 1), [[0.0], [-1.0], [1.0]])
+        assert np.isnan(out[:2]).all() and out[2] == 0.0
 
     def test_zero_base_negative_exponent(self):
-        e = parse_expression("x1^-1", 1)
-        with pytest.raises(DomainError):
-            evaluate(e, [0.0])
+        out = evaluate(parse_expression("x1^-1", 1), [[0.0], [4.0]])
+        assert np.isnan(out[0]) and out[1] == 0.25
 
     def test_overflow_surfaces_as_domain_error(self):
-        e = parse_expression("exp(exp(x1))", 1)
-        with pytest.raises(DomainError):
-            evaluate(e, [100.0])
+        out = evaluate(parse_expression("exp(exp(x1))", 1), [[100.0], [0.0]])
+        assert np.isnan(out[0]) and out[1] == np.exp(1.0)
 
     def test_constant_expression_broadcasts(self):
         e = parse_expression("2.5", 3)
@@ -150,14 +147,15 @@ class TestEvaluate:
 class TestDerivatives:
     def test_sum_of_squares(self):
         e = parse_expression("x1^2 + x2^2", 2)
-        assert np.allclose(gradient(e, [1.0, 2.0]), [2.0, 4.0])
-        assert np.allclose(hessian(e, [1.0, 2.0]), 2 * np.eye(2))
+        assert np.allclose(gradient(e, [[1.0, 2.0]]), [[2.0, 4.0]])
+        assert np.allclose(hessian(e, [[1.0, 2.0]]), 2 * np.eye(2)[None])
 
     def test_sin_product(self):
         e = parse_expression("sin(x1) * x2", 2)
-        g = gradient(e, [0.0, 3.0])
+        g = gradient(e, [[0.0, 3.0]])[0]
         assert np.allclose(g, [3.0, 0.0])
-        fd = central_gradient(lambda x: evaluate(e, x), np.array([0.0, 3.0]))
+        fd = central_gradient(lambda x: evaluate(e, x[None])[0],
+                              np.array([0.0, 3.0]))
         assert np.allclose(g, fd, atol=1e-9)
 
     def test_against_central_differences(self):
@@ -166,11 +164,10 @@ class TestDerivatives:
         while checked < 50:
             e = random_smooth(rng, 3, depth=3)
             x = rng.uniform(-1.5, 1.5, size=3)
-            try:
-                g = gradient(e, x)
-            except DomainError:
+            g = gradient(e, x[None])[0]
+            if not np.isfinite(g).all():
                 continue
-            fd = central_gradient(lambda p: evaluate(e, p), x)
+            fd = central_gradient(lambda p: evaluate(e, p[None])[0], x)
             scale = 1.0 + np.abs(g).max()
             assert np.abs(g - fd).max() <= 1e-6 * scale, str(e)
             checked += 1
@@ -181,12 +178,11 @@ class TestDerivatives:
         while checked < 25:
             e = random_smooth(rng, 2, depth=3)
             x = rng.uniform(-1.5, 1.5, size=2)
-            try:
-                H = hessian(e, x)
-            except DomainError:
+            H = hessian(e, x[None])[0]
+            if not np.isfinite(H).all():
                 continue
             fd = np.column_stack([
-                central_gradient(lambda p, i=i: gradient(e, p)[i], x)
+                central_gradient(lambda p, i=i: gradient(e, p[None])[0, i], x)
                 for i in range(2)
             ])
             scale = 1.0 + np.abs(H).max()
@@ -212,7 +208,7 @@ class TestDerivatives:
                 out = _eval(e, seeds, flags)
             if isinstance(out, Jet):
                 defined = np.ones(5, dtype=bool)
-                for undefined, _, _ in flags:
+                for undefined in flags:
                     defined &= ~undefined
                 H = out.hess[defined]
                 skew = np.abs(H - H.transpose(0, 2, 1)).max(initial=0.0)
@@ -220,11 +216,11 @@ class TestDerivatives:
 
     def test_sparse_jets_match_the_dense_oracle(self):
         # the sparse jets widen to the union of their variables and then
-        # compute as the dense ones do, so derivatives, undefined rows and
-        # single-point errors all agree exactly; the trees are wrapped in
-        # 1/xi, log(xi), (1/xi)^0 or exp(tree^2), and the points put xi
-        # at 0 and -1 and one entry at 1e200, so rows fall outside the
-        # domain
+        # compute as the dense ones do, so derivatives and undefined rows
+        # agree exactly, on the stack and on each stack of one; the trees
+        # are wrapped in 1/xi, log(xi), (1/xi)^0 or exp(tree^2), and the
+        # points put xi at 0 and -1 and one entry at 1e200, so rows fall
+        # outside the domain
         rng = np.random.default_rng(28)
         for n in range(1, 7):
             for make in (random_smooth, random_polynomial):
@@ -242,36 +238,32 @@ class TestDerivatives:
                         assert np.array_equal(sparse(e, X), dense,
                                               equal_nan=True), (str(e), order)
                         for x, row in zip(X, dense, strict=True):
-                            if np.isnan(row).all():
-                                with pytest.raises(DomainError) as sparse_err:
-                                    sparse(e, x)
-                                with pytest.raises(DomainError) as dense_err:
-                                    dense_derivative(e, x, order)
-                                assert str(sparse_err.value) == \
-                                    str(dense_err.value)
-                            else:
-                                assert np.array_equal(sparse(e, x), row)
+                            assert np.array_equal(sparse(e, x[None])[0], row,
+                                                  equal_nan=True)
+                            assert np.array_equal(
+                                dense_derivative(e, x[None], order)[0], row,
+                                equal_nan=True)
 
     def test_batched_derivatives_match_single(self):
-        # a point alone gives exactly its row of the batch, through the
-        # DSL, the fields and the Phi system; a point outside the domain
-        # is an all-NaN row of the batch and raises DomainError alone
+        # a point alone, as a stack of one, gives exactly its row of the
+        # batch, through the DSL, the fields and the Phi system; a point
+        # outside the domain is an all-NaN row either way
         rng = np.random.default_rng(26)
         X = random_points(rng, 10, 2)
         X[:5, 0] = [0.0, -1.3, 7.5, 0.8, 0.0]
         x1 = X[:, 0]
-        everywhere = np.ones(len(X), dtype=bool)
-        cases = [  # (expression, rows inside its domain, reason outside)
-            ("sin(x1 * x2) + x1^3 / (1.0 + x2^2)", everywhere, None),
-            ("log(x1^2 + 1) * cos(x2) - 2 / (3 + x1 * x2)", everywhere, None),
-            ("1/x1", x1 != 0, "division by zero in '1.0 / x1'"),
-            ("log(x1)", x1 > 0, "log of non-positive value in 'log(x1)'"),
-            ("x1^-1", x1 != 0, "zero base with negative exponent in 'x1^-1'"),
-            ("exp(-1/x1^2)", x1 != 0, "division by zero in '-1.0 / x1^2'"),
-            ("(1/x1)^0", x1 != 0, "division by zero in '1.0 / x1'"),
-            ("exp(exp(x1))", x1 < 6, "non-finite value in 'exp(exp(x1))'"),
+        cases = [  # (expression, rows inside its domain)
+            ("sin(x1 * x2) + x1^3 / (1.0 + x2^2)", np.ones(len(X), bool)),
+            ("log(x1^2 + 1) * cos(x2) - 2 / (3 + x1 * x2)",
+             np.ones(len(X), bool)),
+            ("1/x1", x1 != 0),
+            ("log(x1)", x1 > 0),
+            ("x1^-1", x1 != 0),
+            ("exp(-1/x1^2)", x1 != 0),  # finite at 0, undefined there
+            ("(1/x1)^0", x1 != 0),
+            ("exp(exp(x1))", x1 < 6),
         ]
-        for text, defined, reason in cases:
+        for text, defined in cases:
             assert 0 < defined.sum()
             e = parse_expression(text, 2)
             F = VectorField.parse([text, f"x2 * ({text})"], 2)
@@ -283,15 +275,60 @@ class TestDerivatives:
             batched = [call(X) for call in calls]
             for i in range(len(X)):
                 for call, many in zip(calls, batched, strict=True):
-                    if defined[i]:
-                        one = call(X[i])
-                        assert np.shape(one) == many[i].shape
-                        assert np.array_equal(one, many[i]), (text, i)
-                    else:
-                        assert np.all(np.isnan(many[i])), (text, i)
-                        with pytest.raises(DomainError,
-                                           match=re.escape(reason)):
-                            call(X[i])
+                    one = call(X[i:i + 1])
+                    assert one.shape == (1,) + many[i].shape
+                    assert np.array_equal(one[0], many[i], equal_nan=True)
+                    assert np.isnan(many[i]).all() != defined[i], (text, i)
+
+
+_PAIR = companion_map(standard_symplectic(1))
+_F = VectorField.parse(["x1 * x2^2", "sin(x1) - x2"], 2)
+_f = ScalarField.parse("x1^2 * cos(x2)", 2)
+_PHI = build_phi(_PAIR, _f, _F, "left")
+_EVALUATORS = {  # name: (evaluator, whether it takes Jacobians, not points)
+    "dsl.evaluate": (lambda x: evaluate(_f.expr, x), False),
+    "dsl.gradient": (lambda x: gradient(_f.expr, x), False),
+    "dsl.hessian": (lambda x: hessian(_f.expr, x), False),
+    "ScalarField.value": (_f.value, False),
+    "ScalarField.gradient": (_f.gradient, False),
+    "ScalarField.hessian": (_f.hessian, False),
+    "VectorField.value": (_F.value, False),
+    "VectorField.jacobian": (_F.jacobian, False),
+    "PhiSystem.phi": (_PHI.phi, False),
+    "PhiSystem.dphi": (_PHI.dphi, False),
+    "left_residual": (lambda x: left_residual(_PAIR, _F, x), False),
+    "residual": (lambda DF: residual(_PAIR, DF, "left"), True),
+    "gamma_obstruction": (lambda DF: gamma_obstruction(_PAIR, DF), True),
+    "equivalence_probe": (lambda DF: equivalence_probe(_PAIR, DF), True),
+}
+
+
+@pytest.mark.parametrize("name", list(_EVALUATORS))
+def test_evaluators_take_only_stacks(name):
+    # the evaluation layers take only stacks: one point (n,), one
+    # Jacobian (n, n) and any other 1-D input raise; a stack of one gives
+    # exactly its row of a larger stack
+    call, takes_jacobians = _EVALUATORS[name]
+    X = random_points(np.random.default_rng(29), 6, 2)
+    stack = _F.jacobian(X) if takes_jacobians else X
+    for single in (stack[0], stack[0].reshape(-1)):
+        with pytest.raises(DimensionMismatch):
+            call(single)
+    many = call(stack)
+    ones = [call(stack[i:i + 1]) for i in range(len(stack))]
+    if isinstance(many, ProbeReport):  # per-row counts and maxima add up
+        assert [r.points for r in ones] == [1] * len(stack)
+        assert sum(r.violations for r in ones) == many.violations
+        assert sum(r.gray_excluded for r in ones) == many.gray_excluded
+        for k, (side, value) in enumerate(many.max_relative):
+            assert max(r.max_relative[k][1] for r in ones) == value, side
+        return
+    many = many if isinstance(many, tuple) else (many,)
+    for i, one in enumerate(ones):
+        one = one if isinstance(one, tuple) else (one,)
+        for one_part, many_part in zip(one, many, strict=True):
+            assert one_part.shape == (1,) + many_part.shape[1:]
+            assert np.array_equal(one_part[0], many_part[i]), (name, i)
 
 
 class TestSymbolic:
@@ -299,14 +336,12 @@ class TestSymbolic:
         rng = np.random.default_rng(27)
         for _ in range(30):
             e = random_smooth(rng, 2, depth=3)
-            x = rng.uniform(-1.5, 1.5, size=2)
-            try:
-                g = gradient(e, x)
-                d1 = evaluate(differentiate(e, 1), x)
-                d2 = evaluate(differentiate(e, 2), x)
-            except DomainError:
+            x = rng.uniform(-1.5, 1.5, size=(1, 2))
+            g = gradient(e, x)[0]
+            d = [evaluate(differentiate(e, i), x)[0] for i in (1, 2)]
+            if not (np.isfinite(g).all() and np.isfinite(d).all()):
                 continue
-            assert np.allclose([d1, d2], g, rtol=1e-10, atol=1e-10)
+            assert np.allclose(d, g, rtol=1e-10, atol=1e-10)
 
     def test_linear_combination_folds(self):
         terms = [Var(1), Var(2), Var(3)]

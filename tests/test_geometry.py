@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gradlocus import (DegenerateForm, DimensionMismatch, FormKind,
-                       GeometricPair, companion_map, evaluate, make_form,
+                       GeometricPair, companion_map, make_form,
                        minkowski, pseudo_euclidean, standard_euclidean,
                        standard_symplectic, verify_pair)
 
@@ -119,22 +119,22 @@ class TestCompanionMap:
 class TestEvaluate:
     def test_euclidean_unit(self):
         form = standard_euclidean(2)
-        assert evaluate(form, [1, 0], [1, 0]) == 1.0
+        assert form.value([1, 0], [1, 0]) == 1.0
 
     def test_symplectic_skewness(self):
         form = standard_symplectic(1)
         e1, e2 = [1, 0], [0, 1]
-        assert evaluate(form, e1, e2) == 1.0
-        assert evaluate(form, e2, e1) == -1.0
+        assert form.value(e1, e2) == 1.0
+        assert form.value(e2, e1) == -1.0
 
     def test_minkowski_timelike(self):
         form = minkowski(4)
         e4 = [0, 0, 0, 1]
-        assert evaluate(form, e4, e4) == -1.0
+        assert form.value(e4, e4) == -1.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            evaluate(standard_euclidean(2), [1, 0, 0], [1, 0])
+            standard_euclidean(2).value([1, 0, 0], [1, 0])
 
 
 class TestVerifyPair:

@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
 
-from gradlocus import (DomainError, NotSymplectic, ScalarField,
-                       VectorField, companion_map, equivalence_probe,
-                       gamma_obstruction, gradient_like_field, left_residual,
-                       make_form, matrix_apply, point_report, right_residual,
-                       standard_euclidean, standard_symplectic,
-                       symmetric_residual, symplectic_residual)
+from gradlocus import (NotSymplectic, ScalarField, VectorField,
+                       companion_map, equivalence_probe, gamma_obstruction,
+                       gradient_like_field, left_residual, make_form,
+                       matrix_apply, right_residual, standard_euclidean,
+                       standard_symplectic, symmetric_residual,
+                       symplectic_residual)
 from gradlocus.geometry import FormKind
 from gradlocus.integrability import conditions, distinct_sides, residual
 
 from oracles import (GENERAL_Q, antisymmetric_defect_norm,
-                     builtin_structures, probe_loop, random_points,
-                     random_polynomial)
+                     builtin_structures, point_report, probe_loop,
+                     random_points, random_polynomial)
 
 ROTATION = VectorField.parse(["-x2", "x1"], 2)
 
@@ -33,14 +33,15 @@ class TestResiduals:
 
     def test_rotation_field_constant_residual(self):
         pair = companion_map(standard_euclidean(2))
-        x = np.array([0.2, -1.3])
-        assert left_residual(pair, ROTATION, x) == pytest.approx(2 * np.sqrt(2))
+        x = np.array([[0.2, -1.3]])
+        assert left_residual(pair, ROTATION, x)[0] == \
+            pytest.approx(2 * np.sqrt(2))
 
     def test_shear_gradient_is_integrable(self):
         # (x2, x1) is the gradient of x1 x2
         pair = companion_map(standard_euclidean(2))
         F = VectorField.parse(["x2", "x1"], 2)
-        assert left_residual(pair, F, [1.0, 2.0]) == 0.0
+        assert left_residual(pair, F, [[1.0, 2.0]])[0] == 0.0
 
     def test_symmetric_equals_left_for_symmetric_forms(self):
         rng = np.random.default_rng(42)
@@ -90,33 +91,34 @@ class TestResiduals:
     def test_left_differs_from_right_for_general_pair(self):
         pair = companion_map(make_form(GENERAL_Q))
         F = VectorField.parse(["x1^2", "x1 * x2"], 2)
-        x = np.array([1.0, 2.0])
-        assert abs(left_residual(pair, F, x) - right_residual(pair, F, x)) > 0.1
+        x = np.array([[1.0, 2.0]])
+        assert abs(left_residual(pair, F, x)[0]
+                   - right_residual(pair, F, x)[0]) > 0.1
 
     def test_hamiltonian_field_is_symplectically_integrable(self):
         pair = companion_map(standard_symplectic(1))
         f = ScalarField.parse("x1 * x2", 2)
         Xf = gradient_like_field(pair, f, "left")
-        x = np.array([0.7, -0.4])
-        assert symplectic_residual(pair, Xf, x) <= 1e-12
+        x = np.array([[0.7, -0.4]])
+        assert symplectic_residual(pair, Xf, x)[0] <= 1e-12
         # skew adjoint swap: -X_f is an exact right gradient
-        assert right_residual(pair, negate(Xf), x) <= 1e-12
+        assert right_residual(pair, negate(Xf), x)[0] <= 1e-12
 
     def test_radial_field_breaks_symplectic_condition(self):
         pair = companion_map(standard_symplectic(1))
         F = VectorField.parse(["x1", "x2"], 2)
-        assert symplectic_residual(pair, F, [0.3, 0.4]) > 1.0
+        assert symplectic_residual(pair, F, [[0.3, 0.4]])[0] > 1.0
 
     def test_zero_field(self):
         pair = companion_map(standard_symplectic(1))
         F = VectorField.parse(["0", "0"], 2)
-        assert symplectic_residual(pair, F, [1.0, 1.0]) == 0.0
+        assert symplectic_residual(pair, F, [[1.0, 1.0]])[0] == 0.0
 
     def test_side_dispatch_and_guards(self):
         pair = companion_map(standard_euclidean(2))
-        x = np.array([1.0, 1.0])
-        assert residual(pair, ROTATION.jacobian(x), "left") == \
-            left_residual(pair, ROTATION, x)
+        x = np.array([[1.0, 1.0]])
+        assert np.array_equal(residual(pair, ROTATION.jacobian(x), "left"),
+                              left_residual(pair, ROTATION, x))
         with pytest.raises(NotSymplectic):
             symplectic_residual(pair, ROTATION, x)
         with pytest.raises(ValueError):
@@ -133,7 +135,7 @@ class TestResiduals:
         pair = companion_map(form)
         assert conditions(pair) == ("left", "right") + extra
         for side in conditions(pair):  # every listed side is measurable
-            assert residual(pair, np.eye(pair.dim), side) >= 0.0
+            assert residual(pair, np.eye(pair.dim)[None], side)[0] >= 0.0
 
 
 class TestGammaObstruction:
@@ -142,29 +144,29 @@ class TestGammaObstruction:
         pair = companion_map(standard_euclidean(2))
         f = ScalarField(2, random_polynomial(rng, 2))
         F = gradient_like_field(pair, f, "left")
-        for x in random_points(rng, 20, 2):
-            value, scale = gamma_obstruction(pair, F.jacobian(x), "left")
-            assert abs(value) <= 1e-10 * scale
+        values, scales = gamma_obstruction(
+            pair, F.jacobian(random_points(rng, 20, 2)), "left")
+        assert np.all(np.abs(values) <= 1e-10 * scales)
 
     def test_rotation_value(self):
         pair = companion_map(standard_euclidean(2))
         value, scale = gamma_obstruction(
-            pair, ROTATION.jacobian([5.0, -1.0]), "left")
-        assert value == pytest.approx(-2.0)
-        assert scale == pytest.approx(np.sqrt(2.0), rel=1e-12)
+            pair, ROTATION.jacobian([[5.0, -1.0]]), "left")
+        assert value[0] == pytest.approx(-2.0)
+        assert scale[0] == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
     def test_plane_demo_field_constant_value(self):
         from gradlocus import builtin_demos
         s = builtin_demos()["plane-m2"]
         pair = companion_map(s.form)
         rng = np.random.default_rng(45)
-        for x in random_points(rng, 10, 4):
-            value, _ = gamma_obstruction(pair, s.F.jacobian(x), "left")
-            assert value == pytest.approx(-2.0)
+        values, _ = gamma_obstruction(
+            pair, s.F.jacobian(random_points(rng, 10, 4)), "left")
+        assert values == pytest.approx(np.full(10, -2.0))
 
     def test_batched_matches_single(self):
-        # a point where DF is undefined (log at x1 <= 0) is a NaN row of
-        # the batch and raises DomainError alone
+        # a point alone, as a stack of one, gives exactly its row of the
+        # batch; where DF is undefined (log at x1 <= 0) the row is NaN
         pair = companion_map(standard_euclidean(2))
         X = random_points(np.random.default_rng(46), 12, 2)
         for texts, defined in ((["x1^2 - x2", "x1 * x2"], np.ones(12, bool)),
@@ -173,18 +175,13 @@ class TestGammaObstruction:
             values, scales = gamma_obstruction(pair, F.jacobian(X), "left")
             res = residual(pair, F.jacobian(X), "left")
             for i in range(12):
-                if defined[i]:
-                    v, s = gamma_obstruction(pair, F.jacobian(X[i]), "left")
-                    assert values[i] == v
-                    assert scales[i] == s
-                    assert res[i] == residual(pair, F.jacobian(X[i]), "left")
-                    continue
-                assert np.isnan([values[i], scales[i], res[i]]).all()
-                with pytest.raises(DomainError):
-                    F.jacobian(X[i])
-                for call in (left_residual, point_report):
-                    with pytest.raises(DomainError):
-                        call(pair, F, X[i])
+                DF = F.jacobian(X[i:i + 1])
+                v, s = gamma_obstruction(pair, DF, "left")
+                one = [v[0], s[0], residual(pair, DF, "left")[0],
+                       left_residual(pair, F, X[i:i + 1])[0]]
+                assert np.array_equal(one, [values[i], scales[i], res[i],
+                                            res[i]], equal_nan=True)
+                assert np.isnan(one).all() != defined[i]
 
 
 class TestPointReport:

@@ -161,12 +161,13 @@ class TestBuildPhi:
         for name in ("circle-m1", "plane-m2", "minkowski-grad"):
             s, phi = demo_phi(name)
             rng = np.random.default_rng(53)
-            for x in random_points(rng, 20, s.dim):
-                dphi = phi.dphi(x)
-                cdf = phi.C @ s.F.jacobian(x)
-                dev = np.abs(antisymmetric_part(dphi)
-                             + antisymmetric_part(cdf)).max()
-                assert dev <= 1e-8 * (1.0 + np.abs(cdf).max()), name
+            X = random_points(rng, 20, s.dim)
+            dphi = phi.dphi(X)
+            cdf = phi.C @ s.F.jacobian(X)
+            dev = np.abs(antisymmetric_part(dphi)
+                         + antisymmetric_part(cdf)).max(axis=(1, 2))
+            assert np.all(dev <= 1e-8 * (1.0 + np.abs(cdf).max(axis=(1, 2)))), \
+                name
 
 
 class TestSolveFromSeed:
@@ -355,6 +356,13 @@ class TestCertify:
         assert off.charts == frozenset() and not off.certified
         assert locus.on_locus(on.phi_norm, s.options)
         assert not locus.on_locus(off.phi_norm, s.options)
+
+    def test_point_stack_required(self):
+        # the field layer's shape check raises before any row is read
+        s, phi = demo_phi("circle-m1")
+        for X in (np.array([1.0, 0.0]), np.zeros((2, 3)), np.zeros((1, 1, 2))):
+            with pytest.raises(DimensionMismatch):
+                certify(phi, X, s.options)
 
     def test_on_locus_is_inclusive_and_rejects_nan(self):
         opts = LocusOptions(tol_residual=1e-10)

@@ -12,11 +12,10 @@ from gradlocus import (LocusOptions, ScenarioError, build_phi,
                        builtin_demos, certify, companion_map, load_scenario,
                        scenario_from_dict, verify_cover)
 from gradlocus.cli import main
-from gradlocus.integrability import point_report
 from gradlocus.locus import box_halton, halton_sequence
 from gradlocus.scenarios import (scenario_to_dict, structure_from_dict)
 
-from oracles import GENERAL_Q, check_by_side
+from oracles import GENERAL_Q, check_by_side, point_report
 
 
 def circle_dict(**overrides):
