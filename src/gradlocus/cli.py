@@ -25,8 +25,8 @@ line.  A CSV file is read inside ``errors.reading``, so one that cannot
 be read or parsed fails as ``csv: ...``, and an ``--out`` directory
 that cannot be made or written fails as ``out: ...``.  ``main`` is the
 only writer of ``gradlocus: error:`` lines: every ``GradlocusError``,
-and a ``RecursionError`` from an expression too deep to evaluate,
-exits 2 with one line.
+and a ``RecursionError`` from an expression evaluated too deep in the
+stack, exits 2 with one line.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .errors import GradlocusError, OddDimension, TooFewPoints, reading
 from .geometry import companion_map
 from .integrability import (conditions, decisive, distinct_sides,
                             equivalence_probe, gamma_obstruction, integrable,
-                            residual)
+                            obstruction_matrix, residual)
 from .locus import (DIMENSION_CAVEAT, MIN_DIMENSION_POINTS, all_charts,
                     box_counting_dimension, box_halton, build_phi, certify,
                     default_scales, sample_locus, verify_cover)
@@ -112,31 +112,41 @@ def cmd_check(scenario: Scenario, n_points: int, out_dir: Path | None) -> int:
                      scenario.options.rng_seed)
 
     tol = scenario.options.tol_gamma
-    # one Jacobian for every condition, without its undefined (NaN) rows;
-    # always a masked copy, which frees the DSL's stack (peak RSS 3 MB lower)
+    # one Jacobian for every condition, without its undefined (NaN) rows
     DF = scenario.F.jacobian(pts)
     defined = np.all(np.isfinite(DF), axis=(1, 2))
     excluded = n_points - int(np.count_nonzero(defined))
     if excluded == n_points:
         raise GradlocusError(f"check: all {n_points} points are "
                              "outside the domain of the field")
-    DF = DF[defined]
-    # every distinct C is first met on left or right (the other sides use
-    # right's C): one residual call per C, relative maxima from the probe
-    probe = equivalence_probe(pair, DF, tol=tol)
-    rel_max = dict(probe.max_relative)
+    if excluded:
+        DF = DF[defined]
+    # every side shares C with left or right: one N = C DF per distinct C,
+    # dropped before the next, gives that C's defect and, on the side of
+    # Phi, the Gamma-power
     first = distinct_sides(pair, conditions(pair))
-    res = {s: residual(pair, DF, s) for s in dict.fromkeys(first.values())}
-    per_side = {side: {"max": float(res[s].max()),
-                       "mean": float(res[s].mean()),
+    defects, gamma = {}, None
+    for side in dict.fromkeys(first.values()):
+        N = obstruction_matrix(pair, side) @ DF
+        defects[side] = residual(pair, N)
+        if side == first[scenario.side]:
+            try:
+                gamma = gamma_obstruction(pair, N, defects[side].norm)
+            except OddDimension:  # odd dimension: no Gamma-power to report
+                pass
+        del N
+    probe = equivalence_probe(
+        {s: defects[first[s]] for s in ("left", "right")}, tol=tol)
+    rel_max = dict(probe.max_relative)
+    per_side = {side: {"max": float(defects[s].residual.max()),
+                       "mean": float(defects[s].residual.mean()),
                        "max_relative": rel_max[s]}
                 for side, s in first.items()}
 
-    try:
-        values, scales = gamma_obstruction(pair, DF, scenario.side)
-    except OddDimension:  # odd dimension: no Gamma-power to report
+    if gamma is None:
         gamma_rel_max, n_decisive = 0.0, 0
     else:
+        values, scales = gamma
         gamma_rel_max = float((np.abs(values) / scales).max())
         n_decisive = int(np.count_nonzero(decisive(values, scales, tol)))
 
@@ -375,8 +385,9 @@ def main(argv=None) -> int:
             return cmd_locus(scenario, args.out or Path("."))
         return cmd_charts(args.csv, scenario, args.out)
     except (GradlocusError, RecursionError) as exc:
-        # RecursionError: a tree that loaded within a few frames of the
-        # stack limit can still overflow when it is evaluated
+        # RecursionError: the load-time depth bound assumes main runs near
+        # the bottom of the stack; called from deep inside another
+        # program, an expression that loaded can still overflow
         sys.stderr.write(f"gradlocus: error: {exc}\n")
         return EXIT_ERROR
 

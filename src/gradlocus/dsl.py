@@ -112,6 +112,21 @@ def max_var_index(expr: Expr) -> int:
     return max(max_var_index(expr.lhs), max_var_index(expr.rhs))
 
 
+def depth(expr: Expr) -> int:
+    """Levels of the tree, 1 for a leaf, counted without recursion."""
+    deepest, todo = 0, [(expr, 1)]
+    while todo:
+        e, level = todo.pop()
+        deepest = max(deepest, level)
+        if isinstance(e, (Neg, Call)):
+            todo.append((e.arg, level + 1))
+        elif isinstance(e, Pow):
+            todo.append((e.base, level + 1))
+        elif not isinstance(e, (Const, Var)):
+            todo += [(e.lhs, level + 1), (e.rhs, level + 1)]
+    return deepest
+
+
 # ---------------------------------------------------------------------------
 # Printing (round-trips through the parser)
 

@@ -81,7 +81,10 @@ class VectorField:
     def jacobian(self, x):
         """DF with DF[b, i, j] = dF_i/dx_j at row b: (B, n) -> (B, n, n)."""
         x = _check_point(x, self.dim)
-        return np.stack([dsl.gradient(c, x) for c in self.components], axis=1)
+        DF = np.empty((len(x), self.dim, self.dim))
+        for i, c in enumerate(self.components):
+            DF[:, i] = dsl.gradient(c, x)
+        return DF
 
 
 def _check_point(x, dim: int):

@@ -7,17 +7,19 @@ performed here.  A field is an exact left gradient on a contractible
 domain iff Q^T DF(x) is symmetric everywhere; the module measures the
 Frobenius norm of the antisymmetric defect, and the top wedge power of
 the antisymmetry operator applied to the same matrix as the
-non-integrability obstruction.  Both depend on DF(x) alone, so the
-functions take a (B, n, n) stack of Jacobians, one per point, and never
-evaluate a field; the named residuals evaluate ``F.jacobian`` on a
-(B, n) stack of points.
+non-integrability obstruction.  Both are numbers of N = C DF(x) alone,
+so ``residual`` and ``gamma_obstruction`` take a (B, n, n) stack N,
+one matrix per point, and never evaluate a field: the side only picks
+C, through ``obstruction_matrix``, and the caller forms N.  The named
+residuals evaluate ``F.jacobian`` on a (B, n) stack of points.
 
-The sides that apply to a form are ``conditions(pair)``.  Numbers of
-N = C DF are computed once per distinct C, not per side: symmetric and
-symplectic equal right (C = Q), and left shares C when Q^T = Q.
+The sides that apply to a form are ``conditions(pair)``.  Sides that
+share C share N, so a caller forms it once per distinct C
+(``distinct_sides``): symmetric and symplectic equal right (C = Q), and
+left shares C when Q^T = Q.
 
 Each verdict has one rule, shared by ``check`` and certification:
-with scale = m! ||C DF||_F^m + floor, ``integrable`` needs the relative
+with scale = m! ||N||_F^m + floor, ``integrable`` needs the relative
 residual and |value| / scale at most tol, ``decisive`` needs
 |value| / scale above GRAY_FACTOR * tol, and in between is a gray zone
 with no verdict.  Verdicts are pointwise only:
@@ -28,11 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotSymplectic, OddDimension
-from .exterior import antisymmetric_part, gamma_power
+from .exterior import gamma_power
 from .fields import VectorField
 from .geometry import FormKind, GeometricPair
 
@@ -43,18 +46,14 @@ GRAY_FACTOR = 10.0
 SIDES = ("left", "right", "symmetric", "symplectic")
 
 
-def _stack(pair: GeometricPair, DF):
-    """DF as a float (B, n, n) stack of Jacobians; any other shape
-    raises DimensionMismatch."""
-    DF = np.asarray(DF, dtype=float)
-    if DF.ndim != 3 or DF.shape[1:] != (pair.dim, pair.dim):
-        raise DimensionMismatch(f"Jacobians of shape {DF.shape} for a "
+def _stack(pair: GeometricPair, N):
+    """N as a float (B, n, n) stack of matrices; any other shape raises
+    DimensionMismatch."""
+    N = np.asarray(N, dtype=float)
+    if N.ndim != 3 or N.shape[1:] != (pair.dim, pair.dim):
+        raise DimensionMismatch(f"matrices of shape {N.shape} for a "
                                 f"structure of dimension {pair.dim}")
-    return DF
-
-
-def _fro(mats):
-    return np.sqrt(np.sum(mats * mats, axis=(1, 2)))
+    return N
 
 
 def conditions(pair: GeometricPair) -> tuple[str, ...]:
@@ -67,43 +66,64 @@ def conditions(pair: GeometricPair) -> tuple[str, ...]:
     return ("left", "right")
 
 
-def residual(pair: GeometricPair, DF, side: str):
-    """||N - N^T||_F with N = C DF, the side's integrability defect, at
-    each Jacobian of the stack DF: (B, n, n) -> (B,).
+class Defect(NamedTuple):
+    """Per-matrix reductions of a stack N = C DF, each a (B,) array."""
 
-    Every condition is this norm: C = Q^T for left and C = Q for right,
-    symmetric and symplectic (then ||(DF)^T B^{-1} + B^{-1} DF||_F); a
-    side outside ``conditions(pair)`` raises.
+    norm: np.ndarray      # ||N||_F
+    residual: np.ndarray  # ||N - N^T||_F, the integrability defect
+    peak: np.ndarray      # max(N - N^T), the largest antisymmetry coefficient
+
+
+def residual(pair: GeometricPair, N) -> Defect:
+    """The defect of each matrix of the stack N = C DF (B, n, n).
+
+    Every condition is ||N - N^T||_F = 0 for the C that
+    ``obstruction_matrix`` gives its side: C = Q^T for left and C = Q
+    for right, symmetric and symplectic (then ||(DF)^T B^{-1} +
+    B^{-1} DF||_F).  The three reductions share one scratch stack.
     """
+    N = _stack(pair, N)
+    scratch = np.multiply(N, N)
+    norm = np.sqrt(np.sum(scratch, axis=(1, 2)))
+    np.subtract(N, np.swapaxes(N, 1, 2), out=scratch)
+    # N - N^T is antisymmetric, so its largest entry is its largest |entry|
+    peak = scratch.max(axis=(1, 2))
+    np.multiply(scratch, scratch, out=scratch)
+    return Defect(norm, np.sqrt(np.sum(scratch, axis=(1, 2))), peak)
+
+
+def _named_residual(pair: GeometricPair, F: VectorField, x, side: str):
+    """||N - N^T||_F at each point of the (B, n) stack x, with N the
+    side's C times DF(x); a side outside ``conditions(pair)`` raises."""
     C = obstruction_matrix(pair, side)
     if side not in conditions(pair):
         if side == "symmetric":
             raise ValueError("symmetric residual requires a symmetric form")
         raise NotSymplectic(
             "symplectic residual requires a skew form of even dimension")
-    return _fro(antisymmetric_part(C @ _stack(pair, DF)))
+    return residual(pair, C @ F.jacobian(x)).residual
 
 
 def left_residual(pair: GeometricPair, F: VectorField, x):
     """|| (DF)^T B^{-1} - (Bstar)^{-1} DF ||_F, i.e. the antisymmetric
     defect of Q^T DF."""
-    return residual(pair, F.jacobian(x), "left")
+    return _named_residual(pair, F, x, "left")
 
 
 def right_residual(pair: GeometricPair, F: VectorField, x):
     """|| (DF)^T (Bstar)^{-1} - B^{-1} DF ||_F, i.e. the antisymmetric
     defect of Q DF."""
-    return residual(pair, F.jacobian(x), "right")
+    return _named_residual(pair, F, x, "right")
 
 
 def symmetric_residual(pair: GeometricPair, F: VectorField, x):
     """Gradient condition for symmetric structures."""
-    return residual(pair, F.jacobian(x), "symmetric")
+    return _named_residual(pair, F, x, "symmetric")
 
 
 def symplectic_residual(pair: GeometricPair, F: VectorField, x):
     """Hamiltonian condition (DF)^T B^{-1} + B^{-1} DF = 0."""
-    return residual(pair, F.jacobian(x), "symplectic")
+    return _named_residual(pair, F, x, "symplectic")
 
 
 def obstruction_matrix(pair: GeometricPair, side: str) -> np.ndarray:
@@ -124,18 +144,20 @@ def distinct_sides(pair: GeometricPair, sides) -> dict:
                                    side) for side in sides}
 
 
-def gamma_obstruction(pair: GeometricPair, DF, side: str = "left"):
-    """(values, scales): top wedge-power coefficient of C DF and its
-    degree-m normalizer m! ||C DF||_F^m + floor, as (B,) arrays for the
-    stack DF (B, n, n)."""
+def gamma_obstruction(pair: GeometricPair, N, norm=None):
+    """(values, scales): top wedge-power coefficient of each matrix of
+    the stack N = C DF (B, n, n) and its degree-m normalizer
+    m! ||N||_F^m + floor, as (B,) arrays; ``norm``, when given, is
+    ||N||_F from ``residual``."""
     n = pair.dim
     if n % 2:
         raise OddDimension(f"obstruction needs even dimension, got {n}")
     m = n // 2
-    M = obstruction_matrix(pair, side) @ _stack(pair, DF)
-    norms = _fro(M)
-    values = gamma_power(M, m)
-    scales = math.factorial(m) * norms ** m + GAMMA_FLOOR
+    N = _stack(pair, N)
+    if norm is None:
+        norm = np.sqrt(np.sum(N * N, axis=(1, 2)))
+    values = gamma_power(N, m)
+    scales = math.factorial(m) * norm ** m + GAMMA_FLOOR
     return values, scales
 
 
@@ -164,28 +186,22 @@ class ProbeReport:
     max_relative: tuple[tuple[str, float], ...] = ()
 
 
-def equivalence_probe(pair: GeometricPair, DF,
-                      tol: float = TOL_GAMMA) -> ProbeReport:
+def equivalence_probe(defects: dict, tol: float = TOL_GAMMA) -> ProbeReport:
     """Check (residual ~ 0) <=> (all antisymmetry coefficients ~ 0) at
-    each point, for both the left and right conditions, from the
-    (B, n, n) stack DF of Jacobians at the points.
+    each point, for both the left and right conditions, from
+    ``defects = {"left": residual(pair, Q^T DF), "right": residual(pair,
+    Q DF)}`` (the same Defect twice when Q^T = Q).
 
     Points within a factor GRAY_FACTOR of the threshold on either
     measure are excluded from the violation count and reported.  Both
-    are counted per side, though a C shared by the sides is checked once.
+    are counted per side.
     """
-    DF = _stack(pair, DF)
     lo, hi = tol / GRAY_FACTOR, tol * GRAY_FACTOR
-    violations, gray, max_relative, rel = [], 0, [], {}
-    for side, first in distinct_sides(pair, ("left", "right")).items():
-        if first == side:
-            N = obstruction_matrix(pair, side) @ DF
-            scale = 1.0 + _fro(N)
-            D = antisymmetric_part(N)
-            del N  # N, D and D * D never coexist: a third less peak memory
-            # D is antisymmetric, so its largest entry is its largest |entry|
-            rel[side] = _fro(D) / scale, D.max(axis=(1, 2)) / scale
-        res_rel, coeff_rel = rel[first]
+    violations, gray, max_relative = [], 0, []
+    for side in ("left", "right"):
+        d = defects[side]
+        scale = 1.0 + d.norm
+        res_rel, coeff_rel = d.residual / scale, d.peak / scale
         in_gray = (((lo <= res_rel) & (res_rel <= hi))
                    | ((lo <= coeff_rel) & (coeff_rel <= hi)))
         bad = ~in_gray & ((res_rel <= tol) != (coeff_rel <= tol))
@@ -193,7 +209,8 @@ def equivalence_probe(pair: GeometricPair, DF,
         violations += [(int(i), side, float(res_rel[i]), float(coeff_rel[i]))
                        for i in np.flatnonzero(bad)]
         max_relative.append((side, float(res_rel.max(initial=0.0))))
-    return ProbeReport(points=len(DF), checks=2 * len(DF),
+    points = len(defects["left"].norm)
+    return ProbeReport(points=points, checks=2 * points,
                        violations=len(violations), gray_excluded=gray, tol=tol,
                        violation_details=tuple(violations),
                        max_relative=tuple(max_relative))

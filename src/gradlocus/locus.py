@@ -231,9 +231,12 @@ def halton_sequence(count: int, dim: int, shift=None) -> np.ndarray:
         idx = np.arange(1, count + 1)
         col = np.zeros(count)
         factor = 1.0 / base
-        while idx.max() > 0:
-            col += (idx % base) * factor
-            idx //= base
+        digits, rest = 0, count  # every index has at most count's digits
+        while rest:
+            digits, rest = digits + 1, rest // base
+        for _ in range(digits):
+            idx, digit = np.divmod(idx, base)
+            col += digit * factor
             factor /= base
         out[:, d] = col
     if shift is not None:
@@ -330,7 +333,7 @@ def certify(phi: PhiSystem, X,
     """
     X = np.asarray(X, dtype=float)
     phi_norms = np.linalg.norm(phi.phi(X), axis=1)
-    values, scales = gamma_obstruction(phi.pair, phi.F.jacobian(X), phi.side)
+    values, scales = gamma_obstruction(phi.pair, phi.C @ phi.F.jacobian(X))
     on = on_locus(phi_norms, opts)
     charts = np.full(len(X), frozenset(), dtype=object)
     charts[on] = chart_memberships(phi, X[on], opts)

@@ -25,8 +25,9 @@ be an object; rng_seed and the tolerances are kept in
 checked by ``LocusOptions``; a bad one fails as ``tolerances.<key>``
 (or ``rng_seed``).  The file and the fields ``structure.Q``, ``f``,
 ``F[i]`` and ``box[i]`` are read inside ``errors.reading``, so a
-failure to read any of them, an expression nested deeper than the
-stack allows included, is a ``ScenarioError`` that names it.  Three
+failure to read any of them is a ``ScenarioError`` that names it; so
+is an expression nested deeper than every command can evaluate (see
+``EVAL_FRAMES``), which makes a scenario that loads one that runs.  Three
 demos ship built in: ``circle-m1`` (Euclidean plane, locus = unit
 circle plus the origin), ``plane-m2`` (symplectic R^4, locus = the
 x3 = x4 = 0 plane) and ``minkowski-grad`` (an exact pseudo-Euclidean
@@ -37,16 +38,22 @@ identically).
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import dsl
 from .errors import InvalidOption, ScenarioError, reading
 from .fields import ScalarField, VectorField
 from .geometry import (BilinearForm, make_form, minkowski, pseudo_euclidean,
                        standard_euclidean, standard_symplectic)
 from .locus import _PRIMES, LocusOptions
 
+# frames an evaluation needs beyond one per tree level: the command's calls
+# down to dsl._eval and the jet rules; locus, the deepest, through the
+# solver and VectorField.jacobian, needs 17
+EVAL_FRAMES = 20
 DEFAULT_N_SEEDS = 500
 DEFAULT_RNG_SEED = 0
 # scenario "tolerances" key -> the LocusOptions field it sets
@@ -117,6 +124,21 @@ def _positive_int(field, value, minimum=1):
     return value
 
 
+def _expression(field, text, dim: int) -> dsl.Expr:
+    """The expression ``text`` over x1..xdim, parsed, and no deeper than
+    every command can evaluate: one frame per level for ``dsl._eval``,
+    with EVAL_FRAMES left for the calls above it and the jet rules."""
+    if not isinstance(text, str):
+        raise ScenarioError(f"{field}: expected an expression string")
+    with reading(field, ScenarioError):
+        expr = ScalarField.parse(text, dim).expr
+    levels, deepest = dsl.depth(expr), sys.getrecursionlimit() - EVAL_FRAMES
+    if levels > deepest:
+        raise ScenarioError(f"{field}: nested {levels} levels deep, more "
+                            f"than the {deepest} that evaluate")
+    return expr
+
+
 def scenario_from_dict(d) -> Scenario:
     if not isinstance(d, dict):
         raise ScenarioError("scenario: expected a JSON object")
@@ -132,22 +154,12 @@ def scenario_from_dict(d) -> Scenario:
         raise ScenarioError(
             f"dim: scenario dim {dim} != structure dim {form.dim}")
 
-    f_text = d.get("f")
-    if not isinstance(f_text, str):
-        raise ScenarioError("f: required expression string")
-    with reading("f", ScenarioError):
-        f = ScalarField.parse(f_text, dim)
-
+    f = ScalarField(dim, _expression("f", d.get("f"), dim))
     F_texts = d.get("F")
     if not isinstance(F_texts, list) or len(F_texts) != dim:
         raise ScenarioError(f"F: expected a list of {dim} expression strings")
-    comps = []
-    for i, text in enumerate(F_texts):
-        if not isinstance(text, str):
-            raise ScenarioError(f"F[{i}]: expected an expression string")
-        with reading(f"F[{i}]", ScenarioError):
-            comps.append(ScalarField.parse(text, dim).expr)
-    F = VectorField(dim=dim, components=tuple(comps))
+    F = VectorField(dim=dim, components=tuple(
+        _expression(f"F[{i}]", text, dim) for i, text in enumerate(F_texts)))
 
     side = d.get("side", "left")
     if side not in ("left", "right"):

@@ -18,9 +18,10 @@ from gradlocus.geometry import (FormKind, companion_map, make_form,
                                 minkowski, pseudo_euclidean,
                                 standard_euclidean, standard_symplectic)
 from gradlocus.integrability import (GRAY_FACTOR, TOL_GAMMA, ProbeReport,
-                                     decisive, gamma_obstruction, integrable,
+                                     decisive, equivalence_probe,
+                                     gamma_obstruction, integrable,
                                      obstruction_matrix, residual)
-from gradlocus.locus import all_charts, box_halton
+from gradlocus.locus import _PRIMES, all_charts, box_halton
 
 GENERAL_Q = np.array([[1.0, 1.0], [0.0, 1.0]])
 
@@ -121,6 +122,19 @@ def antisymmetric_defect_norm(Q, DF, side) -> np.ndarray:
     return np.array([np.linalg.norm(C @ J - (C @ J).T, "fro") for J in DF])
 
 
+def side_residual(pair, DF, side):
+    """``residual`` of the side's N = C DF for each Jacobian of DF."""
+    return residual(pair, obstruction_matrix(pair, side) @ DF).residual
+
+
+def probe(pair, DF, tol=TOL_GAMMA):
+    """``equivalence_probe`` on the Jacobian stack DF, with the left and
+    right defects each from its own N."""
+    return equivalence_probe(
+        {side: residual(pair, obstruction_matrix(pair, side) @ DF)
+         for side in ("left", "right")}, tol)
+
+
 def probe_loop(pair, DF, tol):
     """The residual/obstruction equivalence probe one (point, side)
     check at a time, on a (B, n, n) Jacobian stack: the loop the masked
@@ -159,10 +173,10 @@ def point_report(pair, F, x, side="left", tol=TOL_GAMMA):
     one: the per-point rules whose count and conjunction ``check``
     reports.  Both verdicts stay False in the gray zone and where DF is
     undefined."""
-    DF = F.jacobian(np.asarray(x, dtype=float)[None])
-    N = obstruction_matrix(pair, side) @ DF[0]
-    res = float(residual(pair, DF, side)[0])
-    values, scales = gamma_obstruction(pair, DF, side)
+    N = obstruction_matrix(pair, side) @ F.jacobian(
+        np.asarray(x, dtype=float)[None])
+    res = float(residual(pair, N).residual[0])
+    values, scales = gamma_obstruction(pair, N)
     value, scale = float(values[0]), float(scales[0])
     return SimpleNamespace(
         residual=res, gamma_value=value, gamma_scale=scale, tol=tol,
@@ -189,18 +203,19 @@ def check_by_side(scenario, n_points):
         sides.append("symplectic")
     conditions = {}
     for side in sides:
-        res = residual(pair, DF, side)
+        res = side_residual(pair, DF, side)
         rel = res / (1.0 + np.sqrt(np.sum(
             (obstruction_matrix(pair, side) @ DF) ** 2, axis=(1, 2))))
         conditions[side] = {"max": float(res.max()), "mean": float(res.mean()),
                             "max_relative": float(rel.max())}
     gamma_rel_max, n_decisive = 0.0, 0
     if scenario.dim % 2 == 0:
-        values, scales = gamma_obstruction(pair, DF, scenario.side)
+        values, scales = gamma_obstruction(
+            pair, obstruction_matrix(pair, scenario.side) @ DF)
         gamma_rel_max = float((np.abs(values) / scales).max())
         n_decisive = int(np.count_nonzero(decisive(values, scales,
                                                    opts.tol_gamma)))
-    probe = probe_loop(pair, DF, opts.tol_gamma)
+    report = probe_loop(pair, DF, opts.tol_gamma)
     if (conditions[scenario.side]["max_relative"] <= opts.tol_gamma
             and gamma_rel_max <= opts.tol_gamma):
         verdict = "integrable everywhere sampled"
@@ -218,9 +233,10 @@ def check_by_side(scenario, n_points):
         "conditions": conditions,
         "obstruction": {"max_relative": gamma_rel_max,
                         "decisive_nonzero_points": n_decisive},
-        "equivalence_probe": {"points": probe.points, "checks": probe.checks,
-                              "violations": probe.violations,
-                              "gray_excluded": probe.gray_excluded},
+        "equivalence_probe": {"points": report.points,
+                              "checks": report.checks,
+                              "violations": report.violations,
+                              "gray_excluded": report.gray_excluded},
         "verdict": verdict,
         "tolerances": {"residual": opts.tol_residual,
                        "gamma": opts.tol_gamma, "rank": opts.tol_rank},
@@ -319,6 +335,28 @@ def chart_loop(phi, X, opts):
                 if int(np.sum(sv > opts.tol_rank * ref)) == phi.m:
                     members.append(alpha)
         out.append(frozenset(members))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Halton oracle
+
+
+def halton_loop(count, dim):
+    """The first ``count`` Halton points in [0, 1)^dim, one base-p digit
+    at a time until every index is spent: the loop the divmod digit
+    loop of ``halton_sequence`` must reproduce bit for bit."""
+    out = np.empty((count, dim))
+    for d in range(dim):
+        base = _PRIMES[d]
+        idx = np.arange(1, count + 1)
+        col = np.zeros(count)
+        factor = 1.0 / base
+        while idx.max() > 0:
+            col += (idx % base) * factor
+            idx //= base
+            factor /= base
+        out[:, d] = col
     return out
 
 

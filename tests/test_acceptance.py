@@ -12,16 +12,16 @@ import numpy as np
 import pytest
 
 from gradlocus import (ScalarField, VectorField, box_counting_dimension,
-                       companion_map, default_scales,
-                       equivalence_probe, gamma, gamma_power,
+                       companion_map, default_scales, gamma, gamma_power,
                        gradient_like_field, antisymmetric_part, pfaffian,
                        verify_pair)
 from gradlocus.cli import main
 from gradlocus.dsl import Add, linear_combination, Var
 from gradlocus.geometry import FormKind
-from gradlocus.integrability import obstruction_matrix, residual
+from gradlocus.integrability import obstruction_matrix
 
-from oracles import builtin_structures, random_points, random_polynomial
+from oracles import (builtin_structures, probe, random_points,
+                     random_polynomial, side_residual)
 
 
 def _report(n, message):
@@ -142,16 +142,16 @@ def test_criterion_04_poincare_soundness_and_perturbation():
                 F = gradient_like_field(pair, f, side)
                 DF = F.jacobian(X)
                 DF_scale = 1.0 + np.abs(DF).max()
-                res = residual(pair, DF, side)
+                res = side_residual(pair, DF, side)
                 assert res.max() <= 1e-8 * DF_scale, (name, side)
                 if form.kind is FormKind.SYMMETRIC:
-                    extra = residual(pair, DF, "symmetric")
+                    extra = side_residual(pair, DF, "symmetric")
                     assert np.max(extra) <= 1e-8 * DF_scale, name
                 if form.kind is FormKind.SKEW_SYMMETRIC and side == "left":
-                    extra = residual(pair, DF, "symplectic")
+                    extra = side_residual(pair, DF, "symplectic")
                     assert np.max(extra) <= 1e-8 * DF_scale, name
                 perturbed = add_fields(F, _perturbation(pair, side))
-                res_p = residual(pair, perturbed.jacobian(X), side)
+                res_p = side_residual(pair, perturbed.jacobian(X), side)
                 assert np.mean(res_p > 1e-2) >= 0.95, (name, side)
     _report(4, "exact gradient-like fields pass all matched conditions at "
                "1e-8; first-order perturbations break them at >= 95% of "
@@ -174,11 +174,10 @@ def test_criterion_05_equivalence_probe():
             F = VectorField(n, tuple(
                 random_polynomial(rng, n, degree=3, terms=4)
                 for _ in range(n)))
-        probe = equivalence_probe(pair,
-                                  F.jacobian(random_points(rng, 100, n)))
-        assert probe.violations == 0, (combo, name)
-        total_checks += probe.checks
-        total_gray += probe.gray_excluded
+        report = probe(pair, F.jacobian(random_points(rng, 100, n)))
+        assert report.violations == 0, (combo, name)
+        total_checks += report.checks
+        total_gray += report.gray_excluded
     assert total_gray <= 0.05 * total_checks
     _report(5, f"0 violations over 50 combos x 100 points "
                f"({total_gray}/{total_checks} checks gray-excluded)")

@@ -297,9 +297,10 @@ _EVALUATORS = {  # name: (evaluator, whether it takes Jacobians, not points)
     "PhiSystem.phi": (_PHI.phi, False),
     "PhiSystem.dphi": (_PHI.dphi, False),
     "left_residual": (lambda x: left_residual(_PAIR, _F, x), False),
-    "residual": (lambda DF: residual(_PAIR, DF, "left"), True),
-    "gamma_obstruction": (lambda DF: gamma_obstruction(_PAIR, DF), True),
-    "equivalence_probe": (lambda DF: equivalence_probe(_PAIR, DF), True),
+    "residual": (lambda N: residual(_PAIR, N), True),
+    "gamma_obstruction": (lambda N: gamma_obstruction(_PAIR, N), True),
+    "equivalence_probe": (lambda N: equivalence_probe(
+        dict.fromkeys(("left", "right"), residual(_PAIR, N))), True),
 }
 
 

@@ -2,17 +2,18 @@ import numpy as np
 import pytest
 
 from gradlocus import (NotSymplectic, ScalarField, VectorField,
-                       companion_map, equivalence_probe, gamma_obstruction,
+                       companion_map, gamma_obstruction,
                        gradient_like_field, left_residual, make_form,
                        matrix_apply, right_residual, standard_euclidean,
                        standard_symplectic, symmetric_residual,
                        symplectic_residual)
 from gradlocus.geometry import FormKind
-from gradlocus.integrability import conditions, distinct_sides, residual
+from gradlocus.integrability import (conditions, distinct_sides,
+                                     obstruction_matrix, residual)
 
 from oracles import (GENERAL_Q, antisymmetric_defect_norm,
-                     builtin_structures, point_report, probe_loop,
-                     random_points, random_polynomial)
+                     builtin_structures, point_report, probe, probe_loop,
+                     random_points, random_polynomial, side_residual)
 
 ROTATION = VectorField.parse(["-x2", "x1"], 2)
 
@@ -117,15 +118,16 @@ class TestResiduals:
     def test_side_dispatch_and_guards(self):
         pair = companion_map(standard_euclidean(2))
         x = np.array([[1.0, 1.0]])
-        assert np.array_equal(residual(pair, ROTATION.jacobian(x), "left"),
-                              left_residual(pair, ROTATION, x))
+        assert np.array_equal(
+            side_residual(pair, ROTATION.jacobian(x), "left"),
+            left_residual(pair, ROTATION, x))
         with pytest.raises(NotSymplectic):
             symplectic_residual(pair, ROTATION, x)
         with pytest.raises(ValueError):
             symmetric_residual(companion_map(standard_symplectic(1)),
                                ROTATION, x)
         with pytest.raises(ValueError):
-            residual(pair, ROTATION.jacobian(x), "sideways")
+            obstruction_matrix(pair, "sideways")
 
     @pytest.mark.parametrize("form, extra", [
         (standard_euclidean(3), ("symmetric",)),
@@ -135,7 +137,7 @@ class TestResiduals:
         pair = companion_map(form)
         assert conditions(pair) == ("left", "right") + extra
         for side in conditions(pair):  # every listed side is measurable
-            assert residual(pair, np.eye(pair.dim)[None], side)[0] >= 0.0
+            assert side_residual(pair, np.eye(pair.dim)[None], side)[0] >= 0.0
 
 
 class TestGammaObstruction:
@@ -145,13 +147,13 @@ class TestGammaObstruction:
         f = ScalarField(2, random_polynomial(rng, 2))
         F = gradient_like_field(pair, f, "left")
         values, scales = gamma_obstruction(
-            pair, F.jacobian(random_points(rng, 20, 2)), "left")
+            pair, F.jacobian(random_points(rng, 20, 2)))
         assert np.all(np.abs(values) <= 1e-10 * scales)
 
     def test_rotation_value(self):
         pair = companion_map(standard_euclidean(2))
         value, scale = gamma_obstruction(
-            pair, ROTATION.jacobian([[5.0, -1.0]]), "left")
+            pair, ROTATION.jacobian([[5.0, -1.0]]))
         assert value[0] == pytest.approx(-2.0)
         assert scale[0] == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
@@ -160,8 +162,9 @@ class TestGammaObstruction:
         s = builtin_demos()["plane-m2"]
         pair = companion_map(s.form)
         rng = np.random.default_rng(45)
+        DF = s.F.jacobian(random_points(rng, 10, 4))
         values, _ = gamma_obstruction(
-            pair, s.F.jacobian(random_points(rng, 10, 4)), "left")
+            pair, obstruction_matrix(pair, "left") @ DF)
         assert values == pytest.approx(np.full(10, -2.0))
 
     def test_batched_matches_single(self):
@@ -172,12 +175,12 @@ class TestGammaObstruction:
         for texts, defined in ((["x1^2 - x2", "x1 * x2"], np.ones(12, bool)),
                                (["log(x1) + x2", "x1 * x2"], X[:, 0] > 0)):
             F = VectorField.parse(texts, 2)
-            values, scales = gamma_obstruction(pair, F.jacobian(X), "left")
-            res = residual(pair, F.jacobian(X), "left")
+            values, scales = gamma_obstruction(pair, F.jacobian(X))
+            res = residual(pair, F.jacobian(X)).residual
             for i in range(12):
                 DF = F.jacobian(X[i:i + 1])
-                v, s = gamma_obstruction(pair, DF, "left")
-                one = [v[0], s[0], residual(pair, DF, "left")[0],
+                v, s = gamma_obstruction(pair, DF)
+                one = [v[0], s[0], residual(pair, DF).residual[0],
                        left_residual(pair, F, X[i:i + 1])[0]]
                 assert np.array_equal(one, [values[i], scales[i], res[i],
                                             res[i]], equal_nan=True)
@@ -239,16 +242,15 @@ class TestEquivalenceProbe:
             pair = companion_map(form)
             f = ScalarField(form.dim, random_polynomial(rng, form.dim))
             F = gradient_like_field(pair, f, "left")
-            probe = equivalence_probe(
-                pair, F.jacobian(random_points(rng, 50, form.dim)))
-            assert probe.violations == 0, name
+            report = probe(pair, F.jacobian(random_points(rng, 50, form.dim)))
+            assert report.violations == 0, name
 
     def test_rotation_probe_clean(self):
         pair = companion_map(standard_euclidean(2))
-        probe = equivalence_probe(pair, ROTATION.jacobian(
+        report = probe(pair, ROTATION.jacobian(
             random_points(np.random.default_rng(49), 100, 2)))
-        assert probe.violations == 0
-        assert probe.gray_excluded == 0
+        assert report.violations == 0
+        assert report.gray_excluded == 0
 
     def test_mixed_field_probe_clean(self):
         # gradient of x1^2 plus a rotation modulated by (x1^2 + x2^2 - 1)
@@ -256,9 +258,9 @@ class TestEquivalenceProbe:
         F = VectorField.parse(
             ["2 * x1 + (x1^2 + x2^2 - 1) * x2",
              "-(x1^2 + x2^2 - 1) * x1"], 2)
-        probe = equivalence_probe(pair, F.jacobian(
+        report = probe(pair, F.jacobian(
             random_points(np.random.default_rng(50), 200, 2)))
-        assert probe.violations == 0
+        assert report.violations == 0
 
     def test_masks_match_loop_oracle(self):
         # N = I + c A with A the all-ones antisymmetric sign pattern:
@@ -273,10 +275,10 @@ class TestEquivalenceProbe:
         c = rel * (1.0 + np.sqrt(n)) / 2.0
         DF = np.eye(n) + c[:, None, None] * A
         pair = companion_map(standard_euclidean(n))
-        probe = equivalence_probe(pair, DF, tol=tol)
-        assert probe == probe_loop(pair, DF, tol)
-        assert probe.violations == 6 and probe.gray_excluded == 6
-        assert [d[:2] for d in probe.violation_details] == [
+        report = probe(pair, DF, tol=tol)
+        assert report == probe_loop(pair, DF, tol)
+        assert report.violations == 6 and report.gray_excluded == 6
+        assert [d[:2] for d in report.violation_details] == [
             (1, "left"), (4, "left"), (6, "left"),
             (1, "right"), (4, "right"), (6, "right")]
 
@@ -289,5 +291,5 @@ class TestEquivalenceProbe:
                 for _ in range(form.dim)))
             DF = F.jacobian(random_points(rng, 60, form.dim))
             for tol in (1e-8, 1e-1, 10.0):
-                assert equivalence_probe(pair, DF, tol=tol) == \
+                assert probe(pair, DF, tol=tol) == \
                     probe_loop(pair, DF, tol), (name, tol)

@@ -15,7 +15,7 @@ from gradlocus import locus
 from gradlocus.cli import main
 from gradlocus.exterior import antisymmetric_part
 
-from oracles import chart_loop, random_points, scalar_lm_rows
+from oracles import chart_loop, halton_loop, random_points, scalar_lm_rows
 
 
 def demo_phi(name):
@@ -656,6 +656,12 @@ class TestHalton:
         plain = halton_sequence(10, 2)
         shifted = halton_sequence(10, 2, shift=[0.5, 0.5])
         assert np.allclose(shifted, (plain + 0.5) % 1.0)
+
+    @pytest.mark.parametrize("count", [1, 7, 150, 8000, 30_000])
+    def test_digit_loop_matches_the_oracle(self, count):
+        for dim in range(1, 13):
+            assert np.array_equal(halton_sequence(count, dim),
+                                  halton_loop(count, dim)), dim
 
     def test_box_halton_is_the_seeded_sequence_in_the_box(self):
         box = np.array([[-2.0, 2.0], [0.5, 1.0], [3.0, 7.0]])

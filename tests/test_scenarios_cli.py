@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,8 @@ from gradlocus import (LocusOptions, ScenarioError, build_phi,
                        scenario_from_dict, verify_cover)
 from gradlocus.cli import main
 from gradlocus.locus import box_halton, halton_sequence
-from gradlocus.scenarios import (scenario_to_dict, structure_from_dict)
+from gradlocus.scenarios import (EVAL_FRAMES, scenario_to_dict,
+                                 structure_from_dict)
 
 from oracles import GENERAL_Q, check_by_side, point_report
 
@@ -42,15 +44,22 @@ def _torus_scenarios():
     return {f"torus-m{m}": torus.scenario(m, 100, 11) for m in (2, 4)}
 
 
+_TORUS = _torus_scenarios()
 # the three demos, the torus family, a general Q with Q^T != +-Q, where left
-# and right have different obstruction matrices, a dense symmetric Q,
-# where right's numbers now come from left's C = Q^T, and Euclidean R^3,
-# with three conditions and no Gamma-power (odd dimension)
+# and right have different obstruction matrices, in R^2 and in R^8 (the
+# torus-m4 fields with Q = I + ones on the superdiagonal, so that both N
+# stacks are large), a dense symmetric Q, where right's numbers now come
+# from left's C = Q^T, and Euclidean R^3, with three conditions and no
+# Gamma-power (odd dimension)
+GENERAL_Q_SCENARIOS = ("general-q", "general-q-r8")
 CHECK_SCENARIOS = {
     **{name: scenario_to_dict(s) for name, s in builtin_demos().items()},
-    **_torus_scenarios(),
+    **_TORUS,
     "general-q": circle_dict(name="general-q", structure={
         "kind": "general", "Q": GENERAL_Q.tolist()}),
+    "general-q-r8": {**_TORUS["torus-m4"], "name": "general-q-r8",
+                     "structure": {"kind": "general", "Q": (
+                         np.eye(8) + np.eye(8, k=1)).tolist()}},
     "general-symmetric": {
         "name": "general-symmetric", "dim": 4,
         "structure": {"kind": "general", "Q": [
@@ -272,9 +281,9 @@ class TestCli:
         assert report == check_by_side(load_scenario(scenario), 2000)
         conditions = report["conditions"]
         assert (conditions["left"] != conditions["right"]) == \
-            (name == "general-q")
+            (name in GENERAL_Q_SCENARIOS)
         assert ("symmetric" in conditions) == (
-            name not in ("general-q", "plane-m2"))
+            name not in GENERAL_Q_SCENARIOS + ("plane-m2",))
 
     @pytest.mark.parametrize("name", sorted(
         name for name, spec in CHECK_SCENARIOS.items() if spec["dim"] % 2 == 0))
@@ -292,6 +301,26 @@ class TestCli:
             all(p.verdict_integrable for p in points)
         assert report["obstruction"]["decisive_nonzero_points"] == \
             sum(p.verdict_nonintegrable for p in points)
+
+    # numpy reports its allocations to tracemalloc.  check holds the
+    # Jacobians DF, one N = C DF and one scratch stack (3.2 stacks on
+    # torus-m4); on general-q-r8 the Gamma-power's wedge rows add one more
+    # (4.2).  A loop that kept both of general-q-r8's N stacks until the
+    # Gamma-power reads 5.2.
+    @pytest.mark.parametrize("name, stacks", [("torus-m4", 3.5),
+                                              ("general-q-r8", 4.5)])
+    def test_check_peak_memory(self, tmp_path, name, stacks):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(CHECK_SCENARIOS[name]))
+        points = 8000
+        tracemalloc.start()
+        try:
+            assert main(["check", "--scenario", str(scenario), "--points",
+                         str(points), "--out", str(tmp_path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= stacks * points * 8 * 8 * 8  # (B, 8, 8) float64
 
     def test_check_creates_out_dir(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"
@@ -621,6 +650,24 @@ def test_deep_expression_within_the_stack_limit_runs(tmp_path):
         done = run_cli(*argv, "--scenario", scenario_path,
                        "--out", str(tmp_path / argv[0]))
         assert done.returncode == 0, (argv, done.stderr)
+
+
+def test_expression_depth_is_bounded_at_load(tmp_path):
+    # a loaded expression always evaluates: the deepest tree the bound
+    # admits runs in both verbs, and one level more fails at load
+    deepest = sys.getrecursionlimit() - EVAL_FRAMES
+    for terms, code in ((deepest, 0), (deepest + 1, 2)):
+        scenario_path, _ = write_inputs(
+            tmp_path, circle_dict(F=[" + ".join(["x1"] * terms), "x2"],
+                                  n_seeds=30), None)
+        for argv in (["check", "--points", "2000"], ["locus"]):
+            done = run_cli(*argv, "--scenario", scenario_path,
+                           "--out", str(tmp_path / argv[0]))
+            assert done.returncode == code, (terms, argv, done.stderr)
+            if code:
+                assert done.stderr == (
+                    f"gradlocus: error: F[0]: nested {terms} levels deep, "
+                    f"more than the {deepest} that evaluate\n")
 
 
 def test_recursion_after_load_exits_two(monkeypatch, tmp_path, capsys):
