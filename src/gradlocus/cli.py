@@ -18,7 +18,10 @@ pointwise rule is the library's (an odd dimension fails in
 ``build_phi``; too few certified samples for ``box_counting_dimension``
 skip the dimension estimate).  ``locus`` exits 0 exactly when
 ``verify_cover`` reports ok.  ``check`` leaves out the points where the
-field's Jacobian is undefined and counts them in ``domain_excluded``.
+field's Jacobian is undefined and counts them in ``domain_excluded``;
+it evaluates the points in chunks of at most ``CHECK_STACK_BYTES`` per
+(B, n, n) stack, keeps only per-point numbers across chunks and reduces
+them once, so the report does not depend on the chunk size.
 ``--points`` must be at least 1; the ``--tol-*`` values and ``--seed``
 are checked by ``LocusOptions``, and a bad one exits 2 with one error
 line.  A CSV file is read inside ``errors.reading``, so one that cannot
@@ -43,12 +46,12 @@ import numpy as np
 
 from .errors import GradlocusError, OddDimension, TooFewPoints, reading
 from .geometry import companion_map
-from .integrability import (conditions, decisive, distinct_sides,
+from .integrability import (Defect, conditions, decisive, distinct_sides,
                             equivalence_probe, gamma_obstruction, integrable,
                             obstruction_matrix, residual)
-from .locus import (DIMENSION_CAVEAT, MIN_DIMENSION_POINTS, all_charts,
-                    box_counting_dimension, box_halton, build_phi, certify,
-                    default_scales, sample_locus, verify_cover)
+from .locus import (CHECK_STACK_BYTES, DIMENSION_CAVEAT, MIN_DIMENSION_POINTS,
+                    all_charts, box_counting_dimension, box_halton, build_phi,
+                    certify, default_scales, sample_locus, verify_cover)
 from .scenarios import (TOLERANCE_KEYS, Scenario, builtin_demos,
                         load_scenario, scenario_to_dict)
 
@@ -112,29 +115,43 @@ def cmd_check(scenario: Scenario, n_points: int, out_dir: Path | None) -> int:
                      scenario.options.rng_seed)
 
     tol = scenario.options.tol_gamma
-    # one Jacobian for every condition, without its undefined (NaN) rows
-    DF = scenario.F.jacobian(pts)
-    defined = np.all(np.isfinite(DF), axis=(1, 2))
-    excluded = n_points - int(np.count_nonzero(defined))
+    # every side shares C with left or right: one N = C DF per distinct C
+    # gives that C's defect and, on the side of Phi, the Gamma-power
+    first = distinct_sides(pair, conditions(pair))
+    matrices = {side: obstruction_matrix(pair, side)
+                for side in dict.fromkeys(first.values())}
+    # each chunk's (B, n, n) stacks fit CHECK_STACK_BYTES; only the (B,)
+    # rows are kept, and every reduction runs once over all of them, so
+    # the report does not depend on the chunk size
+    step = max(1, CHECK_STACK_BYTES // (8 * scenario.dim ** 2))
+    parts, gammas, excluded = {side: [] for side in matrices}, [], 0
+    for lo in range(0, n_points, step):
+        # one Jacobian for every condition, without its undefined (NaN) rows
+        DF = scenario.F.jacobian(pts[lo:lo + step])
+        defined = np.all(np.isfinite(DF), axis=(1, 2))
+        if not defined.all():
+            DF = DF[defined]
+        excluded += len(defined) - len(DF)
+        for side, C in matrices.items():
+            N = C @ DF
+            defect = residual(pair, N)
+            parts[side].append(defect)
+            if side == first[scenario.side]:
+                try:
+                    gammas.append(gamma_obstruction(pair, N, defect.norm))
+                except OddDimension:  # odd dimension: no Gamma-power
+                    pass
+            del N
+        del DF
     if excluded == n_points:
         raise GradlocusError(f"check: all {n_points} points are "
                              "outside the domain of the field")
-    if excluded:
-        DF = DF[defined]
-    # every side shares C with left or right: one N = C DF per distinct C,
-    # dropped before the next, gives that C's defect and, on the side of
-    # Phi, the Gamma-power
-    first = distinct_sides(pair, conditions(pair))
-    defects, gamma = {}, None
-    for side in dict.fromkeys(first.values()):
-        N = obstruction_matrix(pair, side) @ DF
-        defects[side] = residual(pair, N)
-        if side == first[scenario.side]:
-            try:
-                gamma = gamma_obstruction(pair, N, defects[side].norm)
-            except OddDimension:  # odd dimension: no Gamma-power to report
-                pass
-        del N
+    # free the points and the chunks' pieces before the reductions
+    del pts
+    defects = {side: Defect(*map(np.concatenate, zip(*chunks)))
+               for side, chunks in parts.items()}
+    gamma = tuple(map(np.concatenate, zip(*gammas))) if gammas else None
+    del parts, gammas
     probe = equivalence_probe(
         {s: defects[first[s]] for s in ("left", "right")}, tol=tol)
     rel_max = dict(probe.max_relative)

@@ -32,8 +32,12 @@ from .integrability import (TOL_GAMMA, decisive, gamma_obstruction,
                             obstruction_matrix)
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# byte budget of one chunk of chart submatrices (0.5 MB a point at m = 6)
+# byte budgets of one chunk, each cut into max(1, budget // bytes a row)
+# rows: chart submatrices (0.5 MB a point at m = 6), and the (B, n, n)
+# stacks of ``check`` (2048 points at n = 8), small enough to stay in
+# cache; 1 MiB for the charts measured 3-10% slower at m = 3-4
 _CHART_STACK_BYTES = 1 << 23
+CHECK_STACK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -226,21 +230,26 @@ def halton_sequence(count: int, dim: int, shift=None) -> np.ndarray:
     if dim > len(_PRIMES):
         raise DimensionMismatch(f"no Halton bases beyond dim {len(_PRIMES)}")
     out = np.empty((count, dim))
+    if shift is not None:
+        shift = np.broadcast_to(np.asarray(shift, dtype=float), (dim,))
     for d in range(dim):
         base = _PRIMES[d]
-        idx = np.arange(1, count + 1)
+        idx = np.arange(1.0, count + 1)
         col = np.zeros(count)
         factor = 1.0 / base
         digits, rest = 0, count  # every index has at most count's digits
         while rest:
             digits, rest = digits + 1, rest // base
         for _ in range(digits):
-            idx, digit = np.divmod(idx, base)
-            col += digit * factor
+            # quotient and digit in float64, both exact below 2^52
+            q = np.floor(idx / base)
+            col += (idx - q * base) * factor
+            idx = q
             factor /= base
+        if shift is not None:
+            col += shift[d]
+            col -= np.floor(col)  # bit for bit % 1.0 on finite values
         out[:, d] = col
-    if shift is not None:
-        out = (out + np.asarray(shift, dtype=float)) % 1.0
     return out
 
 
@@ -249,7 +258,10 @@ def box_halton(box, count: int, rng_seed: int) -> np.ndarray:
     ``rng_seed``, mapped into a (dim, 2) box."""
     b = np.asarray(box, dtype=float)
     shift = np.random.default_rng(rng_seed).random(len(b))
-    return b[:, 0] + halton_sequence(count, len(b), shift) * (b[:, 1] - b[:, 0])
+    pts = halton_sequence(count, len(b), shift)
+    pts *= b[:, 1] - b[:, 0]
+    pts += b[:, 0]
+    return pts
 
 
 def _box_array(box, dim: int) -> np.ndarray:

@@ -342,10 +342,11 @@ def chart_loop(phi, X, opts):
 # Halton oracle
 
 
-def halton_loop(count, dim):
-    """The first ``count`` Halton points in [0, 1)^dim, one base-p digit
-    at a time until every index is spent: the loop the divmod digit
-    loop of ``halton_sequence`` must reproduce bit for bit."""
+def halton_loop(count, dim, shift=None):
+    """The first ``count`` Halton points in [0, 1)^dim, one integer
+    base-p digit at a time until every index is spent, then rotated by
+    ``shift`` with ``% 1.0``: the loop the float64 digit loop of
+    ``halton_sequence`` must reproduce bit for bit."""
     out = np.empty((count, dim))
     for d in range(dim):
         base = _PRIMES[d]
@@ -357,6 +358,8 @@ def halton_loop(count, dim):
             idx //= base
             factor /= base
         out[:, d] = col
+    if shift is not None:
+        out = (out + np.asarray(shift, dtype=float)) % 1.0
     return out
 
 

@@ -9,7 +9,8 @@ from gradlocus import (NotSymplectic, ScalarField, VectorField,
                        symplectic_residual)
 from gradlocus.geometry import FormKind
 from gradlocus.integrability import (conditions, distinct_sides,
-                                     obstruction_matrix, residual)
+                                     equivalence_probe, obstruction_matrix,
+                                     residual)
 
 from oracles import (GENERAL_Q, antisymmetric_defect_norm,
                      builtin_structures, point_report, probe, probe_loop,
@@ -293,3 +294,18 @@ class TestEquivalenceProbe:
             for tol in (1e-8, 1e-1, 10.0):
                 assert probe(pair, DF, tol=tol) == \
                     probe_loop(pair, DF, tol), (name, tol)
+
+
+@pytest.mark.parametrize("n", [2, 8])
+def test_empty_stack_gives_empty_rows(n):
+    # check runs a chunk whose points all lie outside the domain as a
+    # (0, n, n) stack
+    pair = companion_map(standard_euclidean(n))
+    defect = residual(pair, np.empty((0, n, n)))
+    assert [field.shape for field in defect] == [(0,)] * 3
+    values, scales = gamma_obstruction(pair, np.empty((0, n, n)), defect.norm)
+    assert values.shape == scales.shape == (0,)
+    probe = equivalence_probe({"left": defect, "right": defect})
+    assert (probe.points, probe.checks, probe.violations,
+            probe.gray_excluded) == (0, 0, 0, 0)
+    assert dict(probe.max_relative) == {"left": 0.0, "right": 0.0}

@@ -659,9 +659,12 @@ class TestHalton:
 
     @pytest.mark.parametrize("count", [1, 7, 150, 8000, 30_000])
     def test_digit_loop_matches_the_oracle(self, count):
+        rng = np.random.default_rng(count)
         for dim in range(1, 13):
-            assert np.array_equal(halton_sequence(count, dim),
-                                  halton_loop(count, dim)), dim
+            # no shift, shifts in [0, 1) and shifts that wrap more than once
+            for shift in (None, rng.random(dim), rng.uniform(-3.0, 4.0, dim)):
+                assert halton_sequence(count, dim, shift).tobytes() == \
+                    halton_loop(count, dim, shift).tobytes(), (dim, shift)
 
     def test_box_halton_is_the_seeded_sequence_in_the_box(self):
         box = np.array([[-2.0, 2.0], [0.5, 1.0], [3.0, 7.0]])

@@ -1,3 +1,4 @@
+import copy
 import importlib.util
 import json
 import os
@@ -13,7 +14,8 @@ from gradlocus import (LocusOptions, ScenarioError, build_phi,
                        builtin_demos, certify, companion_map, load_scenario,
                        scenario_from_dict, verify_cover)
 from gradlocus.cli import main
-from gradlocus.locus import box_halton, halton_sequence
+from gradlocus.integrability import conditions, distinct_sides
+from gradlocus.locus import CHECK_STACK_BYTES, box_halton, halton_sequence
 from gradlocus.scenarios import (EVAL_FRAMES, scenario_to_dict,
                                  structure_from_dict)
 
@@ -270,20 +272,48 @@ class TestCli:
             "gradlocus: error: dim: at most 12")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("name", sorted(CHECK_SCENARIOS))
-    def test_check_matches_per_side_loop(self, tmp_path, name):
+    def _check_matches_oracle(self, tmp_path, spec, points):
         scenario = tmp_path / "scenario.json"
-        scenario.write_text(json.dumps(CHECK_SCENARIOS[name]))
-        assert main(["check", "--scenario", str(scenario), "--points", "2000",
-                     "--out", str(tmp_path)]) == 0
+        scenario.write_text(json.dumps(spec))
+        assert main(["check", "--scenario", str(scenario), "--points",
+                     str(points), "--out", str(tmp_path)]) == 0
         report = read_json(tmp_path / "check.json")
         del report["generated_at"]
-        assert report == check_by_side(load_scenario(scenario), 2000)
+        assert report == check_by_side(load_scenario(scenario), points)
+        return report
+
+    @pytest.mark.parametrize("name", sorted(CHECK_SCENARIOS))
+    def test_check_matches_per_side_loop(self, tmp_path, name):
+        report = self._check_matches_oracle(tmp_path, CHECK_SCENARIOS[name],
+                                            2000)
         conditions = report["conditions"]
         assert (conditions["left"] != conditions["right"]) == \
             (name in GENERAL_Q_SCENARIOS)
         assert ("symmetric" in conditions) == (
             name not in GENERAL_Q_SCENARIOS + ("plane-m2",))
+
+    # check runs in chunks of CHECK_STACK_BYTES // (8 n^2) points, 2048 at
+    # n = 8: one point short of a chunk, one chunk, one past it, and four
+    # chunks with a partial last one must all equal the one-batch oracle
+    @pytest.mark.parametrize("points", [2047, 2048, 2049, 8000])
+    @pytest.mark.parametrize("name", ["torus-m4", "general-q-r8",
+                                      "mixed-domain"])
+    def test_check_chunks_match_one_batch(self, tmp_path, name, points):
+        spec = CHECK_SCENARIOS.get(name) or mixed_domain_dict()
+        self._check_matches_oracle(tmp_path, spec, points)
+
+    def test_check_with_a_chunk_outside_the_domain(self, tmp_path):
+        # log(x1 - 1.999) leaves 2 of 8000 points in the domain, so that
+        # the first and the last of the four chunks hold none
+        spec = copy.deepcopy(CHECK_SCENARIOS["torus-m4"])
+        spec["F"][0] += " + log(x1 - 1.999)"
+        step = CHECK_STACK_BYTES // (8 * spec["dim"] ** 2)
+        x1 = box_halton(spec["box"], 8000, spec["rng_seed"])[:, 0]
+        per_chunk = [int(np.count_nonzero(x1[lo:lo + step] > 1.999))
+                     for lo in range(0, 8000, step)]
+        assert per_chunk == [0, 1, 1, 0]
+        report = self._check_matches_oracle(tmp_path, spec, 8000)
+        assert report["domain_excluded"] == 7998
 
     @pytest.mark.parametrize("name", sorted(
         name for name, spec in CHECK_SCENARIOS.items() if spec["dim"] % 2 == 0))
@@ -302,25 +332,33 @@ class TestCli:
         assert report["obstruction"]["decisive_nonzero_points"] == \
             sum(p.verdict_nonintegrable for p in points)
 
-    # numpy reports its allocations to tracemalloc.  check holds the
-    # Jacobians DF, one N = C DF and one scratch stack (3.2 stacks on
-    # torus-m4); on general-q-r8 the Gamma-power's wedge rows add one more
-    # (4.2).  A loop that kept both of general-q-r8's N stacks until the
-    # Gamma-power reads 5.2.
+    # numpy reports its allocations to tracemalloc.  Within a chunk, check
+    # holds the Jacobians DF, one N = C DF and one scratch stack, each at
+    # most CHECK_STACK_BYTES (3.1 stacks with the rest on torus-m4); on
+    # general-q-r8 the Gamma-power's wedge rows add one more (4.0).  Across
+    # chunks it keeps only the points and, per point, three floats per
+    # distinct C and two for the Gamma-power.  One call first fills the
+    # process's one-time caches, which do not grow with the points.
     @pytest.mark.parametrize("name, stacks", [("torus-m4", 3.5),
                                               ("general-q-r8", 4.5)])
     def test_check_peak_memory(self, tmp_path, name, stacks):
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps(CHECK_SCENARIOS[name]))
-        points = 8000
-        tracemalloc.start()
-        try:
-            assert main(["check", "--scenario", str(scenario), "--points",
-                         str(points), "--out", str(tmp_path)]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= stacks * points * 8 * 8 * 8  # (B, 8, 8) float64
+        s = load_scenario(scenario)
+        pair = companion_map(s.form)
+        rows = 3 * len(set(distinct_sides(pair, conditions(pair)).values())) + 2
+        assert main(["check", "--scenario", str(scenario), "--points", "2",
+                     "--out", str(tmp_path)]) == 0
+        for points in (8000, 64_000):
+            tracemalloc.start()
+            try:
+                assert main(["check", "--scenario", str(scenario), "--points",
+                             str(points), "--out", str(tmp_path)]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= (stacks * CHECK_STACK_BYTES
+                            + points * 8 * (s.dim + rows)), points
 
     def test_check_creates_out_dir(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"
