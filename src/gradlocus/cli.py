@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import sys
 from datetime import datetime, timezone
@@ -340,6 +341,9 @@ def cmd_charts(csv_path: Path, scenario: Scenario, out_dir: Path | None) -> int:
 # entry point
 
 
+# built once per process: parse_args leaves the parser unchanged and
+# returns a new namespace on every call
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gradlocus",

@@ -318,6 +318,20 @@ def _placement(vars, union):
     return cols[:, None], cols
 
 
+def _place(block, vars, union, out=None):
+    """A derivative block over ``vars`` (gradients (B, k) or Hessians
+    (B, k, k)) written into its place in ``out``, a zeroed block over the
+    sorted superset ``union`` (a new one when None), which it returns."""
+    if out is None:
+        out = np.zeros(block.shape[:1] + (len(union),) * (block.ndim - 1))
+    rows, cols = _placement(vars, union)
+    if block.ndim == 2:
+        out[:, cols] = block
+    else:
+        out[:, rows, cols] = block
+    return out
+
+
 class Jet:
     """Truncated Taylor value over a batch, sparse in the variables:
     ``vars`` is the sorted tuple of the 0-based variables it depends on,
@@ -348,15 +362,9 @@ class Jet:
         its own, with zero derivatives in the variables it lacks."""
         if union == self.vars:
             return self
-        rows, cols = _placement(self.vars, union)
-        B, k = len(self.val), len(union)
-        grad = np.zeros((B, k))
-        grad[:, cols] = self.grad
-        hess = None
-        if self.hess is not None:
-            hess = np.zeros((B, k, k))
-            hess[:, rows, cols] = self.hess
-        return Jet(self.val, grad, hess, vars=union)
+        return Jet(self.val, _place(self.grad, self.vars, union),
+                   None if self.hess is None
+                   else _place(self.hess, self.vars, union), vars=union)
 
     def _union(self, o):
         """self and o widened to the union of their variables."""
@@ -475,15 +483,23 @@ def _flag(undefined, flags: list):
         flags.append(undefined)
 
 
-def _settle(flags: list, out, *checked):
-    """Fills with NaN the rows of out that are flagged or where out or a
-    checked array is not finite."""
-    for a in (out,) + checked:
+def _undefined(flags: list, *checked) -> list:
+    """The masks of flags and of the rows where a checked array is not
+    finite, as a new list."""
+    masks = list(flags)
+    for a in checked:
         finite = np.isfinite(a)
         if not finite.all():
-            _flag(~finite.all(axis=tuple(range(1, a.ndim))), flags)
-    for undefined in flags:
+            _flag(~finite.all(axis=tuple(range(1, a.ndim))), masks)
+    return masks
+
+
+def _settle(flags: list, out, *checked):
+    """out with NaN in the rows that are flagged or where a checked array
+    is not finite."""
+    for undefined in _undefined(flags, *checked):
         out[undefined] = np.nan
+    return out
 
 
 def _raw(v):
@@ -549,41 +565,75 @@ def evaluate(expr: Expr, x):
     with np.errstate(all="ignore"):
         out = _eval(expr, [X[:, i] for i in range(X.shape[1])], flags)
     out = np.array(np.broadcast_to(np.asarray(out, dtype=float), (len(X),)))
-    _settle(flags, out)
-    return out
+    return _settle(flags, out, out)
 
 
-def _derivative(expr: Expr, X, order: int):
-    """Top derivative of expr on the (B, n) stack X from jets of the
-    given order: gradients (B, n) for order 1, Hessians (B, n, n) for
-    order 2, as a new array that is NaN in the rows outside the domain
-    (the value or the derivative not finite included)."""
+def _walk(expr: Expr, X, order: int):
+    """The jet of expr on the (B, n) stack X at the given order, over
+    the variables it depends on (all n for a constant expression), and
+    the domain flags of the walk."""
     B, n = X.shape
     ones = np.ones((B, 1))  # shared: no rule writes into a jet's arrays
     zeros = np.zeros((B, 1, 1)) if order == 2 else None
     seeds = [Jet(X[:, i], ones, zeros, vars=(i,)) for i in range(n)]
     flags = []
     with np.errstate(all="ignore"):
-        out = _eval(expr, seeds, flags)
-    if isinstance(out, Jet):  # scattered into all n variables
-        out = out._widen(tuple(range(n)))
-        val, top = out.val, out.grad if order == 1 else out.hess
-    else:  # constant expression
-        val, top = np.asarray(out, float), np.zeros((B,) + (n,) * order)
-    _settle(flags, top, val)
-    return top
+        top = _eval(expr, seeds, flags)
+    if not isinstance(top, Jet):  # constant expression
+        top = Jet(np.broadcast_to(np.asarray(top, float), (B,)),
+                  np.zeros((B, n)), np.zeros((B, n, n)) if order == 2
+                  else None, vars=tuple(range(n)))
+    return top, flags
 
 
-def gradient(expr: Expr, x):
+def _full(block, vars, n: int, out=None):
+    """A derivative block over ``vars`` as one over all n variables: the
+    block itself when it covers them and no ``out`` is given, else
+    placed into ``out`` or a new zeroed array."""
+    if out is None and len(vars) == n:
+        return block
+    return _place(block, vars, tuple(range(n)), out)
+
+
+def jet(expr: Expr, x, order: int, out=None):
+    """Value, gradient and, at order 2, symmetric Hessian of the
+    expression on a (B, n) stack from one jet walk: (value, gradient) or
+    (value, gradient, Hessian), of shapes (B,), (B, n) and (B, n, n).
+    Each is NaN in exactly the rows where ``evaluate``, ``gradient`` and
+    ``hessian`` leave it NaN: the flagged rows, those where the value is
+    not finite, and those where the output itself is not (a non-finite
+    Hessian leaves the gradient alone).  The gradient is written into
+    ``out``, a zeroed (B, n) array such as a row block of a Jacobian
+    stack, when one is given."""
+    X = _as_batch(x)
+    n = X.shape[1]
+    top, flags = _walk(expr, X, order)
+    flags = _undefined(flags, top.val)
+    value = _settle(flags, np.array(top.val))
+    grad = _settle(flags, _full(top.grad, top.vars, n, out), top.grad)
+    if order == 1:
+        return value, grad
+    hess = _settle(flags, _full(top.hess, top.vars, n), top.hess)
+    return value, grad, 0.5 * (hess + hess.transpose(0, 2, 1))
+
+
+def gradient(expr: Expr, x, out=None):
     """Exact gradients on a (B, n) stack: (B, n), NaN in the rows
-    outside the domain."""
-    return _derivative(expr, _as_batch(x), 1)
+    outside the domain; written into ``out``, a zeroed (B, n) array, when
+    one is given."""
+    X = _as_batch(x)
+    top, flags = _walk(expr, X, 1)
+    return _settle(flags, _full(top.grad, top.vars, X.shape[1], out),
+                   top.grad, top.val)
 
 
 def hessian(expr: Expr, x):
     """Exact symmetric Hessians on a (B, n) stack: (B, n, n), NaN in the
     rows outside the domain."""
-    hess = _derivative(expr, _as_batch(x), 2)
+    X = _as_batch(x)
+    top, flags = _walk(expr, X, 2)
+    hess = _settle(flags, _full(top.hess, top.vars, X.shape[1]),
+                   top.hess, top.val)
     return 0.5 * (hess + hess.transpose(0, 2, 1))
 
 

@@ -45,6 +45,10 @@ class ScalarField:
     def hessian(self, x):
         return dsl.hessian(self.expr, _check_point(x, self.dim))
 
+    def jet(self, x):
+        """(value, gradient, hessian) from one second-order jet walk."""
+        return dsl.jet(self.expr, _check_point(x, self.dim), 2)
+
     def gradient_field(self) -> "VectorField":
         """Symbolic gradient as a vector field."""
         comps = tuple(dsl.differentiate(self.expr, i + 1)
@@ -79,12 +83,22 @@ class VectorField:
         return np.stack([dsl.evaluate(c, x) for c in self.components], axis=1)
 
     def jacobian(self, x):
-        """DF with DF[b, i, j] = dF_i/dx_j at row b: (B, n) -> (B, n, n)."""
+        """DF with DF[b, i, j] = dF_i/dx_j at row b: (B, n) -> (B, n, n).
+        Each component's gradient is written into its row of DF."""
         x = _check_point(x, self.dim)
-        DF = np.empty((len(x), self.dim, self.dim))
+        DF = np.zeros((len(x), self.dim, self.dim))
         for i, c in enumerate(self.components):
-            DF[:, i] = dsl.gradient(c, x)
+            dsl.gradient(c, x, out=DF[:, i])
         return DF
+
+    def jet(self, x):
+        """(value, jacobian) from one first-order jet walk per component."""
+        x = _check_point(x, self.dim)
+        values = np.empty((len(x), self.dim))
+        DF = np.zeros((len(x), self.dim, self.dim))
+        for i, c in enumerate(self.components):
+            values[:, i] = dsl.jet(c, x, 1, out=DF[:, i])[0]
+        return values, DF
 
 
 def _check_point(x, dim: int):

@@ -38,6 +38,8 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # cache; 1 MiB for the charts measured 3-10% slower at m = 3-4
 _CHART_STACK_BYTES = 1 << 23
 CHECK_STACK_BYTES = 1 << 20
+# byte budget of the candidate pairs ``dedup`` tests at once
+_DEDUP_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -111,6 +113,13 @@ class PhiSystem:
         """(B, n) -> (B, n, n), NaN in the rows outside the domain."""
         return self.f.hessian(x) - self.C @ self.F.jacobian(x)
 
+    def linearise(self, x):
+        """(Phi, DPhi) from one jet walk of f and of each component of F:
+        bit for bit (phi(x), dphi(x)), NaN rows included."""
+        _, grad, hess = self.f.jet(x)
+        values, DF = self.F.jet(x)
+        return grad - values @ self.C.T, hess - self.C @ DF
+
 
 def build_phi(pair: GeometricPair, f: ScalarField, F: VectorField,
               side: str = "left") -> PhiSystem:
@@ -166,6 +175,11 @@ def solve_from_seed(phi: PhiSystem, x0, opts: LocusOptions = LocusOptions()):
     damped steps.  A row's result does not depend on the other rows, so
     a single seed is a batch of one.
 
+    Phi and DPhi come from one ``linearise`` at the seeds and at every
+    trial point; an accepted row keeps only J^T J, J^T Phi and whether
+    its DPhi is finite, which retires it as "domain" after the
+    convergence and iteration-cap tests.
+
     x0 of shape (B, n) returns the final points and the per-row outcome,
     one of OUTCOMES; any other shape raises DimensionMismatch.
     """
@@ -180,26 +194,27 @@ def solve_from_seed(phi: PhiSystem, x0, opts: LocusOptions = LocusOptions()):
     status = np.full(B, _ACTIVE)
     lam = np.full(B, float(opts.damping))
     iters = np.zeros(B, dtype=int)
-    relinearise = np.ones(B, dtype=bool)
-    JtJ = np.empty((B, n, n))
-    g = np.empty((B, n))
-    r = phi.phi(x)
+    r, J = phi.linearise(x)
     status[~np.all(np.isfinite(r), axis=1)] = _DOMAIN
     rnorm = np.linalg.norm(r, axis=1)
+    JtJ = np.empty((B, n, n))
+    g = np.empty((B, n))
+    defined = np.empty(B, dtype=bool)  # DPhi finite at the row's point
+
+    def normal_equations(rows, J):
+        """Store J^T J, J^T Phi and ``defined`` for rows with DPhi J."""
+        Jt = J.transpose(0, 2, 1)
+        JtJ[rows] = Jt @ J
+        g[rows] = (Jt @ r[rows, :, None])[..., 0]
+        defined[rows] = np.all(np.isfinite(J), axis=(1, 2))
+
+    normal_equations(np.arange(B), J)
     eye = np.eye(n)
     while True:
-        fresh = (status == _ACTIVE) & relinearise
-        status[fresh & on_locus(rnorm, opts)] = _CONVERGED
-        status[fresh & (status == _ACTIVE) & (iters >= opts.max_iters)] = _CAP
-        idx = np.flatnonzero(fresh & (status == _ACTIVE))
-        if idx.size:
-            J = phi.dphi(x[idx])
-            status[idx[~np.all(np.isfinite(J), axis=(1, 2))]] = _DOMAIN
-            Jt = J.transpose(0, 2, 1)
-            JtJ[idx] = Jt @ J
-            g[idx] = (Jt @ r[idx, :, None])[..., 0]
-            relinearise[idx] = False
-
+        # a row whose last step was rejected fails these tests again
+        status[(status == _ACTIVE) & on_locus(rnorm, opts)] = _CONVERGED
+        status[(status == _ACTIVE) & (iters >= opts.max_iters)] = _CAP
+        status[(status == _ACTIVE) & ~defined] = _DOMAIN
         status[(status == _ACTIVE) & (lam > 1e12)] = _EXHAUSTED
         idx = np.flatnonzero(status == _ACTIVE)
         if not idx.size:
@@ -211,14 +226,14 @@ def solve_from_seed(phi: PhiSystem, x0, opts: LocusOptions = LocusOptions()):
         status[idx[solved & ~finite]] = _NONFINITE
         keep = solved & finite
         idx, trial = idx[keep], x[idx[keep]] + step[keep]
-        r_new = phi.phi(trial)
+        r_new, J = phi.linearise(trial)
         rn_new = np.linalg.norm(r_new, axis=1)
         accept = np.isfinite(rn_new) & (rn_new < rnorm[idx])
         up = idx[accept]
         x[up], r[up], rnorm[up] = trial[accept], r_new[accept], rn_new[accept]
+        normal_equations(up, J[accept])
         lam[up] = np.maximum(lam[up] / 3.0, 1e-14)
         iters[up] += 1
-        relinearise[up] = True
         lam[idx[~accept]] *= 10.0
     return x, np.array(OUTCOMES)[status]
 
@@ -361,12 +376,13 @@ def sample_locus(phi: PhiSystem, box, n_seeds: int,
                  opts: LocusOptions = LocusOptions()) -> list[LocusSample]:
     """Extract locus samples from low-discrepancy seeds in the box.
 
-    Seeds are ``box_halton(box, n_seeds, opts.rng_seed)``; converged
-    points outside the box are dropped, the rest are sorted
-    lexicographically, thinned to a minimum separation of dedup_factor
-    times the box diameter and certified, so the output is a
-    deterministic function of (phi, box, n_seeds, opts).  An empty
-    result is valid.
+    Seeds are ``box_halton(box, n_seeds, opts.rng_seed)``, solved in one
+    batch by ``solve_from_seed``; converged points outside the box are
+    dropped, the rest are sorted lexicographically, thinned by ``dedup``
+    to a minimum separation of dedup_factor times the box diameter (the
+    greedy rule in sorted order, compared within an x1 window) and
+    certified, so the output is a deterministic function of (phi, box,
+    n_seeds, opts).  An empty result is valid.
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
@@ -381,14 +397,51 @@ def sample_locus(phi: PhiSystem, box, n_seeds: int,
     pts = pts[order]
 
     diam = float(np.linalg.norm(b[:, 1] - b[:, 0]))
-    radius_sq = (opts.dedup_factor * diam) ** 2
-    buf = np.empty_like(pts)
-    k = 0
-    for p in pts:
-        if k == 0 or np.min(np.sum((buf[:k] - p) ** 2, axis=1)) >= radius_sq:
-            buf[k] = p
-            k += 1
-    return certify(phi, buf[:k], opts)
+    return certify(phi, pts[dedup(pts, (opts.dedup_factor * diam) ** 2)],
+                   opts)
+
+
+def dedup(pts, radius_sq: float):
+    """Mask of the rows of the lexsorted (N, n) stack pts that the greedy
+    rule keeps: a row is kept when no kept earlier row q has
+    sum((q - p)**2) < radius_sq.
+
+    A row closer than the radius to an earlier one has an x1 within the
+    radius of that row's, so each row is compared only with the earlier
+    rows in an ``np.searchsorted`` window on x1 that reaches back twice
+    the radius plus the rounding of x1 (a superset of the pairs the test
+    can find close).  Each pair is decided by the greedy rule's own
+    expression, and only the rows with a close earlier row are resolved,
+    in order.  The pairs are formed in chunks of at most _DEDUP_BYTES,
+    so points sharing x1 cost O(N^2) time but not O(N^2) memory.
+    """
+    N, n = pts.shape
+    keep = np.ones(N, dtype=bool)
+    x1 = pts[:, 0]
+    reach = (2.0 * math.sqrt(radius_sq)
+             + 4.0 * np.spacing(np.abs(x1).max(initial=0.0)))
+    first = np.searchsorted(x1, x1 - reach)  # first earlier row in reach
+    count = np.arange(N) - first
+    total = np.cumsum(count)  # pairs up to and including each row
+    budget = max(1, _DEDUP_BYTES // (8 * (2 * n + 3)))  # pairs a chunk
+    lo = 0
+    while lo < N:
+        hi = max(lo + 1, int(np.searchsorted(
+            total, total[lo] - count[lo] + budget, side="right")))
+        k = count[lo:hi]
+        # row i pairs with first[i], ..., i - 1: a run of k[i] pairs
+        rows = np.repeat(np.arange(lo, hi), k)
+        run_start = np.cumsum(k) - k
+        cols = np.arange(len(rows)) + np.repeat(first[lo:hi] - run_start, k)
+        close = np.sum((pts[cols] - pts[rows]) ** 2, axis=1) < radius_sq
+        rows, cols = rows[close], cols[close]
+        if rows.size:
+            cuts = np.flatnonzero(np.diff(rows)) + 1
+            for i, earlier in zip(rows[np.r_[0, cuts]].tolist(),
+                                  np.split(cols, cuts)):
+                keep[i] = not keep[earlier].any()
+        lo = hi
+    return keep
 
 
 @dataclass(frozen=True)

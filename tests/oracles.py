@@ -310,6 +310,26 @@ def scalar_lm_rows(phi, X, opts):
 
 
 # ---------------------------------------------------------------------------
+# Dedup oracle
+
+
+def greedy_dedup(pts, radius_sq):
+    """Mask of the rows of pts that the greedy loop keeps: in order, a row
+    is kept when its squared distance to every kept row is at least
+    radius_sq.  The one-row-at-a-time loop the windowed ``locus.dedup``
+    must reproduce."""
+    keep = np.zeros(len(pts), dtype=bool)
+    buf = np.empty_like(pts)
+    k = 0
+    for i, p in enumerate(pts):
+        if k == 0 or np.min(np.sum((buf[:k] - p) ** 2, axis=1)) >= radius_sq:
+            buf[k] = p
+            k += 1
+            keep[i] = True
+    return keep
+
+
+# ---------------------------------------------------------------------------
 # Chart oracle
 
 
@@ -508,7 +528,7 @@ def dense_derivative(expr, X, order):
     else:  # constant expression
         val, top = np.asarray(out, float), np.zeros((B,) + (n,) * order)
     top = np.array(top)
-    dsl._settle(flags, top, val)
+    dsl._settle(flags, top, top, val)
     if order == 2:
         top = 0.5 * (top + top.transpose(0, 2, 1))
     return top

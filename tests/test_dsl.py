@@ -3,7 +3,7 @@ import pytest
 
 from gradlocus import ParseError, differentiate, parse_expression
 from gradlocus.dsl import (Add, Call, Const, Div, Jet, Mul, Neg, Pow, Sub,
-                           Var, _eval, evaluate, gradient, hessian,
+                           Var, _eval, evaluate, gradient, hessian, jet,
                            linear_combination, max_var_index)
 from gradlocus.fields import ScalarField, VectorField
 from gradlocus.errors import DimensionMismatch
@@ -193,6 +193,35 @@ class TestDerivatives:
         e = parse_expression("sin(x1) * x2^2", 2)
         assert gradient(e, np.empty((0, 2))).shape == (0, 2)
         assert hessian(e, np.empty((0, 2))).shape == (0, 2, 2)
+        assert [a.shape for a in jet(e, np.empty((0, 2)), 2)] == [
+            (0,), (0, 2), (0, 2, 2)]
+
+    def test_jet_matches_the_separate_walks(self):
+        # one walk gives evaluate, gradient and hessian bit for bit, NaN
+        # rows included: log(x1) at x1 = 1e-200 has a finite gradient
+        # and an overflowing Hessian, 1/x1 at 0 is flagged, exp(exp(x1))
+        # overflows at 7.5, and a constant or a variable alone is a jet
+        # over all or one of the variables
+        rng = np.random.default_rng(28)
+        X = random_points(rng, 12, 3)
+        X[:5, 0] = [1e-200, 0.0, -1.3, 7.5, 0.0]
+        trees = [parse_expression(text, 3) for text in (
+            "log(x1)", "1/x1 + x2", "exp(exp(x1)) * x3", "x2", "2.5",
+            "(1/x1)^0", "x1 * x2 - sin(x3) / (1 + x2^2)")]
+        trees += [random_smooth(rng, 3, depth=3) for _ in range(40)]
+        for e in trees:
+            want = (evaluate(e, X), gradient(e, X), hessian(e, X))
+            for order in (1, 2):
+                got = jet(e, X, order)
+                assert len(got) == order + 1
+                for a, b in zip(got, want, strict=False):
+                    assert np.array_equal(a, b, equal_nan=True), (
+                        str(e), order)
+            out = np.zeros((len(X), 3))
+            assert jet(e, X, 1, out=out)[1] is out
+            assert np.array_equal(out, want[1], equal_nan=True)
+        grad, hess = jet(trees[0], X[:1], 2)[1:]
+        assert np.isfinite(grad).all() and np.isnan(hess).all()
 
     def test_raw_hessian_is_exactly_symmetric(self):
         # white box: the second-order Jet rules only combine symmetric
@@ -289,13 +318,17 @@ _EVALUATORS = {  # name: (evaluator, whether it takes Jacobians, not points)
     "dsl.evaluate": (lambda x: evaluate(_f.expr, x), False),
     "dsl.gradient": (lambda x: gradient(_f.expr, x), False),
     "dsl.hessian": (lambda x: hessian(_f.expr, x), False),
+    "dsl.jet": (lambda x: jet(_f.expr, x, 2), False),
     "ScalarField.value": (_f.value, False),
     "ScalarField.gradient": (_f.gradient, False),
     "ScalarField.hessian": (_f.hessian, False),
+    "ScalarField.jet": (_f.jet, False),
     "VectorField.value": (_F.value, False),
     "VectorField.jacobian": (_F.jacobian, False),
+    "VectorField.jet": (_F.jet, False),
     "PhiSystem.phi": (_PHI.phi, False),
     "PhiSystem.dphi": (_PHI.dphi, False),
+    "PhiSystem.linearise": (_PHI.linearise, False),
     "left_residual": (lambda x: left_residual(_PAIR, _F, x), False),
     "residual": (lambda N: residual(_PAIR, N), True),
     "gamma_obstruction": (lambda N: gamma_obstruction(_PAIR, N), True),

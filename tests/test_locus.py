@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,13 +10,14 @@ from gradlocus import (DimensionMismatch, GradlocusError, InvalidOption,
                        box_counting_dimension, builtin_demos, build_phi,
                        certify, chart_memberships, companion_map,
                        default_scales, halton_sequence, pseudo_euclidean,
-                       sample_locus, solve_from_seed, standard_euclidean,
-                       standard_symplectic, verify_cover)
+                       sample_locus, scenario_from_dict, solve_from_seed,
+                       standard_euclidean, standard_symplectic, verify_cover)
 from gradlocus import locus
 from gradlocus.cli import main
 from gradlocus.exterior import antisymmetric_part
 
-from oracles import chart_loop, halton_loop, random_points, scalar_lm_rows
+from oracles import (chart_loop, greedy_dedup, halton_loop, random_points,
+                     random_smooth, scalar_lm_rows)
 
 
 def demo_phi(name):
@@ -41,8 +43,8 @@ MIXED_DOMAIN = ("(x1^2+x2^2)/2", ["log(x1) + x2", "x1*x2"])
 
 
 class PoisonedDphi(PhiSystem):
-    """DPhi is undefined at the point POISON, by the DSL's contract for a
-    batch: a NaN row."""
+    """DPhi, from ``dphi`` and from ``linearise`` alike, is undefined at
+    the point POISON, by the DSL's contract for a batch: a NaN row."""
 
     POISON = np.array([1.5, 0.1])
 
@@ -50,6 +52,11 @@ class PoisonedDphi(PhiSystem):
         J = super().dphi(x)
         J[np.all(x == self.POISON, axis=1)] = np.nan
         return J
+
+    def linearise(self, x):
+        r, J = super().linearise(x)
+        J[np.all(x == self.POISON, axis=1)] = np.nan
+        return r, J
 
 
 class TestLocusOptions:
@@ -154,6 +161,35 @@ class TestBuildPhi:
         right_neg = build_phi(pair, sp.f,
                               matrix_apply(-np.eye(4), sp.F), "right")
         assert np.abs(left.phi(X) - right_neg.phi(X)).max() <= 1e-13
+
+    def test_linearise_is_phi_and_dphi(self):
+        # one jet walk per expression gives phi and dphi byte for byte,
+        # NaN rows included: the demos, torus-m2, the mixed domain and
+        # random trees on Euclidean, symplectic and pseudo-Euclidean R^2
+        # and R^4, at points that include x1 = 0, -1 and 1e200
+        rng = np.random.default_rng(59)
+        systems = [demo_phi(name)[1]
+                   for name in ("circle-m1", "plane-m2", "minkowski-grad")]
+        systems += [torus_phi(2), euclidean_phi(*MIXED_DOMAIN)]
+        for k in range(12):
+            m = 1 + k % 2
+            form = (standard_euclidean(2 * m), standard_symplectic(m),
+                    pseudo_euclidean(m, m))[k % 3]
+            n = 2 * m
+            systems.append(build_phi(
+                companion_map(form), ScalarField(n, random_smooth(rng, n)),
+                VectorField(n, tuple(random_smooth(rng, n)
+                                     for _ in range(n))),
+                ("left", "right")[k % 2]))
+        undefined = []
+        for phi in systems:
+            X = random_points(rng, 40, phi.dim)
+            X[:3, 0] = [0.0, -1.0, 1e200]
+            r, J = phi.linearise(X)
+            assert r.tobytes() == phi.phi(X).tobytes()
+            assert J.tobytes() == phi.dphi(X).tobytes()
+            undefined.append(int(np.isnan(J).all(axis=(1, 2)).sum()))
+        assert undefined[4] >= 20 and sum(undefined) > undefined[4]
 
     def test_antisymmetry_transfer(self):
         # skew part of DPhi equals minus the skew part of C DF wherever
@@ -333,6 +369,72 @@ class TestSampleLocus:
         other = s.options.with_overrides(rng_seed=s.options.rng_seed + 1)
         b = sample_locus(phi, s.box_array(), 60, other)
         assert a != b
+
+
+def clustered_cloud(rng, count, n):
+    """Lexsorted points around a few centres at spreads from 1e-4 to 1,
+    a fifth of them exact copies of one point."""
+    centres = rng.uniform(-2.0, 2.0, (int(rng.integers(1, 30)), n))
+    pts = centres[rng.integers(0, len(centres), count)] + rng.normal(
+        0.0, 10.0 ** rng.uniform(-4.0, 0.0), (count, n))
+    pts[rng.random(count) < 0.2] = pts[0]
+    return pts[np.lexsort(pts.T[::-1])]
+
+
+class TestDedup:
+    """The windowed ``locus.dedup`` keeps the rows the greedy loop
+    ``greedy_dedup`` keeps."""
+
+    def test_clustered_clouds(self):
+        rng = np.random.default_rng(71)
+        for n in range(1, 13):
+            for _ in range(15):
+                pts = clustered_cloud(rng, int(rng.integers(1, 300)), n)
+                radius_sq = float(10.0 ** rng.uniform(-6.0, 0.5))
+                assert np.array_equal(locus.dedup(pts, radius_sq),
+                                      greedy_dedup(pts, radius_sq)), n
+
+    def test_zero_radius_keeps_every_row(self):
+        pts = clustered_cloud(np.random.default_rng(72), 200, 3)
+        assert locus.dedup(pts, 0.0).all()
+        s, phi = demo_phi("circle-m1")
+        opts = s.options.with_overrides(dedup_factor=0.0)
+        assert len(sample_locus(phi, s.box_array(), 300, opts)) > len(
+            sample_locus(phi, s.box_array(), 300, s.options))
+
+    def test_shared_x1_pairs_fit_the_budget(self):
+        # every row has every earlier row in its window: O(N^2) pairs,
+        # formed in chunks of at most _DEDUP_BYTES, so the peak stays
+        # near one chunk where one batch of pairs would take about 180 MB
+        rng = np.random.default_rng(73)
+        pts = rng.uniform(-2.0, 2.0, (2000, 4))
+        pts[:, 0] = 0.25
+        pts = pts[np.lexsort(pts.T[::-1])]
+        want = greedy_dedup(pts, 0.01)
+        tracemalloc.start()
+        try:
+            got = locus.dedup(pts, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        assert 0 < (~got).sum() and peak <= 2 * locus._DEDUP_BYTES
+
+    def test_torus_samples_match_the_greedy_loop(self, monkeypatch):
+        # torus-m2 at 2000 seeds drops rows at the default dedup_factor
+        # and none at 0
+        s = scenario_from_dict(TORUS_M2)
+        phi = build_phi(companion_map(s.form), s.f, s.F, s.side)
+        runs = {factor: sample_locus(
+            phi, s.box_array(), s.n_seeds,
+            s.options.with_overrides(dedup_factor=factor))
+            for factor in (s.options.dedup_factor, 0.0)}
+        assert len(runs[s.options.dedup_factor]) < len(runs[0.0])
+        monkeypatch.setattr(locus, "dedup", greedy_dedup)
+        for factor, got in runs.items():
+            assert got == sample_locus(
+                phi, s.box_array(), s.n_seeds,
+                s.options.with_overrides(dedup_factor=factor)), factor
 
 
 class TestCertify:

@@ -400,6 +400,33 @@ class TestCli:
             summary = json.loads((tmp_path / out / "summary.json").read_text())
             assert summary["rng_seed"] == seed
 
+    def test_consecutive_calls_parse_independently(self, tmp_path, capsys):
+        # the parser is built once per process: no flag of one call may
+        # carry over to the next, whatever the verb, and a bad argument
+        # still exits 2 without spoiling the calls after it
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(circle_dict(n_seeds=50)))
+        s = str(scenario)
+        calls = [
+            (["locus", "--scenario", s, "--seed", "99", "--points", "40"],
+             "summary.json", "n_seeds", 40, 99),
+            (["locus", "--scenario", s], "summary.json", "n_seeds", 50, 7),
+            (["check", "--scenario", s, "--points", "30", "--seed", "3"],
+             "check.json", "n_points", 30, 3),
+            (["check", "--scenario", s], "check.json", "n_points", 200, 7),
+            (["demo", "circle-m1", "--points", "20"], "summary.json",
+             "n_seeds", 20, 7),
+        ]
+        for k, (argv, name, key, count, seed) in enumerate(calls):
+            out = tmp_path / str(k)
+            assert main(argv + ["--out", str(out)]) == 0, argv
+            report = read_json(out / name)
+            assert (report[key], report["rng_seed"]) == (count, seed), argv
+            with pytest.raises(SystemExit) as exc:
+                main(["locus", "--scenario", s, "--points", "many"])
+            assert exc.value.code == 2
+            assert "--points" in capsys.readouterr().err
+
     def test_gray_gamma_is_neither_certified_nor_decisive(self, tmp_path):
         # F rotates grad f by 3e-8, so |Gamma| / scale = 4.24e-8 at every
         # point: above tol_gamma = 1e-8 but inside its 10x gray zone
