@@ -18,8 +18,8 @@ from .geometry import (BilinearForm, FormKind, GeometricPair, companion_map,
 from .integrability import (ProbeReport, equivalence_probe, gamma_obstruction,
                             left_residual, right_residual, symmetric_residual,
                             symplectic_residual)
-from .locus import (CoverReport, DimensionEstimate, LocusOptions, LocusSample,
-                    PhiSystem, all_charts, box_counting_dimension, build_phi,
+from .locus import (CoverReport, DimensionEstimate, LocusOptions, PhiSystem,
+                    Samples, all_charts, box_counting_dimension, build_phi,
                     certify, chart_memberships, default_scales,
                     halton_sequence, sample_locus, solve_from_seed,
                     verify_cover)
@@ -31,9 +31,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BilinearForm", "CoverReport", "DegenerateForm", "DimensionEstimate",
     "DimensionMismatch", "Expr", "FormKind", "GeometricPair", "GradlocusError",
-    "InvalidOption", "LocusOptions", "LocusSample", "MultiVector",
-    "NotAntisymmetric", "NotSymplectic", "OddDimension", "ParseError",
-    "PhiSystem", "ProbeReport", "ScalarField", "Scenario", "ScenarioError",
+    "InvalidOption", "LocusOptions", "MultiVector", "NotAntisymmetric",
+    "NotSymplectic", "OddDimension", "ParseError", "PhiSystem", "ProbeReport",
+    "Samples", "ScalarField", "Scenario", "ScenarioError",
     "TooFewPoints", "VectorField", "all_charts", "antisymmetric_part",
     "box_counting_dimension", "build_phi", "builtin_demos", "certify",
     "chart_memberships", "companion_map", "default_scales", "differentiate",

@@ -51,8 +51,8 @@ from .integrability import (Defect, conditions, decisive, distinct_sides,
                             equivalence_probe, gamma_obstruction, integrable,
                             obstruction_matrix, residual)
 from .locus import (CHECK_STACK_BYTES, DIMENSION_CAVEAT, MIN_DIMENSION_POINTS,
-                    all_charts, box_counting_dimension, box_halton, build_phi,
-                    certify, default_scales, sample_locus, verify_cover)
+                    box_counting_dimension, box_halton, build_phi, certify,
+                    default_scales, sample_locus, verify_cover)
 from .scenarios import (TOLERANCE_KEYS, Scenario, builtin_demos,
                         load_scenario, scenario_to_dict)
 
@@ -63,10 +63,6 @@ EXIT_ERROR = 2
 
 def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
-
-
-def _fmt_float(v) -> str:
-    return repr(float(v))
 
 
 def _out_dir(path: Path) -> Path:
@@ -200,20 +196,22 @@ def cmd_check(scenario: Scenario, n_points: int, out_dir: Path | None) -> int:
 # locus
 
 
-def _write_points_csv(path: Path, dim: int, m: int, samples):
-    chart_pos = {c: i for i, c in enumerate(all_charts(m))}
+def _write_points_csv(path: Path, samples):
+    """One row per sample: the float columns by ``repr``, then the chart
+    bitmask (bit k for chart ``all_charts(m)[k]``) and certified as 0/1."""
+    floats = np.column_stack([samples.x, samples.phi_norm,
+                              samples.gamma_value, samples.gamma_scale])
+    masks = np.packbits(samples.charts, axis=1, bitorder="little")
+    header = ([f"x{i + 1}" for i in range(samples.x.shape[1])]
+              + ["phi_norm", "gamma_value", "gamma_scale", "chart_mask",
+                 "certified"])
     with reading("out"), open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"x{i + 1}" for i in range(dim)]
-                        + ["phi_norm", "gamma_value", "gamma_scale",
-                           "chart_mask", "certified"])
-        for s in samples:
-            mask = sum(1 << chart_pos[c] for c in s.charts)
-            writer.writerow([_fmt_float(v) for v in s.x]
-                            + [_fmt_float(s.phi_norm),
-                               _fmt_float(s.gamma_value),
-                               _fmt_float(s.gamma_scale),
-                               str(mask), "1" if s.certified else "0"])
+        fh.write(",".join(header) + "\n")
+        fh.writelines(
+            f"{','.join(map(repr, row))},"
+            f"{int.from_bytes(mask, 'little')},{int(ok)}\n"
+            for row, mask, ok in zip(floats.tolist(), masks.tolist(),
+                                     samples.certified.tolist()))
 
 
 def cmd_locus(scenario: Scenario, out_dir: Path) -> int:
@@ -221,10 +219,9 @@ def cmd_locus(scenario: Scenario, out_dir: Path) -> int:
     phi = build_phi(pair, scenario.f, scenario.F, scenario.side)
     samples = sample_locus(phi, scenario.box_array(), scenario.n_seeds,
                            scenario.options)
-    cover = verify_cover(samples, phi.m)
+    cover = verify_cover(samples)
 
-    certified_pts = np.reshape([s.x for s in samples if s.certified],
-                               (-1, scenario.dim))
+    certified_pts = samples.x[samples.certified]
     box = scenario.box_array()
     scales = default_scales(float(np.linalg.norm(box[:, 1] - box[:, 0])))
     try:
@@ -239,8 +236,7 @@ def cmd_locus(scenario: Scenario, out_dir: Path) -> int:
                       "counts": list(est.counts),
                       "used": [bool(u) for u in est.used]}
 
-    _write_points_csv(_out_dir(out_dir) / "points.csv", scenario.dim, phi.m,
-                      samples)
+    _write_points_csv(_out_dir(out_dir) / "points.csv", samples)
 
     payload = {
         "scenario": scenario.name,
@@ -324,13 +320,13 @@ def cmd_charts(csv_path: Path, scenario: Scenario, out_dir: Path | None) -> int:
 
     target = (_out_dir(out_dir if out_dir else csv_path.parent)
               / (csv_path.stem + "_charts.csv"))
-    _write_points_csv(target, scenario.dim, phi.m, samples)
+    _write_points_csv(target, samples)
     _write_json({
         "csv": str(csv_path),
         "output": str(target),
         "rows": len(samples),
-        "recomputed_memberships": sum(bool(s.charts) for s in samples),
-        "chart_bound": verify_cover(samples, phi.m).chart_bound,
+        "recomputed_memberships": int(samples.charts.any(1).sum()),
+        "chart_bound": verify_cover(samples).chart_bound,
         "tolerances": _tolerance_block(scenario.options),
         "generated_at": _timestamp(),
     }, None)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from itertools import combinations, compress
+from itertools import combinations
 from numbers import Integral, Real
 
 import numpy as np
@@ -288,22 +288,28 @@ def _box_array(box, dim: int) -> np.ndarray:
     return b
 
 
-@dataclass(frozen=True)
-class LocusSample:
-    """A point with the verdicts ``certify`` gave it: ``obstructed`` when
-    it lies on the locus and its Gamma-power passes ``decisive``, and the
-    charts it lies on."""
+@dataclass(frozen=True, eq=False)
+class Samples:
+    """The verdicts ``certify`` gave a (B, n) stack, one row a point, as
+    columns: ``x`` (B, n); ``phi_norm``, ``gamma_value``, ``gamma_scale``
+    and ``obstructed`` (B,), a row being obstructed when it lies on the
+    locus and its Gamma-power passes ``decisive``; and ``charts``, a
+    (B, binom(2m, m)) bool matrix, column k for chart ``all_charts(m)[k]``.
+    Compare two tables column by column (``np.array_equal``)."""
 
-    x: tuple[float, ...]
-    phi_norm: float
-    gamma_value: float
-    gamma_scale: float
-    charts: frozenset[tuple[int, ...]]
-    obstructed: bool
+    x: np.ndarray
+    phi_norm: np.ndarray
+    gamma_value: np.ndarray
+    gamma_scale: np.ndarray
+    obstructed: np.ndarray
+    charts: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.x)
 
     @property
-    def certified(self) -> bool:
-        return self.obstructed and bool(self.charts)
+    def certified(self) -> np.ndarray:
+        return self.obstructed & self.charts.any(1)
 
 
 def all_charts(m: int) -> list[tuple[int, ...]]:
@@ -314,9 +320,10 @@ def all_charts(m: int) -> list[tuple[int, ...]]:
 def chart_memberships(phi: PhiSystem, X, opts: LocusOptions = LocusOptions()):
     """Charts containing locus points: index tuples alpha whose rows of
     DPhi(x) form a matrix of numerical rank m at opts.tol_rank.  A (B, n)
-    stack gives a list of B frozensets, and any other shape raises
-    DimensionMismatch (from the field layer, as in ``certify``); every
-    point must pass ``on_locus``.
+    stack gives a (B, binom(2m, m)) bool matrix, column k for chart
+    ``all_charts(m)[k]``, and any other shape raises DimensionMismatch
+    (from the field layer, as in ``certify``); every point must pass
+    ``on_locus``.
 
     A submatrix whose largest singular value is negligible against the
     full Jacobian (below 1e-12 of its spectral norm) is treated as
@@ -331,26 +338,24 @@ def chart_memberships(phi: PhiSystem, X, opts: LocusOptions = LocusOptions()):
         raise GradlocusError("chart membership requested off the locus: "
                              f"||Phi|| = {np.max(res):.3e}")
     m = phi.m
-    charts = all_charts(m)
-    rows = np.array(charts) - 1
-    step = max(1, _CHART_STACK_BYTES // (len(charts) * m * 2 * m * 8))
-    members = []
+    rows = np.array(all_charts(m)) - 1
+    step = max(1, _CHART_STACK_BYTES // (len(rows) * m * 2 * m * 8))
+    members = np.empty((len(X), len(rows)), dtype=bool)
     for lo in range(0, len(X), step):
         J = phi.dphi(X[lo:lo + step])
         J[~np.all(np.isfinite(J), axis=(1, 2))] = 0.0  # undefined: no chart
         global_s1 = np.linalg.norm(J, 2, axis=(1, 2))[:, None]
         sv = np.linalg.svd(J[:, rows, :], compute_uv=False)
         ref = np.where(sv[..., 0] > 1e-12 * global_s1, sv[..., 0], global_s1)
-        rank_m = np.sum(sv > opts.tol_rank * ref[..., None], axis=-1) == m
-        members += [frozenset(compress(charts, row))
-                    for row in rank_m.tolist()]
+        members[lo:lo + step] = np.sum(
+            sv > opts.tol_rank * ref[..., None], axis=-1) == m
     return members
 
 
 def certify(phi: PhiSystem, X,
-            opts: LocusOptions = LocusOptions()) -> list[LocusSample]:
-    """Certification data for each row of the (B, n) stack X, in order;
-    any other shape raises DimensionMismatch.
+            opts: LocusOptions = LocusOptions()) -> Samples:
+    """The ``Samples`` table of the (B, n) stack X, one row per row of X,
+    in order; any other shape raises DimensionMismatch.
 
     A row is obstructed when it lies on the locus (``on_locus``) and
     passes ``decisive`` with tol_gamma, and certified when it is
@@ -358,22 +363,19 @@ def certify(phi: PhiSystem, X,
     one batch, only for rows on the locus; rows off it get none and are
     never certified.
     """
-    X = np.asarray(X, dtype=float)
-    phi_norms = np.linalg.norm(phi.phi(X), axis=1)
+    X = np.array(X, dtype=float)
+    phi_norm = np.linalg.norm(phi.phi(X), axis=1)
     values, scales = gamma_obstruction(phi.pair, phi.C @ phi.F.jacobian(X))
-    on = on_locus(phi_norms, opts)
-    charts = np.full(len(X), frozenset(), dtype=object)
+    on = on_locus(phi_norm, opts)
+    charts = np.zeros((len(X), math.comb(2 * phi.m, phi.m)), dtype=bool)
     charts[on] = chart_memberships(phi, X[on], opts)
-    obstructed = on & decisive(values, scales, opts.tol_gamma)
-    return [LocusSample(x=tuple(x), phi_norm=r, gamma_value=v, gamma_scale=s,
-                        charts=c, obstructed=ok)
-            for x, r, v, s, c, ok in zip(
-                X.tolist(), phi_norms.tolist(), values.tolist(),
-                scales.tolist(), charts, obstructed.tolist())]
+    return Samples(x=X, phi_norm=phi_norm, gamma_value=values,
+                   gamma_scale=scales, charts=charts,
+                   obstructed=on & decisive(values, scales, opts.tol_gamma))
 
 
 def sample_locus(phi: PhiSystem, box, n_seeds: int,
-                 opts: LocusOptions = LocusOptions()) -> list[LocusSample]:
+                 opts: LocusOptions = LocusOptions()) -> Samples:
     """Extract locus samples from low-discrepancy seeds in the box.
 
     Seeds are ``box_halton(box, n_seeds, opts.rng_seed)``, solved in one
@@ -382,7 +384,7 @@ def sample_locus(phi: PhiSystem, box, n_seeds: int,
     to a minimum separation of dedup_factor times the box diameter (the
     greedy rule in sorted order, compared within an x1 window) and
     certified, so the output is a deterministic function of (phi, box,
-    n_seeds, opts).  An empty result is valid.
+    n_seeds, opts).  A table of 0 rows is valid.
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
@@ -391,8 +393,6 @@ def sample_locus(phi: PhiSystem, box, n_seeds: int,
                                    opts)
     pts = pts[(outcome == "converged") & np.all(pts >= b[:, 0], axis=1)
               & np.all(pts <= b[:, 1], axis=1)]
-    if not len(pts):
-        return []
     order = np.lexsort(tuple(pts[:, d] for d in range(pts.shape[1] - 1, -1, -1)))
     pts = pts[order]
 
@@ -446,11 +446,13 @@ def dedup(pts, radius_sq: float):
 
 @dataclass(frozen=True)
 class CoverReport:
-    """Chart coverage accounting over one sample list.
+    """Chart coverage accounting over one ``Samples`` table.
 
     ``uncovered_count`` counts samples that ``certify`` judged
     obstructed yet lie on no chart; the chart construction guarantees
-    this stays zero.  Per-chart counts carry no nonemptiness claim.
+    this stays zero.  ``per_chart`` counts the certified samples on each
+    chart used, in ``all_charts`` order; the counts carry no nonemptiness
+    claim.
     """
 
     total_samples: int
@@ -465,19 +467,19 @@ class CoverReport:
         return self.uncovered_count == 0 and self.charts_used <= self.chart_bound
 
 
-def verify_cover(samples, m: int) -> CoverReport:
+def verify_cover(samples: Samples) -> CoverReport:
     """Tally certification, uncovered points and distinct charts (bound:
-    binom(2m, m)) from the verdicts ``certify`` stored in the samples."""
-    certified = [s for s in samples if s.certified]
-    uncovered = [s for s in samples if s.obstructed and not s.charts]
-    per_chart: dict[tuple[int, ...], int] = {}
-    for s in certified:
-        for chart in sorted(s.charts):
-            per_chart[chart] = per_chart.get(chart, 0) + 1
+    binom(2m, m), with 2m the width of ``samples.x``) from the columns
+    ``certify`` filled."""
+    m = samples.x.shape[1] // 2
+    certified = samples.certified
+    counts = samples.charts[certified].sum(0).tolist()
+    per_chart = {c: k for c, k in zip(all_charts(m), counts) if k}
     return CoverReport(
         total_samples=len(samples),
-        certified_count=len(certified),
-        uncovered_count=len(uncovered),
+        certified_count=int(certified.sum()),
+        uncovered_count=int(np.sum(samples.obstructed
+                                   & ~samples.charts.any(1))),
         charts_used=len(per_chart),
         chart_bound=math.comb(2 * m, m),
         per_chart=per_chart,

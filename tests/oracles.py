@@ -8,12 +8,13 @@ differences; the dense jet carries every derivative over all
 variables, where ``dsl.Jet`` carries only those a value depends on.
 """
 
+import csv
 from types import SimpleNamespace
 
 import numpy as np
 
 from gradlocus import dsl
-from gradlocus.errors import DimensionMismatch
+from gradlocus.errors import DimensionMismatch, reading
 from gradlocus.geometry import (FormKind, companion_map, make_form,
                                 minkowski, pseudo_euclidean,
                                 standard_euclidean, standard_symplectic)
@@ -334,28 +335,73 @@ def greedy_dedup(pts, radius_sq):
 
 
 def chart_loop(phi, X, opts):
-    """Chart sets of the rows of X the way ``certify`` reports them, one
-    point and one m x 2m submatrix SVD at a time: the loop the stacked
+    """Chart matrix of the rows of X the way ``certify`` reports it (row
+    i, column k: x_i lies on chart ``all_charts(m)[k]``), one point and
+    one m x 2m submatrix SVD at a time: the loop the stacked
     ``chart_memberships`` must reproduce.  Rows off the locus, or where
     Phi or DPhi is not finite, get none."""
-    out = []
-    for x in np.asarray(X, dtype=float):
-        members = []
+    X = np.asarray(X, dtype=float)
+    charts = all_charts(phi.m)
+    out = np.zeros((len(X), len(charts)), dtype=bool)
+    for i, x in enumerate(X):
         J = phi.dphi(x[None])[0]
-        if (np.linalg.norm(phi.phi(x[None])[0]) <= opts.tol_residual
+        if not (np.linalg.norm(phi.phi(x[None])[0]) <= opts.tol_residual
                 and np.all(np.isfinite(J))):
-            global_s1 = float(np.linalg.norm(J, 2))
-            for alpha in all_charts(phi.m):
-                sub = J[[a - 1 for a in alpha], :]
-                sv = np.linalg.svd(sub, compute_uv=False)
-                s1 = float(sv[0])
-                ref = s1 if s1 > 1e-12 * global_s1 else global_s1
-                if ref == 0.0:
-                    continue
-                if int(np.sum(sv > opts.tol_rank * ref)) == phi.m:
-                    members.append(alpha)
-        out.append(frozenset(members))
+            continue
+        global_s1 = float(np.linalg.norm(J, 2))
+        for k, alpha in enumerate(charts):
+            sub = J[[a - 1 for a in alpha], :]
+            sv = np.linalg.svd(sub, compute_uv=False)
+            s1 = float(sv[0])
+            ref = s1 if s1 > 1e-12 * global_s1 else global_s1
+            if ref == 0.0:
+                continue
+            if int(np.sum(sv > opts.tol_rank * ref)) == phi.m:
+                out[i, k] = True
     return out
+
+
+# ---------------------------------------------------------------------------
+# CSV oracle
+
+
+def sample_rows(samples):
+    """The rows of a ``Samples`` table as one record each, the way the
+    per-row writer reads them: x a tuple of floats, the charts a set of
+    index tuples, and certified when obstructed and on some chart."""
+    charts = all_charts(samples.x.shape[1] // 2)
+    return [SimpleNamespace(
+        x=tuple(x), phi_norm=r, gamma_value=v, gamma_scale=s,
+        charts=frozenset(c for c, on in zip(charts, row) if on),
+        certified=ok and any(row))
+        for x, r, v, s, row, ok in zip(
+            samples.x.tolist(), samples.phi_norm.tolist(),
+            samples.gamma_value.tolist(), samples.gamma_scale.tolist(),
+            samples.charts.tolist(), samples.obstructed.tolist())]
+
+
+def _fmt_float(v) -> str:
+    return repr(float(v))
+
+
+def write_points_csv(path, dim: int, m: int, samples):
+    """points.csv of the per-row records ``sample_rows`` gives, one
+    ``csv.writer`` row each with the chart mask summed bit by bit: the
+    writer the columnar ``cli._write_points_csv`` must match byte for
+    byte."""
+    chart_pos = {c: i for i, c in enumerate(all_charts(m))}
+    with reading("out"), open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([f"x{i + 1}" for i in range(dim)]
+                        + ["phi_norm", "gamma_value", "gamma_scale",
+                           "chart_mask", "certified"])
+        for s in samples:
+            mask = sum(1 << chart_pos[c] for c in s.charts)
+            writer.writerow([_fmt_float(v) for v in s.x]
+                            + [_fmt_float(s.phi_norm),
+                               _fmt_float(s.gamma_value),
+                               _fmt_float(s.gamma_scale),
+                               str(mask), "1" if s.certified else "0"])
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -18,6 +19,18 @@ from gradlocus.exterior import antisymmetric_part
 
 from oracles import (chart_loop, greedy_dedup, halton_loop, random_points,
                      random_smooth, scalar_lm_rows)
+
+
+def columns(samples):
+    """The columns of a ``Samples`` table by name."""
+    return {f.name: getattr(samples, f.name)
+            for f in dataclasses.fields(samples)}
+
+
+def same_table(a, b):
+    """Whether two ``Samples`` tables are equal, column by column."""
+    return all(np.array_equal(col, getattr(b, name))
+               for name, col in columns(a).items())
 
 
 def demo_phi(name):
@@ -308,26 +321,23 @@ class TestSampleLocus:
     def test_circle_demo_population(self):
         s, phi = demo_phi("circle-m1")
         samples = sample_locus(phi, s.box_array(), 500, s.options)
-        certified = [m for m in samples if m.certified]
-        assert len(certified) >= 100
-        for m in samples:
-            r = np.linalg.norm(m.x)
-            assert abs(r - 1.0) <= 1e-7 or r <= 1e-7
+        assert samples.certified.sum() >= 100
+        r = np.linalg.norm(samples.x, axis=1)
+        assert np.all((np.abs(r - 1.0) <= 1e-7) | (r <= 1e-7))
 
     def test_gradient_only_scenario_certifies_nothing(self):
         s, phi = demo_phi("minkowski-grad")
         samples = sample_locus(phi, s.box_array(), 100, s.options)
-        assert samples  # Phi vanishes identically, so seeds converge
-        assert all(not m.certified for m in samples)
-        assert all(abs(m.gamma_value) <= 1e-10 * m.gamma_scale
-                   for m in samples)
+        assert len(samples)  # Phi vanishes identically, so seeds converge
+        assert not samples.certified.any()
+        assert np.all(np.abs(samples.gamma_value)
+                      <= 1e-10 * samples.gamma_scale)
 
     def test_plane_demo_fills_patch(self):
         s, phi = demo_phi("plane-m2")
         samples = sample_locus(phi, s.box_array(), 200, s.options)
-        certified = [m for m in samples if m.certified]
-        assert len(certified) >= 150
-        pts = np.array([m.x for m in certified])
+        pts = samples.x[samples.certified]
+        assert len(pts) >= 150
         assert np.abs(pts[:, 2:]).max() <= 1e-7
         # the patch is genuinely 2-dimensional: both coordinates spread
         assert pts[:, 0].std() > 0.5 and pts[:, 1].std() > 0.5
@@ -337,12 +347,15 @@ class TestSampleLocus:
         f = ScalarField.parse("0", 2)
         F = VectorField.parse(["1", "0"], 2)
         phi = build_phi(pair, f, F, "left")
-        assert sample_locus(phi, [[-1, 1], [-1, 1]], 25) == []
+        empty = sample_locus(phi, [[-1, 1], [-1, 1]], 25)
+        assert len(empty) == 0
+        assert {name: col.shape for name, col in columns(empty).items()} == {
+            "x": (0, 2), "phi_norm": (0,), "gamma_value": (0,),
+            "gamma_scale": (0,), "obstructed": (0,), "charts": (0, 2)}
 
     def test_min_separation_holds(self):
         s, phi = demo_phi("circle-m1")
-        samples = sample_locus(phi, s.box_array(), 300, s.options)
-        pts = np.array([m.x for m in samples])
+        pts = sample_locus(phi, s.box_array(), 300, s.options).x
         radius = s.options.dedup_factor * np.linalg.norm(
             s.box_array()[:, 1] - s.box_array()[:, 0])
         dists = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
@@ -353,7 +366,7 @@ class TestSampleLocus:
         s, phi = demo_phi("circle-m1")
         a = sample_locus(phi, s.box_array(), 120, s.options)
         b = sample_locus(phi, s.box_array(), 120, s.options)
-        assert a == b
+        assert same_table(a, b)
 
     def test_domain_errors_stay_in_their_rows(self, monkeypatch):
         phi = euclidean_phi(*MIXED_DOMAIN)
@@ -361,14 +374,14 @@ class TestSampleLocus:
         got = sample_locus(phi, box, 100)
         assert len(got) == 1
         monkeypatch.setattr(locus, "solve_from_seed", scalar_lm_rows)
-        assert got == sample_locus(phi, box, 100)
+        assert same_table(got, sample_locus(phi, box, 100))
 
     def test_seed_changes_output(self):
         s, phi = demo_phi("circle-m1")
         a = sample_locus(phi, s.box_array(), 60, s.options)
         other = s.options.with_overrides(rng_seed=s.options.rng_seed + 1)
         b = sample_locus(phi, s.box_array(), 60, other)
-        assert a != b
+        assert not same_table(a, b)
 
 
 def clustered_cloud(rng, count, n):
@@ -432,32 +445,38 @@ class TestDedup:
         assert len(runs[s.options.dedup_factor]) < len(runs[0.0])
         monkeypatch.setattr(locus, "dedup", greedy_dedup)
         for factor, got in runs.items():
-            assert got == sample_locus(
+            assert same_table(got, sample_locus(
                 phi, s.box_array(), s.n_seeds,
-                s.options.with_overrides(dedup_factor=factor)), factor
+                s.options.with_overrides(dedup_factor=factor))), factor
 
 
 class TestCertify:
     def test_rows_do_not_depend_on_batching(self):
+        # a permuted stack gives the permuted table, a split stack the
+        # concatenated one
         s, phi = demo_phi("plane-m2")
         samples = sample_locus(phi, s.box_array(), 120, s.options)
-        X = np.array([m.x for m in samples])
+        X = samples.x
         perm = np.random.default_rng(5).permutation(len(X))
-        permuted = certify(phi, X[perm], s.options)
-        assert [permuted[i] for i in np.argsort(perm)] == samples
         half = len(X) // 2
-        assert (certify(phi, X[:half], s.options)
-                + certify(phi, X[half:], s.options)) == samples
+        permuted = columns(certify(phi, X[perm], s.options))
+        head = columns(certify(phi, X[:half], s.options))
+        tail = columns(certify(phi, X[half:], s.options))
+        for name, col in columns(samples).items():
+            assert np.array_equal(permuted[name], col[perm]), name
+            assert np.array_equal(
+                np.concatenate([head[name], tail[name]]), col), name
 
     def test_off_locus_row_gets_no_charts(self):
         s, phi = demo_phi("circle-m1")
-        on, off = certify(phi, np.array([[0.0, 1.0], [1.5, 1.5]]),
+        # row 0 on the locus, row 1 off it; the charts are (1,) and (2,)
+        samples = certify(phi, np.array([[0.0, 1.0], [1.5, 1.5]]),
                           s.options)
-        assert on.certified and on.charts == {(1,)}
-        assert off.phi_norm > s.options.tol_residual
-        assert off.charts == frozenset() and not off.certified
-        assert locus.on_locus(on.phi_norm, s.options)
-        assert not locus.on_locus(off.phi_norm, s.options)
+        assert samples.certified.tolist() == [True, False]
+        assert samples.charts.tolist() == [[True, False], [False, False]]
+        assert samples.phi_norm[1] > s.options.tol_residual
+        assert locus.on_locus(samples.phi_norm, s.options).tolist() == [
+            True, False]
 
     def test_point_stack_required(self):
         # the field layer's shape check raises before any row is read
@@ -499,24 +518,25 @@ class TestChartsAgainstOracle:
     """The stacked chart test equals the per-point loop ``chart_loop``."""
 
     def check(self, phi, X, opts=LocusOptions()):
-        got = [s.charts for s in certify(phi, X, opts)]
-        assert got == chart_loop(phi, X, opts)
+        got = certify(phi, X, opts).charts
+        assert np.array_equal(got, chart_loop(phi, X, opts))
         return got
 
     def test_demos(self):
         for name in ("circle-m1", "plane-m2", "minkowski-grad"):
             s, phi = demo_phi(name)
             samples = sample_locus(phi, s.box_array(), 200, s.options)
-            assert samples, name
-            X = np.array([m.x for m in samples])
-            assert self.check(phi, X, s.options) == [m.charts for m in samples]
+            assert len(samples), name
+            assert np.array_equal(self.check(phi, samples.x, s.options),
+                                  samples.charts), name
 
     def test_torus(self):
         rng = np.random.default_rng(61)
         for m in (2, 3, 4):
             phi = torus_phi(m)
             charts = self.check(phi, torus_points(rng, m, 60))
-            assert all(charts) and len(set(charts)) > 1, m
+            # every row on some chart, and not all rows on the same ones
+            assert charts.any(1).all() and (charts != charts[0]).any(), m
 
     def test_rank_gray_rows(self):
         # a unit-circle coordinate t scales one row of DPhi by t, so the
@@ -528,7 +548,7 @@ class TestChartsAgainstOracle:
             (t, b), (b, t), (-t, b), (b, -t))])
         for m in (1, 2):
             charts = self.check(torus_phi(m), np.tile(blocks, m))
-            assert len(set(charts)) > 1, m
+            assert (charts != charts[0]).any(), m
         other = torus_points(np.random.default_rng(62), 1, len(blocks))
         self.check(torus_phi(2), np.hstack([blocks, other]))
 
@@ -541,8 +561,9 @@ class TestChartsAgainstOracle:
 
     def test_zero_rows(self):
         s, phi = demo_phi("plane-m2")
-        assert certify(phi, np.empty((0, 4)), s.options) == []
-        assert chart_memberships(phi, np.empty((0, 4))) == []
+        samples = certify(phi, np.empty((0, 4)), s.options)
+        assert len(samples) == 0 and samples.charts.shape == (0, 6)
+        assert chart_memberships(phi, np.empty((0, 4))).shape == (0, 6)
 
     def test_undefined_dphi_lies_on_no_chart(self):
         class PoisonedOnLocus(PoisonedDphi):
@@ -551,25 +572,27 @@ class TestChartsAgainstOracle:
         _, phi = demo_phi("circle-m1")
         poisoned = PoisonedOnLocus(phi.pair, phi.f, phi.F, phi.side, phi.C)
         X = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
-        assert chart_memberships(poisoned, X) == [
-            {(2,)}, frozenset(), {(1,), (2,)}]
+        assert chart_memberships(poisoned, X).tolist() == [
+            [False, True], [False, False], [True, True]]
 
 
 class TestChartMemberships:
     def test_circle_axis_points(self):
         _, phi = demo_phi("circle-m1")
         X = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert chart_memberships(phi, X) == [{(1,)}, {(2,)}]
+        # columns: the charts (1,) and (2,)
+        assert chart_memberships(phi, X).tolist() == [[True, False],
+                                                      [False, True]]
 
     def test_circle_generic_point_lies_in_both(self):
         _, phi = demo_phi("circle-m1")
         X = np.array([[np.sqrt(0.5), np.sqrt(0.5)]])
-        assert chart_memberships(phi, X) == [{(1,), (2,)}]
+        assert chart_memberships(phi, X).tolist() == [[True, True]]
 
     def test_plane_uses_leading_pair(self):
         _, phi = demo_phi("plane-m2")
         got = chart_memberships(phi, np.array([[0.3, -1.2, 0.0, 0.0]]))
-        assert got == [{(1, 2)}]
+        assert got.tolist() == [[c == (1, 2) for c in all_charts(2)]]
 
     def test_single_point_is_a_stack_of_one(self):
         _, phi = demo_phi("circle-m1")
@@ -592,7 +615,7 @@ class TestVerifyCover:
     def test_circle_cover(self):
         s, phi = demo_phi("circle-m1")
         samples = sample_locus(phi, s.box_array(), 400, s.options)
-        report = verify_cover(samples, phi.m)
+        report = verify_cover(samples)
         assert report.uncovered_count == 0
         assert report.charts_used == 2
         assert report.chart_bound == 2
@@ -601,7 +624,7 @@ class TestVerifyCover:
     def test_plane_cover(self):
         s, phi = demo_phi("plane-m2")
         samples = sample_locus(phi, s.box_array(), 150, s.options)
-        report = verify_cover(samples, phi.m)
+        report = verify_cover(samples)
         assert report.uncovered_count == 0
         assert 1 <= report.charts_used <= 6
         assert report.chart_bound == 6
@@ -614,19 +637,21 @@ class TestVerifyCover:
         phi = euclidean_phi("(x1^2 + x2^2) / 2",
                             ["x1 - 7e-7 * x2", "x2 + 7e-7 * x1"])
         origin = np.zeros((1, 2))
-        gray, = certify(phi, origin, LocusOptions(tol_gamma=1e-6, tol_rank=10))
-        assert abs(gray.gamma_value) / gray.gamma_scale == pytest.approx(
+        gray = certify(phi, origin, LocusOptions(tol_gamma=1e-6, tol_rank=10))
+        assert abs(gray.gamma_value[0]) / gray.gamma_scale[0] == pytest.approx(
             9.9e-7, rel=1e-2)
-        assert not gray.obstructed and not gray.charts and not gray.certified
-        report = verify_cover([gray], 1)
+        assert not (gray.obstructed[0] or gray.charts.any()
+                    or gray.certified[0])
+        report = verify_cover(gray)
         assert report.uncovered_count == 0 and report.ok
-        bare, = certify(phi, origin, LocusOptions(tol_rank=10))
-        assert bare.obstructed and not bare.certified
-        report = verify_cover([bare], 1)
+        bare = certify(phi, origin, LocusOptions(tol_rank=10))
+        assert bare.obstructed[0] and not bare.certified[0]
+        report = verify_cover(bare)
         assert report.uncovered_count == 1 and not report.ok
 
     def test_empty_sample_list_vacuous(self):
-        report = verify_cover([], 1)
+        _, phi = demo_phi("circle-m1")
+        report = verify_cover(certify(phi, np.empty((0, 2))))
         assert report.certified_count == 0
         assert report.uncovered_count == 0
         assert report.ok
@@ -681,8 +706,8 @@ class TestKnownDefects:
                   "(ROADMAP item 7)")
     def test_stiff_origin_lies_on_a_chart(self):
         samples = certify(stiff_phi("2e6"), np.zeros((1, 4)))
-        assert samples[0].obstructed
-        assert verify_cover(samples, 2).ok
+        assert samples.obstructed[0]
+        assert verify_cover(samples).ok
 
     @known_defect("box counting reads about 2m on curved loci "
                   "(ROADMAP item 1)")

@@ -12,14 +12,16 @@ import pytest
 
 from gradlocus import (LocusOptions, ScenarioError, build_phi,
                        builtin_demos, certify, companion_map, load_scenario,
-                       scenario_from_dict, verify_cover)
+                       sample_locus, scenario_from_dict, verify_cover)
+from gradlocus import cli
 from gradlocus.cli import main
 from gradlocus.integrability import conditions, distinct_sides
 from gradlocus.locus import CHECK_STACK_BYTES, box_halton, halton_sequence
 from gradlocus.scenarios import (EVAL_FRAMES, scenario_to_dict,
                                  structure_from_dict)
 
-from oracles import GENERAL_Q, check_by_side, point_report
+from oracles import (GENERAL_Q, check_by_side, point_report, sample_rows,
+                     write_points_csv)
 
 
 def circle_dict(**overrides):
@@ -36,17 +38,19 @@ def euclidean_dict(dim):
                        box=[[-1.0, 1.0]] * dim)
 
 
-def _torus_scenarios():
-    """torus-m2 and torus-m4, the benchmark's scenario family."""
+def _load_torus():
+    """perfbench/torus.py: the benchmark's torus-m{m} scenario family and
+    its closed-form output oracles."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "torus.py"
     spec = importlib.util.spec_from_file_location("perfbench_torus", path)
     torus = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = torus
     spec.loader.exec_module(torus)
-    return {f"torus-m{m}": torus.scenario(m, 100, 11) for m in (2, 4)}
+    return torus
 
 
-_TORUS = _torus_scenarios()
+perfbench_torus = _load_torus()
+_TORUS = {f"torus-m{m}": perfbench_torus.scenario(m, 100, 11) for m in (2, 4)}
 # the three demos, the torus family, a general Q with Q^T != +-Q, where left
 # and right have different obstruction matrices, in R^2 and in R^8 (the
 # torus-m4 fields with Q = I + ones on the superdiagonal, so that both N
@@ -83,6 +87,41 @@ def mixed_domain_dict(**overrides):
     """F = (log(x1) + x2, x1 x2) is undefined wherever x1 <= 0."""
     return circle_dict(name="mixed-domain", f="(x1^2+x2^2)/2",
                        F=["log(x1) + x2", "x1*x2"], **overrides)
+
+
+class TestPointsCsv:
+    """The columnar ``cli._write_points_csv`` writes the bytes of the
+    per-row ``oracles.write_points_csv``."""
+
+    def masks(self, tmp_path, samples):
+        """The chart_mask column, after checking both writers agree."""
+        n = samples.x.shape[1]
+        cli._write_points_csv(tmp_path / "table.csv", samples)
+        write_points_csv(tmp_path / "rows.csv", n, n // 2,
+                         sample_rows(samples))
+        table = (tmp_path / "table.csv").read_bytes()
+        assert table == (tmp_path / "rows.csv").read_bytes()
+        return [int(row.split(b",")[-2]) for row in table.splitlines()[1:]]
+
+    @pytest.mark.parametrize("name", [*builtin_demos(), "torus-m4"])
+    def test_sampled_loci(self, tmp_path, name):
+        s = scenario_from_dict(CHECK_SCENARIOS[name])
+        phi = build_phi(companion_map(s.form), s.f, s.F, s.side)
+        samples = sample_locus(phi, s.box_array(), s.n_seeds, s.options)
+        masks = self.masks(tmp_path, samples)
+        assert len(masks) == len(samples)
+        if name == "torus-m4":  # 70 charts: masks beyond 64 bits
+            assert max(masks) >= 1 << 64
+
+    def test_rows_outside_the_domain(self, tmp_path):
+        # Phi is NaN where x1 <= 0; (1, 1) lies on the locus, on both charts
+        s = scenario_from_dict(mixed_domain_dict())
+        phi = build_phi(companion_map(s.form), s.f, s.F, s.side)
+        X = np.array([[-1.0, 0.5], [0.0, 0.0], [1.0, 1.0], [0.5, 0.25]])
+        samples = certify(phi, X, s.options)
+        assert np.isnan(samples.phi_norm).tolist() == [True, True,
+                                                       False, False]
+        assert self.masks(tmp_path, samples) == [0, 0, 3, 0]
 
 
 class TestStructureSpec:
@@ -434,11 +473,11 @@ class TestCli:
                            F=["x1 - 3e-8 * x2", "x2 + 3e-8 * x1"])
         s = scenario_from_dict(spec)
         phi = build_phi(companion_map(s.form), s.f, s.F, s.side)
-        origin, = certify(phi, np.zeros((1, 2)), s.options)
-        assert origin.phi_norm == 0.0 and origin.charts
-        assert abs(origin.gamma_value) / origin.gamma_scale > 1e-8
-        assert not origin.certified
-        assert verify_cover([origin], 1).uncovered_count == 0
+        origin = certify(phi, np.zeros((1, 2)), s.options)
+        assert origin.phi_norm[0] == 0.0 and origin.charts[0].any()
+        assert abs(origin.gamma_value[0]) / origin.gamma_scale[0] > 1e-8
+        assert not origin.certified[0]
+        assert verify_cover(origin).uncovered_count == 0
         report = point_report(phi.pair, s.F, [0.0, 0.0])
         assert not report.verdict_nonintegrable
         assert not report.verdict_integrable
@@ -499,6 +538,21 @@ class TestCli:
         original = (tmp_path / "d/points.csv").read_bytes()
         recomputed = (tmp_path / "re/points_charts.csv").read_bytes()
         assert original == recomputed
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_locus_masks_match_the_closed_form(self, tmp_path, m):
+        # torus-m4 has 70 charts, so its masks run beyond 64 bits
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(perfbench_torus.scenario(m, 300, 11)))
+        job = {"out": str(tmp_path / "out"), "m": m, "size": 300}
+        rc = main(["locus", "--scenario", str(scenario), "--out", job["out"]])
+        verdict = perfbench_torus.check_locus(job, rc)
+        assert verdict.problems == []
+        assert verdict.yield_ratio > 0.9
+        if m == 4:
+            masks = [int(row.split(",")[-2]) for row in
+                     (tmp_path / "out/points.csv").read_text().splitlines()[1:]]
+            assert max(masks) >= 1 << 64
 
     def test_charts_stdout_counts_rows_on_the_locus(self, tmp_path, capsys):
         main(["demo", "circle-m1", "--out", str(tmp_path / "d")])
