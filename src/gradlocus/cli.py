@@ -124,7 +124,7 @@ def cmd_check(scenario: Scenario, n_points: int, out_dir: Path | None) -> int:
     parts, gammas, excluded = {side: [] for side in matrices}, [], 0
     for lo in range(0, n_points, step):
         # one Jacobian for every condition, without its undefined (NaN) rows
-        DF = scenario.F.jacobian(pts[lo:lo + step])
+        DF = scenario.F.jacobian(pts[lo:lo + step])[1]
         defined = np.all(np.isfinite(DF), axis=(1, 2))
         if not defined.all():
             DF = DF[defined]
@@ -267,7 +267,9 @@ def cmd_locus(scenario: Scenario, out_dir: Path) -> int:
 
 
 def _read_points_csv(path: Path) -> np.ndarray:
-    """The coordinate columns x1, x2, ... of a CSV as a finite array."""
+    """The coordinate columns of a CSV as a finite array: the headers
+    x<digits> must read x1, x2, ..., xk in order (other columns may sit
+    between them)."""
     with reading("csv"), open(path, "r", newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     header = rows.pop(0) if rows else []
@@ -275,6 +277,10 @@ def _read_points_csv(path: Path) -> np.ndarray:
             if name.startswith("x") and name[1:].isdigit()]
     if not cols:
         raise GradlocusError(f"csv: no coordinate columns found in {path}")
+    names = [header[i] for i in cols]
+    if names != [f"x{k + 1}" for k in range(len(cols))]:
+        raise GradlocusError(f"csv: coordinate columns {','.join(names)}, "
+                             f"expected x1..x{len(cols)} in order")
     X = np.empty((len(rows), len(cols)))
     for r, row in enumerate(rows):
         try:

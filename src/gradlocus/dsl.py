@@ -14,7 +14,8 @@ Unary minus is parsed as ``'-' factor`` so that the exponent binds
 tighter (``-x1^2`` means ``-(x1^2)``).  Derivatives are propagated
 through the tree in forward mode with one jet type, a truncated Taylor
 value of order 1 (gradients and Jacobians) or 2 (Hessians) in the
-variables it depends on, so they are exact up to rounding.  Evaluation
+variables it depends on, so they are exact up to rounding; ``gradient``
+and ``hessian`` return every lower order from the same walk.  Evaluation
 takes a (B, n) stack of points, and a single point is a stack of one.
 A point is outside the domain where a denominator or a base with a
 negative exponent is zero, a log argument is not positive, or the
@@ -321,7 +322,10 @@ def _placement(vars, union):
 def _place(block, vars, union, out=None):
     """A derivative block over ``vars`` (gradients (B, k) or Hessians
     (B, k, k)) written into its place in ``out``, a zeroed block over the
-    sorted superset ``union`` (a new one when None), which it returns."""
+    sorted superset ``union`` (a new one when None), which it returns;
+    the block itself when it covers ``union`` and no ``out`` is given."""
+    if out is None and vars == union:
+        return block
     if out is None:
         out = np.zeros(block.shape[:1] + (len(union),) * (block.ndim - 1))
     rows, cols = _placement(vars, union)
@@ -568,10 +572,16 @@ def evaluate(expr: Expr, x):
     return _settle(flags, out, out)
 
 
-def _walk(expr: Expr, X, order: int):
-    """The jet of expr on the (B, n) stack X at the given order, over
-    the variables it depends on (all n for a constant expression), and
-    the domain flags of the walk."""
+def _jet(expr: Expr, x, order: int, out=None):
+    """Value, gradient and, at order 2, symmetric Hessian of the
+    expression on a (B, n) stack from one jet walk: (value, gradient) or
+    (value, gradient, Hessian), of shapes (B,), (B, n) and (B, n, n).
+    Each is NaN in the rows that are flagged, where the value is not
+    finite, or where the output itself is not (a non-finite Hessian
+    leaves the gradient alone).  The gradient is written into ``out``, a
+    zeroed (B, n) array such as a row block of a Jacobian stack, when
+    one is given."""
+    X = _as_batch(x)
     B, n = X.shape
     ones = np.ones((B, 1))  # shared: no rule writes into a jet's arrays
     zeros = np.zeros((B, 1, 1)) if order == 2 else None
@@ -583,58 +593,27 @@ def _walk(expr: Expr, X, order: int):
         top = Jet(np.broadcast_to(np.asarray(top, float), (B,)),
                   np.zeros((B, n)), np.zeros((B, n, n)) if order == 2
                   else None, vars=tuple(range(n)))
-    return top, flags
-
-
-def _full(block, vars, n: int, out=None):
-    """A derivative block over ``vars`` as one over all n variables: the
-    block itself when it covers them and no ``out`` is given, else
-    placed into ``out`` or a new zeroed array."""
-    if out is None and len(vars) == n:
-        return block
-    return _place(block, vars, tuple(range(n)), out)
-
-
-def jet(expr: Expr, x, order: int, out=None):
-    """Value, gradient and, at order 2, symmetric Hessian of the
-    expression on a (B, n) stack from one jet walk: (value, gradient) or
-    (value, gradient, Hessian), of shapes (B,), (B, n) and (B, n, n).
-    Each is NaN in exactly the rows where ``evaluate``, ``gradient`` and
-    ``hessian`` leave it NaN: the flagged rows, those where the value is
-    not finite, and those where the output itself is not (a non-finite
-    Hessian leaves the gradient alone).  The gradient is written into
-    ``out``, a zeroed (B, n) array such as a row block of a Jacobian
-    stack, when one is given."""
-    X = _as_batch(x)
-    n = X.shape[1]
-    top, flags = _walk(expr, X, order)
-    flags = _undefined(flags, top.val)
+    flags, every = _undefined(flags, top.val), tuple(range(n))
     value = _settle(flags, np.array(top.val))
-    grad = _settle(flags, _full(top.grad, top.vars, n, out), top.grad)
+    grad = _settle(flags, _place(top.grad, top.vars, every, out), top.grad)
     if order == 1:
         return value, grad
-    hess = _settle(flags, _full(top.hess, top.vars, n), top.hess)
+    hess = _settle(flags, _place(top.hess, top.vars, every), top.hess)
     return value, grad, 0.5 * (hess + hess.transpose(0, 2, 1))
 
 
 def gradient(expr: Expr, x, out=None):
-    """Exact gradients on a (B, n) stack: (B, n), NaN in the rows
-    outside the domain; written into ``out``, a zeroed (B, n) array, when
-    one is given."""
-    X = _as_batch(x)
-    top, flags = _walk(expr, X, 1)
-    return _settle(flags, _full(top.grad, top.vars, X.shape[1], out),
-                   top.grad, top.val)
+    """(value, gradient) on a (B, n) stack from one first-order walk:
+    (B,) and (B, n), NaN in the rows outside the domain; the gradient is
+    written into ``out``, a zeroed (B, n) array, when one is given."""
+    return _jet(expr, x, 1, out)
 
 
 def hessian(expr: Expr, x):
-    """Exact symmetric Hessians on a (B, n) stack: (B, n, n), NaN in the
-    rows outside the domain."""
-    X = _as_batch(x)
-    top, flags = _walk(expr, X, 2)
-    hess = _settle(flags, _full(top.hess, top.vars, X.shape[1]),
-                   top.hess, top.val)
-    return 0.5 * (hess + hess.transpose(0, 2, 1))
+    """(value, gradient, Hessian) on a (B, n) stack from one second-order
+    walk: the value and gradient bit for bit those of ``gradient``, and a
+    symmetric (B, n, n) Hessian, NaN in the rows outside the domain."""
+    return _jet(expr, x, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ b(grad_L f, v) = df . v and equals Bstar grad f; the right gradient
 satisfies b(v, grad_R f) = df . v and equals B grad f.  For symmetric
 b the two coincide; for skew-symmetric (symplectic) b the left
 gradient is the Hamiltonian field of f and equals minus the right one.
+Each derivative method returns every lower order from one jet walk.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from .geometry import FormKind, GeometricPair
 
 @dataclass(frozen=True)
 class ScalarField:
-    """A C^2 scalar field given by an expression over x1..xdim; value,
-    gradient and hessian map a (B, dim) stack to (B,), (B, dim) and
-    (B, dim, dim)."""
+    """A C^2 scalar field given by an expression over x1..xdim; on a
+    (B, dim) stack, value gives (B,), gradient (value, (B, dim)) and
+    hessian (value, gradient, (B, dim, dim))."""
 
     dim: int
     expr: dsl.Expr
@@ -44,10 +45,6 @@ class ScalarField:
 
     def hessian(self, x):
         return dsl.hessian(self.expr, _check_point(x, self.dim))
-
-    def jet(self, x):
-        """(value, gradient, hessian) from one second-order jet walk."""
-        return dsl.jet(self.expr, _check_point(x, self.dim), 2)
 
     def gradient_field(self) -> "VectorField":
         """Symbolic gradient as a vector field."""
@@ -83,21 +80,14 @@ class VectorField:
         return np.stack([dsl.evaluate(c, x) for c in self.components], axis=1)
 
     def jacobian(self, x):
-        """DF with DF[b, i, j] = dF_i/dx_j at row b: (B, n) -> (B, n, n).
-        Each component's gradient is written into its row of DF."""
-        x = _check_point(x, self.dim)
-        DF = np.zeros((len(x), self.dim, self.dim))
-        for i, c in enumerate(self.components):
-            dsl.gradient(c, x, out=DF[:, i])
-        return DF
-
-    def jet(self, x):
-        """(value, jacobian) from one first-order jet walk per component."""
+        """(values, DF) with DF[b, i, j] = dF_i/dx_j at row b: (B, n) ->
+        (B, n) and (B, n, n), from one first-order walk per component,
+        which writes its gradient into its row of DF."""
         x = _check_point(x, self.dim)
         values = np.empty((len(x), self.dim))
         DF = np.zeros((len(x), self.dim, self.dim))
         for i, c in enumerate(self.components):
-            values[:, i] = dsl.jet(c, x, 1, out=DF[:, i])[0]
+            values[:, i] = dsl.gradient(c, x, out=DF[:, i])[0]
         return values, DF
 
 
@@ -135,13 +125,13 @@ def gradient_like_field(pair: GeometricPair, f: ScalarField,
 def left_gradient(pair: GeometricPair, f: ScalarField, x):
     """Bstar grad f at each row of the (B, n) stack x."""
     _check_dims(pair, f)
-    return f.gradient(x) @ pair.Bstar.T
+    return f.gradient(x)[1] @ pair.Bstar.T
 
 
 def right_gradient(pair: GeometricPair, f: ScalarField, x):
     """B grad f at each row of the (B, n) stack x."""
     _check_dims(pair, f)
-    return f.gradient(x) @ pair.B.T
+    return f.gradient(x)[1] @ pair.B.T
 
 
 def hamiltonian_field(pair: GeometricPair, f: ScalarField, x):

@@ -101,7 +101,7 @@ def _named_residual(pair: GeometricPair, F: VectorField, x, side: str):
             raise ValueError("symmetric residual requires a symmetric form")
         raise NotSymplectic(
             "symplectic residual requires a skew form of even dimension")
-    return residual(pair, C @ F.jacobian(x)).residual
+    return residual(pair, C @ F.jacobian(x)[1]).residual
 
 
 def left_residual(pair: GeometricPair, F: VectorField, x):

@@ -107,17 +107,14 @@ class PhiSystem:
 
     def phi(self, x):
         """(B, n) -> (B, n), NaN in the rows outside the domain."""
-        return self.f.gradient(x) - self.F.value(x) @ self.C.T
+        return self.f.gradient(x)[1] - self.F.value(x) @ self.C.T
 
     def dphi(self, x):
-        """(B, n) -> (B, n, n), NaN in the rows outside the domain."""
-        return self.f.hessian(x) - self.C @ self.F.jacobian(x)
-
-    def linearise(self, x):
-        """(Phi, DPhi) from one jet walk of f and of each component of F:
-        bit for bit (phi(x), dphi(x)), NaN rows included."""
-        _, grad, hess = self.f.jet(x)
-        values, DF = self.F.jet(x)
+        """(Phi, DPhi) on a (B, n) stack, (B, n) and (B, n, n), from one
+        jet walk of f and of each component of F; Phi is bit for bit
+        phi(x), and each is NaN in the rows where it is undefined."""
+        _, grad, hess = self.f.hessian(x)
+        values, DF = self.F.jacobian(x)
         return grad - values @ self.C.T, hess - self.C @ DF
 
 
@@ -175,9 +172,9 @@ def solve_from_seed(phi: PhiSystem, x0, opts: LocusOptions = LocusOptions()):
     damped steps.  A row's result does not depend on the other rows, so
     a single seed is a batch of one.
 
-    Phi and DPhi come from one ``linearise`` at the seeds and at every
-    trial point; an accepted row keeps only J^T J, J^T Phi and whether
-    its DPhi is finite, which retires it as "domain" after the
+    Phi and DPhi come from one ``PhiSystem.dphi`` at the seeds and at
+    every trial point; an accepted row keeps only J^T J, J^T Phi and
+    whether its DPhi is finite, which retires it as "domain" after the
     convergence and iteration-cap tests.
 
     x0 of shape (B, n) returns the final points and the per-row outcome,
@@ -194,7 +191,7 @@ def solve_from_seed(phi: PhiSystem, x0, opts: LocusOptions = LocusOptions()):
     status = np.full(B, _ACTIVE)
     lam = np.full(B, float(opts.damping))
     iters = np.zeros(B, dtype=int)
-    r, J = phi.linearise(x)
+    r, J = phi.dphi(x)
     status[~np.all(np.isfinite(r), axis=1)] = _DOMAIN
     rnorm = np.linalg.norm(r, axis=1)
     JtJ = np.empty((B, n, n))
@@ -226,7 +223,7 @@ def solve_from_seed(phi: PhiSystem, x0, opts: LocusOptions = LocusOptions()):
         status[idx[solved & ~finite]] = _NONFINITE
         keep = solved & finite
         idx, trial = idx[keep], x[idx[keep]] + step[keep]
-        r_new, J = phi.linearise(trial)
+        r_new, J = phi.dphi(trial)
         rn_new = np.linalg.norm(r_new, axis=1)
         accept = np.isfinite(rn_new) & (rn_new < rnorm[idx])
         up = idx[accept]
@@ -323,7 +320,7 @@ def chart_memberships(phi: PhiSystem, X, opts: LocusOptions = LocusOptions()):
     stack gives a (B, binom(2m, m)) bool matrix, column k for chart
     ``all_charts(m)[k]``, and any other shape raises DimensionMismatch
     (from the field layer, as in ``certify``); every point must pass
-    ``on_locus``.
+    ``on_locus``, tested on the Phi that comes with each chunk's DPhi.
 
     A submatrix whose largest singular value is negligible against the
     full Jacobian (below 1e-12 of its spectral norm) is treated as
@@ -333,16 +330,16 @@ def chart_memberships(phi: PhiSystem, X, opts: LocusOptions = LocusOptions()):
     through one stacked SVD, in chunks of at most _CHART_STACK_BYTES.
     """
     X = np.asarray(X, dtype=float)
-    res = np.linalg.norm(phi.phi(X), axis=1)
-    if not np.all(on_locus(res, opts)):
-        raise GradlocusError("chart membership requested off the locus: "
-                             f"||Phi|| = {np.max(res):.3e}")
     m = phi.m
     rows = np.array(all_charts(m)) - 1
     step = max(1, _CHART_STACK_BYTES // (len(rows) * m * 2 * m * 8))
     members = np.empty((len(X), len(rows)), dtype=bool)
-    for lo in range(0, len(X), step):
-        J = phi.dphi(X[lo:lo + step])
+    for lo in range(0, max(len(X), 1), step):  # an empty stack is checked
+        r, J = phi.dphi(X[lo:lo + step])
+        res = np.linalg.norm(r, axis=1)
+        if not np.all(on_locus(res, opts)):
+            raise GradlocusError("chart membership requested off the "
+                                 f"locus: ||Phi|| = {np.max(res):.3e}")
         J[~np.all(np.isfinite(J), axis=(1, 2))] = 0.0  # undefined: no chart
         global_s1 = np.linalg.norm(J, 2, axis=(1, 2))[:, None]
         sv = np.linalg.svd(J[:, rows, :], compute_uv=False)
@@ -365,7 +362,7 @@ def certify(phi: PhiSystem, X,
     """
     X = np.array(X, dtype=float)
     phi_norm = np.linalg.norm(phi.phi(X), axis=1)
-    values, scales = gamma_obstruction(phi.pair, phi.C @ phi.F.jacobian(X))
+    values, scales = gamma_obstruction(phi.pair, phi.C @ phi.F.jacobian(X)[1])
     on = on_locus(phi_norm, opts)
     charts = np.zeros((len(X), math.comb(2 * phi.m, phi.m)), dtype=bool)
     charts[on] = chart_memberships(phi, X[on], opts)

@@ -52,7 +52,8 @@ from .locus import _PRIMES, LocusOptions
 
 # frames an evaluation needs beyond one per tree level: the command's calls
 # down to dsl._eval and the jet rules; locus, the deepest, through the
-# solver and VectorField.jacobian, needs 17
+# solver's PhiSystem.dphi and ScalarField.hessian, needs 20 when a rule at
+# the deepest node widens a jet to two variables (16 when none does)
 EVAL_FRAMES = 20
 DEFAULT_N_SEEDS = 500
 DEFAULT_RNG_SEED = 0

@@ -175,7 +175,7 @@ def point_report(pair, F, x, side="left", tol=TOL_GAMMA):
     reports.  Both verdicts stay False in the gray zone and where DF is
     undefined."""
     N = obstruction_matrix(pair, side) @ F.jacobian(
-        np.asarray(x, dtype=float)[None])
+        np.asarray(x, dtype=float)[None])[1]
     res = float(residual(pair, N).residual[0])
     values, scales = gamma_obstruction(pair, N)
     value, scale = float(values[0]), float(scales[0])
@@ -270,7 +270,7 @@ def scalar_lm(phi, x0, opts):
     for _ in range(opts.max_iters):
         if rnorm <= opts.tol_residual:
             return x, "converged"
-        J = phi.dphi(x[None])[0]
+        J = phi.dphi(x[None])[1][0]
         if not np.all(np.isfinite(J)):
             return x, "domain"
         JtJ = J.T @ J
@@ -344,7 +344,7 @@ def chart_loop(phi, X, opts):
     charts = all_charts(phi.m)
     out = np.zeros((len(X), len(charts)), dtype=bool)
     for i, x in enumerate(X):
-        J = phi.dphi(x[None])[0]
+        J = phi.dphi(x[None])[1][0]
         if not (np.linalg.norm(phi.phi(x[None])[0]) <= opts.tol_residual
                 and np.all(np.isfinite(J))):
             continue
@@ -584,6 +584,16 @@ def dense_jacobian(F, X):
     """``F.jacobian`` on a (B, n) batch, from ``dense_derivative``."""
     return np.stack([dense_derivative(c, X, 1) for c in F.components],
                     axis=-2)
+
+
+def dense_phi(phi, X):
+    """(Phi, DPhi) of a ``PhiSystem`` on a (B, n) stack, assembled from
+    separate walks: grad f - F C^T and Hess f - C DF, with the
+    derivatives from ``dense_derivative`` and ``dense_jacobian``."""
+    F = np.stack([dsl.evaluate(c, X) for c in phi.F.components], axis=1)
+    return (dense_derivative(phi.f.expr, X, 1) - F @ phi.C.T,
+            dense_derivative(phi.f.expr, X, 2)
+            - phi.C @ dense_jacobian(phi.F, X))
 
 
 def central_gradient(fun, x, h=1e-5):

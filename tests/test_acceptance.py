@@ -140,7 +140,7 @@ def test_criterion_04_poincare_soundness_and_perturbation():
             X = random_points(rng, 200, n)
             for side in ("left", "right"):
                 F = gradient_like_field(pair, f, side)
-                DF = F.jacobian(X)
+                DF = F.jacobian(X)[1]
                 DF_scale = 1.0 + np.abs(DF).max()
                 res = side_residual(pair, DF, side)
                 assert res.max() <= 1e-8 * DF_scale, (name, side)
@@ -151,7 +151,7 @@ def test_criterion_04_poincare_soundness_and_perturbation():
                     extra = side_residual(pair, DF, "symplectic")
                     assert np.max(extra) <= 1e-8 * DF_scale, name
                 perturbed = add_fields(F, _perturbation(pair, side))
-                res_p = side_residual(pair, perturbed.jacobian(X), side)
+                res_p = side_residual(pair, perturbed.jacobian(X)[1], side)
                 assert np.mean(res_p > 1e-2) >= 0.95, (name, side)
     _report(4, "exact gradient-like fields pass all matched conditions at "
                "1e-8; first-order perturbations break them at >= 95% of "
@@ -174,7 +174,7 @@ def test_criterion_05_equivalence_probe():
             F = VectorField(n, tuple(
                 random_polynomial(rng, n, degree=3, terms=4)
                 for _ in range(n)))
-        report = probe(pair, F.jacobian(random_points(rng, 100, n)))
+        report = probe(pair, F.jacobian(random_points(rng, 100, n))[1])
         assert report.violations == 0, (combo, name)
         total_checks += report.checks
         total_gray += report.gray_excluded

@@ -3,7 +3,7 @@ import pytest
 
 from gradlocus import ParseError, differentiate, parse_expression
 from gradlocus.dsl import (Add, Call, Const, Div, Jet, Mul, Neg, Pow, Sub,
-                           Var, _eval, evaluate, gradient, hessian, jet,
+                           Var, _eval, evaluate, gradient, hessian,
                            linear_combination, max_var_index)
 from gradlocus.fields import ScalarField, VectorField
 from gradlocus.errors import DimensionMismatch
@@ -147,12 +147,12 @@ class TestEvaluate:
 class TestDerivatives:
     def test_sum_of_squares(self):
         e = parse_expression("x1^2 + x2^2", 2)
-        assert np.allclose(gradient(e, [[1.0, 2.0]]), [[2.0, 4.0]])
-        assert np.allclose(hessian(e, [[1.0, 2.0]]), 2 * np.eye(2)[None])
+        assert np.allclose(gradient(e, [[1.0, 2.0]])[1], [[2.0, 4.0]])
+        assert np.allclose(hessian(e, [[1.0, 2.0]])[2], 2 * np.eye(2)[None])
 
     def test_sin_product(self):
         e = parse_expression("sin(x1) * x2", 2)
-        g = gradient(e, [[0.0, 3.0]])[0]
+        g = gradient(e, [[0.0, 3.0]])[1][0]
         assert np.allclose(g, [3.0, 0.0])
         fd = central_gradient(lambda x: evaluate(e, x[None])[0],
                               np.array([0.0, 3.0]))
@@ -164,7 +164,7 @@ class TestDerivatives:
         while checked < 50:
             e = random_smooth(rng, 3, depth=3)
             x = rng.uniform(-1.5, 1.5, size=3)
-            g = gradient(e, x[None])[0]
+            g = gradient(e, x[None])[1][0]
             if not np.isfinite(g).all():
                 continue
             fd = central_gradient(lambda p: evaluate(e, p[None])[0], x)
@@ -178,11 +178,12 @@ class TestDerivatives:
         while checked < 25:
             e = random_smooth(rng, 2, depth=3)
             x = rng.uniform(-1.5, 1.5, size=2)
-            H = hessian(e, x[None])[0]
+            H = hessian(e, x[None])[2][0]
             if not np.isfinite(H).all():
                 continue
             fd = np.column_stack([
-                central_gradient(lambda p, i=i: gradient(e, p[None])[0, i], x)
+                central_gradient(
+                    lambda p, i=i: gradient(e, p[None])[1][0, i], x)
                 for i in range(2)
             ])
             scale = 1.0 + np.abs(H).max()
@@ -191,14 +192,15 @@ class TestDerivatives:
 
     def test_empty_batch(self):
         e = parse_expression("sin(x1) * x2^2", 2)
-        assert gradient(e, np.empty((0, 2))).shape == (0, 2)
-        assert hessian(e, np.empty((0, 2))).shape == (0, 2, 2)
-        assert [a.shape for a in jet(e, np.empty((0, 2)), 2)] == [
+        assert [a.shape for a in gradient(e, np.empty((0, 2)))] == [
+            (0,), (0, 2)]
+        assert [a.shape for a in hessian(e, np.empty((0, 2)))] == [
             (0,), (0, 2), (0, 2, 2)]
 
     def test_jet_matches_the_separate_walks(self):
-        # one walk gives evaluate, gradient and hessian bit for bit, NaN
-        # rows included: log(x1) at x1 = 1e-200 has a finite gradient
+        # each walk gives evaluate's value, and the second-order walk the
+        # first-order walk's gradient, bit for bit, NaN rows included:
+        # log(x1) at x1 = 1e-200 has a finite gradient
         # and an overflowing Hessian, 1/x1 at 0 is flagged, exp(exp(x1))
         # overflows at 7.5, and a constant or a variable alone is a jet
         # over all or one of the variables
@@ -210,17 +212,16 @@ class TestDerivatives:
             "(1/x1)^0", "x1 * x2 - sin(x3) / (1 + x2^2)")]
         trees += [random_smooth(rng, 3, depth=3) for _ in range(40)]
         for e in trees:
-            want = (evaluate(e, X), gradient(e, X), hessian(e, X))
-            for order in (1, 2):
-                got = jet(e, X, order)
+            want = (evaluate(e, X), gradient(e, X)[1])
+            for order, got in ((1, gradient(e, X)), (2, hessian(e, X))):
                 assert len(got) == order + 1
                 for a, b in zip(got, want, strict=False):
                     assert np.array_equal(a, b, equal_nan=True), (
                         str(e), order)
             out = np.zeros((len(X), 3))
-            assert jet(e, X, 1, out=out)[1] is out
+            assert gradient(e, X, out=out)[1] is out
             assert np.array_equal(out, want[1], equal_nan=True)
-        grad, hess = jet(trees[0], X[:1], 2)[1:]
+        grad, hess = hessian(trees[0], X[:1])[1:]
         assert np.isfinite(grad).all() and np.isnan(hess).all()
 
     def test_raw_hessian_is_exactly_symmetric(self):
@@ -264,11 +265,11 @@ class TestDerivatives:
                     X[2, rng.integers(n)] = 1e200
                     for order, sparse in ((1, gradient), (2, hessian)):
                         dense = dense_derivative(e, X, order)
-                        assert np.array_equal(sparse(e, X), dense,
+                        assert np.array_equal(sparse(e, X)[order], dense,
                                               equal_nan=True), (str(e), order)
                         for x, row in zip(X, dense, strict=True):
-                            assert np.array_equal(sparse(e, x[None])[0], row,
-                                                  equal_nan=True)
+                            assert np.array_equal(sparse(e, x[None])[order][0],
+                                                  row, equal_nan=True)
                             assert np.array_equal(
                                 dense_derivative(e, x[None], order)[0], row,
                                 equal_nan=True)
@@ -298,9 +299,10 @@ class TestDerivatives:
             F = VectorField.parse([text, f"x2 * ({text})"], 2)
             phi = build_phi(companion_map(standard_symplectic(1)),
                             ScalarField.parse(text, 2), F, "left")
-            calls = [lambda x: evaluate(e, x), lambda x: gradient(e, x),
-                     lambda x: hessian(e, x), F.value, F.jacobian, phi.phi,
-                     phi.dphi]
+            calls = [lambda x: evaluate(e, x), lambda x: gradient(e, x)[1],
+                     lambda x: hessian(e, x)[2], F.value,
+                     lambda x: F.jacobian(x)[1], phi.phi,
+                     lambda x: phi.dphi(x)[1]]
             batched = [call(X) for call in calls]
             for i in range(len(X)):
                 for call, many in zip(calls, batched, strict=True):
@@ -318,17 +320,13 @@ _EVALUATORS = {  # name: (evaluator, whether it takes Jacobians, not points)
     "dsl.evaluate": (lambda x: evaluate(_f.expr, x), False),
     "dsl.gradient": (lambda x: gradient(_f.expr, x), False),
     "dsl.hessian": (lambda x: hessian(_f.expr, x), False),
-    "dsl.jet": (lambda x: jet(_f.expr, x, 2), False),
     "ScalarField.value": (_f.value, False),
     "ScalarField.gradient": (_f.gradient, False),
     "ScalarField.hessian": (_f.hessian, False),
-    "ScalarField.jet": (_f.jet, False),
     "VectorField.value": (_F.value, False),
     "VectorField.jacobian": (_F.jacobian, False),
-    "VectorField.jet": (_F.jet, False),
     "PhiSystem.phi": (_PHI.phi, False),
     "PhiSystem.dphi": (_PHI.dphi, False),
-    "PhiSystem.linearise": (_PHI.linearise, False),
     "left_residual": (lambda x: left_residual(_PAIR, _F, x), False),
     "residual": (lambda N: residual(_PAIR, N), True),
     "gamma_obstruction": (lambda N: gamma_obstruction(_PAIR, N), True),
@@ -344,7 +342,7 @@ def test_evaluators_take_only_stacks(name):
     # exactly its row of a larger stack
     call, takes_jacobians = _EVALUATORS[name]
     X = random_points(np.random.default_rng(29), 6, 2)
-    stack = _F.jacobian(X) if takes_jacobians else X
+    stack = _F.jacobian(X)[1] if takes_jacobians else X
     for single in (stack[0], stack[0].reshape(-1)):
         with pytest.raises(DimensionMismatch):
             call(single)
@@ -371,7 +369,7 @@ class TestSymbolic:
         for _ in range(30):
             e = random_smooth(rng, 2, depth=3)
             x = rng.uniform(-1.5, 1.5, size=(1, 2))
-            g = gradient(e, x)[0]
+            g = gradient(e, x)[1][0]
             d = [evaluate(differentiate(e, i), x)[0] for i in (1, 2)]
             if not (np.isfinite(g).all() and np.isfinite(d).all()):
                 continue

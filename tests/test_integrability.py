@@ -30,7 +30,7 @@ class TestResiduals:
         f = ScalarField(2, random_polynomial(rng, 2))
         F = gradient_like_field(pair, f, "left")
         X = random_points(rng, 100, 2)
-        DF_scale = 1.0 + np.abs(F.jacobian(X)).max()
+        DF_scale = 1.0 + np.abs(F.jacobian(X)[1]).max()
         assert np.max(left_residual(pair, F, X)) <= 1e-10 * DF_scale
 
     def test_rotation_field_constant_residual(self):
@@ -74,7 +74,7 @@ class TestResiduals:
                 named["symmetric"] = symmetric_residual
             if form.kind is FormKind.SKEW_SYMMETRIC:
                 named["symplectic"] = symplectic_residual
-            DF = F.jacobian(X)
+            DF = F.jacobian(X)[1]
             for side, fn in named.items():
                 np.testing.assert_allclose(
                     fn(pair, F, X), antisymmetric_defect_norm(form.Q, DF, side),
@@ -120,7 +120,7 @@ class TestResiduals:
         pair = companion_map(standard_euclidean(2))
         x = np.array([[1.0, 1.0]])
         assert np.array_equal(
-            side_residual(pair, ROTATION.jacobian(x), "left"),
+            side_residual(pair, ROTATION.jacobian(x)[1], "left"),
             left_residual(pair, ROTATION, x))
         with pytest.raises(NotSymplectic):
             symplectic_residual(pair, ROTATION, x)
@@ -148,13 +148,13 @@ class TestGammaObstruction:
         f = ScalarField(2, random_polynomial(rng, 2))
         F = gradient_like_field(pair, f, "left")
         values, scales = gamma_obstruction(
-            pair, F.jacobian(random_points(rng, 20, 2)))
+            pair, F.jacobian(random_points(rng, 20, 2))[1])
         assert np.all(np.abs(values) <= 1e-10 * scales)
 
     def test_rotation_value(self):
         pair = companion_map(standard_euclidean(2))
         value, scale = gamma_obstruction(
-            pair, ROTATION.jacobian([[5.0, -1.0]]))
+            pair, ROTATION.jacobian([[5.0, -1.0]])[1])
         assert value[0] == pytest.approx(-2.0)
         assert scale[0] == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
@@ -163,7 +163,7 @@ class TestGammaObstruction:
         s = builtin_demos()["plane-m2"]
         pair = companion_map(s.form)
         rng = np.random.default_rng(45)
-        DF = s.F.jacobian(random_points(rng, 10, 4))
+        DF = s.F.jacobian(random_points(rng, 10, 4))[1]
         values, _ = gamma_obstruction(
             pair, obstruction_matrix(pair, "left") @ DF)
         assert values == pytest.approx(np.full(10, -2.0))
@@ -176,10 +176,10 @@ class TestGammaObstruction:
         for texts, defined in ((["x1^2 - x2", "x1 * x2"], np.ones(12, bool)),
                                (["log(x1) + x2", "x1 * x2"], X[:, 0] > 0)):
             F = VectorField.parse(texts, 2)
-            values, scales = gamma_obstruction(pair, F.jacobian(X))
-            res = residual(pair, F.jacobian(X)).residual
+            values, scales = gamma_obstruction(pair, F.jacobian(X)[1])
+            res = residual(pair, F.jacobian(X)[1]).residual
             for i in range(12):
-                DF = F.jacobian(X[i:i + 1])
+                DF = F.jacobian(X[i:i + 1])[1]
                 v, s = gamma_obstruction(pair, DF)
                 one = [v[0], s[0], residual(pair, DF).residual[0],
                        left_residual(pair, F, X[i:i + 1])[0]]
@@ -243,13 +243,14 @@ class TestEquivalenceProbe:
             pair = companion_map(form)
             f = ScalarField(form.dim, random_polynomial(rng, form.dim))
             F = gradient_like_field(pair, f, "left")
-            report = probe(pair, F.jacobian(random_points(rng, 50, form.dim)))
+            report = probe(
+                pair, F.jacobian(random_points(rng, 50, form.dim))[1])
             assert report.violations == 0, name
 
     def test_rotation_probe_clean(self):
         pair = companion_map(standard_euclidean(2))
         report = probe(pair, ROTATION.jacobian(
-            random_points(np.random.default_rng(49), 100, 2)))
+            random_points(np.random.default_rng(49), 100, 2))[1])
         assert report.violations == 0
         assert report.gray_excluded == 0
 
@@ -260,7 +261,7 @@ class TestEquivalenceProbe:
             ["2 * x1 + (x1^2 + x2^2 - 1) * x2",
              "-(x1^2 + x2^2 - 1) * x1"], 2)
         report = probe(pair, F.jacobian(
-            random_points(np.random.default_rng(50), 200, 2)))
+            random_points(np.random.default_rng(50), 200, 2))[1])
         assert report.violations == 0
 
     def test_masks_match_loop_oracle(self):
@@ -290,7 +291,7 @@ class TestEquivalenceProbe:
             F = VectorField(form.dim, tuple(
                 random_polynomial(rng, form.dim, degree=3, terms=4)
                 for _ in range(form.dim)))
-            DF = F.jacobian(random_points(rng, 60, form.dim))
+            DF = F.jacobian(random_points(rng, 60, form.dim))[1]
             for tol in (1e-8, 1e-1, 10.0):
                 assert probe(pair, DF, tol=tol) == \
                     probe_loop(pair, DF, tol), (name, tol)

@@ -17,8 +17,8 @@ from gradlocus import locus
 from gradlocus.cli import main
 from gradlocus.exterior import antisymmetric_part
 
-from oracles import (chart_loop, greedy_dedup, halton_loop, random_points,
-                     random_smooth, scalar_lm_rows)
+from oracles import (chart_loop, dense_phi, greedy_dedup, halton_loop,
+                     random_points, random_smooth, scalar_lm_rows)
 
 
 def columns(samples):
@@ -56,18 +56,13 @@ MIXED_DOMAIN = ("(x1^2+x2^2)/2", ["log(x1) + x2", "x1*x2"])
 
 
 class PoisonedDphi(PhiSystem):
-    """DPhi, from ``dphi`` and from ``linearise`` alike, is undefined at
-    the point POISON, by the DSL's contract for a batch: a NaN row."""
+    """DPhi is undefined at the point POISON, by the DSL's contract for a
+    batch: a NaN row."""
 
     POISON = np.array([1.5, 0.1])
 
     def dphi(self, x):
-        J = super().dphi(x)
-        J[np.all(x == self.POISON, axis=1)] = np.nan
-        return J
-
-    def linearise(self, x):
-        r, J = super().linearise(x)
+        r, J = super().dphi(x)
         J[np.all(x == self.POISON, axis=1)] = np.nan
         return r, J
 
@@ -145,7 +140,8 @@ class TestBuildPhi:
     def test_empty_batch(self):
         _, phi = demo_phi("plane-m2")
         assert phi.phi(np.empty((0, 4))).shape == (0, 4)
-        assert phi.dphi(np.empty((0, 4))).shape == (0, 4, 4)
+        assert [a.shape for a in phi.dphi(np.empty((0, 4)))] == [
+            (0, 4), (0, 4, 4)]
 
     def test_plane_phi_matches_closed_form(self):
         _, phi = demo_phi("plane-m2")
@@ -176,10 +172,12 @@ class TestBuildPhi:
         assert np.abs(left.phi(X) - right_neg.phi(X)).max() <= 1e-13
 
     def test_linearise_is_phi_and_dphi(self):
-        # one jet walk per expression gives phi and dphi byte for byte,
-        # NaN rows included: the demos, torus-m2, the mixed domain and
-        # random trees on Euclidean, symplectic and pseudo-Euclidean R^2
-        # and R^4, at points that include x1 = 0, -1 and 1e200
+        # one jet walk per expression gives Phi byte for byte as phi does,
+        # and (Phi, DPhi) as the dense two-walk oracle does, NaN rows
+        # included (a zero may differ in sign): the demos, torus-m2, the
+        # mixed domain and random trees on Euclidean, symplectic and
+        # pseudo-Euclidean R^2 and R^4, at points that include x1 = 0, -1
+        # and 1e200
         rng = np.random.default_rng(59)
         systems = [demo_phi(name)[1]
                    for name in ("circle-m1", "plane-m2", "minkowski-grad")]
@@ -198,9 +196,10 @@ class TestBuildPhi:
         for phi in systems:
             X = random_points(rng, 40, phi.dim)
             X[:3, 0] = [0.0, -1.0, 1e200]
-            r, J = phi.linearise(X)
+            r, J = phi.dphi(X)
             assert r.tobytes() == phi.phi(X).tobytes()
-            assert J.tobytes() == phi.dphi(X).tobytes()
+            for got, want in zip((r, J), dense_phi(phi, X), strict=True):
+                assert np.array_equal(got, want, equal_nan=True)
             undefined.append(int(np.isnan(J).all(axis=(1, 2)).sum()))
         assert undefined[4] >= 20 and sum(undefined) > undefined[4]
 
@@ -211,8 +210,8 @@ class TestBuildPhi:
             s, phi = demo_phi(name)
             rng = np.random.default_rng(53)
             X = random_points(rng, 20, s.dim)
-            dphi = phi.dphi(X)
-            cdf = phi.C @ s.F.jacobian(X)
+            dphi = phi.dphi(X)[1]
+            cdf = phi.C @ s.F.jacobian(X)[1]
             dev = np.abs(antisymmetric_part(dphi)
                          + antisymmetric_part(cdf)).max(axis=(1, 2))
             assert np.all(dev <= 1e-8 * (1.0 + np.abs(cdf).max(axis=(1, 2)))), \
@@ -478,6 +477,24 @@ class TestCertify:
         assert locus.on_locus(samples.phi_norm, s.options).tolist() == [
             True, False]
 
+    def test_one_phi_call_and_none_in_the_chart_guard(self, monkeypatch):
+        # certify evaluates Phi once; the chart guard tests the Phi that
+        # comes with its DPhi and makes no phi call of its own
+        s, phi = demo_phi("circle-m1")
+        calls, phi_of = [], PhiSystem.phi
+
+        def counting(self, x):
+            calls.append(len(x))
+            return phi_of(self, x)
+
+        monkeypatch.setattr(PhiSystem, "phi", counting)
+        X = np.array([[0.0, 1.0], [0.6, 0.8], [1.5, 1.5]])
+        assert certify(phi, X, s.options).certified.tolist() == [
+            True, True, False]
+        assert calls == [3]
+        chart_memberships(phi, X[:2], s.options)
+        assert calls == [3]
+
     def test_point_stack_required(self):
         # the field layer's shape check raises before any row is read
         s, phi = demo_phi("circle-m1")
@@ -596,7 +613,7 @@ class TestChartMemberships:
 
     def test_single_point_is_a_stack_of_one(self):
         _, phi = demo_phi("circle-m1")
-        for bad in (np.array([0.0, 1.0]), np.zeros((1, 3))):
+        for bad in (np.array([0.0, 1.0]), np.zeros((1, 3)), np.zeros((0, 3))):
             with pytest.raises(DimensionMismatch, match=r"\(B, 2\)"):
                 chart_memberships(phi, bad)
 

@@ -38,18 +38,20 @@ def euclidean_dict(dim):
                        box=[[-1.0, 1.0]] * dim)
 
 
-def _load_torus():
-    """perfbench/torus.py: the benchmark's torus-m{m} scenario family and
-    its closed-form output oracles."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "torus.py"
-    spec = importlib.util.spec_from_file_location("perfbench_torus", path)
-    torus = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = torus
-    spec.loader.exec_module(torus)
-    return torus
+def _load_perfbench(name):
+    """perfbench/{name}.py, loaded by path: torus, the benchmark's
+    torus-m{m} scenario family and its closed-form output oracles, or
+    tracing, the spans it times each layer with."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
-perfbench_torus = _load_torus()
+perfbench_torus = _load_perfbench("torus")
+perfbench_tracing = _load_perfbench("tracing")
 _TORUS = {f"torus-m{m}": perfbench_torus.scenario(m, 100, 11) for m in (2, 4)}
 # the three demos, the torus family, a general Q with Q^T != +-Q, where left
 # and right have different obstruction matrices, in R^2 and in R^8 (the
@@ -554,6 +556,31 @@ class TestCli:
                      (tmp_path / "out/points.csv").read_text().splitlines()[1:]]
             assert max(masks) >= 1 << 64
 
+    @pytest.mark.parametrize("workload, extra", [
+        ("locus-torus-m2", []), ("check-torus-m4", ["--points", "300"])],
+        ids=["locus-torus-m2", "check-torus-m4"])
+    def test_trace_targets_record_their_layers(self, tmp_path, workload,
+                                               extra):
+        # the benchmark wraps the functions perfbench/tracing.py names and
+        # fails a traced call when one is missing or a layer its workload
+        # runs records no span; the solver's linearisations are dphi calls
+        w = perfbench_torus.WORKLOADS[workload]
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(perfbench_torus.scenario(w.m, 30, 7)))
+        tracer = perfbench_tracing.Tracer()
+        tracer.install()
+        try:
+            assert main([w.verb, "--scenario", str(scenario), "--out",
+                         str(tmp_path / "out"), *extra]) == 0
+        finally:
+            tracer.uninstall()
+        spans = tracer.take()
+        assert perfbench_tracing.lost(spans, tracer.missing, w.skips) == []
+        if w.verb == "locus":
+            assert any(name == "locus.dphi" and parent >= 0
+                       and spans[parent][0] == "locus.solve"
+                       for name, _, _, parent, _, _ in spans)
+
     def test_charts_stdout_counts_rows_on_the_locus(self, tmp_path, capsys):
         main(["demo", "circle-m1", "--out", str(tmp_path / "d")])
         points = tmp_path / "d/points.csv"
@@ -601,8 +628,14 @@ class TestCli:
         ("dimension", "y1,y2\n0.0,1.0\n",
          "no coordinate columns found in "),
         ("charts", "x1,x2,x3\n0.0,1.0,2.0\n",
-         "3 coordinate columns, scenario dim 2")],
-        ids=["no-x-column", "wrong-dim"])
+         "3 coordinate columns, scenario dim 2"),
+        ("charts", "x2,x1,phi_norm\n0.0,1.0,0.0\n",
+         "coordinate columns x2,x1, expected x1..x2 in order\n"),
+        ("charts", "x1,x3\n0.0,1.0\n",
+         "coordinate columns x1,x3, expected x1..x2 in order\n"),
+        ("dimension", "x01,x2\n0.0,1.0\n",
+         "coordinate columns x01,x2, expected x1..x2 in order\n")],
+        ids=["no-x-column", "wrong-dim", "swapped", "gap", "leading-zero"])
     def test_csv_coordinates_must_fit(self, tmp_path, capsys, verb, text,
                                       message):
         points = tmp_path / "points.csv"
@@ -616,6 +649,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"gradlocus: error: csv: {message}")
         assert err.count("\n") == 1
+
+    def test_csv_columns_between_coordinates(self, tmp_path, capsys):
+        points = tmp_path / "points.csv"
+        points.write_text("id,x1,note,x2\n7,0.0,a,1.0\n8,0.6,b,0.8\n")
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(circle_dict()))
+        assert main(["charts", str(points), "--scenario", str(scenario)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["rows"], report["recomputed_memberships"]) == (2, 2)
+        rows = (tmp_path / "points_charts.csv").read_text().splitlines()
+        assert [row.split(",")[:2] for row in rows[1:]] == [
+            ["0.0", "1.0"], ["0.6", "0.8"]]
 
     def test_missing_csv_file(self, capsys):
         assert main(["dimension", "/nonexistent.csv"]) == 2
