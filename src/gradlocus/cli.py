@@ -18,10 +18,11 @@ pointwise rule is the library's (an odd dimension fails in
 ``build_phi``; too few certified samples for ``box_counting_dimension``
 skip the dimension estimate).  ``locus`` exits 0 exactly when
 ``verify_cover`` reports ok.  ``check`` leaves out the points where the
-field's Jacobian is undefined and counts them in ``domain_excluded``;
-it evaluates the points in chunks of at most ``CHECK_STACK_BYTES`` per
-(B, n, n) stack, keeps only per-point numbers across chunks and reduces
-them once, so the report does not depend on the chunk size.
+field's Jacobian is undefined, or where a number of N = C DF overflows,
+and counts them in ``domain_excluded``; it evaluates the points in
+chunks of at most ``CHECK_STACK_BYTES`` per (B, n, n) stack, keeps only
+per-point numbers across chunks and reduces them once, so the report
+does not depend on the chunk size.
 ``--points`` must be at least 1; the ``--tol-*`` values and ``--seed``
 are checked by ``LocusOptions``, and a bad one exits 2 with one error
 line.  A CSV file is read inside ``errors.reading``, so one that cannot
@@ -130,7 +131,8 @@ def cmd_check(scenario: Scenario, n_points: int, out_dir: Path | None) -> int:
             DF = DF[defined]
         excluded += len(defined) - len(DF)
         for side, C in matrices.items():
-            N = C @ DF
+            with np.errstate(over="ignore"):  # overflow: a NaN defect below
+                N = C @ DF
             defect = residual(pair, N)
             parts[side].append(defect)
             if side == first[scenario.side]:
@@ -140,15 +142,24 @@ def cmd_check(scenario: Scenario, n_points: int, out_dir: Path | None) -> int:
                     pass
             del N
         del DF
-    if excluded == n_points:
-        raise GradlocusError(f"check: all {n_points} points are "
-                             "outside the domain of the field")
     # free the points and the chunks' pieces before the reductions
     del pts
     defects = {side: Defect(*map(np.concatenate, zip(*chunks)))
                for side, chunks in parts.items()}
     gamma = tuple(map(np.concatenate, zip(*gammas))) if gammas else None
     del parts, gammas
+    # residual and gamma_obstruction give NaN where a point's numbers
+    # overflow; such a point is left out, as one outside the domain is
+    finite = np.all(np.isfinite([d.norm for d in defects.values()]
+                                + ([gamma[0]] if gamma else [])), axis=0)
+    if not finite.all():
+        excluded += int(np.count_nonzero(~finite))
+        defects = {side: Defect(*(a[finite] for a in d))
+                   for side, d in defects.items()}
+        gamma = tuple(a[finite] for a in gamma) if gamma else None
+    if excluded == n_points:
+        raise GradlocusError(f"check: all {n_points} points are "
+                             "outside the domain of the field or overflow")
     probe = equivalence_probe(
         {s: defects[first[s]] for s in ("left", "right")}, tol=tol)
     rel_max = dict(probe.max_relative)
@@ -281,19 +292,30 @@ def _read_points_csv(path: Path) -> np.ndarray:
     if names != [f"x{k + 1}" for k in range(len(cols))]:
         raise GradlocusError(f"csv: coordinate columns {','.join(names)}, "
                              f"expected x1..x{len(cols)} in order")
-    X = np.empty((len(rows), len(cols)))
-    for r, row in enumerate(rows):
-        try:
-            X[r] = [float(row[i]) for i in cols]
-        except ValueError as exc:
-            raise GradlocusError(f"csv: row {r + 1}: {exc}") from None
-        except IndexError:
-            raise GradlocusError(f"csv: row {r + 1}: {len(row)} fields, "
-                                 f"header has {len(header)}") from None
+    try:  # every cell through float() in one call
+        cells = [row[i] for row in rows for i in cols]
+        X = np.fromiter(map(float, cells), float, len(cells))
+    except (ValueError, IndexError):
+        _raise_bad_row(rows, cols, len(header))
+    X = X.reshape(len(rows), len(cols))
     bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
     if bad.size:
         raise GradlocusError(f"csv: row {bad[0] + 1}: non-finite coordinate")
     return X
+
+
+def _raise_bad_row(rows, cols, width: int):
+    """The error of the first row whose coordinates do not all read as
+    floats, from its first cell that fails, left to right."""
+    for r, row in enumerate(rows):
+        try:
+            for i in cols:
+                float(row[i])
+        except ValueError as exc:
+            raise GradlocusError(f"csv: row {r + 1}: {exc}") from None
+        except IndexError:
+            raise GradlocusError(f"csv: row {r + 1}: {len(row)} fields, "
+                                 f"header has {width}") from None
 
 
 def cmd_dimension(csv_path: Path, out_dir: Path | None) -> int:

@@ -81,15 +81,29 @@ def residual(pair: GeometricPair, N) -> Defect:
     ``obstruction_matrix`` gives its side: C = Q^T for left and C = Q
     for right, symmetric and symplectic (then ||(DF)^T B^{-1} +
     B^{-1} DF||_F).  The three reductions share one scratch stack.
+    A matrix whose reductions overflow gets NaN in all three, as a
+    matrix outside the domain does.
     """
     N = _stack(pair, N)
-    scratch = np.multiply(N, N)
-    norm = np.sqrt(np.sum(scratch, axis=(1, 2)))
-    np.subtract(N, np.swapaxes(N, 1, 2), out=scratch)
-    # N - N^T is antisymmetric, so its largest entry is its largest |entry|
-    peak = scratch.max(axis=(1, 2))
-    np.multiply(scratch, scratch, out=scratch)
-    return Defect(norm, np.sqrt(np.sum(scratch, axis=(1, 2))), peak)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scratch = np.multiply(N, N)
+        norm = np.sqrt(np.sum(scratch, axis=(1, 2)))
+        np.subtract(N, np.swapaxes(N, 1, 2), out=scratch)
+        # N - N^T is antisymmetric, so its largest entry is its largest |entry|
+        peak = scratch.max(axis=(1, 2))
+        np.multiply(scratch, scratch, out=scratch)
+        res = np.sqrt(np.sum(scratch, axis=(1, 2)))
+    return Defect(*_overflow_as_nan(norm, res, peak))
+
+
+def _overflow_as_nan(*rows):
+    """The (B,) arrays ``rows``, with NaN in every one of them at each
+    index where one of them is not finite (an overflow, or a matrix
+    outside the domain)."""
+    bad = ~np.all(np.isfinite(rows), axis=0)
+    if not bad.any():
+        return rows
+    return tuple(np.where(bad, np.nan, row) for row in rows)
 
 
 def _named_residual(pair: GeometricPair, F: VectorField, x, side: str):
@@ -148,17 +162,19 @@ def gamma_obstruction(pair: GeometricPair, N, norm=None):
     """(values, scales): top wedge-power coefficient of each matrix of
     the stack N = C DF (B, n, n) and its degree-m normalizer
     m! ||N||_F^m + floor, as (B,) arrays; ``norm``, when given, is
-    ||N||_F from ``residual``."""
+    ||N||_F from ``residual``.  A matrix whose value or scale overflows
+    gets NaN in both, as a matrix outside the domain does."""
     n = pair.dim
     if n % 2:
         raise OddDimension(f"obstruction needs even dimension, got {n}")
     m = n // 2
     N = _stack(pair, N)
-    if norm is None:
-        norm = np.sqrt(np.sum(N * N, axis=(1, 2)))
-    values = gamma_power(N, m)
-    scales = math.factorial(m) * norm ** m + GAMMA_FLOOR
-    return values, scales
+    with np.errstate(over="ignore", invalid="ignore"):
+        if norm is None:
+            norm = np.sqrt(np.sum(N * N, axis=(1, 2)))
+        values = gamma_power(N, m)
+        scales = math.factorial(m) * norm ** m + GAMMA_FLOOR
+    return _overflow_as_nan(values, scales)
 
 
 def decisive(value, scale, tol: float):

@@ -17,6 +17,7 @@ report downstream carries that caveat.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, replace
 from itertools import combinations
@@ -265,11 +266,80 @@ def halton_sequence(count: int, dim: int, shift=None) -> np.ndarray:
     return out
 
 
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _uniform_draw(seed: int, count: int) -> list[float]:
+    """``numpy.random.default_rng(seed).random(count)`` bit for bit, as a
+    list, without importing numpy.random (6 MB of resident memory).
+
+    numpy's default generator is PCG64 (O'Neill, HMC-CS-2014-0905)
+    seeded through SeedSequence: the seed's 32-bit words, least
+    significant first, are hash-mixed into a pool of four words, which
+    generate_state(4, uint64) expands into the 128-bit initial state and
+    stream.  Each draw is one 128-bit LCG step with the XSL-RR output,
+    whose top 53 bits make the double.  A negative seed raises
+    ValueError, as numpy does.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    h = 0x43B0D7E5  # SeedSequence's running hash constant, for hashmix
+
+    def hashmix(value):
+        nonlocal h
+        value ^= h
+        h = h * 0x931E8875 & _MASK32
+        value = value * h & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(4, uint64): eight 32-bit words, paired little-endian
+    h, state = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ h
+        h = h * 0x58F38DED & _MASK32
+        value = value * h & _MASK32
+        state.append(value ^ value >> 16)
+    s0, s1, i0, i1 = (state[k] | state[k + 1] << 32 for k in range(0, 8, 2))
+    # PCG64's srandom: state 0, step, add the initial state, step
+    inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+    s = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
+    out = []
+    for _ in range(count):
+        s = (s * _PCG_MULT + inc) & _MASK128
+        rot, x = s >> 122, (s >> 64 ^ s) & _MASK64
+        x = (x >> rot | x << (-rot & 63)) & _MASK64
+        out.append((x >> 11) * 2.0 ** -53)
+    return out
+
+
 def box_halton(box, count: int, rng_seed: int) -> np.ndarray:
     """The first ``count`` Halton points, rotated by a shift drawn from
-    ``rng_seed``, mapped into a (dim, 2) box."""
+    ``rng_seed``, mapped into a (dim, 2) box.
+
+    The shift is ``numpy.random.default_rng(rng_seed).random(dim)`` bit
+    for bit, computed without numpy.random (``_uniform_draw``); programs
+    that recompute the points, such as the benchmark's oracles, rely on
+    this.  A negative seed raises ValueError."""
     b = np.asarray(box, dtype=float)
-    shift = np.random.default_rng(rng_seed).random(len(b))
+    shift = _uniform_draw(rng_seed, len(b))
     pts = halton_sequence(count, len(b), shift)
     pts *= b[:, 1] - b[:, 0]
     pts += b[:, 0]
@@ -362,7 +432,9 @@ def certify(phi: PhiSystem, X,
     """
     X = np.array(X, dtype=float)
     phi_norm = np.linalg.norm(phi.phi(X), axis=1)
-    values, scales = gamma_obstruction(phi.pair, phi.C @ phi.F.jacobian(X)[1])
+    with np.errstate(over="ignore"):  # overflow: NaN Gamma columns
+        N = phi.C @ phi.F.jacobian(X)[1]
+    values, scales = gamma_obstruction(phi.pair, N)
     on = on_locus(phi_norm, opts)
     charts = np.zeros((len(X), math.comb(2 * phi.m, phi.m)), dtype=bool)
     charts[on] = chart_memberships(phi, X[on], opts)

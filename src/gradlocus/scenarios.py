@@ -51,9 +51,11 @@ from .geometry import (BilinearForm, make_form, minkowski, pseudo_euclidean,
 from .locus import _PRIMES, LocusOptions
 
 # frames an evaluation needs beyond one per tree level: the command's calls
-# down to dsl._eval and the jet rules; locus, the deepest, through the
-# solver's PhiSystem.dphi and ScalarField.hessian, needs 20 when a rule at
-# the deepest node widens a jet to two variables (16 when none does)
+# down to dsl._eval and the jet rules.  Measured under python -m
+# gradlocus.cli with the deepest node adding two different variables, so
+# that its rule widens a jet: locus, the deepest, needs 19 for f (the
+# solver's PhiSystem.dphi and ScalarField.hessian; 16 when no rule widens),
+# charts 18 and check 15 for F (VectorField.jacobian); 20 leaves one spare
 EVAL_FRAMES = 20
 DEFAULT_N_SEEDS = 500
 DEFAULT_RNG_SEED = 0

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -310,3 +312,25 @@ def test_empty_stack_gives_empty_rows(n):
     assert (probe.points, probe.checks, probe.violations,
             probe.gray_excluded) == (0, 0, 0, 0)
     assert dict(probe.max_relative) == {"left": 0.0, "right": 0.0}
+
+
+def test_overflowing_matrices_read_nan():
+    # a matrix whose numbers overflow reads NaN in all of them, as one
+    # outside the domain does, with no warning; the others keep their
+    # bits.  At m = 4, a norm of 1e80 overflows the Gamma-power and its
+    # scale m! ||N||^4, but not the defect
+    pair = companion_map(standard_euclidean(8))
+    N = np.random.default_rng(60).standard_normal((4, 8, 8))
+    N[1, 0, 1] = 1e200
+    N[2] *= 1e80
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        defect = residual(pair, N)
+        gamma = gamma_obstruction(pair, N, defect.norm)
+    for numbers, huge in ((defect, [1]), (gamma, [1, 2])):
+        keep = [i for i in range(4) if i not in huge]
+        alone = (residual(pair, N[keep]) if numbers is defect
+                 else gamma_obstruction(pair, N[keep]))
+        for got, expect in zip(numbers, alone):
+            assert np.all(np.isnan(got[huge]))
+            assert got[keep].tobytes() == expect.tobytes()

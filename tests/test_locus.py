@@ -810,6 +810,29 @@ class TestHalton:
                 assert halton_sequence(count, dim, shift).tobytes() == \
                     halton_loop(count, dim, shift).tobytes(), (dim, shift)
 
+    def test_shift_is_numpys_default_generator_bit_for_bit(self):
+        # numpy.random is the oracle of the draw box_halton makes without
+        # it: SeedSequence's mixing of seeds of one to six 32-bit words,
+        # and the PCG64 stream
+        rng = np.random.default_rng(2024)
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 10**30, 2**128 + 5]
+        seeds += rng.integers(0, 2**63, 1000).tolist()
+        seeds += [int.from_bytes(rng.bytes(k), "little")
+                  for k in rng.integers(1, 25, 1000).tolist()]
+        for seed in seeds:
+            for dim in range(1, 13):
+                assert np.array(locus._uniform_draw(seed, dim)).tobytes() \
+                    == np.random.default_rng(seed).random(dim).tobytes(), \
+                    (seed, dim)
+
+    def test_box_halton_rejects_seeds_numpy_rejects(self):
+        for seed, error in ((-1, ValueError), (-2**40, ValueError),
+                            (1.5, TypeError)):
+            with pytest.raises(error):
+                np.random.default_rng(seed)
+            with pytest.raises(error):
+                locus.box_halton([[0.0, 1.0]], 3, seed)
+
     def test_box_halton_is_the_seeded_sequence_in_the_box(self):
         box = np.array([[-2.0, 2.0], [0.5, 1.0], [3.0, 7.0]])
         shift = np.random.default_rng(13).random(3)

@@ -13,7 +13,7 @@ import pytest
 from gradlocus import (LocusOptions, ScenarioError, build_phi,
                        builtin_demos, certify, companion_map, load_scenario,
                        sample_locus, scenario_from_dict, verify_cover)
-from gradlocus import cli
+from gradlocus import cli, dsl
 from gradlocus.cli import main
 from gradlocus.integrability import conditions, distinct_sides
 from gradlocus.locus import CHECK_STACK_BYTES, box_halton, halton_sequence
@@ -606,15 +606,23 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert (report["rows"], report["recomputed_memberships"]) == (200, 0)
 
+    # the error names the first row that fails, read left to right; a
+    # non-finite coordinate is looked for once every row has been read
     @pytest.mark.parametrize("verb", ["dimension", "charts"])
-    @pytest.mark.parametrize("row, reason", [
-        ("0.5,abc", "could not convert string to float: 'abc'"),
-        ("0.5", "1 fields, header has 2"),
-        ("nan,0.5", "non-finite coordinate")],
-        ids=["non-numeric", "short-row", "nan"])
-    def test_bad_csv_row_exits_two(self, tmp_path, capsys, verb, row, reason):
+    @pytest.mark.parametrize("rows, reason", [
+        ("0.5,abc", "row 2: could not convert string to float: 'abc'"),
+        ("0.5", "row 2: 1 fields, header has 2"),
+        ("nan,0.5", "row 2: non-finite coordinate"),
+        ("0.5\nabc,0.5", "row 2: 1 fields, header has 2"),
+        ("abc\n0.5", "row 2: could not convert string to float: 'abc'"),
+        ("inf,0.5\n0x10,0.5", "row 3: could not convert string to float: "
+         "'0x10'")],
+        ids=["non-numeric", "short-row", "nan", "short-then-non-numeric",
+             "non-numeric-short-row", "inf-then-non-numeric"])
+    def test_bad_csv_row_exits_two(self, tmp_path, capsys, verb, rows,
+                                   reason):
         points = tmp_path / "points.csv"
-        points.write_text(f"x1,x2\n0.0,1.0\n{row}\n1.0,0.0\n")
+        points.write_text(f"x1,x2\n0.0,1.0\n{rows}\n1.0,0.0\n")
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps(circle_dict()))
         argv = [verb, str(points)]
@@ -622,7 +630,17 @@ class TestCli:
             argv += ["--scenario", str(scenario)]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err == f"gradlocus: error: csv: row 2: {reason}\n"
+        assert err == f"gradlocus: error: csv: {reason}\n"
+
+    def test_csv_cells_read_as_float_reads_them(self, tmp_path):
+        cells = [" 1.5", "1_0", "\u0661\u0662", "-0.0", "1e-400", "5e-324",
+                 "0.1", "1.7976931348623157e308", "-2.5E+3 ", "+7"]
+        points = tmp_path / "points.csv"
+        points.write_text("x1,note,x2\n" + "".join(
+            f"{a},n,{b}\n" for a, b in zip(cells, cells[::-1])))
+        X = cli._read_points_csv(points)
+        expect = [[float(a), float(b)] for a, b in zip(cells, cells[::-1])]
+        assert X.tobytes() == np.array(expect).tobytes()
 
     @pytest.mark.parametrize("verb, text, message", [
         ("dimension", "y1,y2\n0.0,1.0\n",
@@ -767,14 +785,98 @@ MALFORMED = [
 ]
 
 
-def run_cli(*argv):
-    """``python -m gradlocus.cli`` in a fresh interpreter: its stack
-    starts where a user's run does, unlike one inside pytest."""
+def child_env(**extra):
+    """The environment of a fresh interpreter that imports ./src, with
+    the variables ``extra`` added."""
     path = os.pathsep.join(filter(None, [str(SRC),
                                          os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+def run_cli(*argv, **env):
+    """``python -m gradlocus.cli`` in a fresh interpreter: its stack
+    starts where a user's run does, unlike one inside pytest; ``env``
+    adds variables to its environment."""
     return subprocess.run([sys.executable, "-m", "gradlocus.cli", *argv],
                           capture_output=True, text=True, timeout=300,
-                          env={**os.environ, "PYTHONPATH": path})
+                          env=child_env(**env))
+
+
+def test_verbs_leave_numpy_random_unloaded(tmp_path):
+    # box_halton draws its shift without numpy.random, whose import
+    # costs each process about 6 MB of resident memory
+    scenario, out = tmp_path / "scenario.json", tmp_path / "out"
+    scenario.write_text(json.dumps(circle_dict(n_seeds=120)))
+    runs = [["locus", "--scenario", str(scenario), "--out", str(out)],
+            ["check", "--scenario", str(scenario), "--out", str(out)],
+            ["charts", str(out / "points.csv"), "--scenario", str(scenario),
+             "--out", str(out)],
+            ["dimension", str(out / "points.csv"), "--out", str(out)],
+            ["demo", "circle-m1", "--points", "30", "--out", str(out)]]
+    code = ("import sys\n"
+            "from gradlocus.cli import main\n"
+            f"codes = [main(argv) for argv in {runs!r}]\n"
+            "print(codes, sorted(m for m in sys.modules\n"
+            "                    if m.startswith('numpy.random')))\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=300, env=child_env())
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] []"
+
+
+# Under PYTHONWARNINGS=error, as CI runs the CLI, a numpy overflow warning
+# is an exception.  A point whose N = C DF overflows in the residual or the
+# Gamma-power is left out of check, and certify gives it NaN Gamma columns
+def test_overflowing_csv_row_gets_nan_gamma_columns(tmp_path):
+    scenario_path, csv_path = write_inputs(
+        tmp_path, mixed_domain_dict(), b"x1,x2\n1e200,0.5\n0.6,0.8\n")
+    done = run_cli("charts", csv_path, "--scenario", scenario_path,
+                   "--out", str(tmp_path / "re"), PYTHONWARNINGS="error")
+    assert (done.returncode, done.stderr) == (0, "")
+    rows = (tmp_path / "re/points_charts.csv").read_text().splitlines()
+    assert rows[1] == "1e+200,0.5,nan,nan,nan,0,0"
+    # the finite row reads as it does alone
+    (tmp_path / "one.csv").write_text("x1,x2\n0.6,0.8\n")
+    assert main(["charts", str(tmp_path / "one.csv"), "--scenario",
+                 scenario_path, "--out", str(tmp_path / "one")]) == 0
+    alone = (tmp_path / "one/one_charts.csv").read_text().splitlines()
+    assert rows[2] == alone[1]
+
+
+def test_check_of_overflowing_points_exits_two_without_traceback(tmp_path):
+    scenario_path, _ = write_inputs(tmp_path, circle_dict(
+        F=["x1 * x2", "x2"], box=[[0.0, 1e200], [0.0, 1.0]]), None)
+    done = run_cli("check", "--points", "50", "--scenario", scenario_path,
+                   "--out", str(tmp_path / "out"), PYTHONWARNINGS="error")
+    assert done.returncode == 2
+    assert done.stderr == ("gradlocus: error: check: all 50 points are "
+                           "outside the domain of the field or overflow\n")
+
+
+def test_check_leaves_overflowing_points_out(tmp_path):
+    # ||DF||_F^2 = exp(2 x1) (1 + x2^2) + 1 overflows from x1 = 354.5-354.9
+    spec = circle_dict(F=["exp(x1) * x2", "x2"],
+                       box=[[0.0, 400.0], [0.0, 1.0]])
+    scenario_path, _ = write_inputs(tmp_path, spec, None)
+    done = run_cli("check", "--points", "50", "--scenario", scenario_path,
+                   "--out", str(tmp_path / "out"), PYTHONWARNINGS="error")
+    assert (done.returncode, done.stderr) == (0, "")
+
+    def reject(constant):
+        raise ValueError(f"check.json holds {constant}")
+
+    report = json.loads((tmp_path / "out/check.json").read_text(),
+                        parse_constant=reject)
+    x1, x2 = box_halton(spec["box"], 50, spec["rng_seed"]).T
+    overflowing = int(np.count_nonzero(
+        2 * x1 + np.log1p(x2 ** 2) > np.log(np.finfo(float).max)))
+    assert 0 < overflowing < 50
+    assert report["domain_excluded"] == overflowing
+    assert report["equivalence_probe"]["points"] == 50 - overflowing
+    assert report["equivalence_probe"]["violations"] == 0
+    # |Gamma| / scale = 1 / sqrt(1 + x2^2 + exp(-2 x1)) on the others
+    assert report["obstruction"]["decisive_nonzero_points"] == \
+        50 - overflowing
 
 
 def write_inputs(tmp_path, scenario, points):
@@ -816,22 +918,40 @@ def test_deep_expression_within_the_stack_limit_runs(tmp_path):
         assert done.returncode == 0, (argv, done.stderr)
 
 
+def _deep_term(levels):
+    """0 * (x1 + x2 + x1 + ... + x1), a term that adds nothing, whose
+    deepest node adds two different variables, so the jet rules widen a
+    jet there; added to an expression, it makes a tree of ``levels``."""
+    return f"0 * ({' + '.join(['x1', 'x2'] + ['x1'] * (levels - 4))})"
+
+
 def test_expression_depth_is_bounded_at_load(tmp_path):
     # a loaded expression always evaluates: the deepest tree the bound
-    # admits runs in both verbs, and one level more fails at load
+    # admits runs in both verbs, and one level more fails at load.  The
+    # deepest path of locus evaluates f (ScalarField.hessian in the
+    # solver), that of check F (VectorField.jacobian)
     deepest = sys.getrecursionlimit() - EVAL_FRAMES
-    for terms, code in ((deepest, 0), (deepest + 1, 2)):
-        scenario_path, _ = write_inputs(
-            tmp_path, circle_dict(F=[" + ".join(["x1"] * terms), "x2"],
-                                  n_seeds=30), None)
+    circle = circle_dict(n_seeds=30)
+    for field, levels, code in (("f", deepest, 0), ("f", deepest + 1, 2),
+                                ("F[0]", deepest, 0),
+                                ("F[0]", deepest + 1, 2)):
+        if field == "f":
+            spec = {**circle, "f": f"{circle['f']} + {_deep_term(levels)}"}
+            text = spec["f"]
+        else:
+            F = [f"{circle['F'][0]} + {_deep_term(levels)}", circle["F"][1]]
+            spec, text = {**circle, "F": F}, F[0]
+        assert dsl.depth(dsl.parse_expression(text, 2)) == levels
+        scenario_path, _ = write_inputs(tmp_path, spec, None)
         for argv in (["check", "--points", "2000"], ["locus"]):
             done = run_cli(*argv, "--scenario", scenario_path,
                            "--out", str(tmp_path / argv[0]))
-            assert done.returncode == code, (terms, argv, done.stderr)
+            assert done.returncode == code, (field, levels, argv,
+                                             done.stderr)
             if code:
                 assert done.stderr == (
-                    f"gradlocus: error: F[0]: nested {terms} levels deep, "
-                    f"more than the {deepest} that evaluate\n")
+                    f"gradlocus: error: {field}: nested {levels} levels "
+                    f"deep, more than the {deepest} that evaluate\n")
 
 
 def test_recursion_after_load_exits_two(monkeypatch, tmp_path, capsys):
