@@ -17,12 +17,14 @@ The verbs load a scenario, call the library and write files; every
 pointwise rule is the library's (an odd dimension fails in
 ``build_phi``; too few certified samples for ``box_counting_dimension``
 skip the dimension estimate).  ``locus`` exits 0 exactly when
-``verify_cover`` reports ok.  ``check`` leaves out the points where the
-field's Jacobian is undefined, or where a number of N = C DF overflows,
-and counts them in ``domain_excluded``; it evaluates the points in
-chunks of at most ``CHECK_STACK_BYTES`` per (B, n, n) stack, keeps only
-per-point numbers across chunks and reduces them once, so the report
-does not depend on the chunk size.
+``verify_cover`` reports ok.  ``check`` evaluates every point, in
+chunks of at most ``CHECK_STACK_BYTES`` per (B, n, n) stack, and keeps
+only per-point numbers across chunks.  Then one rule leaves a point out
+and counts it in ``domain_excluded``: one of its numbers is not finite.
+``residual`` and ``gamma_obstruction`` make every number of a point NaN
+where the field's Jacobian is undefined or a number of N = C DF
+overflows.  The rest are reduced once, so the report does not depend on
+the chunk size.
 ``--points`` must be at least 1; the ``--tol-*`` values and ``--seed``
 are checked by ``LocusOptions``, and a bad one exits 2 with one error
 line.  A CSV file is read inside ``errors.reading``, so one that cannot
@@ -46,14 +48,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GradlocusError, OddDimension, TooFewPoints, reading
+from .errors import GradlocusError, TooFewPoints, reading
 from .geometry import companion_map
 from .integrability import (Defect, conditions, decisive, distinct_sides,
                             equivalence_probe, gamma_obstruction, integrable,
-                            obstruction_matrix, residual)
+                            obstruction_matrix, premultiply, residual)
 from .locus import (CHECK_STACK_BYTES, DIMENSION_CAVEAT, MIN_DIMENSION_POINTS,
-                    box_counting_dimension, box_halton, build_phi, certify,
-                    default_scales, sample_locus, verify_cover)
+                    box_counting_dimension, box_diameter, box_halton,
+                    build_phi, certify, default_scales, sample_locus,
+                    verify_cover)
 from .scenarios import (TOLERANCE_KEYS, Scenario, builtin_demos,
                         load_scenario, scenario_to_dict)
 
@@ -118,48 +121,41 @@ def cmd_check(scenario: Scenario, n_points: int, out_dir: Path | None) -> int:
     first = distinct_sides(pair, conditions(pair))
     matrices = {side: obstruction_matrix(pair, side)
                 for side in dict.fromkeys(first.values())}
-    # each chunk's (B, n, n) stacks fit CHECK_STACK_BYTES; only the (B,)
-    # rows are kept, and every reduction runs once over all of them, so
-    # the report does not depend on the chunk size
+    # the Gamma-power, on the side of Phi, needs an even dimension
+    gamma_side = first[scenario.side] if scenario.dim % 2 == 0 else None
+    # each chunk's (B, n, n) stacks fit CHECK_STACK_BYTES; only a (k, B)
+    # block of per-point rows is kept (three Defect rows per distinct C,
+    # then the Gamma value and scale), and every reduction runs once over
+    # all of them, so the report does not depend on the chunk size
     step = max(1, CHECK_STACK_BYTES // (8 * scenario.dim ** 2))
-    parts, gammas, excluded = {side: [] for side in matrices}, [], 0
+    blocks = []
     for lo in range(0, n_points, step):
-        # one Jacobian for every condition, without its undefined (NaN) rows
+        # one Jacobian for every condition, NaN where it is undefined
         DF = scenario.F.jacobian(pts[lo:lo + step])[1]
-        defined = np.all(np.isfinite(DF), axis=(1, 2))
-        if not defined.all():
-            DF = DF[defined]
-        excluded += len(defined) - len(DF)
+        rows, obstruction = [], ()
         for side, C in matrices.items():
-            with np.errstate(over="ignore"):  # overflow: a NaN defect below
-                N = C @ DF
+            N = premultiply(C, DF)
             defect = residual(pair, N)
-            parts[side].append(defect)
-            if side == first[scenario.side]:
-                try:
-                    gammas.append(gamma_obstruction(pair, N, defect.norm))
-                except OddDimension:  # odd dimension: no Gamma-power
-                    pass
+            rows += defect
+            if side == gamma_side:
+                obstruction = gamma_obstruction(pair, N, defect.norm)
             del N
+        blocks.append(np.array([*rows, *obstruction]))
         del DF
-    # free the points and the chunks' pieces before the reductions
-    del pts
-    defects = {side: Defect(*map(np.concatenate, zip(*chunks)))
-               for side, chunks in parts.items()}
-    gamma = tuple(map(np.concatenate, zip(*gammas))) if gammas else None
-    del parts, gammas
-    # residual and gamma_obstruction give NaN where a point's numbers
-    # overflow; such a point is left out, as one outside the domain is
-    finite = np.all(np.isfinite([d.norm for d in defects.values()]
-                                + ([gamma[0]] if gamma else [])), axis=0)
-    if not finite.all():
-        excluded += int(np.count_nonzero(~finite))
-        defects = {side: Defect(*(a[finite] for a in d))
-                   for side, d in defects.items()}
-        gamma = tuple(a[finite] for a in gamma) if gamma else None
+    del pts  # free the points and the chunks before the reductions
+    table = np.concatenate(blocks, axis=1)
+    del blocks
+    # residual and gamma_obstruction give NaN in every number of a point
+    # outside the domain or whose numbers overflow; one rule leaves it out
+    finite = np.all(np.isfinite(table), axis=0)
+    excluded = n_points - int(np.count_nonzero(finite))
     if excluded == n_points:
         raise GradlocusError(f"check: all {n_points} points are "
                              "outside the domain of the field or overflow")
+    table = table[:, finite]
+    defects = {side: Defect(*table[3 * i:3 * i + 3])
+               for i, side in enumerate(matrices)}
+    gamma = table[3 * len(matrices):] if gamma_side else None
     probe = equivalence_probe(
         {s: defects[first[s]] for s in ("left", "right")}, tol=tol)
     rel_max = dict(probe.max_relative)
@@ -234,7 +230,7 @@ def cmd_locus(scenario: Scenario, out_dir: Path) -> int:
 
     certified_pts = samples.x[samples.certified]
     box = scenario.box_array()
-    scales = default_scales(float(np.linalg.norm(box[:, 1] - box[:, 0])))
+    scales = default_scales(box_diameter(box[:, 0], box[:, 1]))
     try:
         est = box_counting_dimension(certified_pts, scales)
     except TooFewPoints:

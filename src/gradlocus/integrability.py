@@ -10,7 +10,8 @@ the antisymmetry operator applied to the same matrix as the
 non-integrability obstruction.  Both are numbers of N = C DF(x) alone,
 so ``residual`` and ``gamma_obstruction`` take a (B, n, n) stack N,
 one matrix per point, and never evaluate a field: the side only picks
-C, through ``obstruction_matrix``, and the caller forms N.  The named
+C, through ``obstruction_matrix``, and the caller forms N with
+``premultiply``.  The named
 residuals evaluate ``F.jacobian`` on a (B, n) stack of points.
 
 The sides that apply to a form are ``conditions(pair)``.  Sides that
@@ -106,6 +107,14 @@ def _overflow_as_nan(*rows):
     return tuple(np.where(bad, np.nan, row) for row in rows)
 
 
+def premultiply(C, DF):
+    """The stack N = C DF of a (B, n, n) stack DF.  An entry that
+    overflows is inf, with no warning, so ``residual`` and
+    ``gamma_obstruction`` give its matrix NaN numbers."""
+    with np.errstate(over="ignore"):
+        return C @ DF
+
+
 def _named_residual(pair: GeometricPair, F: VectorField, x, side: str):
     """||N - N^T||_F at each point of the (B, n) stack x, with N the
     side's C times DF(x); a side outside ``conditions(pair)`` raises."""
@@ -115,7 +124,7 @@ def _named_residual(pair: GeometricPair, F: VectorField, x, side: str):
             raise ValueError("symmetric residual requires a symmetric form")
         raise NotSymplectic(
             "symplectic residual requires a skew form of even dimension")
-    return residual(pair, C @ F.jacobian(x)[1]).residual
+    return residual(pair, premultiply(C, F.jacobian(x)[1])).residual
 
 
 def left_residual(pair: GeometricPair, F: VectorField, x):

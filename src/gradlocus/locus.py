@@ -30,7 +30,7 @@ from .errors import (DimensionMismatch, GradlocusError, InvalidOption,
 from .fields import ScalarField, VectorField
 from .geometry import GeometricPair
 from .integrability import (TOL_GAMMA, decisive, gamma_obstruction,
-                            obstruction_matrix)
+                            obstruction_matrix, premultiply)
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # byte budgets of one chunk, each cut into max(1, budget // bytes a row)
@@ -107,16 +107,21 @@ class PhiSystem:
         return self.pair.dim // 2
 
     def phi(self, x):
-        """(B, n) -> (B, n), NaN in the rows outside the domain."""
-        return self.f.gradient(x)[1] - self.F.value(x) @ self.C.T
+        """(B, n) -> (B, n), NaN in the rows outside the domain; a row
+        whose products overflow is not finite, with no warning."""
+        grad, values = self.f.gradient(x)[1], self.F.value(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return grad - values @ self.C.T
 
     def dphi(self, x):
         """(Phi, DPhi) on a (B, n) stack, (B, n) and (B, n, n), from one
         jet walk of f and of each component of F; Phi is bit for bit
-        phi(x), and each is NaN in the rows where it is undefined."""
+        phi(x), and each is NaN in the rows where it is undefined; a row
+        whose products overflow is not finite, with no warning."""
         _, grad, hess = self.f.hessian(x)
         values, DF = self.F.jacobian(x)
-        return grad - values @ self.C.T, hess - self.C @ DF
+        with np.errstate(over="ignore", invalid="ignore"):
+            return grad - values @ self.C.T, hess - self.C @ DF
 
 
 def build_phi(pair: GeometricPair, f: ScalarField, F: VectorField,
@@ -158,6 +163,13 @@ def _solve_rows(A, b):
     return out, solved
 
 
+def _row_norms(r):
+    """||r|| of each row of a (B, n) stack; one that overflows is inf,
+    with no warning."""
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(r, axis=1)
+
+
 def solve_from_seed(phi: PhiSystem, x0, opts: LocusOptions = LocusOptions()):
     """Damped least-squares (Levenberg-Marquardt) iteration on
     0.5 ||Phi||^2 from each seed, all seeds in lockstep.
@@ -194,7 +206,7 @@ def solve_from_seed(phi: PhiSystem, x0, opts: LocusOptions = LocusOptions()):
     iters = np.zeros(B, dtype=int)
     r, J = phi.dphi(x)
     status[~np.all(np.isfinite(r), axis=1)] = _DOMAIN
-    rnorm = np.linalg.norm(r, axis=1)
+    rnorm = _row_norms(r)
     JtJ = np.empty((B, n, n))
     g = np.empty((B, n))
     defined = np.empty(B, dtype=bool)  # DPhi finite at the row's point
@@ -202,8 +214,9 @@ def solve_from_seed(phi: PhiSystem, x0, opts: LocusOptions = LocusOptions()):
     def normal_equations(rows, J):
         """Store J^T J, J^T Phi and ``defined`` for rows with DPhi J."""
         Jt = J.transpose(0, 2, 1)
-        JtJ[rows] = Jt @ J
-        g[rows] = (Jt @ r[rows, :, None])[..., 0]
+        with np.errstate(over="ignore"):  # overflow: a non-finite step
+            JtJ[rows] = Jt @ J
+            g[rows] = (Jt @ r[rows, :, None])[..., 0]
         defined[rows] = np.all(np.isfinite(J), axis=(1, 2))
 
     normal_equations(np.arange(B), J)
@@ -225,7 +238,7 @@ def solve_from_seed(phi: PhiSystem, x0, opts: LocusOptions = LocusOptions()):
         keep = solved & finite
         idx, trial = idx[keep], x[idx[keep]] + step[keep]
         r_new, J = phi.dphi(trial)
-        rn_new = np.linalg.norm(r_new, axis=1)
+        rn_new = _row_norms(r_new)
         accept = np.isfinite(rn_new) & (rn_new < rnorm[idx])
         up = idx[accept]
         x[up], r[up], rnorm[up] = trial[accept], r_new[accept], rn_new[accept]
@@ -431,10 +444,9 @@ def certify(phi: PhiSystem, X,
     never certified.
     """
     X = np.array(X, dtype=float)
-    phi_norm = np.linalg.norm(phi.phi(X), axis=1)
-    with np.errstate(over="ignore"):  # overflow: NaN Gamma columns
-        N = phi.C @ phi.F.jacobian(X)[1]
-    values, scales = gamma_obstruction(phi.pair, N)
+    phi_norm = _row_norms(phi.phi(X))
+    values, scales = gamma_obstruction(
+        phi.pair, premultiply(phi.C, phi.F.jacobian(X)[1]))
     on = on_locus(phi_norm, opts)
     charts = np.zeros((len(X), math.comb(2 * phi.m, phi.m)), dtype=bool)
     charts[on] = chart_memberships(phi, X[on], opts)
@@ -465,9 +477,12 @@ def sample_locus(phi: PhiSystem, box, n_seeds: int,
     order = np.lexsort(tuple(pts[:, d] for d in range(pts.shape[1] - 1, -1, -1)))
     pts = pts[order]
 
-    diam = float(np.linalg.norm(b[:, 1] - b[:, 0]))
-    return certify(phi, pts[dedup(pts, (opts.dedup_factor * diam) ** 2)],
-                   opts)
+    radius = opts.dedup_factor * box_diameter(b[:, 0], b[:, 1])
+    try:
+        radius_sq = radius ** 2
+    except OverflowError:  # beyond 1.3e154: every finite square is closer
+        radius_sq = math.inf
+    return certify(phi, pts[dedup(pts, radius_sq)], opts)
 
 
 def dedup(pts, radius_sq: float):
@@ -482,7 +497,8 @@ def dedup(pts, radius_sq: float):
     can find close).  Each pair is decided by the greedy rule's own
     expression, and only the rows with a close earlier row are resolved,
     in order.  The pairs are formed in chunks of at most _DEDUP_BYTES,
-    so points sharing x1 cost O(N^2) time but not O(N^2) memory.
+    so points sharing x1 cost O(N^2) time but not O(N^2) memory.  A
+    squared distance that overflows reads inf and so is never close.
     """
     N, n = pts.shape
     keep = np.ones(N, dtype=bool)
@@ -502,7 +518,8 @@ def dedup(pts, radius_sq: float):
         rows = np.repeat(np.arange(lo, hi), k)
         run_start = np.cumsum(k) - k
         cols = np.arange(len(rows)) + np.repeat(first[lo:hi] - run_start, k)
-        close = np.sum((pts[cols] - pts[rows]) ** 2, axis=1) < radius_sq
+        with np.errstate(over="ignore"):  # an overflow reads inf: not close
+            close = np.sum((pts[cols] - pts[rows]) ** 2, axis=1) < radius_sq
         rows, cols = rows[close], cols[close]
         if rows.size:
             cuts = np.flatnonzero(np.diff(rows)) + 1
@@ -572,6 +589,20 @@ class DimensionEstimate:
     note: str = DIMENSION_CAVEAT
 
 
+def box_diameter(lo, hi) -> float:
+    """||hi - lo||, the diagonal of the box [lo, hi]: the bits of
+    ``np.linalg.norm(hi - lo)`` where that does not overflow, and
+    otherwise the norm of hi - lo scaled by its largest |entry|, so the
+    diameter is finite whenever the diagonal is."""
+    with np.errstate(over="ignore"):
+        width = np.subtract(hi, lo, dtype=float)
+        diam = float(np.linalg.norm(width))
+        top = float(np.abs(width).max(initial=0.0))
+        if diam == math.inf and top < math.inf:
+            diam = top * float(np.linalg.norm(width / top))
+    return diam
+
+
 def default_scales(diameter: float, n_scales: int = 8,
                    ratio: float = 2.0) -> tuple[float, ...]:
     """Geometric ladder: n_scales values starting at diameter/4."""
@@ -599,8 +630,7 @@ def box_counting_dimension(points, scales=None) -> DimensionEstimate:
         raise TooFewPoints(f"need at least {MIN_DIMENSION_POINTS} points, "
                            f"got {pts.shape[0]}")
     lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    diam = float(np.linalg.norm(hi - lo))
+    diam = box_diameter(lo, pts.max(axis=0))
     if scales is None:
         if diam == 0.0:
             return DimensionEstimate(estimate=0.0, fit_r2=1.0, scales=(),

@@ -175,8 +175,10 @@ def scenario_from_dict(d) -> Scenario:
     for i, pair in enumerate(box_raw):
         with reading(f"box[{i}]", ScenarioError, "expected [lo, hi]"):
             lo, hi = float(pair[0]), float(pair[1])
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-            raise ScenarioError(f"box[{i}]: need finite lo < hi, got {pair!r}")
+        # hi - lo is finite exactly when lo and hi are and it does not overflow
+        if not (lo < hi and np.isfinite(hi - lo)):
+            raise ScenarioError(f"box[{i}]: need finite lo < hi and hi - lo, "
+                                f"got {pair!r}")
         box.append((lo, hi))
 
     n_seeds = d.get("n_seeds", DEFAULT_N_SEEDS)

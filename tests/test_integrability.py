@@ -301,8 +301,7 @@ class TestEquivalenceProbe:
 
 @pytest.mark.parametrize("n", [2, 8])
 def test_empty_stack_gives_empty_rows(n):
-    # check runs a chunk whose points all lie outside the domain as a
-    # (0, n, n) stack
+    # an empty stack gives empty rows, and a probe over them counts nothing
     pair = companion_map(standard_euclidean(n))
     defect = residual(pair, np.empty((0, n, n)))
     assert [field.shape for field in defect] == [(0,)] * 3
@@ -334,3 +333,20 @@ def test_overflowing_matrices_read_nan():
         for got, expect in zip(numbers, alone):
             assert np.all(np.isnan(got[huge]))
             assert got[keep].tobytes() == expect.tobytes()
+
+
+def test_named_residuals_obey_the_overflow_rule():
+    # F = (1e308 x1, 1e308 x1) under Q = [[1, 1], [0, 1]]: a sum of two
+    # entries of C DF overflows for both sides, so each named residual
+    # reads NaN, as ``residual`` reads the overflowing N, with no warning
+    pair = companion_map(make_form(GENERAL_Q))
+    F = VectorField.parse(["1e308 * x1", "1e308 * x1"], 2)
+    x = np.array([[0.5, -1.0], [2.0, 3.0]])
+    for side, named in (("left", left_residual), ("right", right_residual)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = named(pair, F, x)
+        with np.errstate(over="ignore"):
+            N = obstruction_matrix(pair, side) @ F.jacobian(x)[1]
+        assert np.all(np.isnan(got))
+        assert np.array_equal(got, residual(pair, N).residual, equal_nan=True)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from gradlocus import (DimensionMismatch, GradlocusError, InvalidOption,
                        TooFewPoints, VectorField, all_charts,
                        box_counting_dimension, builtin_demos, build_phi,
                        certify, chart_memberships, companion_map,
-                       default_scales, halton_sequence, pseudo_euclidean,
-                       sample_locus, scenario_from_dict, solve_from_seed,
-                       standard_euclidean, standard_symplectic, verify_cover)
+                       default_scales, halton_sequence, make_form,
+                       pseudo_euclidean, sample_locus, scenario_from_dict,
+                       solve_from_seed, standard_euclidean,
+                       standard_symplectic, verify_cover)
 from gradlocus import locus
 from gradlocus.cli import main
 from gradlocus.exterior import antisymmetric_part
@@ -314,6 +316,38 @@ class TestSolveFromSeed:
         want, want_outcome = scalar_lm_rows(phi, seeds, opts)
         assert np.array_equal(outcome, want_outcome)
         assert np.abs(pts - want).max() <= 1e-8
+
+    def test_overflowing_norms_end_as_non_finite_steps(self):
+        # f = 1e160 |x|^2 / 2: ||Phi||, J^T J and J^T Phi overflow at every
+        # seed, so every step is non-finite, with no floating-point warning
+        s, _ = demo_phi("circle-m1")
+        phi = build_phi(companion_map(s.form),
+                        ScalarField.parse("1e160 * (x1^2 + x2^2) / 2", 2),
+                        s.F, s.side)
+        seeds = locus.box_halton(s.box_array(), 20, s.options.rng_seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pts, outcome = solve_from_seed(phi, seeds, s.options)
+        assert outcome.tolist() == ["non-finite step"] * 20
+        assert np.array_equal(pts, seeds)
+
+    def test_overflowing_products_are_not_finite(self):
+        # Phi = -C F and DPhi = -C DF with C = Q^T, Q = [[1, 1], [0, 1]]:
+        # the second component of C F (2e308 sin x1) overflows near
+        # x1 = pi/2 and that of C DF (2e308 cos x1) near x1 = 0
+        pair = companion_map(make_form(np.array([[1.0, 1.0], [0.0, 1.0]])))
+        phi = build_phi(pair, ScalarField.parse("0", 2), VectorField.parse(
+            ["1e308 * sin(x1)", "1e308 * sin(x1)"], 2), "left")
+        X = np.array([[0.785, 0.0], [0.0, 0.0], [1.5708, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r, J = phi.dphi(X)
+            assert np.array_equal(phi.phi(X), r, equal_nan=True)
+        assert np.all(np.isfinite(r[[0, 1]])) and not np.isfinite(r[2]).all()
+        assert np.all(np.isfinite(J[[0, 2]])) and not np.isfinite(J[1]).all()
+        alone_r, alone_J = phi.dphi(X[:1])
+        assert np.array_equal(alone_r[0], r[0])
+        assert np.array_equal(alone_J[0], J[0])
 
 
 class TestSampleLocus:
@@ -783,6 +817,32 @@ class TestBoxCounting:
         pts = np.random.default_rng(57).uniform(size=(60, 2))
         with pytest.raises(ValueError):
             box_counting_dimension(pts, scales=[0.5, 0.0])
+
+    def test_diameter_is_finite_when_the_diagonal_is(self):
+        rng = np.random.default_rng(61)
+        for n in (1, 2, 5):
+            lo, hi = rng.normal(size=(2, n)) * 10.0 ** rng.integers(-5, 5, n)
+            assert locus.box_diameter(lo, hi) == float(
+                np.linalg.norm(hi - lo))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge = locus.box_diameter([0.0, 0.0], [1e200, 1.0])
+            assert huge == 1e200
+            assert locus.box_diameter([0.0, 0.0], [1e200, 1e200]) == \
+                pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
+            assert locus.box_diameter([-1e308], [1e308]) == np.inf
+
+    def test_points_whose_diameter_overflows(self):
+        # the squared widths of a cloud up to 1e200 overflow; its ladder
+        # starts at a quarter of its diameter, as any cloud's does
+        pts = np.random.default_rng(62).uniform(size=(60, 2)) * [1e200, 1.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = box_counting_dimension(pts)
+        diam = np.ptp(pts[:, 0]) * np.hypot(1.0, np.ptp(pts[:, 1])
+                                             / np.ptp(pts[:, 0]))
+        assert est.scales[0] == pytest.approx(diam / 4.0, rel=1e-15)
+        assert np.isfinite(est.estimate) and np.isfinite(est.fit_r2)
 
 
 class TestHalton:

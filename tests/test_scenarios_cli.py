@@ -181,6 +181,9 @@ class TestScenarioValidation:
             scenario_from_dict(circle_dict(box=[[-1, 1], [2, -2]]))
         with pytest.raises(ScenarioError, match="box:"):
             scenario_from_dict(circle_dict(box=[[-1, 1]]))
+        # lo < hi, both finite, but hi - lo overflows
+        with pytest.raises(ScenarioError, match=r"box\[0\]: need finite"):
+            scenario_from_dict(circle_dict(box=[[-1e308, 1e308], [0, 1]]))
 
     def test_bad_side(self):
         with pytest.raises(ScenarioError, match="side"):
@@ -762,6 +765,8 @@ CIRCLE_CSV = "x1,x2\n" + "".join(f"{np.cos(t)},{np.sin(t)}\n" for t in
 MALFORMED = [
     pytest.param(circle_dict(box=[{}, [-2, 2]]), None, "box[0]", "out",
                  id="box-pair-object"),
+    pytest.param(circle_dict(box=[[-1e308, 1e308], [0, 1]]), None, "box[0]",
+                 "out", id="box-width-overflows"),
     pytest.param(circle_dict(structure={"kind": "general", "Q": {"a": 1}}),
                  None, "structure.Q", "out", id="q-object"),
     pytest.param(b"\x80\x81{}", None, "scenario file", "out",
@@ -843,6 +848,25 @@ def test_overflowing_csv_row_gets_nan_gamma_columns(tmp_path):
     assert rows[2] == alone[1]
 
 
+def test_locus_and_dimension_of_a_box_whose_squared_width_overflows(
+        tmp_path):
+    # the diameter of [0, 1e200] x [0, 1] is finite, its squared entries
+    # and the squared dedup radius are not
+    scenario_path, csv_path = write_inputs(tmp_path, circle_dict(
+        F=["x1 * x2", "x2"], box=[[0.0, 1e200], [0.0, 1.0]]),
+        b"x1,x2\n" + b"".join(f"{a!r},{b!r}\n".encode() for a, b in (
+            np.random.default_rng(63).uniform(size=(60, 2))
+            * [1e200, 1.0]).tolist()))
+    done = run_cli("locus", "--points", "50", "--scenario", scenario_path,
+                   "--out", str(tmp_path / "locus"), PYTHONWARNINGS="error")
+    assert (done.returncode, done.stderr) == (0, "")
+    done = run_cli("dimension", csv_path, "--out", str(tmp_path / "dim"))
+    assert (done.returncode, done.stderr) == (0, "")
+    report = read_json(tmp_path / "dim/dimension.json")
+    assert report["points"] == 60
+    assert all(np.isfinite([*report["scales"], report["dimension_estimate"]]))
+
+
 def test_check_of_overflowing_points_exits_two_without_traceback(tmp_path):
     scenario_path, _ = write_inputs(tmp_path, circle_dict(
         F=["x1 * x2", "x2"], box=[[0.0, 1e200], [0.0, 1.0]]), None)
@@ -877,6 +901,42 @@ def test_check_leaves_overflowing_points_out(tmp_path):
     # |Gamma| / scale = 1 / sqrt(1 + x2^2 + exp(-2 x1)) on the others
     assert report["obstruction"]["decisive_nonzero_points"] == \
         50 - overflowing
+
+
+def test_check_leaves_undefined_and_overflowing_points_out(tmp_path,
+                                                          monkeypatch):
+    # F = (log(x1) + x2, exp(x2)) is undefined where x1 <= 0, and
+    # ||DF||_F^2 = x1^-2 + 1 + exp(2 x2) overflows from x2 = 354.9; one
+    # chunk holds points of both kinds, and so does each of the chunks
+    # of 37 points, which must give the same report
+    spec = circle_dict(F=["log(x1) + x2", "exp(x2)"],
+                       box=[[-1.0, 1.0], [300.0, 400.0]])
+    scenario_path, _ = write_inputs(tmp_path, spec, None)
+    done = run_cli("check", "--points", "200", "--scenario", scenario_path,
+                   "--out", str(tmp_path / "out"), PYTHONWARNINGS="error")
+    assert (done.returncode, done.stderr) == (0, "")
+
+    def reject(constant):
+        raise ValueError(f"check.json holds {constant}")
+
+    text = (tmp_path / "out/check.json").read_text()
+    report = json.loads(text, parse_constant=reject)
+    x1, x2 = box_halton(spec["box"], 200, spec["rng_seed"]).T
+    undefined = x1 <= 0
+    log_norm_sq = np.logaddexp(2 * x2, np.log1p(1 / np.where(
+        undefined, 1.0, x1) ** 2))
+    overflowing = ~undefined & (log_norm_sq > np.log(np.finfo(float).max))
+    assert undefined.any() and overflowing.any()
+    excluded = int(np.count_nonzero(undefined | overflowing))
+    assert report["domain_excluded"] == excluded
+    assert report["equivalence_probe"]["points"] == 200 - excluded
+
+    monkeypatch.setattr(cli, "CHECK_STACK_BYTES", 37 * 8 * 2 ** 2)
+    assert main(["check", "--points", "200", "--scenario", scenario_path,
+                 "--out", str(tmp_path / "chunked")]) == 0
+    chunked = (tmp_path / "chunked/check.json").read_text()
+    assert ([line for line in chunked.splitlines() if "generated_at" not in line]
+            == [line for line in text.splitlines() if "generated_at" not in line])
 
 
 def write_inputs(tmp_path, scenario, points):
