@@ -30,9 +30,8 @@ are checked by ``LocusOptions``, and a bad one exits 2 with one error
 line.  A CSV file is read inside ``errors.reading``, so one that cannot
 be read or parsed fails as ``csv: ...``, and an ``--out`` directory
 that cannot be made or written fails as ``out: ...``.  ``main`` is the
-only writer of ``gradlocus: error:`` lines: every ``GradlocusError``,
-and a ``RecursionError`` from an expression evaluated too deep in the
-stack, exits 2 with one line.
+only writer of ``gradlocus: error:`` lines: every ``GradlocusError``
+exits 2 with one line.
 """
 
 from __future__ import annotations
@@ -425,10 +424,7 @@ def main(argv=None) -> int:
         if args.command == "locus":
             return cmd_locus(scenario, args.out or Path("."))
         return cmd_charts(args.csv, scenario, args.out)
-    except (GradlocusError, RecursionError) as exc:
-        # RecursionError: the load-time depth bound assumes main runs near
-        # the bottom of the stack; called from deep inside another
-        # program, an expression that loaded can still overflow
+    except GradlocusError as exc:
         sys.stderr.write(f"gradlocus: error: {exc}\n")
         return EXIT_ERROR
 

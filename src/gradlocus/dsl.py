@@ -11,7 +11,12 @@ Grammar (standard precedence, highest first: ``^``, unary ``-``,
     func   := 'sin' | 'cos' | 'exp' | 'log'
 
 Unary minus is parsed as ``'-' factor`` so that the exponent binds
-tighter (``-x1^2`` means ``-(x1^2)``).  Derivatives are propagated
+tighter (``-x1^2`` means ``-(x1^2)``).  Each walk of a tree (evaluation,
+printing, ``max_var_index`` and ``differentiate``) is one loop over
+``Expr.postorder`` with a stack of operand results, so a tree of any
+depth walks; only the parser recurses, once per level of parenthesis
+or unary-minus nesting, and a nesting deeper than the interpreter's
+recursion limit fails there.  Derivatives are propagated
 through the tree in forward mode with one jet type, a truncated Taylor
 value of order 1 (gradients and Jacobians) or 2 (Hessians) in the
 variables it depends on, so they are exact up to rounding; ``gradient``
@@ -44,7 +49,21 @@ class Expr:
     from the node constructors below, such as ``Add(Var(1), Const(2.0))``."""
 
     def __str__(self):
-        return _fmt(self)[0]
+        return _fmt(self)
+
+    @functools.cached_property
+    def postorder(self) -> list:
+        """The nodes of the tree, each after its operands and a left
+        operand before a right one: the one order every walk loops over
+        (Griewank & Walther, *Evaluating Derivatives*, 2008, ch. 2),
+        built without recursion once per tree."""
+        order, todo = [], [self]
+        while todo:  # root, right, left: the postorder reversed
+            e = todo.pop()
+            order.append(e)
+            todo += _operands(e)
+        order.reverse()
+        return order
 
 
 @dataclass(frozen=True)
@@ -98,74 +117,58 @@ class Call(Expr):
     arg: Expr
 
 
+def _operands(e: Expr) -> tuple:
+    """The operands of a node, left before right."""
+    t = type(e)
+    if t is Const or t is Var:
+        return ()
+    if t is Neg or t is Call:
+        return (e.arg,)
+    if t is Pow:
+        return (e.base,)
+    return (e.lhs, e.rhs)
+
+
 def max_var_index(expr: Expr) -> int:
     """Largest variable index appearing in the tree (0 if none)."""
-    if isinstance(expr, Var):
-        return expr.index
-    if isinstance(expr, (Const,)):
-        return 0
-    if isinstance(expr, Neg):
-        return max_var_index(expr.arg)
-    if isinstance(expr, Pow):
-        return max_var_index(expr.base)
-    if isinstance(expr, Call):
-        return max_var_index(expr.arg)
-    return max(max_var_index(expr.lhs), max_var_index(expr.rhs))
-
-
-def depth(expr: Expr) -> int:
-    """Levels of the tree, 1 for a leaf, counted without recursion."""
-    deepest, todo = 0, [(expr, 1)]
-    while todo:
-        e, level = todo.pop()
-        deepest = max(deepest, level)
-        if isinstance(e, (Neg, Call)):
-            todo.append((e.arg, level + 1))
-        elif isinstance(e, Pow):
-            todo.append((e.base, level + 1))
-        elif not isinstance(e, (Const, Var)):
-            todo += [(e.lhs, level + 1), (e.rhs, level + 1)]
-    return deepest
+    return max((e.index for e in expr.postorder if type(e) is Var),
+               default=0)
 
 
 # ---------------------------------------------------------------------------
 # Printing (round-trips through the parser)
 
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
+_BINARY = {Add: ("+", _PREC_ADD), Sub: ("-", _PREC_ADD),
+           Mul: ("*", _PREC_MUL), Div: ("/", _PREC_MUL)}
 
 
-def _fmt(e: Expr) -> tuple[str, int]:
-    if isinstance(e, Const):
-        return repr(e.value), _PREC_ATOM if e.value >= 0 else _PREC_NEG
-    if isinstance(e, Var):
-        return f"x{e.index}", _PREC_ATOM
-    if isinstance(e, Call):
-        return f"{e.func}({_fmt(e.arg)[0]})", _PREC_ATOM
-    if isinstance(e, Neg):
-        t, p = _fmt(e.arg)
-        if p < _PREC_NEG:
-            t = f"({t})"
-        return f"-{t}", _PREC_NEG
-    if isinstance(e, Pow):
-        t, p = _fmt(e.base)
-        if p < _PREC_ATOM:
-            t = f"({t})"
-        return f"{t}^{e.exponent}", _PREC_POW
-    if isinstance(e, (Add, Sub)):
-        op = "+" if isinstance(e, Add) else "-"
-        my = _PREC_ADD
-    elif isinstance(e, (Mul, Div)):
-        op = "*" if isinstance(e, Mul) else "/"
-        my = _PREC_MUL
-    else:  # pragma: no cover
-        raise TypeError(f"unknown node {e!r}")
-    lt, lp = _fmt(e.lhs)
-    rt, rp = _fmt(e.rhs)
-    if lp < my:
-        lt = f"({lt})"
-    if rp <= my:  # left-associative grammar
-        rt = f"({rt})"
-    return f"{lt} {op} {rt}", my
+def _fmt(expr: Expr) -> str:
+    """The text of the tree, with the parentheses the grammar needs."""
+    stack = []  # (text, precedence) of each operand not yet consumed
+    for e in expr.postorder:
+        t = type(e)
+        if t is Const:
+            stack.append((repr(e.value),
+                          _PREC_ATOM if e.value >= 0 else _PREC_NEG))
+        elif t is Var:
+            stack.append((f"x{e.index}", _PREC_ATOM))
+        elif t is Call:
+            stack.append((f"{e.func}({stack.pop()[0]})", _PREC_ATOM))
+        elif t is Neg:
+            a, p = stack.pop()
+            stack.append((f"-({a})" if p < _PREC_NEG else f"-{a}", _PREC_NEG))
+        elif t is Pow:
+            a, p = stack.pop()
+            a = f"({a})" if p < _PREC_ATOM else a
+            stack.append((f"{a}^{e.exponent}", _PREC_POW))
+        else:
+            op, my = _BINARY[t]
+            (rt, rp), (lt, lp) = stack.pop(), stack.pop()
+            lt = f"({lt})" if lp < my else lt
+            rt = f"({rt})" if rp <= my else rt  # left-associative grammar
+            stack.append((f"{lt} {op} {rt}", my))
+    return stack[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -512,43 +515,48 @@ def _raw(v):
 
 def _eval(expr, seeds, flags: list):
     """Value of the tree on the seeds, plain arrays or jets (any type
-    with a ``val`` and Jet's rules); the rows in flags are meaningless."""
-    t = type(expr)
-    if t is Const:  # a numpy scalar divides by 0 without a Python error
-        return np.float64(expr.value)
-    if t is Var:
-        if expr.index > len(seeds):
-            raise DimensionMismatch(
-                f"variable x{expr.index} exceeds dimension {len(seeds)}")
-        return seeds[expr.index - 1]
-    if t is Add:
-        return _eval(expr.lhs, seeds, flags) + _eval(expr.rhs, seeds, flags)
-    if t is Sub:
-        return _eval(expr.lhs, seeds, flags) - _eval(expr.rhs, seeds, flags)
-    if t is Mul:
-        return _eval(expr.lhs, seeds, flags) * _eval(expr.rhs, seeds, flags)
-    if t is Neg:
-        return -_eval(expr.arg, seeds, flags)
-    # the explicit checks catch undefined points whose value is finite,
-    # such as exp(-1/x1^2) or (1/x1)^0 at x1 = 0
-    if t is Div:
-        num = _eval(expr.lhs, seeds, flags)
-        den = _eval(expr.rhs, seeds, flags)
-        _flag(_raw(den) == 0.0, flags)
-        return num / den
-    if t is Pow:
-        base = _eval(expr.base, seeds, flags)
-        if expr.exponent < 0:
-            _flag(_raw(base) == 0.0, flags)
-        return base ** expr.exponent
-    if t is Call:
-        arg = _eval(expr.arg, seeds, flags)
-        if expr.func == "log":
-            _flag(_raw(arg) <= 0.0, flags)
-        if hasattr(arg, "val"):
-            return getattr(arg, expr.func)()
-        return getattr(np, expr.func)(arg)
-    raise TypeError(f"unknown node {expr!r}")  # pragma: no cover
+    with a ``val`` and Jet's rules); the rows in flags are meaningless.
+    One loop over the postorder with a stack of operand values: a
+    binary node pops its left operand (``pop(-2)``) before its right
+    one, so each operation runs in the order of a recursive walk and no
+    operand outlives the operation that uses it."""
+    stack = []
+    for e in expr.postorder:
+        t = type(e)
+        if t is Var:
+            try:
+                stack.append(seeds[e.index - 1])
+            except IndexError:
+                raise DimensionMismatch(f"variable x{e.index} exceeds "
+                                        f"dimension {len(seeds)}") from None
+        # the explicit checks catch undefined points whose value is finite,
+        # such as exp(-1/x1^2) or (1/x1)^0 at x1 = 0
+        elif t is Pow:
+            if e.exponent < 0:
+                _flag(_raw(stack[-1]) == 0.0, flags)
+            stack.append(stack.pop() ** e.exponent)
+        elif t is Add:
+            stack.append(stack.pop(-2) + stack.pop())
+        elif t is Const:  # a numpy scalar divides by 0 without a Python error
+            stack.append(np.float64(e.value))
+        elif t is Sub:
+            stack.append(stack.pop(-2) - stack.pop())
+        elif t is Mul:
+            stack.append(stack.pop(-2) * stack.pop())
+        elif t is Div:
+            _flag(_raw(stack[-1]) == 0.0, flags)
+            stack.append(stack.pop(-2) / stack.pop())
+        elif t is Neg:
+            stack.append(-stack.pop())
+        elif t is Call:
+            if e.func == "log":
+                _flag(_raw(stack[-1]) <= 0.0, flags)
+            arg = stack.pop()
+            stack.append(getattr(arg, e.func)() if hasattr(arg, "val")
+                         else getattr(np, e.func)(arg))
+        else:  # pragma: no cover
+            raise TypeError(f"unknown node {e!r}")
+    return stack[0]
 
 
 def _as_batch(x):
@@ -700,39 +708,41 @@ def differentiate(expr: Expr, var_index: int) -> Expr:
     """Symbolic partial derivative with respect to x{var_index}."""
     if var_index < 1:
         raise ValueError("variable indices are 1-based")
-    d = lambda e: differentiate(e, var_index)  # noqa: E731
-    if isinstance(expr, Const):
-        return Const(0.0)
-    if isinstance(expr, Var):
-        return Const(1.0 if expr.index == var_index else 0.0)
-    if isinstance(expr, Neg):
-        return _neg(d(expr.arg))
-    if isinstance(expr, Add):
-        return _add(d(expr.lhs), d(expr.rhs))
-    if isinstance(expr, Sub):
-        return _sub(d(expr.lhs), d(expr.rhs))
-    if isinstance(expr, Mul):
-        return _add(_mul(d(expr.lhs), expr.rhs), _mul(expr.lhs, d(expr.rhs)))
-    if isinstance(expr, Div):
-        return _div(
-            _sub(_mul(d(expr.lhs), expr.rhs), _mul(expr.lhs, d(expr.rhs))),
-            _pow(expr.rhs, 2),
-        )
-    if isinstance(expr, Pow):
-        if expr.exponent == 0:
-            return Const(0.0)
-        return _mul(
-            _mul(_const(expr.exponent), _pow(expr.base, expr.exponent - 1)),
-            d(expr.base),
-        )
-    if isinstance(expr, Call):
-        u, du = expr.arg, d(expr.arg)
-        if expr.func == "sin":
-            return _mul(Call("cos", u), du)
-        if expr.func == "cos":
-            return _neg(_mul(Call("sin", u), du))
-        if expr.func == "exp":
-            return _mul(Call("exp", u), du)
-        if expr.func == "log":
-            return _div(du, u)
-    raise TypeError(f"unknown node {expr!r}")  # pragma: no cover
+    stack = []  # the derivative of each operand not yet consumed
+    for e in expr.postorder:
+        t = type(e)
+        if t is Const:
+            d = Const(0.0)
+        elif t is Var:
+            d = Const(1.0 if e.index == var_index else 0.0)
+        elif t is Neg:
+            d = _neg(stack.pop())
+        elif t is Pow:
+            db = stack.pop()
+            d = Const(0.0) if e.exponent == 0 else _mul(
+                _mul(_const(e.exponent), _pow(e.base, e.exponent - 1)), db)
+        elif t is Call:
+            u, du = e.arg, stack.pop()
+            if e.func == "sin":
+                d = _mul(Call("cos", u), du)
+            elif e.func == "cos":
+                d = _neg(_mul(Call("sin", u), du))
+            elif e.func == "exp":
+                d = _mul(Call("exp", u), du)
+            elif e.func == "log":
+                d = _div(du, u)
+            else:  # pragma: no cover
+                raise TypeError(f"unknown function {e.func!r}")
+        else:
+            dr, dl = stack.pop(), stack.pop()
+            if t is Add:
+                d = _add(dl, dr)
+            elif t is Sub:
+                d = _sub(dl, dr)
+            elif t is Mul:
+                d = _add(_mul(dl, e.rhs), _mul(e.lhs, dr))
+            else:  # Div
+                d = _div(_sub(_mul(dl, e.rhs), _mul(e.lhs, dr)),
+                         _pow(e.rhs, 2))
+        stack.append(d)
+    return stack[0]

@@ -64,7 +64,8 @@ class ScenarioError(GradlocusError):
 
 # The failures bad outside input causes, and the only list of them:
 # ValueError covers UnicodeDecodeError and json.JSONDecodeError, and
-# RecursionError is an expression nested deeper than the stack allows.
+# RecursionError is parenthesis or unary-minus nesting deeper than the
+# recursive-descent parser's stack allows.
 _BAD_INPUT = (GradlocusError, ValueError, TypeError, KeyError, IndexError,
               OSError, RecursionError, csv.Error)
 

@@ -363,8 +363,11 @@ def _box_array(box, dim: int) -> np.ndarray:
     b = np.asarray(box, dtype=float)
     if b.shape != (dim, 2):
         raise DimensionMismatch(f"box must have shape ({dim}, 2), got {b.shape}")
-    if not np.all(b[:, 0] < b[:, 1]):
-        raise ValueError("box intervals must satisfy lo < hi")
+    # hi - lo is finite exactly when lo and hi are and it does not overflow
+    with np.errstate(over="ignore"):
+        if not np.all((b[:, 0] < b[:, 1]) & np.isfinite(b[:, 1] - b[:, 0])):
+            raise ValueError("box intervals must satisfy lo < hi with a "
+                             "finite hi - lo")
     return b
 
 
@@ -621,7 +624,8 @@ def box_counting_dimension(points, scales=None) -> DimensionEstimate:
     degenerate (fewer than 10 boxes) carry no slope information at
     finite sample size and are excluded from the fit whenever at least
     two informative scales remain.  Fewer than MIN_DIMENSION_POINTS
-    points raise TooFewPoints.
+    points raise TooFewPoints, and a cloud whose extent hi - lo is not
+    finite raises GradlocusError.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
@@ -631,6 +635,9 @@ def box_counting_dimension(points, scales=None) -> DimensionEstimate:
                            f"got {pts.shape[0]}")
     lo = pts.min(axis=0)
     diam = box_diameter(lo, pts.max(axis=0))
+    if not math.isfinite(diam):  # exactly when hi - lo is not finite
+        raise GradlocusError("the extent hi - lo of the point cloud "
+                             "is not finite")
     if scales is None:
         if diam == 0.0:
             return DimensionEstimate(estimate=0.0, fit_r2=1.0, scales=(),

@@ -25,9 +25,7 @@ be an object; rng_seed and the tolerances are kept in
 checked by ``LocusOptions``; a bad one fails as ``tolerances.<key>``
 (or ``rng_seed``).  The file and the fields ``structure.Q``, ``f``,
 ``F[i]`` and ``box[i]`` are read inside ``errors.reading``, so a
-failure to read any of them is a ``ScenarioError`` that names it; so
-is an expression nested deeper than every command can evaluate (see
-``EVAL_FRAMES``), which makes a scenario that loads one that runs.  Three
+failure to read any of them is a ``ScenarioError`` that names it.  Three
 demos ship built in: ``circle-m1`` (Euclidean plane, locus = unit
 circle plus the origin), ``plane-m2`` (symplectic R^4, locus = the
 x3 = x4 = 0 plane) and ``minkowski-grad`` (an exact pseudo-Euclidean
@@ -38,7 +36,6 @@ identically).
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,13 +47,6 @@ from .geometry import (BilinearForm, make_form, minkowski, pseudo_euclidean,
                        standard_euclidean, standard_symplectic)
 from .locus import _PRIMES, LocusOptions
 
-# frames an evaluation needs beyond one per tree level: the command's calls
-# down to dsl._eval and the jet rules.  Measured under python -m
-# gradlocus.cli with the deepest node adding two different variables, so
-# that its rule widens a jet: locus, the deepest, needs 19 for f (the
-# solver's PhiSystem.dphi and ScalarField.hessian; 16 when no rule widens),
-# charts 18 and check 15 for F (VectorField.jacobian); 20 leaves one spare
-EVAL_FRAMES = 20
 DEFAULT_N_SEEDS = 500
 DEFAULT_RNG_SEED = 0
 # scenario "tolerances" key -> the LocusOptions field it sets
@@ -128,18 +118,11 @@ def _positive_int(field, value, minimum=1):
 
 
 def _expression(field, text, dim: int) -> dsl.Expr:
-    """The expression ``text`` over x1..xdim, parsed, and no deeper than
-    every command can evaluate: one frame per level for ``dsl._eval``,
-    with EVAL_FRAMES left for the calls above it and the jet rules."""
+    """The expression ``text`` over x1..xdim, parsed."""
     if not isinstance(text, str):
         raise ScenarioError(f"{field}: expected an expression string")
     with reading(field, ScenarioError):
-        expr = ScalarField.parse(text, dim).expr
-    levels, deepest = dsl.depth(expr), sys.getrecursionlimit() - EVAL_FRAMES
-    if levels > deepest:
-        raise ScenarioError(f"{field}: nested {levels} levels deep, more "
-                            f"than the {deepest} that evaluate")
-    return expr
+        return ScalarField.parse(text, dim).expr
 
 
 def scenario_from_dict(d) -> Scenario:

@@ -385,3 +385,39 @@ class TestSymbolic:
         e = parse_expression("x1 + sin(x3) * x2", 3)
         assert max_var_index(e) == 3
         assert max_var_index(Const(1.0)) == 0
+
+
+class TestDeepTrees:
+    def test_postorder_puts_operands_first_and_left_before_right(self):
+        e = Sub(Neg(Var(1)), Mul(Call("sin", Var(2)), Pow(Const(3.0), 2)))
+        assert e.postorder == [
+            Var(1), Neg(Var(1)), Var(2), Call("sin", Var(2)), Const(3.0),
+            Pow(Const(3.0), 2), e.rhs, e]
+
+    def test_a_tree_5000_levels_deep_walks(self):
+        # x1 + x2*x3 + x3^2 - x2 + x1 + ..., 1250 times each, with the
+        # integer closed form 1250 (x1 + x2 x3 + x3^2 - x2)
+        terms = [Var(1), Mul(Var(2), Var(3)), Pow(Var(3), 2), Neg(Var(2))]
+        e = terms[0]
+        for k in range(1, 5000):
+            e = Add(e, terms[k % 4])
+        assert len(e.postorder) == 4999 + 1250 * (1 + 3 + 2 + 2)
+        X = np.array([[1.0, 2.0, 3.0], [-1.0, 0.0, 2.0], [4.0, -3.0, 1.0]])
+        x1, x2, x3 = X.T
+        assert np.array_equal(evaluate(e, X),
+                              1250 * (x1 + x2 * x3 + x3 ** 2 - x2))
+        value, grad, hess = hessian(e, X)
+        assert np.array_equal(value, evaluate(e, X))
+        assert np.array_equal(grad, 1250 * np.stack(
+            [np.ones(3), x3 - 1, x2 + 2 * x3], axis=1))
+        assert np.array_equal(hess, np.broadcast_to(
+            1250.0 * np.array([[0, 0, 0], [0, 0, 1], [0, 1, 2]]), (3, 3, 3)))
+        assert np.array_equal(gradient(e, X)[1], grad)
+        assert max_var_index(e) == 3
+        for i in (1, 2, 3):
+            assert np.array_equal(evaluate(differentiate(e, i), X),
+                                  grad[:, i - 1])
+        # the dataclass __eq__ recurses, so compare the printed trees
+        text = str(e)
+        assert str(parse_expression(text, 3)) == text
+        assert text.startswith("x1 + x2 * x3 + x3^2 + -x2 + x1")

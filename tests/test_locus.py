@@ -409,6 +409,16 @@ class TestSampleLocus:
         monkeypatch.setattr(locus, "solve_from_seed", scalar_lm_rows)
         assert same_table(got, sample_locus(phi, box, 100))
 
+    def test_box_whose_width_overflows_is_refused(self):
+        # lo < hi holds, but hi - lo overflows: no seed could be drawn
+        s, phi = demo_phi("circle-m1")
+        for box in ([[-1e308, 1e308], [0.0, 1.0]], [[0.0, 1.0], [2.0, 1.0]],
+                    [[0.0, np.inf], [0.0, 1.0]]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="lo < hi"):
+                    sample_locus(phi, box, 20, s.options)
+
     def test_seed_changes_output(self):
         s, phi = demo_phi("circle-m1")
         a = sample_locus(phi, s.box_array(), 60, s.options)
@@ -843,6 +853,17 @@ class TestBoxCounting:
                                              / np.ptp(pts[:, 0]))
         assert est.scales[0] == pytest.approx(diam / 4.0, rel=1e-15)
         assert np.isfinite(est.estimate) and np.isfinite(est.fit_r2)
+
+    def test_cloud_whose_extent_overflows_is_refused(self):
+        # x1 alternates between -1.7e308 and 1.7e308, so hi - lo is inf
+        pts = np.column_stack([np.resize([-1.7e308, 1.7e308], 60),
+                               np.arange(60) / 60])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GradlocusError, match="not finite"):
+                box_counting_dimension(pts)
+            with pytest.raises(GradlocusError, match="not finite"):
+                box_counting_dimension(pts, scales=default_scales(1.0))
 
 
 class TestHalton:

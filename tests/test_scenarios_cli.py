@@ -13,12 +13,11 @@ import pytest
 from gradlocus import (LocusOptions, ScenarioError, build_phi,
                        builtin_demos, certify, companion_map, load_scenario,
                        sample_locus, scenario_from_dict, verify_cover)
-from gradlocus import cli, dsl
+from gradlocus import cli
 from gradlocus.cli import main
 from gradlocus.integrability import conditions, distinct_sides
 from gradlocus.locus import CHECK_STACK_BYTES, box_halton, halton_sequence
-from gradlocus.scenarios import (EVAL_FRAMES, scenario_to_dict,
-                                 structure_from_dict)
+from gradlocus.scenarios import scenario_to_dict, structure_from_dict
 
 from oracles import (GENERAL_Q, check_by_side, point_report, sample_rows,
                      write_points_csv)
@@ -753,8 +752,34 @@ class TestCli:
         assert summary["certified_count"] == 0
 
 
+@pytest.mark.parametrize("name, negate", [("plane-m2", True),
+                                           ("circle-m1", False),
+                                           ("minkowski-grad", False)])
+def test_left_locus_is_a_right_locus(tmp_path, name, negate):
+    # left solves grad f = Q^T F and right grad f = Q F: for a skew Q
+    # (plane-m2) the left locus of (f, F) is the right locus of (f, -F),
+    # for a symmetric Q (the others) the right locus of (f, F), bit for bit
+    spec = scenario_to_dict(builtin_demos()[name])
+    assert spec["side"] == "left"
+    right = {**spec, "side": "right",
+             "F": [f"-({c})" for c in spec["F"]] if negate else spec["F"]}
+    (tmp_path / "right.json").write_text(json.dumps(right))
+    assert main(["demo", name, "--out", str(tmp_path / "left")]) == 0
+    assert main(["locus", "--scenario", str(tmp_path / "right.json"),
+                 "--out", str(tmp_path / "right")]) == 0
+    assert (tmp_path / "left/points.csv").read_bytes() == \
+        (tmp_path / "right/points.csv").read_bytes()
+    left, got = (read_json(tmp_path / side / "summary.json")
+                 for side in ("left", "right"))
+    assert (left.pop("side"), got.pop("side")) == ("left", "right")
+    del left["generated_at"], got["generated_at"]
+    assert left == got
+
+
 SRC = Path(__file__).resolve().parents[1] / "src"
-DEEP_SUM = " + ".join(["x1"] * 1000)  # max_var_index recurses once per term
+# x1 + x2 + x1 + ... + x1 in 5000 terms, a tree 5000 levels deep: the
+# parser reads a sum in a loop, and every walk of the tree is one too
+DEEP_SUM = " + ".join(["x1", "x2"] + ["x1"] * 4998)
 
 CIRCLE_CSV = "x1,x2\n" + "".join(f"{np.cos(t)},{np.sin(t)}\n" for t in
                                  np.linspace(0.0, 6.0, 200))
@@ -775,8 +800,6 @@ MALFORMED = [
                  id="csv-not-utf8"),
     pytest.param(circle_dict(), b"x1,x2\n" + b"1" * 131073 + b",1\n", "csv",
                  "out", id="csv-cell-too-long"),
-    pytest.param(circle_dict(F=[DEEP_SUM, "x2"]), None, "F[0]", "out",
-                 id="deep-sum"),
     pytest.param(circle_dict(f="(" * 300 + "x1" + ")" * 300), None, "f",
                  "out", id="deep-parentheses"),
     pytest.param(circle_dict(f="-" * 1500 + "x1"), None, "f", "out",
@@ -865,6 +888,18 @@ def test_locus_and_dimension_of_a_box_whose_squared_width_overflows(
     report = read_json(tmp_path / "dim/dimension.json")
     assert report["points"] == 60
     assert all(np.isfinite([*report["scales"], report["dimension_estimate"]]))
+
+
+def test_dimension_of_a_cloud_whose_extent_overflows_exits_two(tmp_path):
+    # hi - lo of x1 is inf: the fit would fail in LAPACK, which prints to
+    # stdout, so the cloud is refused before it
+    (tmp_path / "far.csv").write_text("x1,x2\n" + "".join(
+        f"{(-1) ** k * 1.7e308!r},{k / 60!r}\n" for k in range(60)))
+    done = run_cli("dimension", str(tmp_path / "far.csv"),
+                   "--out", str(tmp_path / "dim"), PYTHONWARNINGS="error")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == ("gradlocus: error: the extent hi - lo of the "
+                           "point cloud is not finite\n")
 
 
 def test_check_of_overflowing_points_exits_two_without_traceback(tmp_path):
@@ -978,48 +1013,29 @@ def test_deep_expression_within_the_stack_limit_runs(tmp_path):
         assert done.returncode == 0, (argv, done.stderr)
 
 
-def _deep_term(levels):
-    """0 * (x1 + x2 + x1 + ... + x1), a term that adds nothing, whose
-    deepest node adds two different variables, so the jet rules widen a
-    jet there; added to an expression, it makes a tree of ``levels``."""
-    return f"0 * ({' + '.join(['x1', 'x2'] + ['x1'] * (levels - 4))})"
-
-
-def test_expression_depth_is_bounded_at_load(tmp_path):
-    # a loaded expression always evaluates: the deepest tree the bound
-    # admits runs in both verbs, and one level more fails at load.  The
-    # deepest path of locus evaluates f (ScalarField.hessian in the
-    # solver), that of check F (VectorField.jacobian)
-    deepest = sys.getrecursionlimit() - EVAL_FRAMES
+def test_large_expressions_run(tmp_path):
+    # a 5000-term sum that adds nothing, in f (the solver's Hessians in
+    # locus) and in F[0] (the Jacobians of check), loads and runs in both
+    # verbs with the numbers of the scenario without it
     circle = circle_dict(n_seeds=30)
-    for field, levels, code in (("f", deepest, 0), ("f", deepest + 1, 2),
-                                ("F[0]", deepest, 0),
-                                ("F[0]", deepest + 1, 2)):
-        if field == "f":
-            spec = {**circle, "f": f"{circle['f']} + {_deep_term(levels)}"}
-            text = spec["f"]
-        else:
-            F = [f"{circle['F'][0]} + {_deep_term(levels)}", circle["F"][1]]
-            spec, text = {**circle, "F": F}, F[0]
-        assert dsl.depth(dsl.parse_expression(text, 2)) == levels
-        scenario_path, _ = write_inputs(tmp_path, spec, None)
-        for argv in (["check", "--points", "2000"], ["locus"]):
-            done = run_cli(*argv, "--scenario", scenario_path,
-                           "--out", str(tmp_path / argv[0]))
-            assert done.returncode == code, (field, levels, argv,
-                                             done.stderr)
-            if code:
-                assert done.stderr == (
-                    f"gradlocus: error: {field}: nested {levels} levels "
-                    f"deep, more than the {deepest} that evaluate\n")
-
-
-def test_recursion_after_load_exits_two(monkeypatch, tmp_path, capsys):
-    def overflow(*args):
-        raise RecursionError("maximum recursion depth exceeded")
-
-    monkeypatch.setattr("gradlocus.cli.cmd_check", overflow)
-    scenario_path, _ = write_inputs(tmp_path, circle_dict(), None)
-    assert main(["check", "--scenario", scenario_path]) == 2
-    assert capsys.readouterr().err == \
-        "gradlocus: error: maximum recursion depth exceeded\n"
+    zero = f" + 0 * ({DEEP_SUM})"
+    runs = (["check", "--points", "2000"], ["locus"])
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    for argv in runs:
+        assert main([*argv, "--scenario", write_inputs(plain, circle, None)[0],
+                     "--out", str(plain / argv[0])]) == 0
+    for field, big in (("f", {**circle, "f": circle["f"] + zero}),
+                       ("F[0]", {**circle, "F": [circle["F"][0] + zero,
+                                                 circle["F"][1]]})):
+        scenario_path, _ = write_inputs(tmp_path, big, None)
+        for argv in runs:
+            done = run_cli(*argv, "--scenario", scenario_path, "--out",
+                           str(tmp_path / field / argv[0]),
+                           PYTHONWARNINGS="error")
+            assert (done.returncode, done.stderr) == (0, ""), (field, argv)
+        assert (tmp_path / field / "locus/points.csv").read_bytes() == \
+            (plain / "locus/points.csv").read_bytes()
+        report = read_json(tmp_path / field / "check/check.json")
+        assert report == {**read_json(plain / "check/check.json"),
+                          "generated_at": report["generated_at"]}
