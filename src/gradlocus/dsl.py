@@ -11,16 +11,19 @@ Grammar (standard precedence, highest first: ``^``, unary ``-``,
     func   := 'sin' | 'cos' | 'exp' | 'log'
 
 Unary minus is parsed as ``'-' factor`` so that the exponent binds
-tighter (``-x1^2`` means ``-(x1^2)``).  Each walk of a tree (evaluation,
-printing, ``max_var_index`` and ``differentiate``) is one loop over
-``Expr.postorder`` with a stack of operand results, so a tree of any
-depth walks; only the parser recurses, once per level of parenthesis
-or unary-minus nesting, and a nesting deeper than the interpreter's
-recursion limit fails there.  Derivatives are propagated
-through the tree in forward mode with one jet type, a truncated Taylor
-value of order 1 (gradients and Jacobians) or 2 (Hessians) in the
-variables it depends on, so they are exact up to rounding; ``gradient``
-and ``hessian`` return every lower order from the same walk.  Evaluation
+tighter (``-x1^2`` means ``-(x1^2)``).  Each walk of a tree (printing,
+``repr``, equality, hashing, ``max_var_index``, ``differentiate`` and
+compiling) is one loop over ``Expr.postorder``, so a tree of any depth
+walks; only the parser recurses, once per level of parenthesis or
+unary-minus nesting, and a nesting deeper than the interpreter's
+recursion limit fails there.  Evaluation runs a ``Tape``: an expression,
+or the components of a field, compiled once into one list of nodes in
+which equal subtrees are one node, with each node's variables fixed at
+compile time and each result dropped after its last use.  Derivatives
+are propagated in forward mode with one jet, a truncated Taylor value of
+order 1 (gradients and Jacobians) or 2 (Hessians) in the variables a
+node depends on, so they are exact up to rounding; ``gradient`` and
+``hessian`` return every lower order from the same run.  Evaluation
 takes a (B, n) stack of points, and a single point is a stack of one.
 A point is outside the domain where a denominator or a base with a
 negative exponent is zero, a log argument is not positive, or the
@@ -29,9 +32,10 @@ result is not finite: its row comes back all NaN.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
+import operator
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,10 +50,27 @@ FUNCTIONS = ("sin", "cos", "exp", "log")
 
 class Expr:
     """Base expression node.  Trees come from ``parse_expression`` or
-    from the node constructors below, such as ``Add(Var(1), Const(2.0))``."""
+    from the node constructors below, such as ``Add(Var(1), Const(2.0))``.
+    Equality, hashing, printing and ``repr`` are loops over the
+    postorder, so a tree of any depth compares, hashes and prints; two
+    trees are equal when their nodes are, constants by ``==``."""
 
     def __str__(self):
         return _fmt(self)
+
+    def __repr__(self):
+        return _repr(self)
+
+    def __eq__(self, other):
+        if not isinstance(other, Expr):
+            return NotImplemented
+        a, b = self.postorder, other.postorder
+        return len(a) == len(b) and all(
+            type(x) is type(y) and _leaf(x) == _leaf(y)
+            for x, y in zip(a, b))
+
+    def __hash__(self):
+        return hash(tuple((type(e), _leaf(e)) for e in self.postorder))
 
     @functools.cached_property
     def postorder(self) -> list:
@@ -65,53 +86,48 @@ class Expr:
         order.reverse()
         return order
 
+    @functools.cached_property
+    def tape(self) -> "Tape":  # compiled once, for direct dsl calls
+        return Tape(self)
 
-@dataclass(frozen=True)
+
+_node = dataclasses.dataclass(frozen=True, eq=False, repr=False)
+
+
+@_node
 class Const(Expr):
     value: float
 
 
-@dataclass(frozen=True)
+@_node
 class Var(Expr):
     index: int  # 1-based, prints as x{index}
 
 
-@dataclass(frozen=True)
+@_node
 class Neg(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
-class Add(Expr):
+@_node
+class _Binary(Expr):
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(frozen=True)
-class Sub(Expr):
-    lhs: Expr
-    rhs: Expr
+class Add(_Binary): ...  # the binary nodes differ only in type
+class Sub(_Binary): ...
+class Mul(_Binary): ...
+class Div(_Binary): ...
 
 
-@dataclass(frozen=True)
-class Mul(Expr):
-    lhs: Expr
-    rhs: Expr
-
-
-@dataclass(frozen=True)
-class Div(Expr):
-    lhs: Expr
-    rhs: Expr
-
-
-@dataclass(frozen=True)
+@_node
 class Pow(Expr):
     base: Expr
     exponent: int
 
 
-@dataclass(frozen=True)
+@_node
 class Call(Expr):
     func: str
     arg: Expr
@@ -127,6 +143,29 @@ def _operands(e: Expr) -> tuple:
     if t is Pow:
         return (e.base,)
     return (e.lhs, e.rhs)
+
+
+_LEAF = {Const: "value", Var: "index", Pow: "exponent", Call: "func"}
+
+
+def _leaf(e: Expr) -> tuple:
+    """The fields of a node that are not operands."""
+    name = _LEAF.get(type(e))
+    return () if name is None else (getattr(e, name),)
+
+
+def _repr(expr: Expr) -> str:
+    """The constructor text of the tree, ``Add(lhs=Var(index=1), ...)``."""
+    stack = []  # the text of each operand not yet consumed
+    for e in expr.postorder:
+        k = len(_operands(e))
+        ops = iter(stack[len(stack) - k:])
+        del stack[len(stack) - k:]
+        stack.append(f"{type(e).__name__}(" + ", ".join(
+            f"{f.name}={next(ops) if isinstance(v, Expr) else repr(v)}"
+            for f in dataclasses.fields(e)
+            for v in (getattr(e, f.name),)) + ")")
+    return stack[0]
 
 
 def max_var_index(expr: Expr) -> int:
@@ -303,260 +342,258 @@ def parse_expression(text: str, n: int) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Forward-mode values (vectorized over a batch axis)
+# Jet rules.  At order 1 or 2 a node that depends on variables is a jet,
+# a triple (value (B,), gradient (B, k), Hessian (B, k, k) or None at
+# order 1) over the k variables of the node; a node that depends on none
+# is a plain value, as every node is at order 0.  Each rule computes as a
+# dense jet would on operands widened with zeros to the same variables,
+# so each column it keeps is the dense one (Griewank & Walther, 2008,
+# ch. 7), and builds the Hessian from symmetric outer-product pairs.
 
 
 def _outer(g1, g2):
     return g1[:, :, None] * g2[:, None, :]
 
 
-@functools.lru_cache(maxsize=1024)
-def _placement(vars, union):
-    """(rows, cols) of a block over ``vars`` in one over ``union``, as
-    slices where they are contiguous (faster to assign than arrays)."""
-    pos = [union.index(v) for v in vars]
-    if pos[-1] - pos[0] == len(pos) - 1:
-        cols = slice(pos[0], pos[-1] + 1)
-        return cols, cols
-    cols = np.array(pos)
-    return cols[:, None], cols
+def _widen(at, k, x):
+    """The jet x over k variables, a superset of its own, with zero
+    derivatives in the ones it lacks; ``at`` indexes its blocks."""
+    v, g, h = x
+    grad = np.zeros((len(g), k))
+    grad[at[0]] = g
+    if h is None:
+        return v, grad, None
+    hess = np.zeros((len(h), k, k))
+    hess[at[1]] = h
+    return v, grad, hess
 
 
-def _place(block, vars, union, out=None):
-    """A derivative block over ``vars`` (gradients (B, k) or Hessians
-    (B, k, k)) written into its place in ``out``, a zeroed block over the
-    sorted superset ``union`` (a new one when None), which it returns;
-    the block itself when it covers ``union`` and no ``out`` is given."""
-    if out is None and vars == union:
-        return block
-    if out is None:
-        out = np.zeros(block.shape[:1] + (len(union),) * (block.ndim - 1))
-    rows, cols = _placement(vars, union)
-    if block.ndim == 2:
-        out[:, cols] = block
-    else:
-        out[:, rows, cols] = block
-    return out
+def _termwise(op):  # op, + or -, on two jets over the same variables
+    return lambda x, y: (op(x[0], y[0]), op(x[1], y[1]),
+                         None if x[2] is None else op(x[2], y[2]))
 
 
-class Jet:
-    """Truncated Taylor value over a batch, sparse in the variables:
-    ``vars`` is the sorted tuple of the 0-based variables it depends on,
-    and value (B,), gradient (B, k) and, for a second-order jet, Hessian
-    (B, k, k) cover those k variables; ``hess`` is None at order 1.
+def _shift(op):  # op, + or -, on a jet and a plain value
+    return lambda x, c: (op(x[0], c), x[1], x[2])
 
-    A rule on two jets first widens both to the union of their ``vars``
-    with zeros, then computes as a dense jet would, so each column it
-    keeps is the dense one (Griewank & Walther, *Evaluating
-    Derivatives*, 2008, ch. 7).  The Hessian is built from symmetric
-    outer-product pairs, so its skew part is zero up to the exact
-    commutativity of IEEE addition and multiplication.
-    """
 
-    __slots__ = ("val", "grad", "hess", "vars")
+def _scale(op):  # op, * or /, on a jet and a plain value
+    return lambda x, c: (op(x[0], c), op(x[1], c),
+                         None if x[2] is None else op(x[2], c))
 
-    def __init__(self, val, grad, hess=None, *, vars):
-        self.val = val
-        self.grad = grad
-        self.hess = hess
-        self.vars = vars
 
-    def _like(self, val, grad, hess=None):
-        return Jet(val, grad, hess, vars=self.vars)
+def _mul_jj(x, y):
+    (v1, g1, h1), (v2, g2, h2) = x, y
+    grad = v1[:, None] * g2 + v2[:, None] * g1
+    if h1 is None:
+        return v1 * v2, grad, None
+    return v1 * v2, grad, (v1[:, None, None] * h2 + v2[:, None, None] * h1
+                           + _outer(g1, g2) + _outer(g2, g1))
 
-    def _widen(self, union):
-        """This jet over the variables ``union``, a sorted superset of
-        its own, with zero derivatives in the variables it lacks."""
-        if union == self.vars:
-            return self
-        return Jet(self.val, _place(self.grad, self.vars, union),
-                   None if self.hess is None
-                   else _place(self.hess, self.vars, union), vars=union)
 
-    def _union(self, o):
-        """self and o widened to the union of their variables."""
-        if self.vars == o.vars:
-            return self, o
-        union = tuple(sorted({*self.vars, *o.vars}))
-        return self._widen(union), o._widen(union)
+def _div_jj(x, y):
+    (v1, g1, h1), (w, g2, h2) = x, y
+    v = v1 / w
+    g = (g1 - v[:, None] * g2) / w[:, None]
+    if h1 is None:
+        return v, g, None
+    return v, g, ((h1 - v[:, None, None] * h2 - _outer(g, g2) - _outer(g2, g))
+                  / w[:, None, None])
 
-    def __add__(self, o):
-        if isinstance(o, Jet):
-            a, o = self._union(o)
-            return a._like(a.val + o.val, a.grad + o.grad,
-                           None if a.hess is None else a.hess + o.hess)
-        return self._like(self.val + o, self.grad, self.hess)
 
-    __radd__ = __add__
+def _div_cj(c, y):
+    w, g1, h1 = y
+    v = c / w
+    g = -(v / w)[:, None] * g1
+    if h1 is None:
+        return v, g, None
+    return v, g, ((-_outer(g, g1) - _outer(g1, g) - v[:, None, None] * h1)
+                  / w[:, None, None])
 
-    def __sub__(self, o):
-        if isinstance(o, Jet):
-            a, o = self._union(o)
-            return a._like(a.val - o.val, a.grad - o.grad,
-                           None if a.hess is None else a.hess - o.hess)
-        return self._like(self.val - o, self.grad, self.hess)
 
-    def __rsub__(self, o):
-        return -self + o  # o - a == (-a) + o exactly in IEEE arithmetic
+def _neg_j(x):
+    return -x[0], -x[1], None if x[2] is None else -x[2]
 
-    def __neg__(self):
-        return self._like(-self.val, -self.grad,
-                          None if self.hess is None else -self.hess)
 
-    def __mul__(self, o):
-        if not isinstance(o, Jet):
-            return self._like(self.val * o, self.grad * o,
-                              None if self.hess is None else self.hess * o)
-        a, o = self._union(o)
-        v1, v2 = a.val, o.val
-        grad = v1[:, None] * o.grad + v2[:, None] * a.grad
-        if a.hess is None:
-            return a._like(v1 * v2, grad)
-        return a._like(v1 * v2, grad,
-                       v1[:, None, None] * o.hess + v2[:, None, None] * a.hess
-                       + _outer(a.grad, o.grad) + _outer(o.grad, a.grad))
+def _chain(x, v, d1, d2, grad=None):
+    """g(x) for a scalar function g with value v and g' = d1; d2() gives
+    g'' and is called only for a second-order jet."""
+    _, g, h = x
+    if grad is None:
+        grad = d1[:, None] * g
+    if h is None:
+        return v, grad, None
+    return v, grad, (d1[:, None, None] * h
+                     + d2()[:, None, None] * _outer(g, g))
 
-    __rmul__ = __mul__
 
-    def __truediv__(self, o):
-        if not isinstance(o, Jet):
-            return self._like(self.val / o, self.grad / o,
-                              None if self.hess is None else self.hess / o)
-        a, o = self._union(o)
-        w = o.val
-        v = a.val / w
-        g = (a.grad - v[:, None] * o.grad) / w[:, None]
-        if a.hess is None:
-            return a._like(v, g)
-        return a._like(v, g, (a.hess - v[:, None, None] * o.hess
-                              - _outer(g, o.grad) - _outer(o.grad, g))
-                       / w[:, None, None])
+def _pow_j(k: int, x):
+    v, g, h = x
+    if k == 0:
+        return (np.ones_like(v), np.zeros_like(g),
+                None if h is None else np.zeros_like(h))
+    if k == 1:
+        return x
+    if k == 2:  # k * v ** (k - 1) and k * (k - 1) * v ** (k - 2), exactly
+        d1 = 2 * v
+        return v ** 2, d1[:, None] * g, None if h is None else (
+            d1[:, None, None] * h + 2.0 * _outer(g, g))
+    return _chain(x, v ** k, k * v ** (k - 1),
+                  lambda: k * (k - 1) * v ** (k - 2))
 
-    def __rtruediv__(self, o):
-        w = self.val
-        v = o / w
-        g = -(v / w)[:, None] * self.grad
-        if self.hess is None:
-            return self._like(v, g)
-        return self._like(v, g, (-_outer(g, self.grad) - _outer(self.grad, g)
-                                 - v[:, None, None] * self.hess)
-                          / w[:, None, None])
 
-    def __pow__(self, k: int):
-        if k == 0:
-            return self._like(np.ones_like(self.val), np.zeros_like(self.grad),
-                              None if self.hess is None
-                              else np.zeros_like(self.hess))
-        if k == 1:
-            return self
-        return self._chain(self.val ** k, k * self.val ** (k - 1),
-                           lambda: k * (k - 1) * self.val ** (k - 2))
+def _sin_j(x):
+    s, c = np.sin(x[0]), np.cos(x[0])
+    return _chain(x, s, c, lambda: -s)
 
-    def _chain(self, v, d1, d2, grad=None):
-        """g(self) for a scalar function g with value v and g' = d1;
-        d2() gives g'' and is called only for a second-order jet."""
-        if grad is None:
-            grad = d1[:, None] * self.grad
-        if self.hess is None:
-            return self._like(v, grad)
-        return self._like(v, grad, d1[:, None, None] * self.hess
-                          + d2()[:, None, None] * _outer(self.grad, self.grad))
 
-    def sin(self):
-        s, c = np.sin(self.val), np.cos(self.val)
-        return self._chain(s, c, lambda: -s)
+def _cos_j(x):
+    s, c = np.sin(x[0]), np.cos(x[0])
+    return _chain(x, c, -s, lambda: -c)
 
-    def cos(self):
-        s, c = np.sin(self.val), np.cos(self.val)
-        return self._chain(c, -s, lambda: -c)
 
-    def exp(self):
-        e = np.exp(self.val)
-        return self._chain(e, e, lambda: e)
+def _exp_j(x):
+    e = np.exp(x[0])
+    return _chain(x, e, e, lambda: e)
 
-    def log(self):
-        inv = 1.0 / self.val
-        return self._chain(np.log(self.val), inv, lambda: -inv * inv,
-                           grad=self.grad / self.val[:, None])
+
+def _log_j(x):
+    v, g, _ = x
+    inv = 1.0 / v
+    return _chain(x, np.log(v), inv, lambda: -inv * inv, grad=g / v[:, None])
+
+
+# per node type: the rule on plain values, then on a plain value and a
+# jet, on a jet and a plain value, and on two jets (for a unary node, on
+# a jet); c - y is (-y) + c, equal in IEEE arithmetic
+_add_jc, _mul_jc = _shift(operator.add), _scale(operator.mul)
+_RULES = {
+    Add: (operator.add, lambda c, y: _add_jc(y, c), _add_jc,
+          _termwise(operator.add)),
+    Sub: (operator.sub, lambda c, y: _add_jc(_neg_j(y), c),
+          _shift(operator.sub), _termwise(operator.sub)),
+    Mul: (operator.mul, lambda c, y: _mul_jc(y, c), _mul_jc, _mul_jj),
+    Div: (operator.truediv, _div_cj, _scale(operator.truediv), _div_jj),
+    Neg: (operator.neg, _neg_j),
+    "sin": (np.sin, _sin_j), "cos": (np.cos, _cos_j),
+    "exp": (np.exp, _exp_j), "log": (np.log, _log_j),
+}
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Tapes
 
 
-def _flag(undefined, flags: list):
-    """Records the mask ``undefined`` if it holds on any row."""
-    if np.any(undefined):
-        flags.append(undefined)
+@functools.lru_cache(maxsize=1024)
+def _placement(vars, union):
+    """Index tuples of a gradient and of a Hessian block over ``vars`` in
+    one over the sorted superset ``union``, with slices where the block
+    is contiguous (faster to assign than arrays)."""
+    pos = [union.index(v) for v in vars]
+    if pos[-1] - pos[0] == len(pos) - 1:
+        rows = cols = slice(pos[0], pos[-1] + 1)
+    else:
+        cols = np.array(pos)
+        rows = cols[:, None]
+    return (slice(None), cols), (slice(None), rows, cols)
 
 
-def _undefined(flags: list, *checked) -> list:
-    """The masks of flags and of the rows where a checked array is not
-    finite, as a new list."""
-    masks = list(flags)
-    for a in checked:
-        finite = np.isfinite(a)
-        if not finite.all():
-            _flag(~finite.all(axis=tuple(range(1, a.ndim))), masks)
-    return masks
+class Tape:
+    """Roots, one expression or a tuple of components, compiled into one
+    list of nodes, each after its operands, in which equal subtrees are
+    one node (constants equal by their bits, so 0.0 and -0.0 stay apart).
+    Each node's variables, its operands' widenings (shared nodes too) and
+    the results each step uses last are fixed here; a run applies the
+    rules and flags undefined rows for the roots that contain the node."""
+
+    def __init__(self, roots):
+        self.shape = () if isinstance(roots, Expr) else (len(roots),)
+        roots = (roots,) if isinstance(roots, Expr) else tuple(roots)
+        interned, nodes, within, self.roots = {}, [], [], []
+        for r, root in enumerate(roots):
+            stack = []  # the node of each operand not yet consumed
+            for e in root.postorder:
+                k, (arg,), t = len(_operands(e)), _leaf(e) or (None,), type(e)
+                ops = tuple(stack[len(stack) - k:])
+                del stack[len(stack) - k:]
+                key = (t, float(arg).hex() if t is Const else arg, ops)
+                i = interned.setdefault(key, len(nodes))
+                if i == len(nodes):
+                    nodes.append((t, arg, ops))
+                    within.append(0)
+                within[i] |= 1 << r  # bit r: root r contains node i
+                stack.append(i)
+            self.roots += stack
+        self.leaves, self.vars, code = [], [], ([], [])
+        for i, (t, arg, ops) in enumerate(nodes):
+            if not ops:  # (node, 0-based variable or None, constant)
+                self.leaves.append((i, arg - 1 if t is Var else None, arg))
+                self.vars.append((arg - 1,) if t is Var else ())
+                continue
+            vs = [self.vars[o] for o in ops]
+            union = tuple(sorted({*vs[0], *vs[-1]}))
+            self.vars.append(union)
+            mode = (2 * bool(vs[0]) + bool(vs[1]) if len(ops) == 2
+                    else int(bool(vs[0])))
+            rules = ((lambda x, k=arg: x ** k, functools.partial(_pow_j, arg))
+                     if t is Pow else _RULES[arg if t is Call else t])
+            test = None  # an undefined point where test(last operand, 0.0)
+            if t is Div or (t is Pow and arg < 0) or arg == "log":
+                test = (operator.le if t is Call else operator.eq,
+                        [r for r in range(len(roots)) if within[i] >> r & 1])
+            code[0].append((rules[0], i, ops, test))
+            if mode == 3:  # widen each operand over fewer variables, once
+                ops = list(ops)
+                for k, v in enumerate(vs):
+                    key = ("widen", ops[k], union)
+                    if v != union and key not in interned:
+                        interned[key] = len(interned)
+                        code[1].append((functools.partial(
+                            _widen, _placement(v, union), len(union)),
+                            interned[key], (ops[k],), None))
+                    ops[k] = interned.get(key, ops[k])
+            code[1].append((rules[mode], i, tuple(ops), test))
+        self.size = len(interned)
+        self.nvars = max((v + 1 for _, v, _ in self.leaves if v is not None),
+                         default=0)
+        self.code = tuple(self._schedule(c) for c in code)
+
+    def _schedule(self, code):
+        """Steps (rule, node, operands, test of the last operand, results
+        used last and dropped, never a root's)."""
+        last = {o: n for n, (_, _, ops, _) in enumerate(code) for o in ops}
+        gone = [[] for _ in code]
+        for o, n in last.items():
+            if o not in self.roots:
+                gone[n].append(o)
+        return [(*step, tuple(g)) for step, g in zip(code, gone)]
 
 
-def _settle(flags: list, out, *checked):
-    """out with NaN in the rows that are flagged or where a checked array
-    is not finite."""
-    for undefined in _undefined(flags, *checked):
-        out[undefined] = np.nan
-    return out
-
-
-def _raw(v):
-    return getattr(v, "val", v)  # a jet's value; a plain value as it is
-
-
-def _eval(expr, seeds, flags: list):
-    """Value of the tree on the seeds, plain arrays or jets (any type
-    with a ``val`` and Jet's rules); the rows in flags are meaningless.
-    One loop over the postorder with a stack of operand values: a
-    binary node pops its left operand (``pop(-2)``) before its right
-    one, so each operation runs in the order of a recursive walk and no
-    operand outlives the operation that uses it."""
-    stack = []
-    for e in expr.postorder:
-        t = type(e)
-        if t is Var:
-            try:
-                stack.append(seeds[e.index - 1])
-            except IndexError:
-                raise DimensionMismatch(f"variable x{e.index} exceeds "
-                                        f"dimension {len(seeds)}") from None
-        # the explicit checks catch undefined points whose value is finite,
-        # such as exp(-1/x1^2) or (1/x1)^0 at x1 = 0
-        elif t is Pow:
-            if e.exponent < 0:
-                _flag(_raw(stack[-1]) == 0.0, flags)
-            stack.append(stack.pop() ** e.exponent)
-        elif t is Add:
-            stack.append(stack.pop(-2) + stack.pop())
-        elif t is Const:  # a numpy scalar divides by 0 without a Python error
-            stack.append(np.float64(e.value))
-        elif t is Sub:
-            stack.append(stack.pop(-2) - stack.pop())
-        elif t is Mul:
-            stack.append(stack.pop(-2) * stack.pop())
-        elif t is Div:
-            _flag(_raw(stack[-1]) == 0.0, flags)
-            stack.append(stack.pop(-2) / stack.pop())
-        elif t is Neg:
-            stack.append(-stack.pop())
-        elif t is Call:
-            if e.func == "log":
-                _flag(_raw(stack[-1]) <= 0.0, flags)
-            arg = stack.pop()
-            stack.append(getattr(arg, e.func)() if hasattr(arg, "val")
-                         else getattr(np, e.func)(arg))
-        else:  # pragma: no cover
-            raise TypeError(f"unknown node {e!r}")
-    return stack[0]
+def _run(tape: Tape, X, order: int):
+    """Every node on the (B, n) stack X in one loop, plain values at order
+    0 and jets at 1 or 2, each dropped after its last use; returns the
+    results (the roots' remain) and the (rows, roots) of each test that
+    finds undefined points."""
+    B = len(X)
+    ones = np.ones((B, 1))  # shared: no rule writes into a jet's arrays
+    zeros = np.zeros((B, 1, 1)) if order == 2 else None
+    out = [None] * tape.size
+    for i, var, value in tape.leaves:
+        out[i] = (np.float64(value) if var is None else
+                  (X[:, var], ones, zeros) if order else X[:, var])
+    flags = []
+    # the explicit tests catch undefined points whose value is finite,
+    # such as exp(-1/x1^2) or (1/x1)^0 at x1 = 0
+    for rule, i, ops, test, gone in tape.code[order > 0]:
+        x, y = out[ops[0]], out[ops[-1]]
+        if test is not None:
+            if np.any(undefined := test[0](y[0] if type(y) is tuple else y,
+                                           0.0)):
+                flags.append((undefined, test[1]))
+        out[i] = rule(x, y) if len(ops) == 2 else rule(x)
+        for o in gone:
+            out[o] = None
+    return out, flags
 
 
 def _as_batch(x):
@@ -569,59 +606,71 @@ def _as_batch(x):
     return X
 
 
-def evaluate(expr: Expr, x):
-    """Value of the expression on a (B, n) stack: (B,), NaN in the rows
-    outside the domain."""
-    X = _as_batch(x)
-    flags = []
-    with np.errstate(all="ignore"):
-        out = _eval(expr, [X[:, i] for i in range(X.shape[1])], flags)
-    out = np.array(np.broadcast_to(np.asarray(out, dtype=float), (len(X),)))
-    return _settle(flags, out, out)
-
-
-def _jet(expr: Expr, x, order: int, out=None):
-    """Value, gradient and, at order 2, symmetric Hessian of the
-    expression on a (B, n) stack from one jet walk: (value, gradient) or
-    (value, gradient, Hessian), of shapes (B,), (B, n) and (B, n, n).
-    Each is NaN in the rows that are flagged, where the value is not
-    finite, or where the output itself is not (a non-finite Hessian
-    leaves the gradient alone).  The gradient is written into ``out``, a
-    zeroed (B, n) array such as a row block of a Jacobian stack, when
-    one is given."""
+def _derive(expr, x, order: int):
+    """Value and derivatives up to ``order`` from one run: (B,), (B, n) and
+    (B, n, n), with a root axis after B for a tape of components, each
+    NaN in the rows a test flags, where the value is not finite, or where
+    it is not (a non-finite Hessian leaves the gradient alone)."""
+    tape = expr if isinstance(expr, Tape) else expr.tape
     X = _as_batch(x)
     B, n = X.shape
-    ones = np.ones((B, 1))  # shared: no rule writes into a jet's arrays
-    zeros = np.zeros((B, 1, 1)) if order == 2 else None
-    seeds = [Jet(X[:, i], ones, zeros, vars=(i,)) for i in range(n)]
-    flags = []
+    if tape.nvars > n:
+        raise DimensionMismatch(f"variable x{tape.nvars} exceeds "
+                                f"dimension {n}")
     with np.errstate(all="ignore"):
-        top = _eval(expr, seeds, flags)
-    if not isinstance(top, Jet):  # constant expression
-        top = Jet(np.broadcast_to(np.asarray(top, float), (B,)),
-                  np.zeros((B, n)), np.zeros((B, n, n)) if order == 2
-                  else None, vars=tuple(range(n)))
-    flags, every = _undefined(flags, top.val), tuple(range(n))
-    value = _settle(flags, np.array(top.val))
-    grad = _settle(flags, _place(top.grad, top.vars, every, out), top.grad)
-    if order == 1:
-        return value, grad
-    hess = _settle(flags, _place(top.hess, top.vars, every), top.hess)
-    return value, grad, 0.5 * (hess + hess.transpose(0, 2, 1))
+        results, flags = _run(tape, X, order)
+    k, every = len(tape.roots), tuple(range(n))
+    tops = [results[i] for i in tape.roots]
+    # a root's arrays are copied or only read, never settled in place; a
+    # lone root over every variable needs no placing
+    alone = (k == 1 and type(tops[0]) is tuple
+             and len(tape.vars[tape.roots[0]]) == n)
+    outs = [np.empty((B, k))] + [
+        tops[0][d].reshape((B, 1) + (n,) * d) if alone
+        else np.zeros((B, k) + (n,) * d) for d in range(1, order + 1)]
+    for r, (i, top) in enumerate(zip(tape.roots, tops)):
+        jet = type(top) is tuple
+        outs[0][:, r] = top[0] if jet else top
+        for d, at in enumerate(_placement(tape.vars[i], every)[:order]
+                               if jet and not alone else (), 1):
+            outs[d][(slice(None), r) + at[1:]] = top[d]
+    undefined = np.zeros((B, k), bool) if flags else None
+    for mask, roots in flags:
+        undefined[:, roots] |= np.reshape(mask, (-1, 1))
+    for d, out in enumerate(outs):
+        finite, bad = np.isfinite(out), undefined
+        if not finite.all():
+            rows = ~finite.reshape(B, k, -1).all(axis=2)
+            bad = rows if bad is None else bad | rows
+        undefined = bad if d == 0 else undefined
+        if d == 2:
+            out = outs[2] = 0.5 * (out + out.swapaxes(-1, -2))
+        elif d == 1 and alone and bad is not None:
+            out = outs[1] = out.copy()
+        if bad is not None:
+            out[bad] = np.nan
+    outs = [o.reshape((B,) + tape.shape + o.shape[2:]) for o in outs]
+    return tuple(outs) if order else outs[0]
 
 
-def gradient(expr: Expr, x, out=None):
-    """(value, gradient) on a (B, n) stack from one first-order walk:
-    (B,) and (B, n), NaN in the rows outside the domain; the gradient is
-    written into ``out``, a zeroed (B, n) array, when one is given."""
-    return _jet(expr, x, 1, out)
+def evaluate(expr, x):
+    """Value of an expression on a (B, n) stack: (B,), NaN in the rows
+    outside the domain; a tape of k components gives (B, k)."""
+    return _derive(expr, x, 0)
 
 
-def hessian(expr: Expr, x):
+def gradient(expr, x):
+    """(value, gradient) on a (B, n) stack from one first-order run:
+    (B,) and (B, n), NaN in the rows outside the domain; a tape of k
+    components gives (B, k) and the (B, k, n) Jacobian."""
+    return _derive(expr, x, 1)
+
+
+def hessian(expr, x):
     """(value, gradient, Hessian) on a (B, n) stack from one second-order
-    walk: the value and gradient bit for bit those of ``gradient``, and a
+    run: the value and gradient bit for bit those of ``gradient``, and a
     symmetric (B, n, n) Hessian, NaN in the rows outside the domain."""
-    return _jet(expr, x, 2)
+    return _derive(expr, x, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,14 @@ b(grad_L f, v) = df . v and equals Bstar grad f; the right gradient
 satisfies b(v, grad_R f) = df . v and equals B grad f.  For symmetric
 b the two coincide; for skew-symmetric (symplectic) b the left
 gradient is the Hamiltonian field of f and equals minus the right one.
-Each derivative method returns every lower order from one jet walk.
+Each derivative method returns every lower order from one run of the
+field's tape (``dsl.Tape``), compiled once per field: a vector field's
+components are one tape, in which their equal subtrees are one node.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,13 +41,13 @@ class ScalarField:
         return cls(dim=dim, expr=dsl.parse_expression(text, dim))
 
     def value(self, x):
-        return dsl.evaluate(self.expr, _check_point(x, self.dim))
+        return dsl.evaluate(self.expr.tape, _check_point(x, self.dim))
 
     def gradient(self, x):
-        return dsl.gradient(self.expr, _check_point(x, self.dim))
+        return dsl.gradient(self.expr.tape, _check_point(x, self.dim))
 
     def hessian(self, x):
-        return dsl.hessian(self.expr, _check_point(x, self.dim))
+        return dsl.hessian(self.expr.tape, _check_point(x, self.dim))
 
     def gradient_field(self) -> "VectorField":
         """Symbolic gradient as a vector field."""
@@ -74,21 +77,19 @@ class VectorField:
         comps = tuple(dsl.parse_expression(t, dim) for t in texts)
         return cls(dim=dim, components=comps)
 
+    @functools.cached_property
+    def tape(self) -> dsl.Tape:
+        """The components compiled once, as one tape."""
+        return dsl.Tape(self.components)
+
     def value(self, x):
-        """(B, n) -> (B, n)."""
-        x = _check_point(x, self.dim)
-        return np.stack([dsl.evaluate(c, x) for c in self.components], axis=1)
+        """(B, n) -> (B, n), from one run of the tape."""
+        return dsl.evaluate(self.tape, _check_point(x, self.dim))
 
     def jacobian(self, x):
         """(values, DF) with DF[b, i, j] = dF_i/dx_j at row b: (B, n) ->
-        (B, n) and (B, n, n), from one first-order walk per component,
-        which writes its gradient into its row of DF."""
-        x = _check_point(x, self.dim)
-        values = np.empty((len(x), self.dim))
-        DF = np.zeros((len(x), self.dim, self.dim))
-        for i, c in enumerate(self.components):
-            values[:, i] = dsl.gradient(c, x, out=DF[:, i])[0]
-        return values, DF
+        (B, n) and (B, n, n), from one first-order run of the tape."""
+        return dsl.gradient(self.tape, _check_point(x, self.dim))
 
 
 def _check_point(x, dim: int):

@@ -115,7 +115,7 @@ class PhiSystem:
 
     def dphi(self, x):
         """(Phi, DPhi) on a (B, n) stack, (B, n) and (B, n, n), from one
-        jet walk of f and of each component of F; Phi is bit for bit
+        run of f's tape and one of F's; Phi is bit for bit
         phi(x), and each is NaN in the rows where it is undefined; a row
         whose products overflow is not finite, with no warning."""
         _, grad, hess = self.f.hessian(x)
@@ -411,9 +411,11 @@ def chart_memberships(phi: PhiSystem, X, opts: LocusOptions = LocusOptions()):
     A submatrix whose largest singular value is negligible against the
     full Jacobian (below 1e-12 of its spectral norm) is treated as
     zero, with the full Jacobian's scale as rank reference; otherwise
-    the submatrix's own scale is used.  A point where DPhi is undefined
-    lies on no chart.  All binom(2m, m) submatrices of all points go
-    through one stacked SVD, in chunks of at most _CHART_STACK_BYTES.
+    the submatrix's own scale is used.  The spectral norm is computed
+    only at the points where the Frobenius norm, its upper bound, leaves
+    this open for some chart.  A point where DPhi is undefined lies on
+    no chart.  All binom(2m, m) submatrices of all points go through one
+    stacked SVD, in chunks of at most _CHART_STACK_BYTES.
     """
     X = np.asarray(X, dtype=float)
     m = phi.m
@@ -427,9 +429,17 @@ def chart_memberships(phi: PhiSystem, X, opts: LocusOptions = LocusOptions()):
             raise GradlocusError("chart membership requested off the "
                                  f"locus: ||Phi|| = {np.max(res):.3e}")
         J[~np.all(np.isfinite(J), axis=(1, 2))] = 0.0  # undefined: no chart
-        global_s1 = np.linalg.norm(J, 2, axis=(1, 2))[:, None]
         sv = np.linalg.svd(J[:, rows, :], compute_uv=False)
-        ref = np.where(sv[..., 0] > 1e-12 * global_s1, sv[..., 0], global_s1)
+        ref = sv[..., 0].copy()
+        # sigma_1(J) <= ||J||_F, so a row whose every block has sigma_1 above
+        # 2e-12 ||J||_F keeps its own; only the others need the spectral norm
+        with np.errstate(over="ignore"):  # an inf takes the exact path
+            fro = np.linalg.norm(J, axis=(1, 2))[:, None]
+        exact = ~np.all(ref > 2e-12 * fro, axis=1)
+        if exact.any():
+            global_s1 = np.linalg.norm(J[exact], 2, axis=(1, 2))[:, None]
+            ref[exact] = np.where(ref[exact] > 1e-12 * global_s1, ref[exact],
+                                  global_s1)
         members[lo:lo + step] = np.sum(
             sv > opts.tol_rank * ref[..., None], axis=-1) == m
     return members

@@ -5,10 +5,13 @@ library code: wedge signs come from explicit inversion counting on
 index tuples, the antisymmetry 2-vector is accumulated straight from
 its defining sum, and derivatives are approximated with central
 differences; the dense jet carries every derivative over all
-variables, where ``dsl.Jet`` carries only those a value depends on.
+variables, where the sparse ``Jet`` of the reference walk carries only
+those a value depends on, and the reference walk evaluates each
+component's tree on its own, where a ``dsl.Tape`` shares equal subtrees.
 """
 
 import csv
+import functools
 from types import SimpleNamespace
 
 import numpy as np
@@ -430,6 +433,305 @@ def halton_loop(count, dim, shift=None):
 
 
 # ---------------------------------------------------------------------------
+# Per-component reference walk
+
+# The walk that ``dsl`` ran before its tapes: one tree at a time, one
+# ``Jet`` object per node, the union of two operands' variables formed
+# and both widened each time a rule runs, no subtree shared.  The tape
+# applies the same rules operation for operation, so the two agree bit
+# for bit, the sign of zero included.
+
+
+@functools.lru_cache(maxsize=1024)
+def _placement(vars, union):
+    """(rows, cols) of a block over ``vars`` in one over ``union``, as
+    slices where they are contiguous (faster to assign than arrays)."""
+    pos = [union.index(v) for v in vars]
+    if pos[-1] - pos[0] == len(pos) - 1:
+        cols = slice(pos[0], pos[-1] + 1)
+        return cols, cols
+    cols = np.array(pos)
+    return cols[:, None], cols
+
+
+def _place(block, vars, union, out=None):
+    """A derivative block over ``vars`` (gradients (B, k) or Hessians
+    (B, k, k)) written into its place in ``out``, a zeroed block over the
+    sorted superset ``union`` (a new one when None), which it returns;
+    the block itself when it covers ``union`` and no ``out`` is given."""
+    if out is None and vars == union:
+        return block
+    if out is None:
+        out = np.zeros(block.shape[:1] + (len(union),) * (block.ndim - 1))
+    rows, cols = _placement(vars, union)
+    if block.ndim == 2:
+        out[:, cols] = block
+    else:
+        out[:, rows, cols] = block
+    return out
+
+
+class Jet:
+    """Truncated Taylor value over a batch, sparse in the variables:
+    ``vars`` is the sorted tuple of the 0-based variables it depends on,
+    and value (B,), gradient (B, k) and, for a second-order jet, Hessian
+    (B, k, k) cover those k variables; ``hess`` is None at order 1.
+
+    A rule on two jets first widens both to the union of their ``vars``
+    with zeros, then computes as a dense jet would, so each column it
+    keeps is the dense one (Griewank & Walther, *Evaluating
+    Derivatives*, 2008, ch. 7).  The Hessian is built from symmetric
+    outer-product pairs, so its skew part is zero up to the exact
+    commutativity of IEEE addition and multiplication.
+    """
+
+    __slots__ = ("val", "grad", "hess", "vars")
+
+    def __init__(self, val, grad, hess=None, *, vars):
+        self.val = val
+        self.grad = grad
+        self.hess = hess
+        self.vars = vars
+
+    def _like(self, val, grad, hess=None):
+        return Jet(val, grad, hess, vars=self.vars)
+
+    def _widen(self, union):
+        """This jet over the variables ``union``, a sorted superset of
+        its own, with zero derivatives in the variables it lacks."""
+        if union == self.vars:
+            return self
+        return Jet(self.val, _place(self.grad, self.vars, union),
+                   None if self.hess is None
+                   else _place(self.hess, self.vars, union), vars=union)
+
+    def _union(self, o):
+        """self and o widened to the union of their variables."""
+        if self.vars == o.vars:
+            return self, o
+        union = tuple(sorted({*self.vars, *o.vars}))
+        return self._widen(union), o._widen(union)
+
+    def __add__(self, o):
+        if isinstance(o, Jet):
+            a, o = self._union(o)
+            return a._like(a.val + o.val, a.grad + o.grad,
+                           None if a.hess is None else a.hess + o.hess)
+        return self._like(self.val + o, self.grad, self.hess)
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        if isinstance(o, Jet):
+            a, o = self._union(o)
+            return a._like(a.val - o.val, a.grad - o.grad,
+                           None if a.hess is None else a.hess - o.hess)
+        return self._like(self.val - o, self.grad, self.hess)
+
+    def __rsub__(self, o):
+        return -self + o  # o - a == (-a) + o exactly in IEEE arithmetic
+
+    def __neg__(self):
+        return self._like(-self.val, -self.grad,
+                          None if self.hess is None else -self.hess)
+
+    def __mul__(self, o):
+        if not isinstance(o, Jet):
+            return self._like(self.val * o, self.grad * o,
+                              None if self.hess is None else self.hess * o)
+        a, o = self._union(o)
+        v1, v2 = a.val, o.val
+        grad = v1[:, None] * o.grad + v2[:, None] * a.grad
+        if a.hess is None:
+            return a._like(v1 * v2, grad)
+        return a._like(v1 * v2, grad,
+                       v1[:, None, None] * o.hess + v2[:, None, None] * a.hess
+                       + _outer(a.grad, o.grad) + _outer(o.grad, a.grad))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        if not isinstance(o, Jet):
+            return self._like(self.val / o, self.grad / o,
+                              None if self.hess is None else self.hess / o)
+        a, o = self._union(o)
+        w = o.val
+        v = a.val / w
+        g = (a.grad - v[:, None] * o.grad) / w[:, None]
+        if a.hess is None:
+            return a._like(v, g)
+        return a._like(v, g, (a.hess - v[:, None, None] * o.hess
+                              - _outer(g, o.grad) - _outer(o.grad, g))
+                       / w[:, None, None])
+
+    def __rtruediv__(self, o):
+        w = self.val
+        v = o / w
+        g = -(v / w)[:, None] * self.grad
+        if self.hess is None:
+            return self._like(v, g)
+        return self._like(v, g, (-_outer(g, self.grad) - _outer(self.grad, g)
+                                 - v[:, None, None] * self.hess)
+                          / w[:, None, None])
+
+    def __pow__(self, k: int):
+        if k == 0:
+            return self._like(np.ones_like(self.val), np.zeros_like(self.grad),
+                              None if self.hess is None
+                              else np.zeros_like(self.hess))
+        if k == 1:
+            return self
+        return self._chain(self.val ** k, k * self.val ** (k - 1),
+                           lambda: k * (k - 1) * self.val ** (k - 2))
+
+    def _chain(self, v, d1, d2, grad=None):
+        """g(self) for a scalar function g with value v and g' = d1;
+        d2() gives g'' and is called only for a second-order jet."""
+        if grad is None:
+            grad = d1[:, None] * self.grad
+        if self.hess is None:
+            return self._like(v, grad)
+        return self._like(v, grad, d1[:, None, None] * self.hess
+                          + d2()[:, None, None] * _outer(self.grad, self.grad))
+
+    def sin(self):
+        s, c = np.sin(self.val), np.cos(self.val)
+        return self._chain(s, c, lambda: -s)
+
+    def cos(self):
+        s, c = np.sin(self.val), np.cos(self.val)
+        return self._chain(c, -s, lambda: -c)
+
+    def exp(self):
+        e = np.exp(self.val)
+        return self._chain(e, e, lambda: e)
+
+    def log(self):
+        inv = 1.0 / self.val
+        return self._chain(np.log(self.val), inv, lambda: -inv * inv,
+                           grad=self.grad / self.val[:, None])
+
+
+def _flag(undefined, flags: list):
+    """Records the mask ``undefined`` if it holds on any row."""
+    if np.any(undefined):
+        flags.append(undefined)
+
+
+def _undefined(flags: list, *checked) -> list:
+    """The masks of flags and of the rows where a checked array is not
+    finite, as a new list."""
+    masks = list(flags)
+    for a in checked:
+        finite = np.isfinite(a)
+        if not finite.all():
+            _flag(~finite.all(axis=tuple(range(1, a.ndim))), masks)
+    return masks
+
+
+def settle(flags: list, out, *checked):
+    """out with NaN in the rows that are flagged or where a checked array
+    is not finite."""
+    for undefined in _undefined(flags, *checked):
+        out[undefined] = np.nan
+    return out
+
+
+def _raw(v):
+    return getattr(v, "val", v)  # a jet's value; a plain value as it is
+
+
+def walk(expr, seeds, flags: list):
+    """Value of the tree on the seeds, plain arrays or jets (any type
+    with a ``val`` and Jet's rules); the rows in flags are meaningless.
+    One loop over the postorder with a stack of operand values: a
+    binary node pops its left operand (``pop(-2)``) before its right
+    one, so each operation runs in the order of a recursive walk and no
+    operand outlives the operation that uses it."""
+    stack = []
+    for e in expr.postorder:
+        t = type(e)
+        if t is dsl.Var:
+            try:
+                stack.append(seeds[e.index - 1])
+            except IndexError:
+                raise DimensionMismatch(f"variable x{e.index} exceeds "
+                                        f"dimension {len(seeds)}") from None
+        # the explicit checks catch undefined points whose value is finite,
+        # such as exp(-1/x1^2) or (1/x1)^0 at x1 = 0
+        elif t is dsl.Pow:
+            if e.exponent < 0:
+                _flag(_raw(stack[-1]) == 0.0, flags)
+            stack.append(stack.pop() ** e.exponent)
+        elif t is dsl.Add:
+            stack.append(stack.pop(-2) + stack.pop())
+        elif t is dsl.Const:  # a numpy scalar divides by 0 with no error
+            stack.append(np.float64(e.value))
+        elif t is dsl.Sub:
+            stack.append(stack.pop(-2) - stack.pop())
+        elif t is dsl.Mul:
+            stack.append(stack.pop(-2) * stack.pop())
+        elif t is dsl.Div:
+            _flag(_raw(stack[-1]) == 0.0, flags)
+            stack.append(stack.pop(-2) / stack.pop())
+        elif t is dsl.Neg:
+            stack.append(-stack.pop())
+        elif t is dsl.Call:
+            if e.func == "log":
+                _flag(_raw(stack[-1]) <= 0.0, flags)
+            arg = stack.pop()
+            stack.append(getattr(arg, e.func)() if hasattr(arg, "val")
+                         else getattr(np, e.func)(arg))
+    return stack[0]
+
+
+def walk_evaluate(expr, x):
+    """``dsl.evaluate`` of one tree by the reference walk."""
+    X = dsl._as_batch(x)
+    flags = []
+    with np.errstate(all="ignore"):
+        out = walk(expr, [X[:, i] for i in range(X.shape[1])], flags)
+    out = np.array(np.broadcast_to(np.asarray(out, dtype=float), (len(X),)))
+    return settle(flags, out, out)
+
+
+def walk_jet(expr, x, order: int):
+    """``dsl.gradient`` (order 1) or ``dsl.hessian`` (order 2) of one
+    tree by the reference walk, with the same outputs and NaN rows."""
+    X = dsl._as_batch(x)
+    B, n = X.shape
+    ones = np.ones((B, 1))
+    zeros = np.zeros((B, 1, 1)) if order == 2 else None
+    seeds = [Jet(X[:, i], ones, zeros, vars=(i,)) for i in range(n)]
+    flags = []
+    with np.errstate(all="ignore"):
+        top = walk(expr, seeds, flags)
+    if not isinstance(top, Jet):  # constant expression
+        top = Jet(np.broadcast_to(np.asarray(top, float), (B,)),
+                  np.zeros((B, n)), np.zeros((B, n, n)) if order == 2
+                  else None, vars=tuple(range(n)))
+    flags, every = _undefined(flags, top.val), tuple(range(n))
+    value = settle(flags, np.array(top.val))
+    grad = settle(flags, _place(np.array(top.grad), top.vars, every),
+                  top.grad)
+    if order == 1:
+        return value, grad
+    hess = settle(flags, _place(np.array(top.hess), top.vars, every),
+                  top.hess)
+    return value, grad, 0.5 * (hess + hess.transpose(0, 2, 1))
+
+
+def walk_components(components, x, order: int):
+    """``dsl.evaluate`` (order 0), ``gradient`` or ``hessian`` of a tape
+    of components, one reference walk per component, stacked on the
+    component axis."""
+    if order == 0:
+        return np.stack([walk_evaluate(c, x) for c in components], axis=1)
+    parts = [walk_jet(c, x, order) for c in components]
+    return tuple(np.stack(p, axis=1) for p in zip(*parts))
+
+
+# ---------------------------------------------------------------------------
 # Derivative oracles
 
 
@@ -438,7 +740,7 @@ def _outer(g1, g2):
 
 
 class DenseJet:
-    """Jet dense in the variables, the oracle of the sparse ``dsl.Jet``:
+    """Jet dense in the variables, the oracle of the sparse ``Jet``:
     value (B,), gradient (B, n) and, for a second-order jet, Hessian
     (B, n, n) over every variable, whether the value depends on it or
     not; ``hess`` is None for a first-order jet.
@@ -568,13 +870,13 @@ def dense_derivative(expr, X, order):
                               np.zeros((B, n, n)) if order == 2 else None))
     flags = []
     with np.errstate(all="ignore"):
-        out = dsl._eval(expr, seeds, flags)
+        out = walk(expr, seeds, flags)
     if isinstance(out, DenseJet):
         val, top = out.val, out.grad if order == 1 else out.hess
     else:  # constant expression
         val, top = np.asarray(out, float), np.zeros((B,) + (n,) * order)
     top = np.array(top)
-    dsl._settle(flags, top, top, val)
+    settle(flags, top, top, val)
     if order == 2:
         top = 0.5 * (top + top.transpose(0, 2, 1))
     return top

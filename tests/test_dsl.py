@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gradlocus import ParseError, differentiate, parse_expression
-from gradlocus.dsl import (Add, Call, Const, Div, Jet, Mul, Neg, Pow, Sub,
-                           Var, _eval, evaluate, gradient, hessian,
+from gradlocus.dsl import (Add, Call, Const, Div, Mul, Neg, Pow, Sub, Tape,
+                           Var, evaluate, gradient, hessian,
                            linear_combination, max_var_index)
 from gradlocus.fields import ScalarField, VectorField
 from gradlocus.errors import DimensionMismatch
@@ -13,8 +15,9 @@ from gradlocus.integrability import (ProbeReport, equivalence_probe,
                                      residual)
 from gradlocus.locus import build_phi
 
-from oracles import (central_gradient, dense_derivative, random_points,
-                     random_polynomial, random_smooth)
+from oracles import (Jet, central_gradient, dense_derivative, random_points,
+                     random_polynomial, random_smooth, walk, walk_components,
+                     walk_evaluate, walk_jet)
 
 
 class TestParser:
@@ -218,9 +221,6 @@ class TestDerivatives:
                 for a, b in zip(got, want, strict=False):
                     assert np.array_equal(a, b, equal_nan=True), (
                         str(e), order)
-            out = np.zeros((len(X), 3))
-            assert gradient(e, X, out=out)[1] is out
-            assert np.array_equal(out, want[1], equal_nan=True)
         grad, hess = hessian(trees[0], X[:1])[1:]
         assert np.isfinite(grad).all() and np.isnan(hess).all()
 
@@ -235,7 +235,7 @@ class TestDerivatives:
                          vars=(i,)) for i in range(3)]
             flags = []
             with np.errstate(all="ignore"):
-                out = _eval(e, seeds, flags)
+                out = walk(e, seeds, flags)
             if isinstance(out, Jet):
                 defined = np.ones(5, dtype=bool)
                 for undefined in flags:
@@ -387,6 +387,107 @@ class TestSymbolic:
         assert max_var_index(Const(1.0)) == 0
 
 
+def _torus(m):
+    """f and F of the torus-m{m} scenario: m copies of circle-m1, whose
+    components share x_{2i-1}^2 + x_{2i}^2 - 1."""
+    f = " + ".join(f"x{k}^2" for k in range(1, 2 * m + 1))
+    F = []
+    for i in range(m):
+        a, b = f"x{2 * i + 1}", f"x{2 * i + 2}"
+        s = f"({a}^2 + {b}^2 - 1)"
+        F += [f"{a} + {s} * {b}", f"{b} - {s} * {a}"]
+    return f"({f}) / 2", F
+
+
+def _bits_equal(a, b):
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+class TestTape:
+    def test_tape_matches_the_reference_walk(self):
+        # the tape applies the reference walk's rules operation for
+        # operation, so every number keeps its bits, the sign of zero
+        # included: on one tree and on fields whose components share
+        # subtrees, at orders 0, 1 and 2, with rows outside the domain
+        # (xi at 0 and -1, an entry at 1e200) and signed zeros
+        rng = np.random.default_rng(30)
+        for trial in range(60):
+            n = int(rng.integers(1, 5))
+            make = (random_smooth, random_polynomial)[trial % 2]
+            shared, other = make(rng, n), make(rng, n)
+            xi = Var(int(rng.integers(1, n + 1)))
+            comps = (shared, Add(shared, other), Mul(other, shared),
+                     Div(shared, xi), Mul(Call("log", xi), shared),
+                     Add(shared, Pow(Div(Const(1.0), xi), 0)),
+                     Sub(Const(-0.0), Mul(Const(0.0), xi)), Const(-0.0), xi)
+            X = random_points(rng, 7, n)
+            X[:2, xi.index - 1] = [0.0, -1.0]
+            X[2, rng.integers(n)] = 1e200
+            X[3, rng.integers(n)] = -0.0
+            tape = Tape(comps)
+            for order, run in enumerate((evaluate, gradient, hessian)):
+                got, want = run(tape, X), walk_components(comps, X, order)
+                for a, b in zip(got if order else (got,),
+                                want if order else (want,), strict=True):
+                    assert _bits_equal(a, b), (trial, order)
+            for e in comps:
+                assert _bits_equal(evaluate(e, X), walk_evaluate(e, X))
+                for order, run in ((1, gradient), (2, hessian)):
+                    for a, b in zip(run(e, X), walk_jet(e, X, order),
+                                    strict=True):
+                        assert _bits_equal(a, b), (str(e), order)
+
+    def test_equal_subtrees_are_one_node(self):
+        # torus-m2's F has 44 nodes, of which 21 are distinct
+        F = VectorField.parse(_torus(2)[1], 4)
+        assert sum(len(c.postorder) for c in F.components) == 44
+        assert len(F.tape.leaves) + len(F.tape.code[0]) == 21
+        assert F.tape is F.tape
+
+    def test_a_shared_node_flags_only_its_components(self):
+        # 1/x1 is one node, undefined at x1 = 0 in components 1 and 3
+        F = VectorField.parse(["1/x1 + x2", "x2", "x2 * (1/x1)"], 3)
+        X = np.array([[0.0, 2.0, 1.0], [0.5, 2.0, 1.0]])
+        values, DF = F.jacobian(X)
+        for out in (F.value(X), values, DF):
+            assert np.isnan(out[0, [0, 2]]).all()
+            assert np.isfinite(out[0, 1]).all() and np.isfinite(out[1]).all()
+        assert np.array_equal(values[0, 1], 2.0)
+        assert np.array_equal(DF[0, 1], [0.0, 1.0, 0.0])
+
+    def test_signed_zero_constants_stay_apart(self):
+        # 0.0 == -0.0, but their bits differ, so the tape keeps two nodes
+        comps = (Add(Const(0.0), Var(1)), Add(Const(-0.0), Var(1)),
+                 Const(0.0), Const(-0.0))
+        X = np.array([[-0.0], [1.0]])
+        values, grads = gradient(Tape(comps), X)
+        assert np.array_equal(np.signbit(values[0]),
+                              [False, True, False, True])
+        assert np.array_equal(np.signbit(evaluate(Tape(comps), X)),
+                              np.signbit(values))
+        assert not np.signbit(grads).any()
+
+    def test_hessian_peak_memory_is_not_above_the_reference_walk(self):
+        # each node's arrays are dropped after their last use: the peak of
+        # hessian of torus-m4's f on 2048 points is not above the walk's
+        f = parse_expression(_torus(4)[0], 8)
+        X = random_points(np.random.default_rng(31), 2048, 8)
+
+        def peak(call):
+            call()  # warm caches: the tape and the placements
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                call()
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        tape = peak(lambda: hessian(f, X))
+        assert 0 < tape <= peak(lambda: walk_jet(f, X, 2))
+
+
 class TestDeepTrees:
     def test_postorder_puts_operands_first_and_left_before_right(self):
         e = Sub(Neg(Var(1)), Mul(Call("sin", Var(2)), Pow(Const(3.0), 2)))
@@ -417,7 +518,31 @@ class TestDeepTrees:
         for i in (1, 2, 3):
             assert np.array_equal(evaluate(differentiate(e, i), X),
                                   grad[:, i - 1])
-        # the dataclass __eq__ recurses, so compare the printed trees
         text = str(e)
-        assert str(parse_expression(text, 3)) == text
+        assert parse_expression(text, 3) == e
         assert text.startswith("x1 + x2 * x3 + x3^2 + -x2 + x1")
+
+    def test_a_tree_5000_levels_deep_compares_hashes_and_reprs(self):
+        # equality, hashing and repr loop over the postorder: on a sum of
+        # 5000 terms each would overflow the stack if it recursed
+        e = parse_expression(" + ".join(["x1"] * 5000), 1)
+        e2 = parse_expression(" + ".join(["x1"] * 5000), 1)
+        e3 = parse_expression(" + ".join(["x1"] * 4999 + ["x2"]), 2)
+        assert e == e2 and hash(e) == hash(e2) and e != e3
+        assert len({e, e2, e3}) == 2
+        assert repr(e) == repr(e2) != repr(e3)
+        assert repr(e).startswith("Add(lhs=Add(lhs=Add(lhs=")
+        assert repr(e).endswith("rhs=Var(index=1)), rhs=Var(index=1))")
+
+    def test_equality_is_structural(self):
+        # constants compare by ==, so 0.0 equals -0.0, as the dataclass
+        # fields compared; a node of another type never equals one
+        assert Const(0.0) == Const(-0.0)
+        assert hash(Const(0.0)) == hash(Const(-0.0))
+        assert Add(Var(1), Var(2)) != Mul(Var(1), Var(2))
+        assert Add(Var(1), Var(2)) != Add(Var(2), Var(1))
+        assert Pow(Var(1), 2) != Pow(Var(1), 3)
+        assert Call("sin", Var(1)) != Call("cos", Var(1))
+        assert Var(1) != 1 and Var(1) != Const(1.0)
+        assert repr(Pow(Call("sin", Var(1)), -2)) == (
+            "Pow(base=Call(func='sin', arg=Var(index=1)), exponent=-2)")

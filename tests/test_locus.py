@@ -174,7 +174,7 @@ class TestBuildPhi:
         assert np.abs(left.phi(X) - right_neg.phi(X)).max() <= 1e-13
 
     def test_linearise_is_phi_and_dphi(self):
-        # one jet walk per expression gives Phi byte for byte as phi does,
+        # one tape run per field gives Phi byte for byte as phi does,
         # and (Phi, DPhi) as the dense two-walk oracle does, NaN rows
         # included (a zero may differ in sign): the demos, torus-m2, the
         # mixed domain and random trees on Euclidean, symplectic and
