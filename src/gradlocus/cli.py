@@ -17,14 +17,9 @@ The verbs load a scenario, call the library and write files; every
 pointwise rule is the library's (an odd dimension fails in
 ``build_phi``; too few certified samples for ``box_counting_dimension``
 skip the dimension estimate).  ``locus`` exits 0 exactly when
-``verify_cover`` reports ok.  ``check`` evaluates every point, in
-chunks of at most ``CHECK_STACK_BYTES`` per (B, n, n) stack, and keeps
-only per-point numbers across chunks.  Then one rule leaves a point out
-and counts it in ``domain_excluded``: one of its numbers is not finite.
-``residual`` and ``gamma_obstruction`` make every number of a point NaN
-where the field's Jacobian is undefined or a number of N = C DF
-overflows.  The rest are reduced once, so the report does not depend on
-the chunk size.
+``verify_cover`` reports ok.  ``check`` writes the numbers and the
+verdict of ``integrability.check`` with the scenario, the tolerances
+and a note on the gray zone.
 ``--points`` must be at least 1; the ``--tol-*`` values and ``--seed``
 are checked by ``LocusOptions``, and a bad one exits 2 with one error
 line.  A CSV file is read inside ``errors.reading``, so one that cannot
@@ -49,13 +44,10 @@ import numpy as np
 
 from .errors import GradlocusError, TooFewPoints, reading
 from .geometry import companion_map
-from .integrability import (Defect, conditions, decisive, distinct_sides,
-                            equivalence_probe, gamma_obstruction, integrable,
-                            obstruction_matrix, premultiply, residual)
-from .locus import (CHECK_STACK_BYTES, DIMENSION_CAVEAT, MIN_DIMENSION_POINTS,
-                    box_counting_dimension, box_diameter, box_halton,
-                    build_phi, certify, default_scales, sample_locus,
-                    verify_cover)
+from .integrability import GRAY_FACTOR, check
+from .locus import (DIMENSION_CAVEAT, MIN_DIMENSION_POINTS,
+                    box_counting_dimension, box_diameter, build_phi, certify,
+                    default_scales, sample_locus, verify_cover)
 from .scenarios import (TOLERANCE_KEYS, Scenario, builtin_demos,
                         load_scenario, scenario_to_dict)
 
@@ -110,88 +102,19 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
 
 
 def cmd_check(scenario: Scenario, n_points: int, out_dir: Path | None) -> int:
-    pair = companion_map(scenario.form)
-    pts = box_halton(scenario.box_array(), n_points,
-                     scenario.options.rng_seed)
-
-    tol = scenario.options.tol_gamma
-    # every side shares C with left or right: one N = C DF per distinct C
-    # gives that C's defect and, on the side of Phi, the Gamma-power
-    first = distinct_sides(pair, conditions(pair))
-    matrices = {side: obstruction_matrix(pair, side)
-                for side in dict.fromkeys(first.values())}
-    # the Gamma-power, on the side of Phi, needs an even dimension
-    gamma_side = first[scenario.side] if scenario.dim % 2 == 0 else None
-    # each chunk's (B, n, n) stacks fit CHECK_STACK_BYTES; only a (k, B)
-    # block of per-point rows is kept (three Defect rows per distinct C,
-    # then the Gamma value and scale), and every reduction runs once over
-    # all of them, so the report does not depend on the chunk size
-    step = max(1, CHECK_STACK_BYTES // (8 * scenario.dim ** 2))
-    blocks = []
-    for lo in range(0, n_points, step):
-        # one Jacobian for every condition, NaN where it is undefined
-        DF = scenario.F.jacobian(pts[lo:lo + step])[1]
-        rows, obstruction = [], ()
-        for side, C in matrices.items():
-            N = premultiply(C, DF)
-            defect = residual(pair, N)
-            rows += defect
-            if side == gamma_side:
-                obstruction = gamma_obstruction(pair, N, defect.norm)
-            del N
-        blocks.append(np.array([*rows, *obstruction]))
-        del DF
-    del pts  # free the points and the chunks before the reductions
-    table = np.concatenate(blocks, axis=1)
-    del blocks
-    # residual and gamma_obstruction give NaN in every number of a point
-    # outside the domain or whose numbers overflow; one rule leaves it out
-    finite = np.all(np.isfinite(table), axis=0)
-    excluded = n_points - int(np.count_nonzero(finite))
-    if excluded == n_points:
-        raise GradlocusError(f"check: all {n_points} points are "
-                             "outside the domain of the field or overflow")
-    table = table[:, finite]
-    defects = {side: Defect(*table[3 * i:3 * i + 3])
-               for i, side in enumerate(matrices)}
-    gamma = table[3 * len(matrices):] if gamma_side else None
-    probe = equivalence_probe(
-        {s: defects[first[s]] for s in ("left", "right")}, tol=tol)
-    rel_max = dict(probe.max_relative)
-    per_side = {side: {"max": float(defects[s].residual.max()),
-                       "mean": float(defects[s].residual.mean()),
-                       "max_relative": rel_max[s]}
-                for side, s in first.items()}
-
-    if gamma is None:
-        gamma_rel_max, n_decisive = 0.0, 0
-    else:
-        values, scales = gamma
-        gamma_rel_max = float((np.abs(values) / scales).max())
-        n_decisive = int(np.count_nonzero(decisive(values, scales, tol)))
-
-    if integrable(per_side[scenario.side]["max_relative"], gamma_rel_max, tol):
-        verdict = "integrable everywhere sampled"
-    elif n_decisive > 0:
-        verdict = "non-integrable obstruction present"
-    else:
-        verdict = "indeterminate"
-
+    opts = scenario.options
+    report = check(companion_map(scenario.form), scenario.F, scenario.side,
+                   scenario.box_array(), n_points, opts.rng_seed, opts.tol_gamma)
     payload = {
         "scenario": scenario.name,
         "dim": scenario.dim,
         "side": scenario.side,
         "n_points": n_points,
-        "domain_excluded": excluded,
-        "rng_seed": scenario.options.rng_seed,
-        "conditions": per_side,
-        "obstruction": {"max_relative": gamma_rel_max,
-                        "decisive_nonzero_points": n_decisive},
-        "equivalence_probe": {key: getattr(probe, key) for key in (
-            "points", "checks", "violations", "gray_excluded")},
-        "verdict": verdict,
-        "tolerances": _tolerance_block(scenario.options),
-        "note": "nonzero decisions use |value| > tol * scale with a 10x gray zone",
+        "rng_seed": opts.rng_seed,
+        **report,
+        "tolerances": _tolerance_block(opts),
+        "note": ("nonzero decisions use |value| > tol * scale with a "
+                 f"{GRAY_FACTOR:g}x gray zone"),
         "generated_at": _timestamp(),
     }
     _write_json(payload, out_dir / "check.json" if out_dir else None)

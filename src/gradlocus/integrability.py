@@ -11,8 +11,8 @@ non-integrability obstruction.  Both are numbers of N = C DF(x) alone,
 so ``residual`` and ``gamma_obstruction`` take a (B, n, n) stack N,
 one matrix per point, and never evaluate a field: the side only picks
 C, through ``obstruction_matrix``, and the caller forms N with
-``premultiply``.  The named
-residuals evaluate ``F.jacobian`` on a (B, n) stack of points.
+``premultiply``.  The named residuals and ``check``, the pass of
+``gradlocus check``, evaluate ``F.jacobian`` on a (B, n) stack of points.
 
 The sides that apply to a form are ``conditions(pair)``.  Sides that
 share C share N, so a caller forms it once per distinct C
@@ -35,7 +35,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotSymplectic, OddDimension
+from .errors import (DimensionMismatch, GradlocusError, NotSymplectic,
+                     OddDimension)
 from .exterior import gamma_power
 from .fields import VectorField
 from .geometry import FormKind, GeometricPair
@@ -43,6 +44,10 @@ from .geometry import FormKind, GeometricPair
 TOL_GAMMA = 1e-8
 GAMMA_FLOOR = 1e-300
 GRAY_FACTOR = 10.0
+# chunk budgets, read at call time: check's (B, n, n) stacks (2048 at n = 8,
+# in cache) and chart submatrices (1 MiB was 3-10% slower at m = 3-4)
+CHECK_STACK_BYTES = 1 << 20
+CHART_STACK_BYTES = 1 << 23
 
 SIDES = ("left", "right", "symmetric", "symplectic")
 
@@ -55,6 +60,12 @@ def _stack(pair: GeometricPair, N):
         raise DimensionMismatch(f"matrices of shape {N.shape} for a "
                                 f"structure of dimension {pair.dim}")
     return N
+
+
+def chunk_rows(budget: int, row_bytes: int) -> int:
+    """Rows of one chunk: as many as fit ``budget`` bytes at ``row_bytes``
+    a row, and at least one."""
+    return max(1, budget // row_bytes)
 
 
 def conditions(pair: GeometricPair) -> tuple[str, ...]:
@@ -239,3 +250,71 @@ def equivalence_probe(defects: dict, tol: float = TOL_GAMMA) -> ProbeReport:
                        violations=len(violations), gray_excluded=gray, tol=tol,
                        violation_details=tuple(violations),
                        max_relative=tuple(max_relative))
+
+
+def check(pair: GeometricPair, F: VectorField, side: str, box, n_points: int,
+          rng_seed: int, tol: float = TOL_GAMMA) -> dict:
+    """Every number and the verdict of ``check.json`` at the points
+    ``box_halton(box, n_points, rng_seed)``, drawn here and freed before
+    the reductions.  Per chunk of CHECK_STACK_BYTES of (B, n, n) stacks,
+    one DF and one N = C DF per distinct C give that C's ``residual``
+    and, on ``side`` in an even dimension, ``gamma_obstruction``.  A point
+    with a non-finite number (DF undefined, N overflowing) is counted in
+    ``domain_excluded`` (none left raises GradlocusError); the rest are
+    reduced once, so nothing depends on the chunk size."""
+    from .locus import box_halton  # locus imports this module
+    first = distinct_sides(pair, conditions(pair))
+    matrices = {s: obstruction_matrix(pair, s)
+                for s in dict.fromkeys(first.values())}
+    gamma_side = first[side] if pair.dim % 2 == 0 else None
+    pts = box_halton(box, n_points, rng_seed)
+    step = chunk_rows(CHECK_STACK_BYTES, 8 * pair.dim ** 2)
+    blocks = []
+    for lo in range(0, n_points, step):
+        # one Jacobian for every condition, NaN where it is undefined
+        DF = F.jacobian(pts[lo:lo + step])[1]
+        rows, obstruction = [], ()
+        for s, C in matrices.items():
+            N = premultiply(C, DF)
+            defect = residual(pair, N)
+            rows += defect
+            if s == gamma_side:
+                obstruction = gamma_obstruction(pair, N, defect.norm)
+            del N
+        blocks.append(np.array([*rows, *obstruction]))
+        del DF
+    del pts  # the points are not held through the reductions
+    table = np.concatenate(blocks, axis=1)
+    del blocks
+    finite = np.all(np.isfinite(table), axis=0)
+    excluded = n_points - int(np.count_nonzero(finite))
+    if excluded == n_points:
+        raise GradlocusError(f"check: all {n_points} points are "
+                             "outside the domain of the field or overflow")
+    table = table[:, finite]
+    defects = {s: Defect(*table[3 * i:3 * i + 3])
+               for i, s in enumerate(matrices)}
+    probe = equivalence_probe(
+        {s: defects[first[s]] for s in ("left", "right")}, tol=tol)
+    per_side = {s: {"max": float(defects[c].residual.max()),
+                    "mean": float(defects[c].residual.mean()),
+                    "max_relative": dict(probe.max_relative)[c]}
+                for s, c in first.items()}
+    gamma_rel_max, n_decisive = 0.0, 0
+    if gamma_side:  # the last two rows
+        values, scales = table[3 * len(matrices):]
+        gamma_rel_max = float((np.abs(values) / scales).max())
+        n_decisive = int(np.count_nonzero(decisive(values, scales, tol)))
+    verdict = ("integrable everywhere sampled"
+               if integrable(per_side[side]["max_relative"], gamma_rel_max, tol)
+               else "non-integrable obstruction present" if n_decisive
+               else "indeterminate")
+    return {
+        "domain_excluded": excluded,
+        "conditions": per_side,
+        "obstruction": {"max_relative": gamma_rel_max,
+                        "decisive_nonzero_points": n_decisive},
+        "equivalence_probe": {key: getattr(probe, key) for key in (
+            "points", "checks", "violations", "gray_excluded")},
+        "verdict": verdict,
+    }

@@ -4,7 +4,7 @@ The locus of interest is the set of points where grad f(x) = C F(x)
 (C the exact inverse attached to the chosen side) while the top wedge
 power of C DF(x) is decisively nonzero (``integrability.decisive``).
 Writing Phi = grad f - C F, ``on_locus`` is the one test of Phi = 0
-(the solver's, the chart guard's and ``certify``'s).  The certified
+(the solver's and ``certify``'s).  The certified
 claims are: every such point lies on at least one chart (a choice of m
 components of Phi whose m x 2m Jacobian block has numerical rank m), at
 most binom(2m, m) distinct charts occur, and the point cloud's
@@ -29,16 +29,11 @@ from .errors import (DimensionMismatch, GradlocusError, InvalidOption,
                      OddDimension, TooFewPoints)
 from .fields import ScalarField, VectorField
 from .geometry import GeometricPair
-from .integrability import (TOL_GAMMA, decisive, gamma_obstruction,
-                            obstruction_matrix, premultiply)
+from .integrability import (CHART_STACK_BYTES, TOL_GAMMA, _stack, chunk_rows,
+                            decisive, gamma_obstruction, obstruction_matrix,
+                            premultiply)
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# byte budgets of one chunk, each cut into max(1, budget // bytes a row)
-# rows: chart submatrices (0.5 MB a point at m = 6), and the (B, n, n)
-# stacks of ``check`` (2048 points at n = 8), small enough to stay in
-# cache; 1 MiB for the charts measured 3-10% slower at m = 3-4
-_CHART_STACK_BYTES = 1 << 23
-CHECK_STACK_BYTES = 1 << 20
 # byte budget of the candidate pairs ``dedup`` tests at once
 _DEDUP_BYTES = 1 << 22
 
@@ -115,9 +110,9 @@ class PhiSystem:
 
     def dphi(self, x):
         """(Phi, DPhi) on a (B, n) stack, (B, n) and (B, n, n), from one
-        run of f's tape and one of F's; Phi is bit for bit
-        phi(x), and each is NaN in the rows where it is undefined; a row
-        whose products overflow is not finite, with no warning."""
+        run of f's tape and one of F's; Phi is bit for bit phi(x), and
+        each is NaN in the rows where it is undefined; a row whose
+        products overflow is not finite, with no warning."""
         _, grad, hess = self.f.hessian(x)
         values, DF = self.F.jacobian(x)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -400,13 +395,14 @@ def all_charts(m: int) -> list[tuple[int, ...]]:
     return list(combinations(range(1, 2 * m + 1), m))
 
 
-def chart_memberships(phi: PhiSystem, X, opts: LocusOptions = LocusOptions()):
+def chart_memberships(phi: PhiSystem, DPhi,
+                      opts: LocusOptions = LocusOptions()):
     """Charts containing locus points: index tuples alpha whose rows of
-    DPhi(x) form a matrix of numerical rank m at opts.tol_rank.  A (B, n)
-    stack gives a (B, binom(2m, m)) bool matrix, column k for chart
-    ``all_charts(m)[k]``, and any other shape raises DimensionMismatch
-    (from the field layer, as in ``certify``); every point must pass
-    ``on_locus``, tested on the Phi that comes with each chunk's DPhi.
+    DPhi(x) form a matrix of numerical rank m at opts.tol_rank.  A
+    (B, 2m, 2m) stack DPhi, the Jacobians at B points on the locus (as
+    ``certify`` forms them), gives a (B, binom(2m, m)) bool matrix,
+    column k for chart ``all_charts(m)[k]``; any other shape raises
+    DimensionMismatch.  DPhi is not changed.
 
     A submatrix whose largest singular value is negligible against the
     full Jacobian (below 1e-12 of its spectral norm) is treated as
@@ -415,20 +411,17 @@ def chart_memberships(phi: PhiSystem, X, opts: LocusOptions = LocusOptions()):
     only at the points where the Frobenius norm, its upper bound, leaves
     this open for some chart.  A point where DPhi is undefined lies on
     no chart.  All binom(2m, m) submatrices of all points go through one
-    stacked SVD, in chunks of at most _CHART_STACK_BYTES.
+    stacked SVD, in chunks of at most CHART_STACK_BYTES.
     """
-    X = np.asarray(X, dtype=float)
+    DPhi = _stack(phi.pair, DPhi)
     m = phi.m
     rows = np.array(all_charts(m)) - 1
-    step = max(1, _CHART_STACK_BYTES // (len(rows) * m * 2 * m * 8))
-    members = np.empty((len(X), len(rows)), dtype=bool)
-    for lo in range(0, max(len(X), 1), step):  # an empty stack is checked
-        r, J = phi.dphi(X[lo:lo + step])
-        res = np.linalg.norm(r, axis=1)
-        if not np.all(on_locus(res, opts)):
-            raise GradlocusError("chart membership requested off the "
-                                 f"locus: ||Phi|| = {np.max(res):.3e}")
-        J[~np.all(np.isfinite(J), axis=(1, 2))] = 0.0  # undefined: no chart
+    step = chunk_rows(CHART_STACK_BYTES, len(rows) * m * 2 * m * 8)
+    members = np.empty((len(DPhi), len(rows)), dtype=bool)
+    for lo in range(0, len(DPhi), step):
+        J = DPhi[lo:lo + step]
+        if not np.isfinite(J).all():  # a row where J is undefined: no chart
+            J = np.where(np.isfinite(J).all((1, 2))[:, None, None], J, 0.0)
         sv = np.linalg.svd(J[:, rows, :], compute_uv=False)
         ref = sv[..., 0].copy()
         # sigma_1(J) <= ||J||_F, so a row whose every block has sigma_1 above
@@ -454,15 +447,20 @@ def certify(phi: PhiSystem, X,
     passes ``decisive`` with tol_gamma, and certified when it is
     obstructed and lies on at least one chart.  Charts are computed, in
     one batch, only for rows on the locus; rows off it get none and are
-    never certified.
+    never certified.  F's tape runs once, for N = C DF, and the charts'
+    DPhi is Hess f - N on the rows on the locus, as ``PhiSystem.dphi``'s.
     """
     X = np.array(X, dtype=float)
     phi_norm = _row_norms(phi.phi(X))
-    values, scales = gamma_obstruction(
-        phi.pair, premultiply(phi.C, phi.F.jacobian(X)[1]))
+    N = premultiply(phi.C, phi.F.jacobian(X)[1])
+    values, scales = gamma_obstruction(phi.pair, N)
     on = on_locus(phi_norm, opts)
+    DPhi = phi.f.hessian(X[on])[2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        DPhi -= N[on]
+    del N
     charts = np.zeros((len(X), math.comb(2 * phi.m, phi.m)), dtype=bool)
-    charts[on] = chart_memberships(phi, X[on], opts)
+    charts[on] = chart_memberships(phi, DPhi, opts)
     return Samples(x=X, phi_norm=phi_norm, gamma_value=values,
                    gamma_scale=scales, charts=charts,
                    obstructed=on & decisive(values, scales, opts.tol_gamma))
@@ -521,7 +519,7 @@ def dedup(pts, radius_sq: float):
     first = np.searchsorted(x1, x1 - reach)  # first earlier row in reach
     count = np.arange(N) - first
     total = np.cumsum(count)  # pairs up to and including each row
-    budget = max(1, _DEDUP_BYTES // (8 * (2 * n + 3)))  # pairs a chunk
+    budget = chunk_rows(_DEDUP_BYTES, 8 * (2 * n + 3))  # pairs a chunk
     lo = 0
     while lo < N:
         hi = max(lo + 1, int(np.searchsorted(

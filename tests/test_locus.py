@@ -18,6 +18,7 @@ from gradlocus import (DimensionMismatch, GradlocusError, InvalidOption,
 from gradlocus import locus
 from gradlocus.cli import main
 from gradlocus.exterior import antisymmetric_part
+from gradlocus.integrability import CHART_STACK_BYTES, premultiply
 
 from oracles import (chart_loop, dense_phi, greedy_dedup, halton_loop,
                      random_points, random_smooth, scalar_lm_rows)
@@ -521,23 +522,85 @@ class TestCertify:
         assert locus.on_locus(samples.phi_norm, s.options).tolist() == [
             True, False]
 
-    def test_one_phi_call_and_none_in_the_chart_guard(self, monkeypatch):
-        # certify evaluates Phi once; the chart guard tests the Phi that
-        # comes with its DPhi and makes no phi call of its own
+    def test_one_pass_of_each_field(self, monkeypatch):
+        # certify evaluates Phi and F's Jacobian once on every row and f's
+        # Hessian once on the rows on the locus, and the charts rank the
+        # DPhi formed from that N: no PhiSystem.dphi call
         s, phi = demo_phi("circle-m1")
-        calls, phi_of = [], PhiSystem.phi
+        calls = []
 
-        def counting(self, x):
-            calls.append(len(x))
-            return phi_of(self, x)
+        def counting(cls, name):
+            method = getattr(cls, name)
 
-        monkeypatch.setattr(PhiSystem, "phi", counting)
+            def counted(self, x):
+                calls.append((name, len(x)))
+                return method(self, x)
+            monkeypatch.setattr(cls, name, counted)
+
+        for cls, name in ((PhiSystem, "phi"), (PhiSystem, "dphi"),
+                          (VectorField, "jacobian"), (ScalarField, "hessian")):
+            counting(cls, name)
         X = np.array([[0.0, 1.0], [0.6, 0.8], [1.5, 1.5]])
         assert certify(phi, X, s.options).certified.tolist() == [
             True, True, False]
-        assert calls == [3]
-        chart_memberships(phi, X[:2], s.options)
-        assert calls == [3]
+        assert sorted(calls) == [("hessian", 2), ("jacobian", 3), ("phi", 3)]
+
+    # DPhi in certify is Hess f - N with N = premultiply(C, DF), the
+    # bits of PhiSystem.dphi; on a general Q, C = Q^T and C = Q differ
+    @pytest.mark.parametrize("case", ["circle-m1", "plane-m2",
+                                      "minkowski-grad", "torus-m2",
+                                      "torus-m4", "general-q-left",
+                                      "general-q-right", "mixed-domain"])
+    def test_dphi_from_n_is_bitwise_dphi(self, case):
+        rng = np.random.default_rng(64)
+        if case in builtin_demos():
+            s, phi = demo_phi(case)
+            X = np.vstack([sample_locus(phi, s.box_array(), 100,
+                                        s.options).x,
+                           rng.uniform(-2.0, 2.0, (20, s.dim))])
+        elif case.startswith("torus"):
+            m = int(case[-1])
+            phi = torus_phi(m)
+            X = np.vstack([torus_points(rng, m, 60),
+                           rng.uniform(-2.0, 2.0, (20, 2 * m))])
+        elif case.startswith("general-q"):
+            Q = np.eye(4) + np.eye(4, k=1)
+            torus = torus_phi(2)
+            phi = build_phi(companion_map(make_form(Q)), torus.f, torus.F,
+                            case.rpartition("-")[2])
+            X = np.vstack([torus_points(rng, 2, 60),
+                           rng.uniform(-2.0, 2.0, (20, 4))])
+        else:  # a row with x1 <= 0 lies outside the domain
+            phi = euclidean_phi(*MIXED_DOMAIN)
+            X = rng.uniform(-2.0, 2.0, (80, 2))
+        got = (phi.f.hessian(X)[2]
+               - premultiply(phi.C, phi.F.jacobian(X)[1]))
+        want = phi.dphi(X)[1]
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert (case != "mixed-domain") == (not nan.any())
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+    # numpy reports its allocations to tracemalloc; a stack is one (B, n, n)
+    # array over the B rows, all on the locus here.  Walking F again for
+    # each chart chunk peaked at 5.9 stacks on torus-m2 (the chart
+    # submatrices of all rows are 3) and 11.4 on torus-m4 (one chunk of
+    # CHART_STACK_BYTES of submatrices is 8.2); keeping DPhi = Hess f - N
+    # through the chart SVDs may cost one stack more, and no more
+    @pytest.mark.parametrize("m, count, stacks", [(2, 3896, 6.9),
+                                                  (4, 2000, 12.4)])
+    def test_peak_memory(self, m, count, stacks):
+        phi = torus_phi(m)
+        X = torus_points(np.random.default_rng(65), m, count)
+        certify(phi, X[:3])  # the one-time caches
+        tracemalloc.start()
+        try:
+            samples = certify(phi, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert samples.charts.any(1).all()
+        assert peak <= stacks * count * 8 * (2 * m) ** 2
 
     def test_point_stack_required(self):
         # the field layer's shape check raises before any row is read
@@ -615,16 +678,18 @@ class TestChartsAgainstOracle:
 
     def test_stack_longer_than_one_chunk(self):
         m = 6
-        per_chunk = locus._CHART_STACK_BYTES // (
-            len(all_charts(m)) * m * 2 * m * 8)
+        per_chunk = CHART_STACK_BYTES // (len(all_charts(m)) * m * 2 * m * 8)
         X = torus_points(np.random.default_rng(63), m, per_chunk + 3)
-        self.check(torus_phi(m), X)
+        phi = torus_phi(m)
+        assert np.array_equal(
+            chart_memberships(phi, phi.dphi(X)[1]),
+            chart_loop(phi, X, LocusOptions()))
 
     def test_zero_rows(self):
         s, phi = demo_phi("plane-m2")
         samples = certify(phi, np.empty((0, 4)), s.options)
         assert len(samples) == 0 and samples.charts.shape == (0, 6)
-        assert chart_memberships(phi, np.empty((0, 4))).shape == (0, 6)
+        assert chart_memberships(phi, np.empty((0, 4, 4))).shape == (0, 6)
 
     def test_undefined_dphi_lies_on_no_chart(self):
         class PoisonedOnLocus(PoisonedDphi):
@@ -633,8 +698,17 @@ class TestChartsAgainstOracle:
         _, phi = demo_phi("circle-m1")
         poisoned = PoisonedOnLocus(phi.pair, phi.f, phi.F, phi.side, phi.C)
         X = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
-        assert chart_memberships(poisoned, X).tolist() == [
-            [False, True], [False, False], [True, True]]
+        DPhi = poisoned.dphi(X)[1]
+        before = DPhi.copy()
+        got = chart_memberships(poisoned, DPhi)
+        assert got.tolist() == [[False, True], [False, False], [True, True]]
+        assert np.array_equal(got, chart_loop(poisoned, X, LocusOptions()))
+        assert np.array_equal(DPhi, before, equal_nan=True)
+
+
+def charts_at(phi, X):
+    """chart_memberships on the DPhi stack at the points X."""
+    return chart_memberships(phi, phi.dphi(np.asarray(X))[1])
 
 
 class TestChartMemberships:
@@ -642,29 +716,26 @@ class TestChartMemberships:
         _, phi = demo_phi("circle-m1")
         X = np.array([[0.0, 1.0], [1.0, 0.0]])
         # columns: the charts (1,) and (2,)
-        assert chart_memberships(phi, X).tolist() == [[True, False],
-                                                      [False, True]]
+        assert charts_at(phi, X).tolist() == [[True, False], [False, True]]
 
     def test_circle_generic_point_lies_in_both(self):
         _, phi = demo_phi("circle-m1")
         X = np.array([[np.sqrt(0.5), np.sqrt(0.5)]])
-        assert chart_memberships(phi, X).tolist() == [[True, True]]
+        assert charts_at(phi, X).tolist() == [[True, True]]
 
     def test_plane_uses_leading_pair(self):
         _, phi = demo_phi("plane-m2")
-        got = chart_memberships(phi, np.array([[0.3, -1.2, 0.0, 0.0]]))
+        got = charts_at(phi, [[0.3, -1.2, 0.0, 0.0]])
         assert got.tolist() == [[c == (1, 2) for c in all_charts(2)]]
 
     def test_single_point_is_a_stack_of_one(self):
+        # only a (B, 2m, 2m) stack is taken: not one matrix, not the
+        # points, not matrices of another dimension, also with 0 rows
         _, phi = demo_phi("circle-m1")
-        for bad in (np.array([0.0, 1.0]), np.zeros((1, 3)), np.zeros((0, 3))):
-            with pytest.raises(DimensionMismatch, match=r"\(B, 2\)"):
+        for bad in (np.eye(2), np.zeros((1, 2)), np.zeros((1, 3, 3)),
+                    np.zeros((0, 2, 3)), np.zeros((1, 1, 2, 2))):
+            with pytest.raises(DimensionMismatch, match="shape"):
                 chart_memberships(phi, bad)
-
-    def test_off_locus_precondition(self):
-        _, phi = demo_phi("circle-m1")
-        with pytest.raises(GradlocusError, match="off the locus"):
-            chart_memberships(phi, np.array([[1.5, 1.5]]))
 
     def test_chart_enumeration(self):
         assert all_charts(1) == [(1,), (2,)]

@@ -13,10 +13,11 @@ import pytest
 from gradlocus import (LocusOptions, ScenarioError, build_phi,
                        builtin_demos, certify, companion_map, load_scenario,
                        sample_locus, scenario_from_dict, verify_cover)
-from gradlocus import cli
+from gradlocus import cli, integrability
 from gradlocus.cli import main
-from gradlocus.integrability import conditions, distinct_sides
-from gradlocus.locus import CHECK_STACK_BYTES, box_halton, halton_sequence
+from gradlocus.integrability import (CHECK_STACK_BYTES, GRAY_FACTOR,
+                                     conditions, distinct_sides)
+from gradlocus.locus import box_halton, halton_sequence
 from gradlocus.scenarios import scenario_to_dict, structure_from_dict
 
 from oracles import (GENERAL_Q, check_by_side, point_report, sample_rows,
@@ -402,6 +403,17 @@ class TestCli:
                 tracemalloc.stop()
             assert peak <= (stacks * CHECK_STACK_BYTES
                             + points * 8 * (s.dim + rows)), points
+
+    def test_check_note_names_the_gray_factor(self, tmp_path, monkeypatch):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(circle_dict()))
+        for factor in (GRAY_FACTOR, 4.0):
+            monkeypatch.setattr(cli, "GRAY_FACTOR", factor)
+            assert main(["check", "--scenario", str(scenario), "--points",
+                         "20", "--out", str(tmp_path)]) == 0
+            assert read_json(tmp_path / "check.json")["note"] == (
+                "nonzero decisions use |value| > tol * scale with a "
+                f"{int(factor)}x gray zone")
 
     def test_check_creates_out_dir(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"
@@ -966,9 +978,17 @@ def test_check_leaves_undefined_and_overflowing_points_out(tmp_path,
     assert report["domain_excluded"] == excluded
     assert report["equivalence_probe"]["points"] == 200 - excluded
 
-    monkeypatch.setattr(cli, "CHECK_STACK_BYTES", 37 * 8 * 2 ** 2)
+    rows, residual = [], integrability.residual
+
+    def counting(pair, N):
+        rows.append(len(N))
+        return residual(pair, N)
+
+    monkeypatch.setattr(integrability, "CHECK_STACK_BYTES", 37 * 8 * 2 ** 2)
+    monkeypatch.setattr(integrability, "residual", counting)
     assert main(["check", "--points", "200", "--scenario", scenario_path,
                  "--out", str(tmp_path / "chunked")]) == 0
+    assert rows == [37] * 5 + [15]  # one C = Q, so one residual a chunk
     chunked = (tmp_path / "chunked/check.json").read_text()
     assert ([line for line in chunked.splitlines() if "generated_at" not in line]
             == [line for line in text.splitlines() if "generated_at" not in line])
