@@ -16,6 +16,7 @@ code on a batch of shape ().
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,8 +69,11 @@ def _pruned(dim: int, grade: int, keys, S, shape) -> "MultiVector":
     max|coeff| (floor PRUNE_FLOOR) becomes 0; a key is dropped only when
     it is 0 in every row.  NaN and inf are never pruned: neither is 0.
     """
-    cutoff = np.maximum(PRUNE_REL * _peak(S), PRUNE_FLOOR)
-    keep = ~(np.isfinite(S) & (np.abs(S) <= cutoff))
+    size = np.abs(S)
+    cutoff = np.maximum(PRUNE_REL * np.max(size, axis=0, initial=0.0),
+                        PRUNE_FLOOR)
+    keep = ~(np.isfinite(S) & (size <= cutoff))
+    del size  # not held alongside the pruned copy
     S = np.where(keep, S, 0.0)
     alive = np.any(keep, axis=tuple(range(1, keep.ndim)))
     coeffs = {k: S[i] for i, k in enumerate(keys) if alive[i]}
@@ -193,16 +197,17 @@ class MultiVector:
 
 @functools.lru_cache(maxsize=64)
 def _schedule(keys_a: tuple[int, ...], keys_b: tuple[int, ...]):
-    """(keys, terms) of a wedge: one term (i, j, slot, sign) per pair of
-    disjoint keys (e_i ^ e_i = 0), in the sorted order of the pairs, with
-    keys[slot] = keys_a[i] | keys_b[j]."""
+    """(keys, terms) of a wedge: one term (i, j, slot, positive) per pair
+    of disjoint keys (e_i ^ e_i = 0), in the sorted order of the pairs,
+    with keys[slot] = keys_a[i] | keys_b[j] and ``positive`` whether the
+    merge sign is +1."""
     slot: dict[int, int] = {}
     terms = []
     for i, ka in enumerate(keys_a):
         for j, kb in enumerate(keys_b):
             if not ka & kb:
                 k = slot.setdefault(ka | kb, len(slot))
-                terms.append((i, j, k, float(_merge_sign(ka, kb))))
+                terms.append((i, j, k, _merge_sign(ka, kb) > 0))
     return tuple(slot), tuple(terms)
 
 
@@ -212,6 +217,8 @@ def wedge(a: MultiVector, b: MultiVector) -> MultiVector:
     Batches of equal shape are wedged row by row.  Every result
     coefficient sums its terms in the sorted order of the key pairs, so
     a row's arithmetic does not depend on the other rows of its batch.
+    A term of sign -1 is subtracted, which in IEEE arithmetic is bit for
+    bit the addition of its negated product.
     """
     if a.dim != b.dim:
         raise DimensionMismatch(
@@ -227,8 +234,13 @@ def wedge(a: MultiVector, b: MultiVector) -> MultiVector:
     keys_b, B = b._rows()
     keys, terms = _schedule(tuple(keys_a), tuple(keys_b))
     S = np.zeros((len(keys),) + a.shape)
-    for i, j, k, sign in terms:
-        S[k] += sign * A[i] * B[j]
+    term = np.empty(a.shape)  # one product buffer for every term
+    for i, j, k, positive in terms:
+        np.multiply(A[i], B[j], out=term)
+        if positive:
+            S[k] += term
+        else:
+            S[k] -= term
     return _pruned(a.dim, grade, keys, S, a.shape)
 
 
@@ -242,13 +254,29 @@ def _square_stack(M) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _upper_pairs(n: int):
-    """Row-major flat indices of the entries M_pq above the diagonal, in
-    that order, and of their mirrors M_qp, and the key e_p ^ e_q of each."""
-    p, q = np.triu_indices(n, 1)
-    pq, qp = p * n + q, q * n + p
-    pq.flags.writeable = qp.flags.writeable = False
-    keys = tuple((1 << i) | (1 << j) for i, j in zip(p.tolist(), q.tolist()))
-    return pq, qp, keys
+    """Row-major flat indices (p n + q, q n + p) of each entry M_pq above
+    the diagonal and of its mirror M_qp, in that order, and the key
+    e_p ^ e_q of each."""
+    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
+    return (tuple((p * n + q, q * n + p) for p, q in pairs),
+            tuple((1 << p) | (1 << q) for p, q in pairs))
+
+
+def _antisymmetric_rows(M):
+    """(keys, S) of a float (n, n) matrix or (B, n, n) stack M: S has
+    shape (K,) or (K, B) with K = n(n-1)/2, and its row k is M_pq - M_qp
+    for the k-th pair p < q of ``_upper_pairs``, with key e_p ^ e_q.
+
+    Each row is one contiguous subtraction of two columns of the
+    flattened stack, so nothing (B, n, n) is formed.
+    """
+    n = M.shape[-1]
+    entries, keys = _upper_pairs(n)
+    flat = M.reshape(math.prod(M.shape[:-2]), n * n)
+    S = np.empty((len(keys), len(flat)))
+    for row, (pq, qp) in zip(S, entries):
+        np.subtract(flat[:, pq], flat[:, qp], out=row)
+    return keys, S.reshape((len(keys),) + M.shape[:-2])
 
 
 def gamma(M, basis=None) -> MultiVector:
@@ -257,18 +285,15 @@ def gamma(M, basis=None) -> MultiVector:
     M is one (n, n) matrix or a (B, n, n) stack, which gives a batch of
     B 2-vectors.  With the canonical basis the coefficient on e_p ^ e_q
     (p < q) is M_pq - M_qp, so the result vanishes exactly on symmetric
-    M.  A supplied basis must be orthonormal (columns); the result does
-    not depend on the choice, which tests exercise statistically.
+    M; they are read key by key (``_antisymmetric_rows``), never as a
+    (B, n, n) difference.  A supplied basis must be orthonormal
+    (columns); the result does not depend on the choice, which tests
+    exercise statistically.
     """
     M = _square_stack(M)
     n = M.shape[-1]
     if basis is None:
-        pq, qp, keys = _upper_pairs(n)
-        # np.take on flat matrices gathers about 4x faster than M[..., p, q]
-        flat = M.reshape(M.shape[:-2] + (n * n,))
-        return _pruned(n, 2, keys, (np.take(flat, pq, axis=-1)
-                                    - np.take(flat, qp, axis=-1)).T,
-                       M.shape[:-2])
+        return _pruned(n, 2, *_antisymmetric_rows(M), M.shape[:-2])
 
     U = np.asarray(basis, dtype=float)
     if U.shape != (n, n):

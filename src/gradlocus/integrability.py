@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, GradlocusError, NotSymplectic,
                      OddDimension)
-from .exterior import gamma_power
+from .exterior import _antisymmetric_rows, gamma_power
 from .fields import VectorField
 from .geometry import FormKind, GeometricPair
 
@@ -92,19 +92,25 @@ def residual(pair: GeometricPair, N) -> Defect:
     Every condition is ||N - N^T||_F = 0 for the C that
     ``obstruction_matrix`` gives its side: C = Q^T for left and C = Q
     for right, symmetric and symplectic (then ||(DF)^T B^{-1} +
-    B^{-1} DF||_F).  The three reductions share one scratch stack.
-    A matrix whose reductions overflow gets NaN in all three, as a
-    matrix outside the domain does.
+    B^{-1} DF||_F).  N - N^T is read once, as its n(n-1)/2 coefficients
+    S_k = N_pq - N_qp above the diagonal: the peak is max_k |S_k|, which
+    is max(N - N^T), and the residual is sqrt(2 sum_k S_k^2), summed in
+    key order.  A matrix whose reductions overflow gets NaN in all
+    three, as a matrix outside the domain does.
     """
     N = _stack(pair, N)
     with np.errstate(over="ignore", invalid="ignore"):
-        scratch = np.multiply(N, N)
-        norm = np.sqrt(np.sum(scratch, axis=(1, 2)))
-        np.subtract(N, np.swapaxes(N, 1, 2), out=scratch)
-        # N - N^T is antisymmetric, so its largest entry is its largest |entry|
-        peak = scratch.max(axis=(1, 2))
-        np.multiply(scratch, scratch, out=scratch)
-        res = np.sqrt(np.sum(scratch, axis=(1, 2)))
+        norm = np.sqrt(np.sum(np.multiply(N, N), axis=(1, 2)))
+        S = _antisymmetric_rows(N)[1]
+        np.abs(S, out=S)
+        peak = np.max(S, axis=0, initial=0.0)
+        np.multiply(S, S, out=S)
+        # row by row, since np.add.reduce would sum a stack of one matrix
+        # pairwise, and a matrix's residual would depend on its stack
+        total = np.zeros(len(N))
+        for square in S:
+            total += square
+        res = np.sqrt(2.0 * total)
     return Defect(*_overflow_as_nan(norm, res, peak))
 
 

@@ -247,7 +247,13 @@ def solve_from_seed(phi: PhiSystem, x0, opts: LocusOptions = LocusOptions()):
 def halton_sequence(count: int, dim: int, shift=None) -> np.ndarray:
     """First ``count`` Halton points in [0,1)^dim (bases: first dim
     primes), optionally rotated modulo 1 by a fixed shift vector
-    (Cranley-Patterson)."""
+    (Cranley-Patterson).
+
+    The radical inverses in base b are built level by level: those of
+    0..b^(j+1)-1 are those of 0..b^j-1 plus d * b^-(j+1) for the new top
+    digit d, added last, so each index sums its digits from the lowest
+    up.  The last level stops at the digit of ``count``.
+    """
     if dim > len(_PRIMES):
         raise DimensionMismatch(f"no Halton bases beyond dim {len(_PRIMES)}")
     out = np.empty((count, dim))
@@ -255,18 +261,13 @@ def halton_sequence(count: int, dim: int, shift=None) -> np.ndarray:
         shift = np.broadcast_to(np.asarray(shift, dtype=float), (dim,))
     for d in range(dim):
         base = _PRIMES[d]
-        idx = np.arange(1.0, count + 1)
-        col = np.zeros(count)
+        col = np.zeros(1)  # the radical inverse of index 0
         factor = 1.0 / base
-        digits, rest = 0, count  # every index has at most count's digits
-        while rest:
-            digits, rest = digits + 1, rest // base
-        for _ in range(digits):
-            # quotient and digit in float64, both exact below 2^52
-            q = np.floor(idx / base)
-            col += (idx - q * base) * factor
-            idx = q
+        while col.size <= count:
+            top = min(base, count // col.size + 1)
+            col = (col + (np.arange(top) * factor)[:, None]).ravel()
             factor /= base
+        col = col[1:count + 1]
         if shift is not None:
             col += shift[d]
             col -= np.floor(col)  # bit for bit % 1.0 on finite values

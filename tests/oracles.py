@@ -12,6 +12,7 @@ component's tree on its own, where a ``dsl.Tape`` shares equal subtrees.
 
 import csv
 import functools
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -144,11 +145,20 @@ def probe_loop(pair, DF, tol):
     check at a time, on a (B, n, n) Jacobian stack: the loop the masked
     ``equivalence_probe`` must reproduce, report and violation order
     included."""
+    n = DF.shape[-1]
     violations, gray, checks, max_relative = [], 0, 0, []
     for side in ("left", "right"):
         N = obstruction_matrix(pair, side) @ DF
         D = N - np.swapaxes(N, 1, 2)
-        res = np.sqrt(np.sum(D * D, axis=(1, 2)))
+        res = np.empty(len(DF))
+        for i, A in enumerate(D):
+            # sqrt(2 sum_{p<q} (N_pq - N_qp)^2), the entries above the
+            # diagonal row by row
+            acc = 0.0
+            for p in range(n):
+                for q in range(p + 1, n):
+                    acc += float(A[p, q]) * float(A[p, q])
+            res[i] = math.sqrt(2.0 * acc)
         coeff = np.abs(D).max(axis=(1, 2))
         scale = 1.0 + np.sqrt(np.sum(N * N, axis=(1, 2)))
         res_rel = res / scale
@@ -414,7 +424,7 @@ def write_points_csv(path, dim: int, m: int, samples):
 def halton_loop(count, dim, shift=None):
     """The first ``count`` Halton points in [0, 1)^dim, one integer
     base-p digit at a time until every index is spent, then rotated by
-    ``shift`` with ``% 1.0``: the loop the float64 digit loop of
+    ``shift`` with ``% 1.0``: the loop the level-by-level build of
     ``halton_sequence`` must reproduce bit for bit."""
     out = np.empty((count, dim))
     for d in range(dim):

@@ -6,6 +6,7 @@ import pytest
 from gradlocus import (DimensionMismatch, MultiVector, NotAntisymmetric,
                        OddDimension, antisymmetric_part, gamma, gamma_power,
                        pfaffian, wedge)
+from gradlocus.exterior import _antisymmetric_rows
 from oracles import dict_gamma, dict_top_power, dict_wedge, pfaffian_matchings
 
 
@@ -471,3 +472,26 @@ class TestAntisymmetricPart:
         M = np.array([[1.0, 2.0], [0.0, 1.0]])
         assert np.array_equal(antisymmetric_part(M),
                               [[0.0, 2.0], [-2.0, 0.0]])
+
+
+class TestAntisymmetricRows:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_rows_are_the_upper_entries_of_the_antisymmetric_part(self, n):
+        # bit for bit, NaN, inf and -0.0 included, on a stack and on each
+        # of its matrices alone
+        rng = np.random.default_rng(n)
+        M = rng.standard_normal((6, n, n)) * 10.0 ** rng.uniform(-300, 300,
+                                                                  (6, 1, 1))
+        M[1, 0, -1], M[2, -1, 0], M[3, 0, 0] = np.nan, np.inf, -np.inf
+        M[4] = -0.0
+        M[5, n // 2] = -0.0
+        p, q = np.triu_indices(n, 1)
+        with np.errstate(invalid="ignore"):
+            expect = antisymmetric_part(M)[:, p, q].T
+            keys, S = _antisymmetric_rows(M)
+            assert S.shape == (n * (n - 1) // 2, 6)
+            assert S.tobytes() == np.ascontiguousarray(expect).tobytes()
+            assert keys == tuple((1 << i) | (1 << j) for i, j in zip(p, q))
+            for b in range(6):
+                assert _antisymmetric_rows(M[b])[1].tobytes() == \
+                    S[:, b].tobytes()

@@ -350,3 +350,38 @@ def test_named_residuals_obey_the_overflow_rule():
             N = obstruction_matrix(pair, side) @ F.jacobian(x)[1]
         assert np.all(np.isnan(got))
         assert np.array_equal(got, residual(pair, N).residual, equal_nan=True)
+
+
+def _defect_stacks():
+    # n = 2..8, one magnitude per matrix between 1e-100 and 1e100, so no
+    # square underflows to a subnormal or overflows
+    rng = np.random.default_rng(70)
+    for n in range(2, 9):
+        N = rng.standard_normal((40, n, n)) * 10.0 ** rng.uniform(
+            -100, 100, (40, 1, 1))
+        yield companion_map(standard_euclidean(n)), N
+
+
+def test_residual_rows_do_not_depend_on_the_stack():
+    for pair, N in _defect_stacks():
+        N[3, 0, 1] = np.nan
+        N[5, 1, 0] = np.inf
+        N[7] = -0.0
+        stack = residual(pair, N)
+        for i in range(len(N)):
+            for got, alone in zip(stack, residual(pair, N[i:i + 1])):
+                assert got[i:i + 1].tobytes() == alone.tobytes()
+
+
+def test_residual_is_within_4_ulp_of_the_frobenius_norm():
+    for pair, N in _defect_stacks():
+        expect = np.linalg.norm(N - np.swapaxes(N, 1, 2), "fro", axis=(1, 2))
+        got = residual(pair, N).residual
+        assert np.all(np.abs(got - expect) <= 4 * np.spacing(expect))
+
+
+def test_peak_is_the_largest_antisymmetric_entry():
+    for pair, N in _defect_stacks():
+        N[4] = N[4] + N[4].T  # symmetric: every entry of N - N^T is 0
+        assert residual(pair, N).peak.tobytes() == \
+            np.max(N - np.swapaxes(N, 1, 2), axis=(1, 2)).tobytes()

@@ -962,6 +962,22 @@ class TestHalton:
                 assert halton_sequence(count, dim, shift).tobytes() == \
                     halton_loop(count, dim, shift).tobytes(), (dim, shift)
 
+    @pytest.mark.parametrize("d", range(12))
+    def test_levels_match_the_oracle_at_powers_of_each_base(self, d):
+        # the level loop's last level is cut at count's top digit: b^k - 1
+        # fills level k, b^k and b^k + 1 open level k + 1 by one or two
+        base = locus._PRIMES[d]
+        rng = np.random.default_rng(base)
+        counts = {1}
+        for k in range(1, 14):
+            if base ** k > 10_000:
+                break
+            counts |= {base ** k - 1, base ** k, base ** k + 1}
+        for count in sorted(counts):
+            for shift in (None, rng.random(d + 1)):
+                assert halton_sequence(count, d + 1, shift).tobytes() == \
+                    halton_loop(count, d + 1, shift).tobytes(), (count, shift)
+
     def test_shift_is_numpys_default_generator_bit_for_bit(self):
         # numpy.random is the oracle of the draw box_halton makes without
         # it: SeedSequence's mixing of seeds of one to six 32-bit words,

@@ -377,9 +377,11 @@ class TestCli:
             sum(p.verdict_nonintegrable for p in points)
 
     # numpy reports its allocations to tracemalloc.  Within a chunk, check
-    # holds the Jacobians DF, one N = C DF and one scratch stack, each at
-    # most CHECK_STACK_BYTES (3.1 stacks with the rest on torus-m4); on
-    # general-q-r8 the Gamma-power's wedge rows add one more (4.0).  Across
+    # holds the Jacobians DF, one N = C DF and one scratch stack N * N for
+    # the norm, each at most CHECK_STACK_BYTES; N - N^T is read as its
+    # n(n-1)/2 coefficients above the diagonal, under half a stack (3.0
+    # stacks with the rest on torus-m4).  On general-q-r8 the Gamma-power's
+    # wedge rows add about one more (3.9).  Across
     # chunks it keeps only the points and, per point, three floats per
     # distinct C and two for the Gamma-power.  One call first fills the
     # process's one-time caches, which do not grow with the points.
