@@ -89,10 +89,10 @@ def _tolerance_block(opts) -> dict:
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
     opts = scenario.options.with_overrides(
-        rng_seed=args.seed,
+        rng_seed=getattr(args, "seed", None),  # charts takes no --seed
         **{field: getattr(args, field) for field in _THRESHOLDS.values()})
     n_seeds = scenario.n_seeds
-    if args.points is not None and args.command in ("locus", "demo"):
+    if args.command in ("locus", "demo") and args.points is not None:
         n_seeds = args.points
     return dataclasses.replace(scenario, n_seeds=n_seeds, options=opts)
 
@@ -293,15 +293,17 @@ def _build_parser() -> argparse.ArgumentParser:
                     "extraction for gradient-like fields.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario_required=True):
+    def common(p, scenario_required=True, sampling=True):
         p.add_argument("--scenario", type=Path, required=scenario_required,
                        help="scenario JSON file")
         p.add_argument("--out", type=Path, default=None,
                        help="output directory")
-        p.add_argument("--points", type=int, default=None,
-                       help="sample points (check) or seed count (locus/demo)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the scenario rng_seed")
+        if sampling:  # charts draws nothing
+            p.add_argument("--points", type=int, default=None,
+                           help="sample points (check) or seed count "
+                                "(locus/demo)")
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the scenario rng_seed")
         p.add_argument("--tol-residual", type=float, default=None)
         p.add_argument("--tol-gamma", type=float, default=None)
         p.add_argument("--tol-rank", type=float, default=None)
@@ -316,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_charts = sub.add_parser("charts",
                               help="recompute chart memberships for a CSV")
     p_charts.add_argument("csv", type=Path)
-    common(p_charts)
+    common(p_charts, sampling=False)
 
     p_demo = sub.add_parser("demo", help="run a built-in demo scenario")
     p_demo.add_argument("name", nargs="?", default=None)

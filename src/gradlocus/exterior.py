@@ -1,11 +1,12 @@
 """Sparse exterior algebra over R^n and the antisymmetry operator.
 
-Multivectors are graded, with basis monomials e_{i1} ^ ... ^ e_{ik}
-(i1 < ... < ik) encoded as bitmasks over the n coordinate axes.  The
-module hosts the operator that maps a square matrix M to the 2-vector
-with coefficient (M_pq - M_qp) on e_p ^ e_q, its m-th wedge power on
-R^{2m}, and a Pfaffian that serves as an independent cross-check of
-the top-power coefficient.
+A multivector of grade k keeps its basis monomials e_{i1} ^ ... ^ e_{ik}
+(i1 < ... < ik) as bitmasks over the n coordinate axes, in one strictly
+increasing tuple of keys, and its coefficients as one stack: row i
+holds the coefficient of keys[i].  The module hosts the operator that
+maps a square matrix M to the 2-vector with coefficient (M_pq - M_qp)
+on e_p ^ e_q, its m-th wedge power on R^{2m}, and a Pfaffian that
+serves as an independent cross-check of the top-power coefficient.
 
 Everything works on batches: a coefficient is an array over the batch,
 so one wedge power of a (B, n, n) stack costs a few numpy calls per key
@@ -16,8 +17,9 @@ code on a batch of shape ().
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from .errors import DimensionMismatch, NotAntisymmetric, OddDimension
 
 PRUNE_REL = 1e-14
 PRUNE_FLOOR = 1e-300
+_LARGEST = float(np.finfo(float).max)
 
 
 def _merge_sign(a: int, b: int) -> int:
@@ -38,108 +41,77 @@ def _merge_sign(a: int, b: int) -> int:
     return -1 if swaps & 1 else 1
 
 
-def _mask_to_indices(mask: int) -> tuple[int, ...]:
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
-
-
-def _indices_to_mask(indices) -> int:
-    mask = 0
-    for i in indices:
-        mask |= 1 << (i - 1)
-    return mask
-
-
-def _peak(S) -> np.ndarray:
-    """Max |coefficient| of each row; S stacks one coefficient array per
-    key along axis 0."""
-    return np.max(np.abs(S), axis=0, initial=0.0)
-
-
-def _pruned(dim: int, grade: int, keys, S, shape) -> "MultiVector":
-    """Multivector with coefficient S[i] on keys[i], pruned row by row.
+def _pruned(dim: int, grade: int, keys, S) -> "MultiVector":
+    """Multivector with coefficient S[i] on keys[i], pruned row by row;
+    S is zeroed in place and copied only when a key is dropped.
 
     In each row a coefficient at or below PRUNE_REL * that row's
     max|coeff| (floor PRUNE_FLOOR) becomes 0; a key is dropped only when
-    it is 0 in every row.  NaN and inf are never pruned: neither is 0.
+    it is 0 in every row.  NaN and inf are never pruned: NaN fails every
+    comparison, and the cutoff is capped at the largest float, which an
+    inf exceeds; a row holding either has a peak that is not finite.
     """
     size = np.abs(S)
-    cutoff = np.maximum(PRUNE_REL * np.max(size, axis=0, initial=0.0),
-                        PRUNE_FLOOR)
-    keep = ~(np.isfinite(S) & (size <= cutoff))
-    del size  # not held alongside the pruned copy
-    S = np.where(keep, S, 0.0)
-    alive = np.any(keep, axis=tuple(range(1, keep.ndim)))
-    coeffs = {k: S[i] for i, k in enumerate(keys) if alive[i]}
-    return MultiVector(dim, grade, coeffs, shape)
+    cutoff = np.minimum(np.maximum(
+        PRUNE_REL * np.max(size, axis=0, initial=0.0), PRUNE_FLOOR), _LARGEST)
+    drop = size <= cutoff
+    del size  # freed before a dropped key copies S
+    np.copyto(S, 0.0, where=drop)
+    alive = ~np.all(drop, axis=tuple(range(1, S.ndim)))
+    if not alive.all():
+        keys, S = tuple(itertools.compress(keys, alive)), S[alive]
+    return MultiVector(dim, grade, keys, S)
 
 
 @dataclass(frozen=True)
 class MultiVector:
-    """Element of Lambda^grade R^dim, or a batch of them, with sparse
-    bitmask-keyed coefficients.
+    """Element of Lambda^grade R^dim, or a batch of them: ``stack[i]`` is
+    the coefficient of the basis monomial ``keys[i]``.
 
-    Every coefficient is an array of the batch ``shape``: () for a single
-    multivector, whose coefficients are then numpy floats, and (B,) for
-    a batch of B (inferred from the coefficients when not given).  Keys
-    have population count ``grade`` and fit in ``dim`` bits.  The zero
-    element may carry a nominal grade above ``dim`` (the result of
-    wedging past the top grade); it necessarily has no coefficients.
+    ``keys`` is a strictly increasing tuple of bitmasks, each with
+    population count ``grade`` and fitting in ``dim`` bits; ``stack`` is
+    a float array of shape (len(keys),) + ``shape``, where the batch
+    shape is () for a single multivector, whose coefficients are then
+    numpy floats, and (B,) for a batch of B.  The zero element may carry
+    a nominal grade above ``dim`` (the result of wedging past the top
+    grade); it necessarily has no keys.
     """
 
     dim: int
     grade: int
-    coeffs: dict[int, np.ndarray] = field(default_factory=dict)
-    shape: tuple[int, ...] | None = None
+    keys: tuple[int, ...]
+    stack: np.ndarray
 
     def __post_init__(self):
         if self.dim < 1:
             raise DimensionMismatch("dim must be >= 1")
         if self.grade < 0:
             raise ValueError("grade must be >= 0")
-        if self.grade > self.dim and self.coeffs:
+        keys = tuple(self.keys)
+        if self.grade > self.dim and keys:
             raise ValueError("grade exceeds dim for a nonzero multivector")
-        for key in self.coeffs:
+        for key in keys:
             if key >> self.dim:
                 raise ValueError(f"key {key:b} does not fit in {self.dim} bits")
             if key.bit_count() != self.grade:
                 raise ValueError(f"key {key:b} has wrong grade")
-        values = {k: np.asarray(v, dtype=float) for k, v in self.coeffs.items()}
-        if self.shape is not None:
-            shape = tuple(self.shape)
-        else:
-            shape = next(iter(values.values())).shape if values else ()
-        if any(v.shape != shape for v in values.values()):
+        if any(a >= b for a, b in zip(keys, keys[1:])):
+            raise ValueError("keys must be strictly increasing")
+        stack = np.asarray(self.stack, dtype=float)
+        if stack.ndim < 1 or len(stack) != len(keys):
             raise DimensionMismatch(
-                f"coefficient shapes differ from the batch shape {shape}")
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "coeffs", {k: v[()] for k, v in values.items()})
+                f"a coefficient stack of shape {stack.shape} for "
+                f"{len(keys)} keys")
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "stack", stack)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.stack.shape[1:]
 
     @classmethod
     def zero(cls, dim: int, grade: int, shape=()) -> "MultiVector":
-        return cls(dim=dim, grade=grade, coeffs={}, shape=shape)
-
-    @classmethod
-    def basis_vector(cls, dim: int, i: int) -> "MultiVector":
-        """e_i as a 1-vector (1-based index)."""
-        if not 1 <= i <= dim:
-            raise DimensionMismatch(f"index {i} outside 1..{dim}")
-        return cls(dim=dim, grade=1, coeffs={1 << (i - 1): 1.0})
-
-    @classmethod
-    def from_vector(cls, v) -> "MultiVector":
-        """Dense coordinate vector (or a (..., n) stack) -> grade-1
-        multivector; axes that are 0 in every row are left out."""
-        v = np.asarray(v, dtype=float)
-        n = v.shape[-1]
-        coeffs = {1 << i: v[..., i] for i in range(n) if np.any(v[..., i])}
-        return cls(dim=n, grade=1, coeffs=coeffs, shape=v.shape[:-1])
+        return cls(dim, grade, (), np.zeros((0,) + tuple(shape)))
 
     def coefficient(self, indices):
         """Coefficient of e_{i1} ^ ... ^ e_{ik} for ascending 1-based indices."""
@@ -148,67 +120,36 @@ class MultiVector:
             raise DimensionMismatch(f"indices {indices} outside 1..{self.dim}")
         if list(indices) != sorted(set(indices)) or len(indices) != self.grade:
             raise ValueError(f"expected {self.grade} strictly increasing indices")
-        return self.coeffs.get(_indices_to_mask(indices),
-                               np.zeros(self.shape)[()])
-
-    def terms(self):
-        """Sorted (indices, coefficient) pairs."""
-        return [(_mask_to_indices(k), v) for k, v in sorted(self.coeffs.items())]
+        key = sum(1 << (i - 1) for i in indices)
+        if key in self.keys:
+            return self.stack[self.keys.index(key)]
+        return np.zeros(self.shape)[()]
 
     def __eq__(self, other):
         if not isinstance(other, MultiVector):
             return NotImplemented
-        return ((self.dim, self.grade, self.shape, self.coeffs.keys())
-                == (other.dim, other.grade, other.shape, other.coeffs.keys())
-                and all(np.array_equal(v, other.coeffs[k])
-                        for k, v in self.coeffs.items()))
-
-    def _rows(self):
-        """Sorted keys and their coefficients stacked along axis 0."""
-        keys = sorted(self.coeffs)
-        S = np.array([self.coeffs[k] for k in keys], dtype=float)
-        return keys, S.reshape((len(keys),) + self.shape)
+        return ((self.dim, self.grade, self.shape, self.keys)
+                == (other.dim, other.grade, other.shape, other.keys)
+                and np.array_equal(self.stack, other.stack))
 
     def max_abs(self):
-        return _peak(self._rows()[1])
-
-    def is_zero(self, tol: float = 0.0):
-        return self.max_abs() <= tol
-
-    def prune(self) -> "MultiVector":
-        """Drop coefficients below PRUNE_REL * max|coeff| (floor
-        PRUNE_FLOOR), row by row."""
-        return _pruned(self.dim, self.grade, *self._rows(), self.shape)
-
-    def __add__(self, other: "MultiVector") -> "MultiVector":
-        if self.dim != other.dim or self.shape != other.shape:
-            raise DimensionMismatch(
-                "dimension or batch shape mismatch in addition")
-        if self.grade != other.grade:
-            raise ValueError("grade mismatch in addition")
-        coeffs = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            coeffs[k] = coeffs.get(k, 0.0) + v
-        return MultiVector(self.dim, self.grade, coeffs, self.shape).prune()
-
-    def __xor__(self, other: "MultiVector") -> "MultiVector":
-        return wedge(self, other)
+        """Max |coefficient| of each row of the batch."""
+        return np.max(np.abs(self.stack), axis=0, initial=0.0)
 
 
 @functools.lru_cache(maxsize=64)
 def _schedule(keys_a: tuple[int, ...], keys_b: tuple[int, ...]):
-    """(keys, terms) of a wedge: one term (i, j, slot, positive) per pair
-    of disjoint keys (e_i ^ e_i = 0), in the sorted order of the pairs,
-    with keys[slot] = keys_a[i] | keys_b[j] and ``positive`` whether the
-    merge sign is +1."""
-    slot: dict[int, int] = {}
-    terms = []
-    for i, ka in enumerate(keys_a):
-        for j, kb in enumerate(keys_b):
-            if not ka & kb:
-                k = slot.setdefault(ka | kb, len(slot))
-                terms.append((i, j, k, _merge_sign(ka, kb) > 0))
-    return tuple(slot), tuple(terms)
+    """(keys, terms) of a wedge: the sorted keys of the result, and one
+    term (i, j, slot, positive) per pair of disjoint keys (e_i ^ e_i =
+    0), in the sorted order of the pairs, with keys[slot] = keys_a[i] |
+    keys_b[j] and ``positive`` whether the merge sign is +1."""
+    pairs = [(i, j, ka | kb, _merge_sign(ka, kb) > 0)
+             for i, ka in enumerate(keys_a)
+             for j, kb in enumerate(keys_b) if not ka & kb]
+    keys = tuple(sorted({k for _, _, k, _ in pairs}))
+    slot = {k: s for s, k in enumerate(keys)}
+    return keys, tuple((i, j, slot[k], positive)
+                       for i, j, k, positive in pairs)
 
 
 def wedge(a: MultiVector, b: MultiVector) -> MultiVector:
@@ -222,17 +163,15 @@ def wedge(a: MultiVector, b: MultiVector) -> MultiVector:
     """
     if a.dim != b.dim:
         raise DimensionMismatch(
-            f"wedge of multivectors with dims {a.dim} and {b.dim}"
-        )
+            f"wedge of multivectors with dims {a.dim} and {b.dim}")
     if a.shape != b.shape:
         raise DimensionMismatch(
             f"wedge of batches with shapes {a.shape} and {b.shape}")
     grade = a.grade + b.grade
     if grade > a.dim:
         return MultiVector.zero(a.dim, grade, a.shape)
-    keys_a, A = a._rows()
-    keys_b, B = b._rows()
-    keys, terms = _schedule(tuple(keys_a), tuple(keys_b))
+    keys, terms = _schedule(a.keys, b.keys)
+    A, B = a.stack, b.stack
     S = np.zeros((len(keys),) + a.shape)
     term = np.empty(a.shape)  # one product buffer for every term
     for i, j, k, positive in terms:
@@ -241,7 +180,7 @@ def wedge(a: MultiVector, b: MultiVector) -> MultiVector:
             S[k] += term
         else:
             S[k] -= term
-    return _pruned(a.dim, grade, keys, S, a.shape)
+    return _pruned(a.dim, grade, keys, S)
 
 
 def _square_stack(M) -> np.ndarray:
@@ -256,10 +195,13 @@ def _square_stack(M) -> np.ndarray:
 def _upper_pairs(n: int):
     """Row-major flat indices (p n + q, q n + p) of each entry M_pq above
     the diagonal and of its mirror M_qp, in that order, and the key
-    e_p ^ e_q of each."""
+    e_p ^ e_q of each; then the keys in increasing order, and the index
+    of the pair of each."""
     pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
-    return (tuple((p * n + q, q * n + p) for p, q in pairs),
-            tuple((1 << p) | (1 << q) for p, q in pairs))
+    keys = tuple((1 << p) | (1 << q) for p, q in pairs)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return (tuple((p * n + q, q * n + p) for p, q in pairs), keys,
+            tuple(keys[k] for k in order), np.array(order, dtype=np.intp))
 
 
 def _antisymmetric_rows(M):
@@ -271,7 +213,7 @@ def _antisymmetric_rows(M):
     flattened stack, so nothing (B, n, n) is formed.
     """
     n = M.shape[-1]
-    entries, keys = _upper_pairs(n)
+    entries, keys = _upper_pairs(n)[:2]
     flat = M.reshape(math.prod(M.shape[:-2]), n * n)
     S = np.empty((len(keys), len(flat)))
     for row, (pq, qp) in zip(S, entries):
@@ -279,37 +221,20 @@ def _antisymmetric_rows(M):
     return keys, S.reshape((len(keys),) + M.shape[:-2])
 
 
-def gamma(M, basis=None) -> MultiVector:
-    """2-vector sum of (M u_i) ^ u_i over an orthonormal basis.
+def gamma(M) -> MultiVector:
+    """2-vector sum of (M e_i) ^ e_i over the canonical basis.
 
     M is one (n, n) matrix or a (B, n, n) stack, which gives a batch of
-    B 2-vectors.  With the canonical basis the coefficient on e_p ^ e_q
-    (p < q) is M_pq - M_qp, so the result vanishes exactly on symmetric
-    M; they are read key by key (``_antisymmetric_rows``), never as a
-    (B, n, n) difference.  A supplied basis must be orthonormal
-    (columns); the result does not depend on the choice, which tests
-    exercise statistically.
+    B 2-vectors.  The coefficient on e_p ^ e_q (p < q) is M_pq - M_qp,
+    so the result vanishes exactly on symmetric M; the coefficients are
+    read pair by pair (``_antisymmetric_rows``), never as a (B, n, n)
+    difference, and put in key order once.  The sum is the same over
+    every orthonormal basis, which tests check against an oracle.
     """
     M = _square_stack(M)
     n = M.shape[-1]
-    if basis is None:
-        return _pruned(n, 2, *_antisymmetric_rows(M), M.shape[:-2])
-
-    U = np.asarray(basis, dtype=float)
-    if U.shape != (n, n):
-        raise DimensionMismatch(f"basis must be {n}x{n}, got {U.shape}")
-    gram_dev = float(np.abs(U.T @ U - np.eye(n)).max())
-    if gram_dev > 1e-10:
-        raise ValueError(
-            f"supplied basis is not orthonormal (Gram deviation {gram_dev:.3e})"
-        )
-    total = MultiVector.zero(n, 2, M.shape[:-2])
-    for i in range(n):
-        Mu = M @ U[:, i]
-        total = total + wedge(MultiVector.from_vector(Mu),
-                              MultiVector.from_vector(
-                                  np.broadcast_to(U[:, i], Mu.shape)))
-    return total
+    keys, order = _upper_pairs(n)[2:]
+    return _pruned(n, 2, keys, _antisymmetric_rows(M)[1][order])
 
 
 def gamma_power(M, m: int | None = None):

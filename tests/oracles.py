@@ -19,6 +19,7 @@ import numpy as np
 
 from gradlocus import dsl
 from gradlocus.errors import DimensionMismatch, reading
+from gradlocus.exterior import PRUNE_FLOOR, PRUNE_REL
 from gradlocus.geometry import (FormKind, companion_map, make_form,
                                 minkowski, pseudo_euclidean,
                                 standard_euclidean, standard_symplectic)
@@ -72,17 +73,35 @@ def dict_wedge(a: dict, b: dict) -> dict:
     return {k: v for k, v in out.items() if v != 0.0}
 
 
-def dict_gamma(M) -> dict:
-    """Sum of (M e_i) ^ e_i accumulated from the definition."""
+def dict_gamma(M, basis=None) -> dict:
+    """Sum of (M u_i) ^ u_i over the columns u_i of the orthonormal
+    ``basis`` (the canonical one by default), accumulated from the
+    definition."""
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
+    U = np.eye(n) if basis is None else np.asarray(basis, dtype=float)
     total = {}
     for i in range(n):
-        image = {(p + 1,): M[p, i] for p in range(n) if M[p, i] != 0.0}
-        term = dict_wedge(image, {(i + 1,): 1.0})
+        image, u = M @ U[:, i], U[:, i]
+        term = dict_wedge({(p + 1,): image[p] for p in range(n) if image[p]},
+                          {(p + 1,): u[p] for p in range(n) if u[p]})
         for k, v in term.items():
             total[k] = total.get(k, 0.0) + v
     return {k: v for k, v in total.items() if v != 0.0}
+
+
+def four_pass_pruned(keys, S):
+    """(keys, S) pruned row by row with an explicit finiteness test: a
+    coefficient is zeroed when it is finite and at most PRUNE_REL times
+    its row's max|coeff| (floor PRUNE_FLOOR), and a key is dropped when
+    it is zeroed in every row.  S is not changed."""
+    size = np.abs(S)
+    cutoff = np.maximum(PRUNE_REL * np.max(size, axis=0, initial=0.0),
+                        PRUNE_FLOOR)
+    keep = ~(np.isfinite(S) & (size <= cutoff))
+    alive = np.any(keep, axis=tuple(range(1, keep.ndim)))
+    return (tuple(k for k, a in zip(keys, alive) if a),
+            np.where(keep, S, 0.0)[alive])
 
 
 def dict_top_power(M, m: int) -> float:

@@ -6,19 +6,28 @@ import pytest
 from gradlocus import (DimensionMismatch, MultiVector, NotAntisymmetric,
                        OddDimension, antisymmetric_part, gamma, gamma_power,
                        pfaffian, wedge)
-from gradlocus.exterior import _antisymmetric_rows
-from oracles import dict_gamma, dict_top_power, dict_wedge, pfaffian_matchings
+from gradlocus.exterior import _antisymmetric_rows, _pruned
+from oracles import (dict_gamma, dict_top_power, dict_wedge, four_pass_pruned,
+                     pfaffian_matchings)
+
+
+def vector(dim, i):
+    """e_i as a 1-vector (1-based index)."""
+    return MultiVector(dim, 1, (1 << (i - 1),), [1.0])
 
 
 def e(dim, *indices):
-    out = MultiVector.basis_vector(dim, indices[0])
+    """e_{i1} ^ e_{i2} ^ ..., wedged in the order given."""
+    out = vector(dim, indices[0])
     for i in indices[1:]:
-        out = wedge(out, MultiVector.basis_vector(dim, i))
+        out = wedge(out, vector(dim, i))
     return out
 
 
 def as_dict(mv):
-    return {k: v for k, v in mv.terms()}
+    """{ascending 1-based index tuple: coefficient}, the oracles' form."""
+    return {tuple(i + 1 for i in range(mv.dim) if key >> i & 1): v
+            for key, v in zip(mv.keys, mv.stack)}
 
 
 class TestWedge:
@@ -31,11 +40,12 @@ class TestWedge:
         assert as_dict(wedge(e(4, 1, 3), e(4, 2, 4))) == {(1, 2, 3, 4): -1.0}
 
     def test_repeated_axis_vanishes(self):
-        assert wedge(e(3, 1), e(3, 1)).is_zero()
+        out = wedge(e(3, 1), e(3, 1))
+        assert out.keys == () and out.stack.shape == (0,)
 
     def test_grade_overflow_returns_zero(self):
         out = wedge(e(2, 1, 2), e(2, 1))
-        assert out.is_zero()
+        assert out.keys == () and out.max_abs() == 0.0
         assert out.grade == 3
 
     def test_dimension_mismatch(self):
@@ -70,37 +80,49 @@ class TestWedge:
                 assert as_dict(left).get(k, 0.0) == pytest.approx(
                     as_dict(right).get(k, 0.0), rel=1e-12, abs=1e-12)
 
-    def test_xor_operator(self):
-        assert as_dict(e(3, 1) ^ e(3, 2)) == {(1, 2): 1.0}
 
-
-def _random_mv(rng, n, grade):
-    mv = MultiVector.zero(n, grade)
+def _random_mv(rng, n, grade, rows=None, density=1.0):
+    """Three random keys (repeats summed), each coefficient nonzero with
+    probability ``density``; a batch of ``rows`` when given."""
+    coeffs = {}
     for _ in range(3):
-        idx = sorted(rng.choice(np.arange(1, n + 1), size=grade,
-                                replace=False).tolist())
-        single = MultiVector(n, grade, {
-            sum(1 << (i - 1) for i in idx): float(rng.uniform(-2, 2))})
-        mv = mv + single
-    return mv
+        key = sum(1 << int(i) for i in rng.choice(n, size=grade, replace=False))
+        v = rng.uniform(-2, 2, rows) * (rng.random(rows) < density)
+        coeffs[key] = coeffs.get(key, 0.0) + v
+    keys = tuple(sorted(coeffs))
+    return MultiVector(n, grade, keys, [coeffs[k] for k in keys])
 
 
 class TestMultiVector:
     def test_key_validation(self):
         with pytest.raises(ValueError):
-            MultiVector(2, 1, {0b11: 1.0})  # popcount 2, grade 1
+            MultiVector(2, 1, (0b11,), [1.0])  # popcount 2, grade 1
         with pytest.raises(ValueError):
-            MultiVector(2, 1, {0b100: 1.0})  # index beyond dim
+            MultiVector(2, 1, (0b100,), [1.0])  # index beyond dim
+        for keys in ((0b10, 0b01), (0b01, 0b01)):  # unsorted, repeated
+            with pytest.raises(ValueError):
+                MultiVector(2, 1, keys, [1.0, 2.0])
+        with pytest.raises(DimensionMismatch):
+            MultiVector(2, 1, (0b01, 0b10), [1.0])  # one row for two keys
 
     def test_prune_drops_noise_keeps_grade(self):
-        mv = MultiVector(3, 1, {0b001: 1.0, 0b010: 1e-20})
-        pruned = mv.prune()
+        # directly, through gamma (a 1e-20 entry next to a 1) and through
+        # wedge (a 1e-20 coefficient next to a 1 in the product)
+        pruned = _pruned(3, 1, (0b001, 0b010), np.array([1.0, 1e-20]))
         assert as_dict(pruned) == {(1,): 1.0}
         assert pruned.grade == 1
+        M = np.zeros((3, 3))
+        M[0, 1], M[0, 2] = 1.0, 1e-20
+        assert as_dict(gamma(M)) == {(1, 2): 1.0}
+        a = MultiVector(3, 1, (0b001,), [1.0])
+        b = MultiVector(3, 1, (0b010, 0b100), [1.0, 1e-20])
+        out = wedge(a, b)
+        assert as_dict(out) == {(1, 2): 1.0} and out.grade == 2
 
     def test_coefficient_accessor(self):
         mv = wedge(e(4, 1, 3), e(4, 2, 4))
         assert mv.coefficient((1, 2, 3, 4)) == -1.0
+        assert e(4, 1, 2).coefficient((3, 4)) == 0.0
         with pytest.raises(ValueError):
             mv.coefficient((1, 2))
 
@@ -110,14 +132,14 @@ class TestGamma:
         rng = np.random.default_rng(7)
         for n in (2, 3, 4, 6):
             A = rng.standard_normal((n, n))
-            assert gamma(A + A.T).is_zero()
+            assert gamma(A + A.T).keys == ()
 
     def test_rotation_generator(self):
         M = np.array([[0.0, -1.0], [1.0, 0.0]])
         assert as_dict(gamma(M)) == {(1, 2): -2.0}
 
     def test_identity_vanishes(self):
-        assert gamma(np.eye(5)).is_zero()
+        assert gamma(np.eye(5)).keys == ()
 
     def test_matches_definition_oracle(self):
         rng = np.random.default_rng(8)
@@ -142,22 +164,24 @@ class TestGamma:
             # constructed borderline cases
             S = rng.standard_normal((n, n))
             S = S + S.T
-            assert gamma(S).is_zero()
+            assert gamma(S).max_abs() == 0.0
             P = S.copy()
             P[0, -1] += 1e-6 * np.abs(S).max()
-            assert not gamma(P).is_zero(tol=1e-12 * np.abs(P).max())
+            assert gamma(P).max_abs() > 1e-12 * np.abs(P).max()
 
     def test_basis_invariance(self):
+        # the sum of (M u_i) ^ u_i over a random orthonormal basis, taken
+        # by the oracle, is gamma(M)
         rng = np.random.default_rng(10)
         for _ in range(100):
             n = int(rng.integers(2, 6))
             M = rng.standard_normal((n, n))
             U, _ = np.linalg.qr(rng.standard_normal((n, n)))
-            base = gamma(M)
-            other = gamma(M, basis=U)
-            scale = max(base.max_abs(), 1e-30)
-            for k in set(as_dict(base)) | set(as_dict(other)):
-                dev = abs(as_dict(base).get(k, 0.0) - as_dict(other).get(k, 0.0))
+            base = as_dict(gamma(M))
+            other = dict_gamma(M, basis=U)
+            scale = max(gamma(M).max_abs(), 1e-30)
+            for k in set(base) | set(other):
+                dev = abs(base.get(k, 0.0) - other.get(k, 0.0))
                 assert dev <= 1e-9 * scale
 
     def test_infinite_entry_is_not_pruned(self):
@@ -171,17 +195,13 @@ class TestGamma:
         stack = rng.standard_normal((5, 4, 4))
         stack[2, 0, 3] = np.inf
         g = gamma(stack)
-        assert g.coeffs[0b1001][2] == np.inf
+        assert g.coefficient((1, 4))[2] == np.inf
         for i in (0, 1, 3, 4):
-            row = {k: v[i] for k, v in g.coeffs.items() if v[i] != 0.0}
-            alone = gamma(stack[i]).coeffs
-            assert row.keys() == alone.keys()
-            assert all(row[k].tobytes() == alone[k].tobytes() for k in row)
-
-    def test_non_orthonormal_basis_rejected(self):
-        M = np.eye(2)
-        with pytest.raises(ValueError):
-            gamma(M, basis=np.array([[1.0, 1.0], [0.0, 1.0]]))
+            row = {k: v[i] for k, v in zip(g.keys, g.stack) if v[i] != 0.0}
+            alone = gamma(stack[i])
+            assert tuple(row) == alone.keys
+            assert all(row[k].tobytes() == v.tobytes()
+                       for k, v in zip(alone.keys, alone.stack))
 
 
 class TestGammaPower:
@@ -299,8 +319,8 @@ class TestBatchedGammaPower:
         rng = np.random.default_rng(21)
         stack = _stacks(rng, 8)["block"]
         g = gamma(stack)
-        assert sorted(g.coeffs) == [0b11, 0b1100, 0b110000, 0b11000000]
-        assert len(wedge(g, g).coeffs) == 6
+        assert g.keys == (0b11, 0b1100, 0b110000, 0b11000000)
+        assert len(wedge(g, g).keys) == 6
 
     def test_empty_stack(self):
         assert gamma_power(np.zeros((0, 4, 4))).shape == (0,)
@@ -347,51 +367,62 @@ class TestBatchedWedge:
         for _ in range(100):
             n = int(rng.integers(2, 7))
             rows = int(rng.integers(1, 6))
-            a = _random_batch(rng, n, int(rng.integers(1, 3)), rows)
-            b = _random_batch(rng, n, int(rng.integers(1, 3)), rows)
+            a = _random_mv(rng, n, int(rng.integers(1, 3)), rows, 0.7)
+            b = _random_mv(rng, n, int(rng.integers(1, 3)), rows, 0.7)
             got = wedge(a, b)
             assert got.shape == (rows,)
             for i in range(rows):
-                want = wedge(_row(a, i), _row(b, i))
-                assert set(want.coeffs) <= set(got.coeffs)
-                for k, v in got.coeffs.items():
-                    assert v[i] == want.coeffs.get(k, 0.0)
+                want = as_dict(wedge(_row(a, i), _row(b, i)))
+                assert set(want) <= set(as_dict(got))
+                for k, v in as_dict(got).items():
+                    assert v[i] == want.get(k, 0.0)
 
     def test_prune_is_per_row(self):
         # row 0 has cutoff 1e-14, row 1 has cutoff 1e-30
-        mv = MultiVector(3, 1, {0b001: [1.0, 1e-29], 0b010: [1e-20, 1e-16],
-                                0b100: [1e-20, 1e-40]})
-        pruned = mv.prune()
-        assert sorted(pruned.coeffs) == [0b001, 0b010]
-        assert np.array_equal(pruned.coeffs[0b001], [1.0, 1e-29])
-        assert np.array_equal(pruned.coeffs[0b010], [0.0, 1e-16])
-        assert np.array_equal(mv.max_abs(), [1.0, 1e-16])
+        S = np.array([[1.0, 1e-29], [1e-20, 1e-16], [1e-20, 1e-40]])
+        keys = (0b001, 0b010, 0b100)
+        assert np.array_equal(MultiVector(3, 1, keys, S).max_abs(),
+                              [1.0, 1e-16])
+        pruned = _pruned(3, 1, keys, S)
+        assert pruned.keys == (0b001, 0b010)
+        assert np.array_equal(pruned.stack, [[1.0, 1e-29], [0.0, 1e-16]])
+
+    def test_pruning_matches_the_four_pass_rule(self):
+        # keys and bits, sign included, against the rule that tests
+        # finiteness on its own, on stacks mixing +-inf, NaN, +-0.0,
+        # subnormals and scales of 1e+-300, and on their first columns
+        rng = np.random.default_rng(23)
+        specials = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324,
+                             -2e-310, 1e300, -1e-300, 1e-14, 1.0])
+        for _ in range(400):
+            K, B = int(rng.integers(1, 8)), int(rng.integers(1, 5))
+            S = (rng.standard_normal((K, B))
+                 * 10.0 ** rng.choice([-300, -20, 0, 20, 300], (K, B)))
+            special = rng.random((K, B)) < 0.3
+            S[special] = rng.choice(specials, special.sum())
+            S[rng.random((K, B)) < 0.2] *= 1e-15
+            keys = tuple(1 << k for k in range(K))
+            for stack in (S, S[:, 0]):
+                want_keys, want = four_pass_pruned(keys, stack)
+                got = _pruned(K, 1, keys, stack.copy())
+                assert got.keys == want_keys
+                assert got.stack.tobytes() == want.tobytes()
 
     def test_batch_shape_checks(self):
-        a = MultiVector(2, 1, {0b01: [1.0, 2.0]})
+        a = MultiVector(2, 1, (0b01,), [[1.0, 2.0]])
         assert a.shape == (2,)
-        assert a == MultiVector(2, 1, {0b01: np.array([1.0, 2.0])})
-        assert a != MultiVector(2, 1, {0b01: [1.0, 3.0]})
-        assert e(2, 1) == MultiVector.basis_vector(2, 1) != e(2, 2)
+        assert a == MultiVector(2, 1, (0b01,), np.array([[1.0, 2.0]]))
+        assert a != MultiVector(2, 1, (0b01,), [[1.0, 3.0]])
+        assert e(2, 1) == vector(2, 1) != e(2, 2)
         assert MultiVector.zero(2, 1, (3,)).max_abs().shape == (3,)
         with pytest.raises(DimensionMismatch):
-            wedge(a, MultiVector.basis_vector(2, 2))
+            wedge(a, vector(2, 2))
         with pytest.raises(DimensionMismatch):
-            MultiVector(2, 1, {0b01: [1.0, 2.0], 0b10: 1.0})
-
-
-def _random_batch(rng, n, grade, rows):
-    """A (rows,) batch with three random keys, each zero in some rows."""
-    coeffs = {}
-    for _ in range(3):
-        idx = rng.choice(n, size=grade, replace=False)
-        v = rng.uniform(-2, 2, rows) * (rng.random(rows) < 0.7)
-        coeffs[sum(1 << int(i) for i in idx)] = v
-    return MultiVector(n, grade, coeffs)
+            MultiVector(2, 1, (0b01, 0b10), [[1.0, 2.0]])
 
 
 def _row(mv, i):
-    return MultiVector(mv.dim, mv.grade, {k: v[i] for k, v in mv.coeffs.items()})
+    return MultiVector(mv.dim, mv.grade, mv.keys, mv.stack[:, i])
 
 
 class TestPfaffian:

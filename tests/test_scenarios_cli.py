@@ -10,10 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gradlocus import (LocusOptions, ScenarioError, build_phi,
-                       builtin_demos, certify, companion_map, load_scenario,
+from gradlocus import (LocusOptions, ScalarField, ScenarioError, VectorField,
+                       all_charts, build_phi, builtin_demos, certify,
+                       companion_map, load_scenario, make_form, matrix_apply,
                        sample_locus, scenario_from_dict, verify_cover)
-from gradlocus import cli, integrability
+from gradlocus import cli, dsl, integrability
 from gradlocus.cli import main
 from gradlocus.integrability import (CHECK_STACK_BYTES, GRAY_FACTOR,
                                      conditions, distinct_sides)
@@ -484,6 +485,20 @@ class TestCli:
             assert exc.value.code == 2
             assert "--points" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--points", "--seed"])
+    def test_charts_takes_no_points_or_seed(self, tmp_path, flag):
+        # charts reads its points from the CSV and draws nothing, so the
+        # sampling flags are argparse errors there, not ignored
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(circle_dict()))
+        (tmp_path / "points.csv").write_text(CIRCLE_CSV)
+        done = run_cli("charts", str(tmp_path / "points.csv"), "--scenario",
+                       str(scenario), flag, "3", "--out", str(tmp_path / "re"))
+        assert done.returncode == 2
+        assert f"unrecognized arguments: {flag} 3" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not (tmp_path / "re").exists()
+
     def test_gray_gamma_is_neither_certified_nor_decisive(self, tmp_path):
         # F rotates grad f by 3e-8, so |Gamma| / scale = 4.24e-8 at every
         # point: above tol_gamma = 1e-8 but inside its 10x gray zone
@@ -788,6 +803,82 @@ def test_left_locus_is_a_right_locus(tmp_path, name, negate):
     assert (left.pop("side"), got.pop("side")) == ("left", "right")
     del left["generated_at"], got["generated_at"]
     assert left == got
+
+
+def substitute(expr, P):
+    """expr with each x_i replaced by (P y)_i = sum_j P_ij y_j."""
+    ys = [dsl.Var(j + 1) for j in range(len(P))]
+    stack = []  # the substituted operands not yet consumed
+    for e in expr.postorder:
+        t = type(e)
+        if t is dsl.Var:
+            stack.append(dsl.linear_combination(P[e.index - 1], ys))
+        elif t is dsl.Const:
+            stack.append(e)
+        elif t is dsl.Neg:
+            stack.append(dsl.Neg(stack.pop()))
+        elif t is dsl.Pow:
+            stack.append(dsl.Pow(stack.pop(), e.exponent))
+        elif t is dsl.Call:
+            stack.append(dsl.Call(e.func, stack.pop()))
+        else:
+            rhs = stack.pop()
+            stack.append(t(stack.pop(), rhs))
+    return stack[0]
+
+
+def linear_image(s, P):
+    """The Phi system of scenario s in the coordinates y = P^T x of an
+    orthogonal P: f'(y) = f(Py), F'(y) = P^T F(Py) and Q' = P^T Q P, so
+    that Phi'(y) = P^T Phi(Py) and N'(y) = P^T N(Py) P."""
+    n = s.dim
+    G = VectorField(n, tuple(substitute(c, P) for c in s.F.components))
+    return build_phi(companion_map(make_form(P.T @ s.form.Q @ P)),
+                     ScalarField(n, substitute(s.f.expr, P)),
+                     matrix_apply(P.T, G), s.side)
+
+
+@pytest.mark.parametrize("name", ["circle-m1", "plane-m2", "minkowski-grad",
+                                  "torus-m2"])
+@pytest.mark.parametrize("kind", ["permutation", "orthogonal"])
+def test_verdicts_are_invariant_under_orthogonal_maps(name, kind):
+    # the paper's conditions are coordinate-free: in y = P^T x the locus
+    # maps to P^T locus, Gamma' = det(P) Gamma at the same scale, and every
+    # verdict stays, an on-locus one up to its gray band; a permutation
+    # only renames the axes, so the charts permute exactly; a rotated N is
+    # dense, where the tori's N is block-diagonal
+    s = (scenario_from_dict(_TORUS[name]) if name in _TORUS
+         else builtin_demos()[name])
+    n, m, opts = s.dim, s.dim // 2, s.options
+    rng = np.random.default_rng(91)
+    P = (np.eye(n)[rng.permutation(n)] if kind == "permutation"
+         else np.linalg.qr(rng.standard_normal((n, n)))[0])
+    phi = build_phi(companion_map(s.form), s.f, s.F, s.side)
+    box = s.box_array()
+    on_locus = sample_locus(phi, box, 150, opts).x
+    X = np.concatenate([on_locus, box_halton(box, 50, 3)])
+    want = certify(phi, X, opts)
+    got = certify(linear_image(s, P), X @ P, opts)
+
+    tol = opts.tol_residual
+    on = want.phi_norm <= tol
+    same = on == (got.phi_norm <= tol)
+    gray = ((want.phi_norm > tol / GRAY_FACTOR)
+            & (want.phi_norm <= tol * GRAY_FACTOR))
+    assert on.sum() >= len(on_locus) and np.all(same | gray)
+    assert np.array_equal(got.obstructed[same], want.obstructed[same])
+    assert np.array_equal(got.certified[same], want.certified[same])
+    assert want.obstructed.any() == (name != "minkowski-grad")  # a gradient
+    det = np.linalg.det(P)
+    assert np.all(np.abs(got.gamma_value - det * want.gamma_value)
+                  <= 1e-12 * want.gamma_scale)
+    assert np.allclose(got.gamma_scale, want.gamma_scale, rtol=1e-12)
+    if kind == "permutation":  # chart alpha in x is chart perm(alpha) in y
+        perm = np.argmax(P, axis=1)
+        charts = all_charts(m)
+        moved = [charts.index(tuple(sorted(int(perm[i - 1]) + 1 for i in c)))
+                 for c in charts]
+        assert np.array_equal(got.charts[same][:, moved], want.charts[same])
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
