@@ -1,4 +1,4 @@
-"""Expression DSL with exact forward-mode derivatives.
+"""Expression DSL with exact symbolic derivatives.
 
 Grammar (standard precedence, highest first: ``^``, unary ``-``,
 ``* /``, ``+ -``)::
@@ -13,21 +13,21 @@ Grammar (standard precedence, highest first: ``^``, unary ``-``,
 Unary minus is parsed as ``'-' factor`` so that the exponent binds
 tighter (``-x1^2`` means ``-(x1^2)``).  Each walk of a tree (printing,
 ``repr``, equality, hashing, ``max_var_index``, ``differentiate`` and
-compiling) is one loop over ``Expr.postorder``, so a tree of any depth
-walks; only the parser recurses, once per level of parenthesis or
-unary-minus nesting, and a nesting deeper than the interpreter's
-recursion limit fails there.  Evaluation runs a ``Tape``: an expression,
-or the components of a field, compiled once into one list of nodes in
-which equal subtrees are one node, with each node's variables fixed at
-compile time and each result dropped after its last use.  Derivatives
-are propagated in forward mode with one jet, a truncated Taylor value of
-order 1 (gradients and Jacobians) or 2 (Hessians) in the variables a
-node depends on, so they are exact up to rounding; ``gradient`` and
-``hessian`` return every lower order from the same run.  Evaluation
-takes a (B, n) stack of points, and a single point is a stack of one.
-A point is outside the domain where a denominator or a base with a
-negative exponent is zero, a log argument is not positive, or the
-result is not finite: its row comes back all NaN.
+compiling) is a loop, so a tree of any depth walks; only the parser
+recurses, once per level of parenthesis or unary-minus nesting, and a
+nesting deeper than the interpreter's recursion limit fails there.
+``differentiate`` holds the one set of derivative rules.  Evaluation
+runs a ``Tape``: an expression, or the components of a field, with its
+partial derivatives up to the order asked for written out by
+``differentiate`` and compiled once into one list of nodes in which
+equal subtrees are one node; a run is one loop over plain values, each
+dropped after its last use (Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed. 2008, ch. 3).  So derivatives are exact up to
+rounding, and ``gradient`` and ``hessian`` return every lower order from
+the same run.  Evaluation takes a (B, n) stack of points, and a single
+point is a stack of one.  A point is outside the domain where a
+denominator or a base with a negative exponent is zero, a log argument
+is not positive, or the result is not finite: its row comes back NaN.
 """
 
 from __future__ import annotations
@@ -342,255 +342,143 @@ def parse_expression(text: str, n: int) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Jet rules.  At order 1 or 2 a node that depends on variables is a jet,
-# a triple (value (B,), gradient (B, k), Hessian (B, k, k) or None at
-# order 1) over the k variables of the node; a node that depends on none
-# is a plain value, as every node is at order 0.  Each rule computes as a
-# dense jet would on operands widened with zeros to the same variables,
-# so each column it keeps is the dense one (Griewank & Walther, 2008,
-# ch. 7), and builds the Hessian from symmetric outer-product pairs.
-
-
-def _outer(g1, g2):
-    return g1[:, :, None] * g2[:, None, :]
-
-
-def _widen(at, k, x):
-    """The jet x over k variables, a superset of its own, with zero
-    derivatives in the ones it lacks; ``at`` indexes its blocks."""
-    v, g, h = x
-    grad = np.zeros((len(g), k))
-    grad[at[0]] = g
-    if h is None:
-        return v, grad, None
-    hess = np.zeros((len(h), k, k))
-    hess[at[1]] = h
-    return v, grad, hess
-
-
-def _termwise(op):  # op, + or -, on two jets over the same variables
-    return lambda x, y: (op(x[0], y[0]), op(x[1], y[1]),
-                         None if x[2] is None else op(x[2], y[2]))
-
-
-def _shift(op):  # op, + or -, on a jet and a plain value
-    return lambda x, c: (op(x[0], c), x[1], x[2])
-
-
-def _scale(op):  # op, * or /, on a jet and a plain value
-    return lambda x, c: (op(x[0], c), op(x[1], c),
-                         None if x[2] is None else op(x[2], c))
-
-
-def _mul_jj(x, y):
-    (v1, g1, h1), (v2, g2, h2) = x, y
-    grad = v1[:, None] * g2 + v2[:, None] * g1
-    if h1 is None:
-        return v1 * v2, grad, None
-    return v1 * v2, grad, (v1[:, None, None] * h2 + v2[:, None, None] * h1
-                           + _outer(g1, g2) + _outer(g2, g1))
-
-
-def _div_jj(x, y):
-    (v1, g1, h1), (w, g2, h2) = x, y
-    v = v1 / w
-    g = (g1 - v[:, None] * g2) / w[:, None]
-    if h1 is None:
-        return v, g, None
-    return v, g, ((h1 - v[:, None, None] * h2 - _outer(g, g2) - _outer(g2, g))
-                  / w[:, None, None])
-
-
-def _div_cj(c, y):
-    w, g1, h1 = y
-    v = c / w
-    g = -(v / w)[:, None] * g1
-    if h1 is None:
-        return v, g, None
-    return v, g, ((-_outer(g, g1) - _outer(g1, g) - v[:, None, None] * h1)
-                  / w[:, None, None])
-
-
-def _neg_j(x):
-    return -x[0], -x[1], None if x[2] is None else -x[2]
-
-
-def _chain(x, v, d1, d2, grad=None):
-    """g(x) for a scalar function g with value v and g' = d1; d2() gives
-    g'' and is called only for a second-order jet."""
-    _, g, h = x
-    if grad is None:
-        grad = d1[:, None] * g
-    if h is None:
-        return v, grad, None
-    return v, grad, (d1[:, None, None] * h
-                     + d2()[:, None, None] * _outer(g, g))
-
-
-def _pow_j(k: int, x):
-    v, g, h = x
-    if k == 0:
-        return (np.ones_like(v), np.zeros_like(g),
-                None if h is None else np.zeros_like(h))
-    if k == 1:
-        return x
-    if k == 2:  # k * v ** (k - 1) and k * (k - 1) * v ** (k - 2), exactly
-        d1 = 2 * v
-        return v ** 2, d1[:, None] * g, None if h is None else (
-            d1[:, None, None] * h + 2.0 * _outer(g, g))
-    return _chain(x, v ** k, k * v ** (k - 1),
-                  lambda: k * (k - 1) * v ** (k - 2))
-
-
-def _sin_j(x):
-    s, c = np.sin(x[0]), np.cos(x[0])
-    return _chain(x, s, c, lambda: -s)
-
-
-def _cos_j(x):
-    s, c = np.sin(x[0]), np.cos(x[0])
-    return _chain(x, c, -s, lambda: -c)
-
-
-def _exp_j(x):
-    e = np.exp(x[0])
-    return _chain(x, e, e, lambda: e)
-
-
-def _log_j(x):
-    v, g, _ = x
-    inv = 1.0 / v
-    return _chain(x, np.log(v), inv, lambda: -inv * inv, grad=g / v[:, None])
-
-
-# per node type: the rule on plain values, then on a plain value and a
-# jet, on a jet and a plain value, and on two jets (for a unary node, on
-# a jet); c - y is (-y) + c, equal in IEEE arithmetic
-_add_jc, _mul_jc = _shift(operator.add), _scale(operator.mul)
-_RULES = {
-    Add: (operator.add, lambda c, y: _add_jc(y, c), _add_jc,
-          _termwise(operator.add)),
-    Sub: (operator.sub, lambda c, y: _add_jc(_neg_j(y), c),
-          _shift(operator.sub), _termwise(operator.sub)),
-    Mul: (operator.mul, lambda c, y: _mul_jc(y, c), _mul_jc, _mul_jj),
-    Div: (operator.truediv, _div_cj, _scale(operator.truediv), _div_jj),
-    Neg: (operator.neg, _neg_j),
-    "sin": (np.sin, _sin_j), "cos": (np.cos, _cos_j),
-    "exp": (np.exp, _exp_j), "log": (np.log, _log_j),
-}
-
-
-# ---------------------------------------------------------------------------
 # Tapes
 
 
-@functools.lru_cache(maxsize=1024)
-def _placement(vars, union):
-    """Index tuples of a gradient and of a Hessian block over ``vars`` in
-    one over the sorted superset ``union``, with slices where the block
-    is contiguous (faster to assign than arrays)."""
-    pos = [union.index(v) for v in vars]
-    if pos[-1] - pos[0] == len(pos) - 1:
-        rows = cols = slice(pos[0], pos[-1] + 1)
-    else:
-        cols = np.array(pos)
-        rows = cols[:, None]
-    return (slice(None), cols), (slice(None), rows, cols)
+# the operation of each node type on plain values
+_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
+        Div: operator.truediv, Neg: operator.neg, "sin": np.sin,
+        "cos": np.cos, "exp": np.exp, "log": np.log}
+
+
+def _variables(expr: Expr) -> list:
+    """The sorted 0-based variables of the tree."""
+    return sorted({e.index - 1 for e in expr.postorder if type(e) is Var})
+
+
+class Program:
+    """Targets, each (node, component, derivative index), and the nodes
+    they need, each after its operands, as one loop: ``leaves`` are
+    (node, 0-based variable or None, constant); each step is (operation,
+    node, operands, test of the last operand, results used last and
+    dropped, never a target's); ``places`` are (node, order, output
+    index, mirrored output index or None)."""
+
+    def __init__(self, nodes, targets):
+        tops = [i for i, _, _ in targets]
+        within = [0] * len(nodes)  # bit r: target r contains node i
+        for r, i in enumerate(tops):
+            within[i] |= 1 << r
+        for i in range(len(nodes) - 1, -1, -1):
+            for o in nodes[i][2]:
+                within[o] |= within[i]
+        self.size, self.leaves, steps = len(nodes), [], []
+        for i, (t, arg, ops) in enumerate(nodes):
+            if not ops:
+                self.leaves.append((i, arg - 1 if t is Var else None, arg))
+                continue
+            test = None  # an undefined point where test(last operand, 0.0)
+            if t is Div or (t is Pow and arg < 0) or arg == "log":
+                where = {}  # order: the components whose targets hold node i
+                for r, (_, c, at) in enumerate(targets):
+                    if within[i] >> r & 1:
+                        where.setdefault(len(at), set()).add(c)
+                test = (operator.le if t is Call else operator.eq,
+                        [(d, sorted(c)) for d, c in where.items()])
+            steps.append(((lambda x, k=arg: x ** k) if t is Pow
+                          else _OPS[arg if t is Call else t], i, ops, test))
+        last = {o: s for s, (_, _, ops, _) in enumerate(steps) for o in ops}
+        gone, kept = [[] for _ in steps], set(tops)
+        for o, s in last.items():
+            if o not in kept:
+                gone[s].append(o)
+        self.steps = [(*step, tuple(g)) for step, g in zip(steps, gone)]
+        self.places = [
+            (i, len(at), (slice(None), c, *at),
+             (slice(None), c, at[1], at[0]) if len(at) == 2 and at[0] != at[1]
+             else None) for i, c, at in targets]
 
 
 class Tape:
-    """Roots, one expression or a tuple of components, compiled into one
-    list of nodes, each after its operands, in which equal subtrees are
-    one node (constants equal by their bits, so 0.0 and -0.0 stay apart).
-    Each node's variables, its operands' widenings (shared nodes too) and
-    the results each step uses last are fixed here; a run applies the
-    rules and flags undefined rows for the roots that contain the node."""
+    """Roots, one expression or a tuple of components, and the programs
+    that evaluate them with their derivatives.  ``program(order)``
+    compiles, the first time that order is asked for, the roots (order
+    0), then each root's partial derivative in each variable it contains
+    (order 1), then the partials d/dx_j of each first one for j >= i
+    (order 2), all from ``differentiate``; a derivative that folds to
+    the constant 0 is no target.  Every order interns into one node
+    list, in which equal subtrees are one node (constants equal by their
+    bits, so 0.0 and -0.0 stay apart), so a program's nodes are a prefix
+    of the next order's."""
 
     def __init__(self, roots):
         self.shape = () if isinstance(roots, Expr) else (len(roots),)
-        roots = (roots,) if isinstance(roots, Expr) else tuple(roots)
-        interned, nodes, within, self.roots = {}, [], [], []
-        for r, root in enumerate(roots):
-            stack = []  # the node of each operand not yet consumed
-            for e in root.postorder:
-                k, (arg,), t = len(_operands(e)), _leaf(e) or (None,), type(e)
-                ops = tuple(stack[len(stack) - k:])
-                del stack[len(stack) - k:]
-                key = (t, float(arg).hex() if t is Const else arg, ops)
-                i = interned.setdefault(key, len(nodes))
-                if i == len(nodes):
-                    nodes.append((t, arg, ops))
-                    within.append(0)
-                within[i] |= 1 << r  # bit r: root r contains node i
-                stack.append(i)
-            self.roots += stack
-        self.leaves, self.vars, code = [], [], ([], [])
-        for i, (t, arg, ops) in enumerate(nodes):
-            if not ops:  # (node, 0-based variable or None, constant)
-                self.leaves.append((i, arg - 1 if t is Var else None, arg))
-                self.vars.append((arg - 1,) if t is Var else ())
+        self.roots = (roots,) if isinstance(roots, Expr) else tuple(roots)
+        self.nvars = max(map(max_var_index, self.roots), default=0)
+        self._levels = []  # per order, (expression, component, index)
+        self._nodes, self._interned, self._memo = [], {}, {}
+        self._targets, self._ends, self._programs = [], [], {}
+
+    def program(self, order: int) -> Program:
+        while len(self._levels) <= order:
+            self._levels.append([
+                (d, c, at + (i,)) for e, c, at in self._levels[-1]
+                for i in _variables(e) if not at or i >= at[-1]
+                for d in (differentiate(e, i + 1),) if not _is_const(d, 0.0)]
+                if self._levels else
+                [(e, c, ()) for c, e in enumerate(self.roots)])
+            self._targets += [(self._intern(e), c, at)
+                              for e, c, at in self._levels[-1]]
+            self._ends.append((len(self._nodes), len(self._targets)))
+        if order not in self._programs:
+            nodes, targets = self._ends[order]
+            self._programs[order] = Program(self._nodes[:nodes],
+                                            self._targets[:targets])
+        return self._programs[order]
+
+    def _intern(self, root) -> int:
+        """The node of the tree ``root``.  Each subtree is interned once,
+        by identity (a derivative shares the subtrees of what it
+        differentiates, and ``_levels`` keeps every tree alive), operands
+        first and left before right."""
+        memo, interned, nodes = self._memo, self._interned, self._nodes
+        todo = [root]
+        while todo:
+            e = todo[-1]
+            if id(e) in memo:
+                todo.pop()
                 continue
-            vs = [self.vars[o] for o in ops]
-            union = tuple(sorted({*vs[0], *vs[-1]}))
-            self.vars.append(union)
-            mode = (2 * bool(vs[0]) + bool(vs[1]) if len(ops) == 2
-                    else int(bool(vs[0])))
-            rules = ((lambda x, k=arg: x ** k, functools.partial(_pow_j, arg))
-                     if t is Pow else _RULES[arg if t is Call else t])
-            test = None  # an undefined point where test(last operand, 0.0)
-            if t is Div or (t is Pow and arg < 0) or arg == "log":
-                test = (operator.le if t is Call else operator.eq,
-                        [r for r in range(len(roots)) if within[i] >> r & 1])
-            code[0].append((rules[0], i, ops, test))
-            if mode == 3:  # widen each operand over fewer variables, once
-                ops = list(ops)
-                for k, v in enumerate(vs):
-                    key = ("widen", ops[k], union)
-                    if v != union and key not in interned:
-                        interned[key] = len(interned)
-                        code[1].append((functools.partial(
-                            _widen, _placement(v, union), len(union)),
-                            interned[key], (ops[k],), None))
-                    ops[k] = interned.get(key, ops[k])
-            code[1].append((rules[mode], i, tuple(ops), test))
-        self.size = len(interned)
-        self.nvars = max((v + 1 for _, v, _ in self.leaves if v is not None),
-                         default=0)
-        self.code = tuple(self._schedule(c) for c in code)
-
-    def _schedule(self, code):
-        """Steps (rule, node, operands, test of the last operand, results
-        used last and dropped, never a root's)."""
-        last = {o: n for n, (_, _, ops, _) in enumerate(code) for o in ops}
-        gone = [[] for _ in code]
-        for o, n in last.items():
-            if o not in self.roots:
-                gone[n].append(o)
-        return [(*step, tuple(g)) for step, g in zip(code, gone)]
+            operands = _operands(e)
+            missing = [o for o in operands if id(o) not in memo]
+            if missing:
+                todo += reversed(missing)
+                continue
+            todo.pop()
+            (arg,), t = _leaf(e) or (None,), type(e)
+            ops = tuple(memo[id(o)] for o in operands)
+            key = (t, float(arg).hex() if t is Const else arg, ops)
+            i = memo[id(e)] = interned.setdefault(key, len(nodes))
+            if i == len(nodes):
+                nodes.append((t, arg, ops))
+        return memo[id(root)]
 
 
-def _run(tape: Tape, X, order: int):
-    """Every node on the (B, n) stack X in one loop, plain values at order
-    0 and jets at 1 or 2, each dropped after its last use; returns the
-    results (the roots' remain) and the (rows, roots) of each test that
-    finds undefined points."""
-    B = len(X)
-    ones = np.ones((B, 1))  # shared: no rule writes into a jet's arrays
-    zeros = np.zeros((B, 1, 1)) if order == 2 else None
-    out = [None] * tape.size
-    for i, var, value in tape.leaves:
-        out[i] = (np.float64(value) if var is None else
-                  (X[:, var], ones, zeros) if order else X[:, var])
+def _run(program: Program, X):
+    """Every node of the program on the (B, n) stack X in one loop, each
+    result dropped after its last use; returns the results (the
+    targets' remain) and the (rows, where) of each test that finds
+    undefined points."""
+    out = [None] * program.size
+    for i, var, value in program.leaves:
+        out[i] = np.float64(value) if var is None else X[:, var]
     flags = []
     # the explicit tests catch undefined points whose value is finite,
     # such as exp(-1/x1^2) or (1/x1)^0 at x1 = 0
-    for rule, i, ops, test, gone in tape.code[order > 0]:
-        x, y = out[ops[0]], out[ops[-1]]
-        if test is not None:
-            if np.any(undefined := test[0](y[0] if type(y) is tuple else y,
-                                           0.0)):
-                flags.append((undefined, test[1]))
-        out[i] = rule(x, y) if len(ops) == 2 else rule(x)
+    for op, i, ops, test, gone in program.steps:
+        y = out[ops[-1]]
+        if test is not None and np.any(undefined := test[0](y, 0.0)):
+            flags.append((undefined, test[1]))
+        out[i] = op(out[ops[0]], y) if len(ops) == 2 else op(y)
         for o in gone:
             out[o] = None
     return out, flags
@@ -608,47 +496,42 @@ def _as_batch(x):
 
 def _derive(expr, x, order: int):
     """Value and derivatives up to ``order`` from one run: (B,), (B, n) and
-    (B, n, n), with a root axis after B for a tape of components, each
-    NaN in the rows a test flags, where the value is not finite, or where
-    it is not (a non-finite Hessian leaves the gradient alone)."""
+    (B, n, n), with a root axis after B for a tape of components.  A
+    component's value is NaN in the rows a test of its root flags or
+    where it is not finite, and then so is each of its derivatives; a
+    derivative is NaN also where a test of its own targets flags or one
+    of its entries is not finite (a non-finite Hessian leaves the
+    gradient alone)."""
     tape = expr if isinstance(expr, Tape) else expr.tape
     X = _as_batch(x)
     B, n = X.shape
     if tape.nvars > n:
         raise DimensionMismatch(f"variable x{tape.nvars} exceeds "
                                 f"dimension {n}")
+    program, k = tape.program(order), len(tape.roots)
+    outs = [np.empty((B, k))] + [np.zeros((B, k) + (n,) * d)
+                                 for d in range(1, order + 1)]
     with np.errstate(all="ignore"):
-        results, flags = _run(tape, X, order)
-    k, every = len(tape.roots), tuple(range(n))
-    tops = [results[i] for i in tape.roots]
-    # a root's arrays are copied or only read, never settled in place; a
-    # lone root over every variable needs no placing
-    alone = (k == 1 and type(tops[0]) is tuple
-             and len(tape.vars[tape.roots[0]]) == n)
-    outs = [np.empty((B, k))] + [
-        tops[0][d].reshape((B, 1) + (n,) * d) if alone
-        else np.zeros((B, k) + (n,) * d) for d in range(1, order + 1)]
-    for r, (i, top) in enumerate(zip(tape.roots, tops)):
-        jet = type(top) is tuple
-        outs[0][:, r] = top[0] if jet else top
-        for d, at in enumerate(_placement(tape.vars[i], every)[:order]
-                               if jet and not alone else (), 1):
-            outs[d][(slice(None), r) + at[1:]] = top[d]
-    undefined = np.zeros((B, k), bool) if flags else None
-    for mask, roots in flags:
-        undefined[:, roots] |= np.reshape(mask, (-1, 1))
+        results, flags = _run(program, X)
+    for i, d, at, mirror in program.places:
+        outs[d][at] = results[i]
+        if mirror is not None:
+            outs[d][mirror] = results[i]
+    del results
+    bad = [None] * (order + 1)
+    for mask, where in flags:
+        for d, comps in where:
+            if bad[d] is None:
+                bad[d] = np.zeros((B, k), bool)
+            bad[d][:, comps] |= np.reshape(mask, (-1, 1))
     for d, out in enumerate(outs):
-        finite, bad = np.isfinite(out), undefined
-        if not finite.all():
-            rows = ~finite.reshape(B, k, -1).all(axis=2)
-            bad = rows if bad is None else bad | rows
-        undefined = bad if d == 0 else undefined
-        if d == 2:
-            out = outs[2] = 0.5 * (out + out.swapaxes(-1, -2))
-        elif d == 1 and alone and bad is not None:
-            out = outs[1] = out.copy()
-        if bad is not None:
-            out[bad] = np.nan
+        if not np.isfinite(out).all():
+            rows = ~np.isfinite(out).reshape(B, k, -1).all(axis=2)
+            bad[d] = rows if bad[d] is None else bad[d] | rows
+        if d and bad[0] is not None:
+            bad[d] = bad[0] if bad[d] is None else bad[d] | bad[0]
+        if bad[d] is not None:
+            out[bad[d]] = np.nan
     outs = [o.reshape((B,) + tape.shape + o.shape[2:]) for o in outs]
     return tuple(outs) if order else outs[0]
 
@@ -674,7 +557,8 @@ def hessian(expr, x):
 
 
 # ---------------------------------------------------------------------------
-# Symbolic differentiation (used to emit gradient-like fields)
+# Symbolic differentiation: the derivative rules of tapes and of
+# gradient-like fields
 
 
 def _const(v: float) -> Expr:
@@ -682,7 +566,7 @@ def _const(v: float) -> Expr:
 
 
 def _is_const(e: Expr, v: float) -> bool:
-    return isinstance(e, Const) and e.value == v
+    return type(e) is Const and e.value == v
 
 
 def _is_neg_one(e: Expr) -> bool:
@@ -730,9 +614,7 @@ def _mul(a: Expr, b: Expr) -> Expr:
 
 
 def _div(a: Expr, b: Expr) -> Expr:
-    if _is_const(a, 0.0):
-        return a
-    if _is_const(b, 1.0):
+    if _is_const(a, 0.0) or _is_const(b, 1.0):
         return a
     return Div(a, b)
 
@@ -777,7 +659,7 @@ def differentiate(expr: Expr, var_index: int) -> Expr:
             elif e.func == "cos":
                 d = _neg(_mul(Call("sin", u), du))
             elif e.func == "exp":
-                d = _mul(Call("exp", u), du)
+                d = _mul(e, du)
             elif e.func == "log":
                 d = _div(du, u)
             else:  # pragma: no cover
@@ -790,8 +672,7 @@ def differentiate(expr: Expr, var_index: int) -> Expr:
                 d = _sub(dl, dr)
             elif t is Mul:
                 d = _add(_mul(dl, e.rhs), _mul(e.lhs, dr))
-            else:  # Div
-                d = _div(_sub(_mul(dl, e.rhs), _mul(e.lhs, dr)),
-                         _pow(e.rhs, 2))
+            else:  # Div, in forward-mode form: (da - (a/b) db) / b
+                d = _div(_sub(dl, _mul(e, dr)), e.rhs)
         stack.append(d)
     return stack[0]

@@ -927,6 +927,17 @@ def dense_phi(phi, X):
             - phi.C @ dense_jacobian(phi.F, X))
 
 
+def close_or_nan(got, ref, rel=1e-13) -> bool:
+    """Whether got is NaN exactly where ref is, and elsewhere within
+    rel * max(1, |ref|) of it, zeros compared by value: the test of a
+    derivative that other arithmetic than the reference's computes."""
+    got, ref = np.asarray(got), np.asarray(ref)
+    nan = np.isnan(ref)
+    return (got.shape == ref.shape and np.array_equal(np.isnan(got), nan)
+            and bool(np.all(np.abs(got - ref)[~nan]
+                            <= rel * np.maximum(1.0, np.abs(ref[~nan])))))
+
+
 def central_gradient(fun, x, h=1e-5):
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
