@@ -20,13 +20,14 @@ skip the dimension estimate).  ``locus`` exits 0 exactly when
 ``verify_cover`` reports ok.  ``check`` writes the numbers and the
 verdict of ``integrability.check`` with the scenario, the tolerances
 and a note on the gray zone.
-``--points`` must be at least 1; the ``--tol-*`` values and ``--seed``
-are checked by ``LocusOptions``, and a bad one exits 2 with one error
-line.  A CSV file is read inside ``errors.reading``, so one that cannot
+``--points`` and a scenario's ``n_seeds`` must lie in [1,
+``locus.MAX_POINTS``], checked before anything is drawn; the ``--tol-*``
+values and ``--seed`` are checked by ``LocusOptions``, and a bad one
+exits 2 with one error line.  A CSV file is read inside ``errors.reading``, so one that cannot
 be read or parsed fails as ``csv: ...``, and an ``--out`` directory
 that cannot be made or written fails as ``out: ...``.  ``main`` is the
-only writer of ``gradlocus: error:`` lines: every ``GradlocusError``
-exits 2 with one line.
+only writer of ``gradlocus: error:`` lines: every ``GradlocusError``,
+and a ``MemoryError``, exits 2 with one line.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import numpy as np
 from .errors import GradlocusError, TooFewPoints, reading
 from .geometry import companion_map
 from .integrability import GRAY_FACTOR, check
-from .locus import (DIMENSION_CAVEAT, MIN_DIMENSION_POINTS,
+from .locus import (DIMENSION_CAVEAT, MAX_POINTS, MIN_DIMENSION_POINTS,
                     box_counting_dimension, box_diameter, build_phi, certify,
                     default_scales, sample_locus, verify_cover)
 from .scenarios import (TOLERANCE_KEYS, Scenario, builtin_demos,
@@ -330,8 +331,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "points", None) is not None and args.points < 1:
-            raise GradlocusError(f"points: must be >= 1, got {args.points}")
+        points = getattr(args, "points", None)
+        if points is not None and not 1 <= points <= MAX_POINTS:
+            raise GradlocusError(f"points: must be in [1, {MAX_POINTS}], "
+                                 f"got {points}")
         if args.command == "dimension":
             return cmd_dimension(args.csv, args.out)
         if args.command == "demo":
@@ -351,6 +354,9 @@ def main(argv=None) -> int:
         return cmd_charts(args.csv, scenario, args.out)
     except GradlocusError as exc:
         sys.stderr.write(f"gradlocus: error: {exc}\n")
+        return EXIT_ERROR
+    except MemoryError:
+        sys.stderr.write("gradlocus: error: out of memory\n")
         return EXIT_ERROR
 
 

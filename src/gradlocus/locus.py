@@ -34,6 +34,9 @@ from .integrability import (CHART_STACK_BYTES, TOL_GAMMA, _stack, chunk_rows,
                             premultiply)
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the most seeds or check points one call draws: a (MAX_POINTS, 12)
+# float stack is 9.6 GB, and numpy refuses far larger shapes
+MAX_POINTS = 10 ** 8
 # byte budget of the candidate pairs ``dedup`` tests at once
 _DEDUP_BYTES = 1 << 22
 
@@ -434,8 +437,9 @@ def chart_memberships(phi: PhiSystem, DPhi,
             global_s1 = np.linalg.norm(J[exact], 2, axis=(1, 2))[:, None]
             ref[exact] = np.where(ref[exact] > 1e-12 * global_s1, ref[exact],
                                   global_s1)
-        members[lo:lo + step] = np.sum(
-            sv > opts.tol_rank * ref[..., None], axis=-1) == m
+        with np.errstate(over="ignore"):  # an overflowing threshold is inf
+            members[lo:lo + step] = np.sum(
+                sv > opts.tol_rank * ref[..., None], axis=-1) == m
     return members
 
 

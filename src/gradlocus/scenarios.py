@@ -45,7 +45,7 @@ from .errors import InvalidOption, ScenarioError, reading
 from .fields import ScalarField, VectorField
 from .geometry import (BilinearForm, make_form, minkowski, pseudo_euclidean,
                        standard_euclidean, standard_symplectic)
-from .locus import _PRIMES, LocusOptions
+from .locus import _PRIMES, MAX_POINTS, LocusOptions
 
 DEFAULT_N_SEEDS = 500
 DEFAULT_RNG_SEED = 0
@@ -164,8 +164,9 @@ def scenario_from_dict(d) -> Scenario:
                                 f"got {pair!r}")
         box.append((lo, hi))
 
-    n_seeds = d.get("n_seeds", DEFAULT_N_SEEDS)
-    n_seeds = _positive_int("n_seeds", n_seeds)
+    n_seeds = _positive_int("n_seeds", d.get("n_seeds", DEFAULT_N_SEEDS))
+    if n_seeds > MAX_POINTS:
+        raise ScenarioError(f"n_seeds: at most {MAX_POINTS}, got {n_seeds}")
 
     tol = d.get("tolerances", {})
     if not isinstance(tol, dict):

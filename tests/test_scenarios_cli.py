@@ -18,7 +18,7 @@ from gradlocus import cli, dsl, integrability
 from gradlocus.cli import main
 from gradlocus.integrability import (CHECK_STACK_BYTES, GRAY_FACTOR,
                                      conditions, distinct_sides)
-from gradlocus.locus import box_halton, halton_sequence
+from gradlocus.locus import MAX_POINTS, box_halton, halton_sequence
 from gradlocus.scenarios import scenario_to_dict, structure_from_dict
 
 from oracles import (GENERAL_Q, check_by_side, point_report, sample_rows,
@@ -726,6 +726,37 @@ class TestCli:
         assert err.startswith("gradlocus: error: points:")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("verb, points, field", [
+        ("check", 10 ** 21, "points"), ("locus", 10 ** 21, "points"),
+        ("demo", 10 ** 21, "points"), ("locus", None, "n_seeds")])
+    def test_counts_beyond_the_bound_rejected(self, tmp_path, capsys, verb,
+                                              points, field):
+        # a count numpy cannot allocate fails as one error line that names
+        # the field, before anything is drawn
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(circle_dict(
+            n_seeds=10 ** 21 if points is None else 30)))
+        argv = ([verb, "circle-m1"] if verb == "demo"
+                else [verb, "--scenario", str(scenario)])
+        if points is not None:
+            argv += ["--points", str(points)]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"gradlocus: error: {field}: ")
+        assert err.count("\n") == 1 and str(MAX_POINTS) in err
+        assert not (tmp_path / "out").exists()
+
+    def test_out_of_memory_is_one_error_line(self, tmp_path, capsys,
+                                             monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+        monkeypatch.setattr(cli, "cmd_check", exhausted)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(circle_dict(n_seeds=30)))
+        assert main(["check", "--scenario", str(scenario)]) == 2
+        assert capsys.readouterr().err == \
+            "gradlocus: error: out of memory\n"
+
     @pytest.mark.parametrize("key, value", [
         ("residual", "x"), ("gamma", [1]), ("damping", -1),
         ("max_iters", 2.5), ("rank", True), ("dedup_factor", None)])
@@ -1005,6 +1036,24 @@ def test_dimension_of_a_cloud_whose_extent_overflows_exits_two(tmp_path):
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == ("gradlocus: error: the extent hi - lo of the "
                            "point cloud is not finite\n")
+
+
+def test_rank_tolerance_that_overflows_leaves_no_chart(tmp_path):
+    # tol_rank * sigma_1 overflows: the threshold reads as inf, so no
+    # block has a rank above it; locus finds every sample uncovered
+    # (exit 1) and charts writes the rows with empty masks (exit 0)
+    scenario_path, _ = write_inputs(tmp_path, circle_dict(n_seeds=60), None)
+    done = run_cli("locus", "--scenario", scenario_path, "--tol-rank",
+                   "1e308", "--out", str(tmp_path / "out"),
+                   PYTHONWARNINGS="error")
+    assert (done.returncode, done.stderr) == (1, "")
+    summary = read_json(tmp_path / "out/summary.json")
+    assert summary["charts_used"] == 0 and summary["uncovered_count"] > 0
+    done = run_cli("charts", str(tmp_path / "out/points.csv"), "--scenario",
+                   scenario_path, "--tol-rank", "1e308",
+                   "--out", str(tmp_path / "re"), PYTHONWARNINGS="error")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout)["recomputed_memberships"] == 0
 
 
 def test_check_of_overflowing_points_exits_two_without_traceback(tmp_path):
