@@ -444,18 +444,18 @@ class Tape:
         memo, interned, nodes = self._memo, self._interned, self._nodes
         todo = [root]
         while todo:
-            e = todo[-1]
+            e = todo.pop()
             if id(e) in memo:
-                todo.pop()
                 continue
-            operands = _operands(e)
-            missing = [o for o in operands if id(o) not in memo]
-            if missing:
-                todo += reversed(missing)
-                continue
-            todo.pop()
+            ops = _operands(e)
+            if ops:
+                missing = [o for o in ops if id(o) not in memo]
+                if missing:
+                    todo.append(e)
+                    todo += reversed(missing)
+                    continue
+                ops = tuple([memo[id(o)] for o in ops])
             (arg,), t = _leaf(e) or (None,), type(e)
-            ops = tuple(memo[id(o)] for o in operands)
             key = (t, float(arg).hex() if t is Const else arg, ops)
             i = memo[id(e)] = interned.setdefault(key, len(nodes))
             if i == len(nodes):

@@ -465,10 +465,10 @@ def halton_loop(count, dim, shift=None):
 # Per-component reference walk
 
 # The walk that ``dsl`` ran before its tapes: one tree at a time, one
-# ``Jet`` object per node, the union of two operands' variables formed
-# and both widened each time a rule runs, no subtree shared.  The tape
-# applies the same rules operation for operation, so the two agree bit
-# for bit, the sign of zero included.
+# forward-mode ``Jet`` object per node, the union of two operands'
+# variables formed and both widened each time a rule runs, no subtree
+# shared.  A tape's values agree with it bit for bit, the sign of zero
+# included; its symbolic derivatives agree to rounding.
 
 
 @functools.lru_cache(maxsize=1024)
