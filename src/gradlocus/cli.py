@@ -23,11 +23,12 @@ and a note on the gray zone.
 ``--points`` and a scenario's ``n_seeds`` must lie in [1,
 ``locus.MAX_POINTS``], checked before anything is drawn; the ``--tol-*``
 values and ``--seed`` are checked by ``LocusOptions``, and a bad one
-exits 2 with one error line.  A CSV file is read inside ``errors.reading``, so one that cannot
-be read or parsed fails as ``csv: ...``, and an ``--out`` directory
-that cannot be made or written fails as ``out: ...``.  ``main`` is the
-only writer of ``gradlocus: error:`` lines: every ``GradlocusError``,
-and a ``MemoryError``, exits 2 with one line.
+exits 2 with one error line.  A CSV file is read inside
+``errors.reading``, so one that cannot be read or parsed fails as
+``csv: ...``, and an ``--out`` directory that cannot be made or
+written fails as ``out: ...``.  ``main`` is the only writer of
+``gradlocus: error:`` lines: every ``GradlocusError``, and a
+``MemoryError``, exits 2 with one line.
 """
 
 from __future__ import annotations

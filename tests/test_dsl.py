@@ -494,11 +494,10 @@ class TestTape:
         assert 0 < tape <= peak(lambda: walk_jet(f, X, 2))
 
     def test_hessian_of_a_long_sum_is_not_widened_term_by_term(self):
-        # the Hessian of sum_k x_k^2 / 2 over 12 variables at 2048 points
-        # is I exactly, and its memory peak stays below twice the bytes of
+        # the Hessian of sum_k x_k^2 / 2 over 12 variables (torus-m6's f)
+        # at 2048 points is I exactly, and its memory peak stays below twice the bytes of
         # the Hessian it returns: no running (B, k, k) block per term
-        f = parse_expression(
-            "(" + " + ".join(f"x{k}^2" for k in range(1, 13)) + ") / 2", 12)
+        f = parse_expression(_torus(6)[0], 12)
         X = random_points(np.random.default_rng(32), 2048, 12)
         hessian(f, X)  # compile the program
         tracemalloc.start()
