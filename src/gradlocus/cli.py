@@ -21,9 +21,9 @@ skip the dimension estimate).  ``locus`` exits 0 exactly when
 verdict of ``integrability.check`` with the scenario, the tolerances
 and a note on the gray zone.
 ``--points`` and a scenario's ``n_seeds`` must lie in [1,
-``locus.MAX_POINTS``], checked before anything is drawn; the ``--tol-*``
-values and ``--seed`` are checked by ``LocusOptions``, and a bad one
-exits 2 with one error line.  A CSV file is read inside
+``locus.MAX_POINTS``], checked by ``scenarios.int_field`` before
+anything is drawn; the ``--tol-*`` values and ``--seed`` are checked
+by ``LocusOptions``, and a bad one exits 2 with one error line.  A CSV file is read inside
 ``errors.reading``, so one that cannot be read or parsed fails as
 ``csv: ...``, and an ``--out`` directory that cannot be made or
 written fails as ``out: ...``.  ``main`` is the only writer of
@@ -47,10 +47,10 @@ import numpy as np
 from .errors import GradlocusError, TooFewPoints, reading
 from .geometry import companion_map
 from .integrability import GRAY_FACTOR, check
-from .locus import (DIMENSION_CAVEAT, MAX_POINTS, MIN_DIMENSION_POINTS,
+from .locus import (DIMENSION_CAVEAT, MIN_DIMENSION_POINTS,
                     box_counting_dimension, box_diameter, build_phi, certify,
                     default_scales, sample_locus, verify_cover)
-from .scenarios import (TOLERANCE_KEYS, Scenario, builtin_demos,
+from .scenarios import (TOLERANCE_KEYS, Scenario, builtin_demos, int_field,
                         load_scenario, scenario_to_dict)
 
 EXIT_OK = 0
@@ -332,10 +332,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        points = getattr(args, "points", None)
-        if points is not None and not 1 <= points <= MAX_POINTS:
-            raise GradlocusError(f"points: must be in [1, {MAX_POINTS}], "
-                                 f"got {points}")
+        if getattr(args, "points", None) is not None:
+            int_field("points", args.points)
         if args.command == "dimension":
             return cmd_dimension(args.csv, args.out)
         if args.command == "demo":

@@ -11,23 +11,23 @@ Grammar (standard precedence, highest first: ``^``, unary ``-``,
     func   := 'sin' | 'cos' | 'exp' | 'log'
 
 Unary minus is parsed as ``'-' factor`` so that the exponent binds
-tighter (``-x1^2`` means ``-(x1^2)``).  Each walk of a tree (printing,
-``repr``, equality, hashing, ``max_var_index``, ``differentiate`` and
-compiling) is a loop, so a tree of any depth walks; only the parser
-recurses, once per level of parenthesis or unary-minus nesting, and a
-nesting deeper than the interpreter's recursion limit fails there.
-``differentiate`` holds the one set of derivative rules.  Evaluation
-runs a ``Tape``: an expression, or the components of a field, with its
-partial derivatives up to the order asked for written out by
-``differentiate`` and compiled once into one list of nodes in which
-equal subtrees are one node; a run is one loop over plain values, each
-dropped after its last use (Griewank & Walther, *Evaluating
-Derivatives*, 2nd ed. 2008, ch. 3).  So derivatives are exact up to
-rounding, and ``gradient`` and ``hessian`` return every lower order from
-the same run.  Evaluation takes a (B, n) stack of points, and a single
-point is a stack of one.  A point is outside the domain where a
-denominator or a base with a negative exponent is zero, a log argument
-is not positive, or the result is not finite: its row comes back NaN.
+tighter (``-x1^2`` means ``-(x1^2)``).  Only the parser recurses, once
+per level of parenthesis or unary-minus nesting (a nesting deeper than
+the interpreter's recursion limit fails there); every other walk of a
+tree is a loop.  Derivatives have one set of rules,
+``_Graph.derivative``, on a graph of interned nodes in which equal
+subtrees are one node and each node is differentiated at most once per
+variable, so ``differentiate`` and compiling are linear in the graph.
+A ``Tape`` compiles an expression, or the components of a field, with
+its partial derivatives up to the order asked for into one list of
+nodes; a run is one loop over plain values, each dropped after its
+last use (Griewank & Walther, *Evaluating Derivatives*, 2nd ed. 2008,
+ch. 3).  So derivatives are exact up to rounding, and ``gradient`` and
+``hessian`` return every lower order from the same run.  Evaluation
+takes a (B, n) stack of points, and a single point is a stack of one.
+A point is outside the domain where a denominator or a base with a
+negative exponent is zero, a log argument is not positive, or the
+result is not finite: its row comes back NaN.
 """
 
 from __future__ import annotations
@@ -75,9 +75,8 @@ class Expr:
     @functools.cached_property
     def postorder(self) -> list:
         """The nodes of the tree, each after its operands and a left
-        operand before a right one: the one order every walk loops over
-        (Griewank & Walther, *Evaluating Derivatives*, 2008, ch. 2),
-        built without recursion once per tree."""
+        operand before a right one, built without recursion once per
+        tree: the order printing, equality, hashing and repr loop over."""
         order, todo = [], [self]
         while todo:  # root, right, left: the postorder reversed
             e = todo.pop()
@@ -351,116 +350,84 @@ _OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
         "cos": np.cos, "exp": np.exp, "log": np.log}
 
 
-def _variables(expr: Expr) -> list:
-    """The sorted 0-based variables of the tree."""
-    return sorted({e.index - 1 for e in expr.postorder if type(e) is Var})
-
-
 class Program:
     """Targets, each (node, component, derivative index), and the nodes
-    they need, each after its operands, as one loop: ``leaves`` are
-    (node, 0-based variable or None, constant); each step is (operation,
-    node, operands, test of the last operand, results used last and
-    dropped, never a target's); ``places`` are (node, order, output
-    index, mirrored output index or None)."""
+    they need, each after its operands, renumbered as one loop:
+    ``leaves`` are (node, 0-based variable or None, constant); each step
+    is (operation, node, operands, test of the last operand, results
+    used last and dropped, never a target's); ``places`` are (node,
+    order, output index, mirrored output index or None)."""
 
     def __init__(self, nodes, targets):
-        tops = [i for i, _, _ in targets]
         within = [0] * len(nodes)  # bit r: target r contains node i
-        for r, i in enumerate(tops):
+        for r, (i, _, _) in enumerate(targets):
             within[i] |= 1 << r
         for i in range(len(nodes) - 1, -1, -1):
             for o in nodes[i][2]:
                 within[o] |= within[i]
-        self.size, self.leaves, steps = len(nodes), [], []
-        for i, (t, arg, ops) in enumerate(nodes):
+        live = [i for i, w in enumerate(within) if w]  # what a target needs
+        slot = {i: n for n, i in enumerate(live)}
+        self.size, self.leaves, steps = len(live), [], []
+        for n, i in enumerate(live):
+            (t, arg, ops), w = nodes[i], within[i]
             if not ops:
-                self.leaves.append((i, arg - 1 if t is Var else None, arg))
+                self.leaves.append((n, arg - 1 if t is Var else None, arg))
                 continue
             test = None  # an undefined point where test(last operand, 0.0)
             if t is Div or (t is Pow and arg < 0) or arg == "log":
                 where = {}  # order: the components whose targets hold node i
                 for r, (_, c, at) in enumerate(targets):
-                    if within[i] >> r & 1:
+                    if w >> r & 1:
                         where.setdefault(len(at), set()).add(c)
                 test = (operator.le if t is Call else operator.eq,
                         [(d, sorted(c)) for d, c in where.items()])
             steps.append(((lambda x, k=arg: x ** k) if t is Pow
-                          else _OPS[arg if t is Call else t], i, ops, test))
+                          else _OPS[arg if t is Call else t], n,
+                          tuple([slot[o] for o in ops]), test))
         last = {o: s for s, (_, _, ops, _) in enumerate(steps) for o in ops}
-        gone, kept = [[] for _ in steps], set(tops)
+        gone, kept = [[] for _ in steps], {slot[i] for i, _, _ in targets}
         for o, s in last.items():
             if o not in kept:
                 gone[s].append(o)
         self.steps = [(*step, tuple(g)) for step, g in zip(steps, gone)]
         self.places = [
-            (i, len(at), (slice(None), c, *at),
+            (slot[i], len(at), (slice(None), c, *at),
              (slice(None), c, at[1], at[0]) if len(at) == 2 and at[0] != at[1]
              else None) for i, c, at in targets]
 
 
 class Tape:
-    """Roots, one expression or a tuple of components, and the programs
-    that evaluate them with their derivatives.  ``program(order)``
-    compiles, the first time that order is asked for, the roots (order
-    0), then each root's partial derivative in each variable it contains
-    (order 1), then the partials d/dx_j of each first one for j >= i
-    (order 2), all from ``differentiate``; a derivative that folds to
-    the constant 0 is no target.  Every order interns into one node
-    list, in which equal subtrees are one node (constants equal by their
-    bits, so 0.0 and -0.0 stay apart), so a program's nodes are a prefix
-    of the next order's."""
+    """Roots, one expression or a tuple of components, in one graph, and
+    the programs that evaluate them with their derivatives.
+    ``program(order)`` compiles, the first time that order is asked for,
+    the roots (order 0), each root's partial derivative in each variable
+    it contains (order 1) and the partials d/dx_j of each first one for
+    j >= i (order 2); a derivative that folds to 0 is no target."""
 
     def __init__(self, roots):
         self.shape = () if isinstance(roots, Expr) else (len(roots),)
         self.roots = (roots,) if isinstance(roots, Expr) else tuple(roots)
-        self.nvars = max(map(max_var_index, self.roots), default=0)
-        self._levels = []  # per order, (expression, component, index)
-        self._nodes, self._interned, self._memo = [], {}, {}
-        self._targets, self._ends, self._programs = [], [], {}
+        self._graph = g = _Graph()
+        # per order, the targets: (node, component, derivative index)
+        self._levels = [[(g.intern(e), c, ())
+                         for c, e in enumerate(self.roots)]]
+        self.nvars = max(g.masks).bit_length()  # the largest variable
+        self._partials = [{} for _ in range(self.nvars)]  # per variable
+        self._programs = {}
 
     def program(self, order: int) -> Program:
+        g = self._graph
         while len(self._levels) <= order:
             self._levels.append([
-                (d, c, at + (i,)) for e, c, at in self._levels[-1]
-                for i in _variables(e) if not at or i >= at[-1]
-                for d in (differentiate(e, i + 1),) if not _is_const(d, 0.0)]
-                if self._levels else
-                [(e, c, ()) for c, e in enumerate(self.roots)])
-            self._targets += [(self._intern(e), c, at)
-                              for e, c, at in self._levels[-1]]
-            self._ends.append((len(self._nodes), len(self._targets)))
+                (d, c, at + (v,)) for i, c, at in self._levels[-1]
+                for v in range(at[-1] if at else 0, self.nvars)
+                if g.masks[i] >> v & 1
+                for d in (g.derivative(i, v + 1, self._partials[v]),)
+                if not g.is_const(d, 0.0)])
         if order not in self._programs:
-            nodes, targets = self._ends[order]
-            self._programs[order] = Program(self._nodes[:nodes],
-                                            self._targets[:targets])
+            self._programs[order] = Program(g.nodes, [
+                t for level in self._levels[:order + 1] for t in level])
         return self._programs[order]
-
-    def _intern(self, root) -> int:
-        """The node of the tree ``root``.  Each subtree is interned once,
-        by identity (a derivative shares the subtrees of what it
-        differentiates, and ``_levels`` keeps every tree alive), operands
-        first and left before right."""
-        memo, interned, nodes = self._memo, self._interned, self._nodes
-        todo = [root]
-        while todo:
-            e = todo.pop()
-            if id(e) in memo:
-                continue
-            ops = _operands(e)
-            if ops:
-                missing = [o for o in ops if id(o) not in memo]
-                if missing:
-                    todo.append(e)
-                    todo += reversed(missing)
-                    continue
-                ops = tuple([memo[id(o)] for o in ops])
-            (arg,), t = _leaf(e) or (None,), type(e)
-            key = (t, float(arg).hex() if t is Const else arg, ops)
-            i = memo[id(e)] = interned.setdefault(key, len(nodes))
-            if i == len(nodes):
-                nodes.append((t, arg, ops))
-        return memo[id(root)]
 
 
 def _run(program: Program, X):
@@ -557,122 +524,157 @@ def hessian(expr, x):
 
 
 # ---------------------------------------------------------------------------
-# Symbolic differentiation: the derivative rules of tapes and of
-# gradient-like fields
+# Symbolic differentiation on interned nodes: the derivative rules of
+# tapes and of gradient-like fields
 
 
-def _const(v: float) -> Expr:
-    return Neg(Const(-float(v))) if v < 0 else Const(float(v))
+class _Graph:
+    """Expressions as one list of nodes (type, leaf field or None, operand
+    nodes), each after its operands and with its variables as a bit mask
+    (bit i: x{i+1}); equal subtrees are one node, constants equal by their
+    bits.  The constructors fold 0 and +-1; ``derivative`` has the rules."""
 
+    def __init__(self):
+        self.nodes, self.masks, self._keys, self._ids = [], [], {}, {}
+        self.zero, self.one = self.node(Const, 0.0), self.node(Const, 1.0)
 
-def _is_const(e: Expr, v: float) -> bool:
-    return type(e) is Const and e.value == v
+    def node(self, t, arg=None, ops=()) -> int:
+        key = (t, float(arg).hex() if t is Const else arg, ops)
+        i = self._keys.setdefault(key, len(self.nodes))
+        if i == len(self.nodes):
+            self.nodes.append((t, arg, ops))
+            self.masks.append(1 << arg - 1 if t is Var else functools.reduce(
+                operator.or_, [self.masks[o] for o in ops], 0))
+        return i
 
+    def intern(self, root: Expr) -> int:
+        """The node of the tree ``root``, each subtree, by identity,
+        interned once (the caller keeps the tree alive)."""
+        ids, todo = self._ids, [root]
+        while todo:
+            e = todo.pop()
+            if id(e) in ids:
+                continue
+            missing = [o for o in _operands(e) if id(o) not in ids]
+            if missing:
+                todo += (e, *reversed(missing))
+                continue
+            ids[id(e)] = self.node(type(e), *_leaf(e) or (None,), tuple(
+                [ids[id(o)] for o in _operands(e)]))
+        return ids[id(root)]
 
-def _is_neg_one(e: Expr) -> bool:
-    return _is_const(e, -1.0) or (isinstance(e, Neg) and _is_const(e.arg, 1.0))
+    def expr(self, root: int) -> Expr:
+        """The tree of node ``root``; a shared node is one object."""
+        made = []
+        for t, arg, ops in self.nodes[:root + 1]:
+            a = [made[o] for o in ops]
+            made.append(t(*a) if arg is None else t(arg) if not a
+                        else t(a[0], arg) if t is Pow else t(arg, a[0]))
+        return made[root]
 
+    def const(self, v: float) -> int:
+        return (self.node(Neg, None, (self.node(Const, -float(v)),)) if v < 0
+                else self.node(Const, float(v)))
 
-def _add(a: Expr, b: Expr) -> Expr:
-    if _is_const(a, 0.0):
-        return b
-    if _is_const(b, 0.0):
-        return a
-    if isinstance(b, Neg):
-        return Sub(a, b.arg)
-    return Add(a, b)
+    def is_const(self, i: int, v: float) -> bool:
+        t, arg, _ = self.nodes[i]
+        return t is Const and arg == v
 
+    def add(self, a: int, b: int) -> int:
+        t, _, ops = self.nodes[b]
+        return (b if self.is_const(a, 0.0) else a if self.is_const(b, 0.0)
+                else self.node(Sub, None, (a, ops[0])) if t is Neg
+                else self.node(Add, None, (a, b)))
 
-def _sub(a: Expr, b: Expr) -> Expr:
-    if _is_const(b, 0.0):
-        return a
-    if _is_const(a, 0.0):
-        return _neg(b)
-    return Sub(a, b)
+    def sub(self, a: int, b: int) -> int:
+        return (a if self.is_const(b, 0.0) else self.neg(b)
+                if self.is_const(a, 0.0) else self.node(Sub, None, (a, b)))
 
+    def neg(self, a: int) -> int:
+        t, _, ops = self.nodes[a]
+        return (a if self.is_const(a, 0.0) else ops[0] if t is Neg
+                else self.node(Neg, None, (a,)))
 
-def _neg(a: Expr) -> Expr:
-    if _is_const(a, 0.0):
-        return a
-    if isinstance(a, Neg):
-        return a.arg
-    return Neg(a)
+    def mul(self, a: int, b: int) -> int:
+        if self.is_const(a, 0.0) or self.is_const(b, 0.0):
+            return self.zero
+        for x, y in ((a, b), (b, a)):
+            if self.is_const(x, 1.0):
+                return y
+        for x, y in ((a, b), (b, a)):  # x is -1 or -(1)
+            t, _, ops = self.nodes[x]
+            if (self.is_const(x, -1.0)
+                    or t is Neg and self.is_const(ops[0], 1.0)):
+                return self.neg(y)
+        return self.node(Mul, None, (a, b))
 
+    def div(self, a: int, b: int) -> int:
+        return (a if self.is_const(a, 0.0) or self.is_const(b, 1.0)
+                else self.node(Div, None, (a, b)))
 
-def _mul(a: Expr, b: Expr) -> Expr:
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
-        return Const(0.0)
-    if _is_const(a, 1.0):
-        return b
-    if _is_const(b, 1.0):
-        return a
-    if _is_neg_one(a):
-        return _neg(b)
-    if _is_neg_one(b):
-        return _neg(a)
-    return Mul(a, b)
-
-
-def _div(a: Expr, b: Expr) -> Expr:
-    if _is_const(a, 0.0) or _is_const(b, 1.0):
-        return a
-    return Div(a, b)
-
-
-def _pow(a: Expr, k: int) -> Expr:
-    if k == 0:
-        return Const(1.0)
-    if k == 1:
-        return a
-    return Pow(a, k)
+    def derivative(self, root: int, var: int, memo: dict) -> int:
+        """The node of d(root)/dx{var}, each node differentiated once; ``memo``
+        (node -> derivative in this variable) carries over calls."""
+        todo = [root]
+        while todo:
+            i = todo.pop()
+            if i in memo:
+                continue
+            t, arg, ops = self.nodes[i]
+            if not self.masks[i] >> (var - 1) & 1:  # folds to 0 by the rules
+                memo[i] = self.zero
+                continue
+            missing = [o for o in ops if o not in memo]
+            if missing:
+                todo += (i, *missing)
+                continue
+            ds = [memo[o] for o in ops]
+            if t is Var:
+                d = self.one
+            elif t is Neg:
+                d = self.neg(ds[0])
+            elif t is Pow and arg == 0:
+                d = self.zero
+            elif t is Pow:  # k x^(k-1) dx, with x^0 = 1 and x^1 = x
+                p = (self.one if arg == 1 else ops[0] if arg == 2
+                     else self.node(Pow, arg - 1, ops))
+                d = self.mul(self.mul(self.const(arg), p), ds[0])
+            elif t is Call:
+                u, du = ops[0], ds[0]
+                if arg == "sin":
+                    d = self.mul(self.node(Call, "cos", (u,)), du)
+                elif arg == "cos":
+                    d = self.neg(self.mul(self.node(Call, "sin", (u,)), du))
+                elif arg == "exp":
+                    d = self.mul(i, du)
+                elif arg == "log":
+                    d = self.div(du, u)
+                else:  # pragma: no cover
+                    raise TypeError(f"unknown function {arg!r}")
+            elif t is Add:
+                d = self.add(*ds)
+            elif t is Sub:
+                d = self.sub(*ds)
+            elif t is Mul:
+                d = self.add(self.mul(ds[0], ops[1]), self.mul(ops[0], ds[1]))
+            else:  # Div, in forward-mode form: (da - (a/b) db) / b
+                d = self.div(self.sub(ds[0], self.mul(i, ds[1])), ops[1])
+            memo[i] = d
+        return memo[root]
 
 
 def linear_combination(coeffs, exprs) -> Expr:
-    """Sum of coeff * expr over the pair lists, folding 0/±1 coefficients."""
-    acc: Expr = Const(0.0)
+    """Sum of coeff * expr over the pair lists, folding 0/+-1 coefficients."""
+    g = _Graph()
+    acc = g.zero
     for c, e in zip(coeffs, exprs, strict=True):
-        acc = _add(acc, _mul(_const(float(c)), e))
-    return acc
+        acc = g.add(acc, g.mul(g.const(float(c)), g.intern(e)))
+    return g.expr(acc)
 
 
 def differentiate(expr: Expr, var_index: int) -> Expr:
     """Symbolic partial derivative with respect to x{var_index}."""
     if var_index < 1:
         raise ValueError("variable indices are 1-based")
-    stack = []  # the derivative of each operand not yet consumed
-    for e in expr.postorder:
-        t = type(e)
-        if t is Const:
-            d = Const(0.0)
-        elif t is Var:
-            d = Const(1.0 if e.index == var_index else 0.0)
-        elif t is Neg:
-            d = _neg(stack.pop())
-        elif t is Pow:
-            db = stack.pop()
-            d = Const(0.0) if e.exponent == 0 else _mul(
-                _mul(_const(e.exponent), _pow(e.base, e.exponent - 1)), db)
-        elif t is Call:
-            u, du = e.arg, stack.pop()
-            if e.func == "sin":
-                d = _mul(Call("cos", u), du)
-            elif e.func == "cos":
-                d = _neg(_mul(Call("sin", u), du))
-            elif e.func == "exp":
-                d = _mul(e, du)
-            elif e.func == "log":
-                d = _div(du, u)
-            else:  # pragma: no cover
-                raise TypeError(f"unknown function {e.func!r}")
-        else:
-            dr, dl = stack.pop(), stack.pop()
-            if t is Add:
-                d = _add(dl, dr)
-            elif t is Sub:
-                d = _sub(dl, dr)
-            elif t is Mul:
-                d = _add(_mul(dl, e.rhs), _mul(e.lhs, dr))
-            else:  # Div, in forward-mode form: (da - (a/b) db) / b
-                d = _div(_sub(dl, _mul(e, dr)), e.rhs)
-        stack.append(d)
-    return stack[0]
+    g = _Graph()
+    return g.expr(g.derivative(g.intern(expr), var_index, {}))

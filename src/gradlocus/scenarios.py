@@ -80,22 +80,22 @@ def structure_from_dict(d) -> tuple[BilinearForm, tuple]:
         raise ScenarioError("structure: expected an object")
     kind = d.get("kind")
     if kind == "euclidean":
-        n = _positive_int("structure.dim", d.get("dim"))
+        n = int_field("structure.dim", d.get("dim"))
         return standard_euclidean(n), (("kind", "euclidean"), ("dim", n))
     if kind == "symplectic":
-        n = _positive_int("structure.dim", d.get("dim"))
+        n = int_field("structure.dim", d.get("dim"))
         if n % 2:
             raise ScenarioError(f"structure.dim: symplectic needs even dim, got {n}")
         return standard_symplectic(n // 2), (("kind", "symplectic"), ("dim", n))
     if kind == "pseudo_euclidean":
-        p = _positive_int("structure.p", d.get("p"), minimum=0)
-        q = _positive_int("structure.q", d.get("q"), minimum=0)
+        p = int_field("structure.p", d.get("p"), minimum=0)
+        q = int_field("structure.q", d.get("q"), minimum=0)
         if p + q < 1:
             raise ScenarioError("structure: p + q must be >= 1")
         return pseudo_euclidean(p, q), (("kind", "pseudo_euclidean"),
                                         ("p", p), ("q", q))
     if kind == "minkowski":
-        n = _positive_int("structure.dim", d.get("dim"))
+        n = int_field("structure.dim", d.get("dim"))
         if n < 2:
             raise ScenarioError("structure.dim: minkowski needs dim >= 2")
         return minkowski(n), (("kind", "minkowski"), ("dim", n))
@@ -110,10 +110,13 @@ def structure_from_dict(d) -> tuple[BilinearForm, tuple]:
     raise ScenarioError(f"structure.kind: unknown kind {kind!r}")
 
 
-def _positive_int(field, value, minimum=1):
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ScenarioError(f"{field}: expected an integer >= {minimum}, "
-                            f"got {value!r}")
+def int_field(field, value, minimum=1, maximum=MAX_POINTS):
+    """``value`` if it is an integer in [minimum, maximum], the one check
+    of a scenario's integers and of ``--points``; else ScenarioError."""
+    if (not isinstance(value, int) or isinstance(value, bool)
+            or not minimum <= value <= maximum):
+        raise ScenarioError(f"{field}: expected an integer in [{minimum}, "
+                            f"{maximum}], got {value!r}")
     return value
 
 
@@ -131,7 +134,7 @@ def scenario_from_dict(d) -> Scenario:
     name = d.get("name")
     if not isinstance(name, str) or not name:
         raise ScenarioError("name: required non-empty string")
-    dim = _positive_int("dim", d.get("dim"))
+    dim = int_field("dim", d.get("dim"))
     if dim > len(_PRIMES):
         raise ScenarioError(f"dim: at most {len(_PRIMES)}, one Halton base "
                             f"per coordinate, got {dim}")
@@ -164,9 +167,7 @@ def scenario_from_dict(d) -> Scenario:
                                 f"got {pair!r}")
         box.append((lo, hi))
 
-    n_seeds = _positive_int("n_seeds", d.get("n_seeds", DEFAULT_N_SEEDS))
-    if n_seeds > MAX_POINTS:
-        raise ScenarioError(f"n_seeds: at most {MAX_POINTS}, got {n_seeds}")
+    n_seeds = int_field("n_seeds", d.get("n_seeds", DEFAULT_N_SEEDS))
 
     tol = d.get("tolerances", {})
     if not isinstance(tol, dict):

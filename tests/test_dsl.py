@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -517,6 +518,41 @@ class TestTape:
         f = parse_expression(PRODUCT_40, 8)
         assert len(f.postorder) == 159
         assert f.tape.program(2).size <= 2000
+
+    def test_a_product_of_1000_factors_compiles_in_linear_time(self):
+        # each node is differentiated at most once per variable, so the
+        # Hessian of a product of 1000 factors in R^2 (a tree 1000 levels
+        # deep, whose second derivatives as trees would hold about 10^6
+        # nodes) compiles and runs within 5 s and a 40 MB memory peak, and
+        # matches its closed form: with S_i = sum_j 1/(x_i + c_j) and T_i
+        # the sum of the squares, df/dx_i = f S_i and the Hessian is
+        # f (S_i S_j - [i = j] T_i), on rows where f is about 1e176
+        k, c = 1000, 1 + np.arange(1000) / 1000
+        text = " * ".join(f"(x{j % 2 + 1} + {float(c[j])!r})"
+                          for j in range(k))
+        X = np.random.default_rng(33).uniform(-0.1, 0.1, (64, 2))
+        start = time.perf_counter()
+        value, grad, hess = hessian(parse_expression(text, 2), X)
+        assert time.perf_counter() - start < 5.0
+        tracemalloc.start()
+        try:
+            f = parse_expression(text, 2)
+            assert _bits_equal(hessian(f, X)[2], hess)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40e6
+        terms = 1 / (X[:, np.arange(k) % 2] + c)  # (B, k): 1/(x + c_j)
+        S = np.stack([terms[:, i::2].sum(axis=1) for i in (0, 1)], axis=1)
+        T = np.stack([(terms[:, i::2] ** 2).sum(axis=1) for i in (0, 1)],
+                     axis=1)
+        want = np.prod(X[:, np.arange(k) % 2] + c, axis=1)
+        assert np.allclose(value, want, rtol=1e-10, atol=0)
+        assert np.allclose(grad, want[:, None] * S, rtol=1e-10, atol=0)
+        assert np.allclose(hess, want[:, None, None] * (
+            S[:, :, None] * S[:, None, :] - T[:, :, None] * np.eye(2)),
+            rtol=1e-10, atol=0)
+        assert np.array_equal(evaluate(differentiate(f, 2), X), grad[:, 1])
 
 
 class TestDeepTrees:
