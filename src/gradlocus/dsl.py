@@ -535,7 +535,7 @@ class _Graph:
     bits.  The constructors fold 0 and +-1; ``derivative`` has the rules."""
 
     def __init__(self):
-        self.nodes, self.masks, self._keys, self._ids = [], [], {}, {}
+        self.nodes, self.masks, self._keys = [], [], {}
         self.zero, self.one = self.node(Const, 0.0), self.node(Const, 1.0)
 
     def node(self, t, arg=None, ops=()) -> int:
@@ -548,9 +548,9 @@ class _Graph:
         return i
 
     def intern(self, root: Expr) -> int:
-        """The node of the tree ``root``, each subtree, by identity,
-        interned once (the caller keeps the tree alive)."""
-        ids, todo = self._ids, [root]
+        """The node of the tree ``root``, each of its subtrees, by
+        identity, interned once."""
+        ids, todo = {}, [root]
         while todo:
             e = todo.pop()
             if id(e) in ids:

@@ -381,6 +381,15 @@ class TestSymbolic:
         assert out == Sub(Var(2), Var(3))
         assert linear_combination([0.0, 0.0, 0.0], terms) == Const(0.0)
 
+    def test_linear_combination_of_trees_made_on_the_fly(self):
+        # each tree from a generator is freed after use, so a later tree
+        # may reuse its ids: interning by identity holds only within a tree
+        texts = ["x1 * x2", "x2 - x1", "x1 + x2", "x2 * x2", "x1 - x2"]
+        got = linear_combination([1.0] * 5,
+                                 (parse_expression(t, 2) for t in texts))
+        assert got == parse_expression(
+            " + ".join(f"({t})" for t in texts), 2)
+
     def test_max_var_index(self):
         e = parse_expression("x1 + sin(x3) * x2", 3)
         assert max_var_index(e) == 3
