@@ -23,10 +23,10 @@ and a note on the gray zone.
 ``--points`` and a scenario's ``n_seeds`` must lie in [1,
 ``locus.MAX_POINTS``], checked by ``scenarios.int_field`` before
 anything is drawn; the ``--tol-*`` values and ``--seed`` are checked
-by ``LocusOptions``, and a bad one exits 2 with one error line.  A CSV file is read inside
-``errors.reading``, so one that cannot be read or parsed fails as
-``csv: ...``, and an ``--out`` directory that cannot be made or
-written fails as ``out: ...``.  ``main`` is the only writer of
+by ``LocusOptions``, and a bad one exits 2 with one error line.  A CSV
+file is read inside ``errors.reading``, so one that cannot be read or
+parsed fails as ``csv: ...``, and an ``--out`` directory that cannot
+be made or written fails as ``out: ...``.  ``main`` is the only writer of
 ``gradlocus: error:`` lines: every ``GradlocusError``, and a
 ``MemoryError``, exits 2 with one line.
 """

@@ -505,8 +505,9 @@ class TestTape:
 
     def test_hessian_of_a_long_sum_is_not_widened_term_by_term(self):
         # the Hessian of sum_k x_k^2 / 2 over 12 variables (torus-m6's f)
-        # at 2048 points is I exactly, and its memory peak stays below twice the bytes of
-        # the Hessian it returns: no running (B, k, k) block per term
+        # at 2048 points is I exactly, and its memory peak stays below
+        # twice the bytes of the Hessian it returns: no running (B, k, k)
+        # block per term
         f = parse_expression(_torus(6)[0], 12)
         X = random_points(np.random.default_rng(32), 2048, 12)
         hessian(f, X)  # compile the program
